@@ -6,13 +6,17 @@
 package repro
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/abstract"
 	"repro/internal/baseline"
 	"repro/internal/consensus"
+	"repro/internal/engine"
 	"repro/internal/memory"
+	"repro/internal/randexp"
+	"repro/internal/scenario"
 	"repro/internal/spec"
 	"repro/internal/tas"
 )
@@ -296,4 +300,56 @@ func BenchmarkE9_HardwareFetchInc(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Inc(p)
 	}
+}
+
+// --- Engine attempt path -------------------------------------------------
+
+// BenchmarkEngineAttempt measures one attempt of the exhaustive engine
+// (run → race analysis → check → reset) and one sampled run of the seeded
+// sampler, the two paths the allocation budget in internal/engine pins. One
+// iteration is a whole fixed-size unit — the composed n=3 source-DPOR walk
+// (1991 attempts) or a 2000-seed PCT batch on composed n=8 — and the
+// per-attempt figures are reported as custom metrics alongside the
+// per-unit ns/op, B/op and allocs/op.
+func BenchmarkEngineAttempt(b *testing.B) {
+	sc, err := scenario.Lookup("composed")
+	if err != nil {
+		b.Fatal(err)
+	}
+	perAttempt := func(b *testing.B, unit func() int) {
+		b.ReportAllocs()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		attempts := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			attempts += unit()
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(attempts), "ns/attempt")
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(attempts), "allocs/attempt")
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(attempts), "B/attempt")
+	}
+	b.Run("exhaustive", func(b *testing.B) {
+		h, _ := sc.Build(3, scenario.Options{})
+		perAttempt(b, func() int {
+			rep, err := engine.Run(h, engine.Config{Prune: engine.PruneSourceDPOR, Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return rep.Attempts
+		})
+	})
+	b.Run("sampled", func(b *testing.B) {
+		h, _ := sc.Build(8, scenario.Options{})
+		cfg := randexp.Config{Sampler: randexp.SamplerPCT, PCTDepth: 3, Samples: 2000, Seed: 1, Workers: 1}
+		perAttempt(b, func() int {
+			rep, err := randexp.Run(h, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return rep.Executions
+		})
+	})
 }

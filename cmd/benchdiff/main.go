@@ -4,7 +4,9 @@
 // compared figures are attempts_per_sec — the column of a PerfRow that
 // tracks engine speed rather than workload shape — and wall_ms, which
 // catches experiments (like the stress tier's fixed-duration sweeps)
-// whose attempt rate is the measured quantity rather than the cost.
+// whose attempt rate is the measured quantity rather than the cost. The
+// advisory allocs_per_attempt and bytes_per_attempt columns are carried
+// through untouched and never compared.
 //
 // Usage:
 //

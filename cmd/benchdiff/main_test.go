@@ -1,10 +1,13 @@
 package main
 
 // The fixture pair in testdata exercises every compare verdict: a row
-// within tolerance on both axes, a throughput regression, a wall-clock
-// regression at a healthy attempt rate (the stress-tier case the wall_ms
-// axis exists for), a noisy row shielded by the min-attempts guard, a row
-// missing from the fresh run, and a row new in it.
+// within tolerance on both axes (whose advisory allocs_per_attempt and
+// bytes_per_attempt got several times worse — benchdiff must ignore them;
+// allocation is gated by the budget test in internal/engine), a throughput
+// regression, a wall-clock regression at a healthy attempt rate (the
+// stress-tier case the wall_ms axis exists for), a noisy row shielded by
+// the min-attempts guard, a row missing from the fresh run, and a row new
+// in it.
 
 import (
 	"path/filepath"
@@ -30,7 +33,7 @@ func TestCompareFixturePair(t *testing.T) {
 		t.Errorf("failed = %d, want 3 (rate regression, wall regression, missing row)", failed)
 	}
 	wantLines := []struct{ prefix, contains string }{
-		{"ok", "steady / n=3"},                     // within tolerance on both axes
+		{"ok", "steady / n=3"},                     // within tolerance on both axes; alloc columns ignored
 		{"FAIL", "steady / n=4"},                   // throughput regression
 		{"FAIL", "steady / n=5"},                   // wall-clock regression
 		{"ok", "noisy / tiny"},                     // min-attempts noise guard

@@ -300,6 +300,17 @@ func TestE14Shapes(t *testing.T) {
 	if a := cellInt(t, tables[0], 7, 3); a != 1991 {
 		t.Fatalf("composed n=3 dpor attempts = %d, want 1991", a)
 	}
+	// Every trajectory row carries the advisory per-attempt allocation
+	// figures (the budget itself is gated in internal/engine).
+	perf := TakePerf("E14")
+	if len(perf) != len(rows) {
+		t.Fatalf("E14 perf rows = %d, want one per table row (%d)", len(perf), len(rows))
+	}
+	for _, p := range perf {
+		if p.AllocsPerAttempt <= 0 || p.BytesPerAttempt <= 0 {
+			t.Fatalf("E14 perf row %q lacks allocation figures: %+v", p.Label, p)
+		}
+	}
 }
 
 func TestE15Shapes(t *testing.T) {

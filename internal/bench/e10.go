@@ -51,14 +51,14 @@ func RunE10() []*Table {
 		h, label := harnessFor("composed", r.n)
 		var base int
 		for _, m := range r.modes {
-			start := time.Now()
-			rep, err := explore.Run(h, m.cfg)
-			wall := time.Since(start)
+			var rep explore.Report
+			var err error
+			wall, heap := timedWithHeap(func() { rep, err = explore.Run(h, m.cfg) })
 			if err != nil {
 				t.AddRow(label, m.name, "FAILED", err, "", "", "")
 				continue
 			}
-			recordPerf("E10", t.ID, label+" / "+m.name, rep.Executions, rep.Attempts, wall)
+			recordPerfHeap("E10", t.ID, label+" / "+m.name, rep.Executions, rep.Attempts, wall, heap)
 			// A budget-cut walk is marked and never used as a comparison
 			// baseline: a reduction against a truncated count would be
 			// silently wrong.

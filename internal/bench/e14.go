@@ -47,14 +47,16 @@ func RunE14() []*Table {
 		h, label := harnessFor(cfg.def, cfg.n)
 		var sleepAttempts int
 		for _, mode := range []explore.PruneMode{explore.PruneSleep, explore.PruneSourceDPOR} {
-			start := time.Now()
-			rep, err := explore.Run(h, explore.Config{Prune: mode, Workers: 1, MaxExecutions: budget})
-			wall := time.Since(start)
+			var rep explore.Report
+			var err error
+			wall, heap := timedWithHeap(func() {
+				rep, err = explore.Run(h, explore.Config{Prune: mode, Workers: 1, MaxExecutions: budget})
+			})
 			if err != nil {
 				t.AddRow(label, mode.String(), "FAILED", err, "", "", "", "")
 				continue
 			}
-			recordPerf("E14", t.ID, label+" / "+mode.String(), rep.Executions, rep.Attempts, wall)
+			recordPerfHeap("E14", t.ID, label+" / "+mode.String(), rep.Executions, rep.Attempts, wall, heap)
 			attempts := intCell(rep.Attempts, rep.Partial)
 			reduction := "—"
 			if mode == explore.PruneSleep {

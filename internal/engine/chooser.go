@@ -29,64 +29,187 @@ func independent(a, b candidate) bool {
 	return !a.acc.Conflicts(b.acc)
 }
 
-// itemChooser drives one execution of a work item: it replays the prefix,
-// then at every deeper decision point takes the first branch not covered by
-// the sleep set and — depending on the prune mode — enqueues sibling
-// branches as new work items (all of them under PruneNone/PruneSleep; only
-// crash branches under PruneSourceDPOR, whose step siblings are added
-// later by race analysis).
+// resolve looks a transition up among the candidates of the decision point
+// it is enabled at, recovering its pending access. Crash transitions need
+// none: they commute with every other process's transitions regardless.
+func resolve(enabled []candidate, t Transition) candidate {
+	if !t.Crash {
+		for _, en := range enabled {
+			if en.t == t {
+				return en
+			}
+		}
+	}
+	return candidate{t: t}
+}
+
+// itemChooser drives the executions of one worker, one work item at a
+// time: it replays the item's prefix, then at every deeper decision point
+// takes the first branch not covered by the sleep set and — depending on
+// the prune mode — enqueues sibling branches as new work items (all of them
+// under PruneNone/PruneSleep; only crash branches under PruneSourceDPOR,
+// whose step siblings are added later by race analysis).
+//
+// The value lives as long as its worker and is re-armed per item by begin:
+// everything an attempt needs and nothing outlives — the path, the
+// transition/access/node records, sleep sets, candidate lists, the race
+// analysis tables — is scratch held here and reused, so a run allocates
+// only what it hands to the rest of the walk: decision nodes and frontier
+// items. Whatever a longer-lived value keeps from this scratch (a failing
+// path, a snapshot capture) is copied at the moment it is retained.
 type itemChooser struct {
-	e    *engine
-	w    int // worker index: the obs counter shard this run writes
-	item WorkItem
-	env  *memory.Env
+	e *engine
+	w int // worker index: the obs counter shard this run writes
 
-	sleep    []Transition   // sleep set at the current decision point
-	path     []int          // canonical branch index taken at every step
-	schedule []sched.Choice // choices taken so far (prefix for siblings)
-	steps    []int          // per-process granted-step counts so far
-	crashed  uint64         // bitmask of processes crashed so far
-	pruned   int
-	bad      error
-	aborted  bool // all branches asleep or state cached: drain the run
-	cacheHit bool // aborted because the state key was already claimed
-
-	// Source-DPOR trace bookkeeping, maintained only in that mode: the
-	// taken transitions, their accesses (zero for crash events), and the
-	// branching decision node at every depth (nil where fewer than two
-	// processes were parked). chainIdx advances through item.chain while
-	// replaying.
-	trans    []Transition
-	accs     []memory.Access
-	nodes    []*dnode
-	chain    []*dnode // branching-node chain of the path walked so far
-	chainIdx int
-	scratch  *dporScratch // per-worker race-analysis buffers
+	// Per-item state, reset by begin.
+	env       *memory.Env
+	prefix    []Transition // the item's choice prefix, root to spawn transition
+	itemSleep []Transition // the item's sleep set, in effect once the prefix is replayed
+	crashed   uint64       // bitmask of processes crashed so far
+	pruned    int
+	bad       error
+	aborted   bool // all branches asleep or state cached: drain the run
+	cacheHit  bool // aborted because the state key was already claimed
+	// lastNode is the deepest branching decision node on the path walked so
+	// far (source-DPOR only): the parent of the next node created, and the
+	// anchor item prefixes and snapshot searches are relative to.
+	lastNode *dnode
 
 	// Snapshot capture state (see engine.snapEnabled): when snapOn, the
 	// run logs values for replay and capture() can snapshot decision
-	// points for the sibling items they spawn.
+	// points of inst for the sibling items they spawn.
 	snapOn bool
 	inst   *instance
-	exec   *sched.Executor
 	// lastSnap is the most recent decision-point snapshot along this run
 	// (seeded from the item's restored snapshot, if any): sibling sets
 	// within snapStride of its depth attach to it instead of capturing,
 	// and their restores gated-replay the few remaining prefix steps.
 	lastSnap *engineSnap
 
-	cands []candidate // per-decision scratch, reused across steps
-	woken []candidate // per-decision scratch for the sleep-filtered set
+	// Worker scratch, reused across items. path is the canonical branch
+	// index taken at every step and trans the transition; both are kept in
+	// every mode (sibling prefixes are cut from trans). accs (the granted
+	// access, zero for crash events) and nodes (the branching decision node
+	// at every depth, nil where fewer than two processes were parked) are
+	// the rest of the source-DPOR trace record. begin lays the item's prefix
+	// out in trans and nodes up front; the replay zone re-slices over it.
+	path     []int
+	trans    []Transition
+	accs     []memory.Access
+	nodes    []*dnode
+	steps    []int        // per-process granted-step counts so far
+	sleep    []Transition // sleep set at the current decision point (own backing, filtered in place)
+	cands    []candidate  // per-decision: the candidate branches
+	woken    []candidate  // per-decision: the sleep-filtered candidates
+	explored []Transition // per-decision: branches launched so far, for sibling sleep sets
+	sl       []Transition // per-sibling: the sleep set being computed, before its item copies it
+	items    []WorkItem   // per-decision: the sibling items, before they are enqueued
+	scratch  dporScratch  // race-analysis tables
+}
+
+// begin re-arms the chooser for one work item on the given instance: the
+// per-item state is cleared and the item's prefix — for a source-DPOR item
+// the spawning node's root path plus the item's own tail — is laid out in
+// the trans and nodes scratch.
+func (c *itemChooser) begin(item WorkItem, inst *instance, snapOn bool) {
+	c.env, c.inst, c.snapOn = inst.env, inst, snapOn
+	c.itemSleep = item.Sleep
+	c.crashed, c.pruned, c.bad, c.aborted, c.cacheHit = 0, 0, nil, false, false
+	c.lastNode, c.lastSnap = nil, nil
+	if n := inst.env.N(); len(c.steps) != n {
+		c.steps = make([]int, n)
+	} else {
+		clear(c.steps)
+	}
+	c.path = c.path[:0]
+	c.sleep = c.sleep[:0]
+
+	base := 0
+	if item.node != nil {
+		base = item.node.depth
+	}
+	d := base + len(item.Prefix)
+	if cap(c.trans) < d {
+		c.trans = make([]Transition, d, 2*d)
+	}
+	c.prefix = c.trans[:d]
+	copy(c.prefix[base:], item.Prefix)
+	c.trans = c.trans[:0]
+	if c.e.cfg.Prune != PruneSourceDPOR {
+		return
+	}
+	if cap(c.nodes) < d {
+		c.nodes = make([]*dnode, d, 2*d)
+	}
+	if cap(c.accs) < d {
+		c.accs = make([]memory.Access, d, 2*d)
+	}
+	nodes := c.nodes[:d]
+	clear(nodes)
+	for nd := item.node; nd != nil; nd = nd.parent {
+		nodes[nd.depth] = nd
+		copy(c.prefix[nd.depth-len(nd.seg):], nd.seg)
+	}
+	c.nodes, c.accs = c.nodes[:0], c.accs[:0]
+}
+
+// resume seeds the chooser with the bookkeeping of a restored snapshot: the
+// run re-enters at decision s.depth (possibly an ancestor of the item's
+// spawning decision: the stride captures sparsely), as if the chooser had
+// just replayed the first s.depth prefix steps, and the replay zone
+// re-executes the rest.
+func (c *itemChooser) resume(s *engineSnap) {
+	d := s.depth
+	c.path = append(c.path, s.path...)
+	for _, t := range c.prefix[:d] {
+		c.note(t)
+	}
+	c.trans = c.trans[:d]
+	if c.e.cfg.Prune != PruneSourceDPOR {
+		return
+	}
+	// The trace record the captured prefix would have produced:
+	// transitions are the prefix itself, accesses are the granted ones
+	// (zeroed for crash events, which access nothing), nodes are the
+	// item's chain by depth — the last two laid out by begin.
+	c.accs, c.nodes = c.accs[:d], c.nodes[:d]
+	for i, t := range c.prefix[:d] {
+		c.accs[i] = memory.Access{}
+		if !t.Crash {
+			c.accs[i] = s.resAccs[i]
+		}
+		if c.nodes[i] != nil {
+			c.lastNode = c.nodes[i]
+		}
+	}
+}
+
+// newItem builds the frontier item that branches off with transition t
+// after the steps mid beyond node (the whole path so far when node is nil),
+// carrying the sleep set sl. mid and sl are scratch: the item gets its own
+// copies, in one backing array.
+func newItem(node *dnode, mid []Transition, t Transition, sl []Transition) WorkItem {
+	k := len(mid) + 1
+	buf := make([]Transition, k+len(sl))
+	copy(buf, mid)
+	buf[k-1] = t
+	item := WorkItem{Prefix: buf[:k:k], node: node}
+	if len(sl) > 0 {
+		copy(buf[k:], sl)
+		item.Sleep = buf[k:]
+	}
+	return item
 }
 
 // capture snapshots the current decision point for branch restoration:
-// the memory state, the prefix bookkeeping (as capacity-clipped views of
-// the run's append-only buffers), and every process's value log. refs is
-// the number of take() calls expected (engine.pinnedRefs for source-DPOR
-// nodes). It must be called from inside a Choose decision, before the
-// chosen branch is recorded, so all captured views end exactly at this
-// decision's depth. Returns nil — and sticky-disables snapshots for the
-// walk — if the environment declines.
+// the memory state, the prefix bookkeeping (copied: the path is worker
+// scratch and the schedule and accesses are the executor's reused Result
+// buffers, all overwritten by the next run), and every process's value
+// log. refs is the number of take() calls expected (engine.pinnedRefs for
+// source-DPOR nodes). It must be called from inside a Choose decision,
+// before the chosen branch is recorded, so everything captured ends exactly
+// at this decision's depth. Returns nil — and sticky-disables snapshots for
+// the walk — if the environment declines.
 func (c *itemChooser) capture(refs int32) *engineSnap {
 	if !c.snapOn {
 		return nil
@@ -102,7 +225,7 @@ func (c *itemChooser) capture(refs int32) *engineSnap {
 		c.snapOn = false
 		return nil
 	}
-	schedView, accView := c.exec.PrefixView()
+	schedView, accView := c.inst.exec.PrefixView()
 	// Pack copies of every process's value log into one backing array (the
 	// processes recycle their log buffers across runs, so views must not be
 	// retained), and precompute the per-process fast-forward positions the
@@ -134,9 +257,9 @@ func (c *itemChooser) capture(refs int32) *engineSnap {
 		depth:    len(schedView),
 		inst:     c.inst,
 		mem:      mem,
-		path:     c.path[:len(c.path):len(c.path)],
-		sched:    schedView,
-		resAccs:  accView,
+		path:     append([]int(nil), c.path...),
+		sched:    append([]sched.Choice(nil), schedView...),
+		resAccs:  append([]memory.Access(nil), accView...),
 		logs:     logs,
 		posAfter: posAfter,
 		refs:     refs,
@@ -153,15 +276,14 @@ func (c *itemChooser) capture(refs int32) *engineSnap {
 
 // snapWanted reports whether a new source-DPOR decision node at the given
 // depth should capture a snapshot: only when no ancestor node within
-// snapStride depths holds a live one (see snapStride). The walk is over the
-// tail of the shared chain, so spacing is consistent across the runs that
+// snapStride depths holds a live one (see snapStride). The walk is up the
+// shared parent chain, so spacing is consistent across the runs that
 // re-visit it.
 func (c *itemChooser) snapWanted(depth int) bool {
 	if !c.snapOn {
 		return false
 	}
-	for i := len(c.chain) - 1; i >= 0; i-- {
-		nd := c.chain[i]
+	for nd := c.lastNode; nd != nil; nd = nd.parent {
 		if nd.depth <= depth-snapStride {
 			break
 		}
@@ -172,11 +294,11 @@ func (c *itemChooser) snapWanted(depth int) bool {
 	return true
 }
 
-// nearestChainSnap returns the deepest live snapshot along the walked
-// chain — the restoration point closest to the current decision.
-func (c *itemChooser) nearestChainSnap() *engineSnap {
-	for i := len(c.chain) - 1; i >= 0; i-- {
-		if s := c.chain[i].snap; s.live() {
+// nearestSnap returns the deepest live snapshot held by n or a branching
+// ancestor of it — the restoration point closest to a branch off n.
+func nearestSnap(n *dnode) *engineSnap {
+	for ; n != nil; n = n.parent {
+		if s := n.snap; s.live() {
 			return s
 		}
 	}
@@ -191,21 +313,6 @@ func (c *itemChooser) note(t Transition) {
 	} else {
 		c.steps[t.Proc]++
 	}
-}
-
-// noteDPOR appends the taken transition to the source-DPOR trace record.
-// node is the branching decision node at this depth (nil when the point
-// cannot be a backtrack target).
-func (c *itemChooser) noteDPOR(t Transition, acc memory.Access, node *dnode) {
-	if c.e.cfg.Prune != PruneSourceDPOR {
-		return
-	}
-	if t.Crash {
-		acc = memory.Access{}
-	}
-	c.trans = append(c.trans, t)
-	c.accs = append(c.accs, acc)
-	c.nodes = append(c.nodes, node)
 }
 
 // stateKey combines the memory fingerprint with the per-process progress
@@ -243,12 +350,12 @@ func (c *itemChooser) Choose(step int, parked []sched.ProcState) sched.Choice {
 		return sched.Choice{Proc: parked[0].ID, Crash: true}
 	}
 
-	if step < len(c.item.Prefix) {
+	if step < len(c.prefix) {
 		// Replay zone: ancestors already expanded these decision points, so
 		// the canonical branch index is computed directly from the sorted
 		// parked set (steps by process id, then crashes by process id)
 		// without materializing the candidate list.
-		want := c.item.Prefix[step]
+		want := c.prefix[step]
 		idx := -1
 		var acc memory.Access
 		for i, ps := range parked {
@@ -268,21 +375,26 @@ func (c *itemChooser) Choose(step int, parked []sched.ProcState) sched.Choice {
 		}
 		if want.Crash {
 			idx += len(parked)
+			acc = memory.Access{}
 		}
 		c.path = append(c.path, idx)
 		c.note(want)
-		var node *dnode
-		if c.chainIdx < len(c.item.chain) && c.item.chain[c.chainIdx].depth == step {
-			node = c.item.chain[c.chainIdx]
-			c.chainIdx++
+		// begin laid the prefix out in trans (and the item's decision nodes
+		// in nodes): extending the records over a replayed step is a
+		// re-slice.
+		c.trans = c.trans[:step+1]
+		if c.e.cfg.Prune == PruneSourceDPOR {
+			c.accs = c.accs[:step+1]
+			c.accs[step] = acc
+			c.nodes = c.nodes[:step+1]
+			if nd := c.nodes[step]; nd != nil {
+				c.lastNode = nd
+			}
 		}
-		c.noteDPOR(want, acc, node)
-		choice := sched.Choice{Proc: want.Proc, Crash: want.Crash}
-		c.schedule = append(c.schedule, choice)
-		if step == len(c.item.Prefix)-1 {
-			c.sleep = c.item.Sleep
+		if step == len(c.prefix)-1 {
+			c.sleep = append(c.sleep, c.itemSleep...)
 		}
-		return choice
+		return sched.Choice{Proc: want.Proc, Crash: want.Crash}
 	}
 
 	// Enumeration zone: candidate branches in canonical order — steps by
@@ -360,23 +472,18 @@ func (c *itemChooser) Choose(step int, parked []sched.ProcState) sched.Choice {
 			// earlier, which is also canonical (lex-least first). A
 			// sequential budget-cut walk therefore covers exactly the
 			// prefix the seed depth-first engine would have covered.
-			explored := []candidate{chosen}
-			items := make([]WorkItem, 0, len(awake)-1)
+			explored := append(c.explored[:0], chosen.t)
+			items := c.items[:0]
 			for _, sib := range awake[1:] {
-				var sl []Transition
+				sl := c.sl[:0]
 				if c.e.cfg.Prune != PruneNone {
-					// Sleep entries are transitions of parked processes;
-					// their pending access is this decision point's.
-					sl = sleepFor(c.sleep, func(t Transition) candidate { return c.withAccess(t, parked) }, explored, sib)
-					explored = append(explored, sib)
+					sl = sleepFor(sl, c.sleep, explored, cands, sib)
+					explored = append(explored, sib.t)
 				}
-				prefix := make([]Transition, len(c.schedule), len(c.schedule)+1)
-				for i, pc := range c.schedule {
-					prefix[i] = Transition{Proc: pc.Proc, Crash: pc.Crash}
-				}
-				prefix = append(prefix, sib.t)
-				items = append(items, WorkItem{Prefix: prefix, Sleep: sl})
+				items = append(items, newItem(nil, c.trans, sib.t, sl))
+				c.sl = sl
 			}
+			c.explored = explored
 			if len(items) > 0 {
 				// All siblings restore from the same snapshot; each differs
 				// only in its replayed suffix, which the replay zone still
@@ -394,23 +501,34 @@ func (c *itemChooser) Choose(step int, parked []sched.ProcState) sched.Choice {
 					}
 				}
 			}
-			for i := len(items) - 1; i >= 0; i-- {
-				c.e.enqueue(items[i])
-			}
+			c.enqueueReversed(items)
 		}
 	}
 
 	// Advance: transitions dependent on the chosen one wake up.
 	if c.e.cfg.Prune != PruneNone {
-		c.advanceSleep(parked, chosen)
+		c.advanceSleep(cands, chosen)
 	}
-	c.take(cands, chosen)
+	c.take(cands, chosen, nil)
 	return sched.Choice{Proc: chosen.t.Proc, Crash: chosen.t.Crash}
 }
 
-// take records the chosen branch in the canonical path and the schedule and
-// advances the progress counters.
-func (c *itemChooser) take(cands []candidate, chosen candidate) {
+// enqueueReversed hands a decision point's sibling items to the frontier
+// last-first (so the LIFO pops them in canonical order) and returns the
+// per-decision item scratch, cleared of the references it held.
+func (c *itemChooser) enqueueReversed(items []WorkItem) {
+	for i := len(items) - 1; i >= 0; i-- {
+		c.e.enqueue(items[i])
+	}
+	clear(items)
+	c.items = items[:0]
+}
+
+// take records the chosen branch — its canonical index, its transition
+// and, under source-DPOR, its access and the branching decision node at this
+// depth (nil when the point cannot be a backtrack target) — and advances
+// the progress counters.
+func (c *itemChooser) take(cands []candidate, chosen candidate, node *dnode) {
 	for i, cand := range cands {
 		if cand.t == chosen.t {
 			c.path = append(c.path, i)
@@ -418,39 +536,34 @@ func (c *itemChooser) take(cands []candidate, chosen candidate) {
 		}
 	}
 	c.note(chosen.t)
-	c.schedule = append(c.schedule, sched.Choice{Proc: chosen.t.Proc, Crash: chosen.t.Crash})
-}
-
-// withAccess resolves a sleep-set transition to a candidate by looking up
-// its process's pending access at the current decision point. A sleeping
-// process is by construction still parked at the access it slept on.
-func (c *itemChooser) withAccess(t Transition, parked []sched.ProcState) candidate {
-	for _, ps := range parked {
-		if ps.ID == t.Proc {
-			return candidate{t: t, acc: ps.Next}
+	c.trans = append(c.trans, chosen.t)
+	if c.e.cfg.Prune == PruneSourceDPOR {
+		acc := chosen.acc
+		if chosen.t.Crash {
+			acc = memory.Access{}
 		}
+		c.accs = append(c.accs, acc)
+		c.nodes = append(c.nodes, node)
 	}
-	return candidate{t: t}
 }
 
-// sleepFor computes a newly launched branch's sleep set — the single
-// soundness-critical discipline both reductions share: the inherited
-// sleeping transitions (resolved to their pending accesses at this
-// decision point by resolve) and the branches launched earlier from the
-// same point, each kept only if independent of the branch being launched
-// (a dependent one would not commute past it, so its subtree is not
-// covered elsewhere from here).
-func sleepFor(inherited []Transition, resolve func(Transition) candidate, explored []candidate, branch candidate) []Transition {
-	var sl []Transition
+// sleepFor computes a newly launched branch's sleep set into dst — the
+// single soundness-critical discipline both reductions share: the
+// inherited sleeping transitions and the branches launched earlier from
+// the same point (both resolved to their pending accesses among the
+// candidates enabled there), each kept only if independent of the branch
+// being launched (a dependent one would not commute past it, so its
+// subtree is not covered elsewhere from here).
+func sleepFor(dst, inherited, explored []Transition, enabled []candidate, branch candidate) []Transition {
 	for _, s := range inherited {
-		if independent(resolve(s), branch) {
-			sl = append(sl, s)
+		if independent(resolve(enabled, s), branch) {
+			dst = append(dst, s)
 		}
 	}
 	for _, ex := range explored {
-		if independent(ex, branch) {
-			sl = append(sl, ex.t)
+		if independent(resolve(enabled, ex), branch) {
+			dst = append(dst, ex)
 		}
 	}
-	return sl
+	return dst
 }

@@ -207,7 +207,9 @@ type SeedOutcome struct {
 // The returned finish hook, when non-nil, is called with the run's outcome
 // after the execution completes (before check and reset), so the frontend
 // can stamp sampler-specific data — e.g. an importance weight read off the
-// strategy instance.
+// strategy instance. Each sampling worker owns one SeedStrategy and calls it
+// for one run at a time, so it may hand back the same re-armed strategy
+// value every call.
 type SeedStrategy func(seed int64, n int) (sched.Strategy, func(out *SeedOutcome))
 
 // SampleConfig bounds a batched sampling loop.
@@ -231,17 +233,19 @@ type SampleConfig struct {
 
 // SampleBatches runs seeds cfg.Seed..cfg.Seed+cfg.Samples-1 through the
 // strategy in fixed-size batches. Within a batch, runs execute on the
-// core's worker pool — each worker owning one pooled instance — but
-// outcomes are delivered to fold as one seed-ordered slice per batch, so
-// everything the frontend derives from them is independent of the worker
-// count; only wall-clock changes. fold returning false stops the loop
-// after that batch (failure stops, saturation stops).
-func (c *Core) SampleBatches(cfg SampleConfig, strat SeedStrategy, fold func(batch []SeedOutcome) bool) {
+// core's worker pool — each worker owning one pooled instance and one
+// SeedStrategy from newStrat — but outcomes are delivered to fold as one
+// seed-ordered slice per batch, so everything the frontend derives from
+// them is independent of the worker count; only wall-clock changes. fold
+// returning false stops the loop after that batch (failure stops,
+// saturation stops).
+func (c *Core) SampleBatches(cfg SampleConfig, newStrat func() SeedStrategy, fold func(batch []SeedOutcome) bool) {
 	batch := cfg.BatchSize
 	if batch < 1 {
 		batch = 1
 	}
 	workers := len(c.insts)
+	strats := make([]SeedStrategy, workers) // slot w is touched only by worker w
 	next := cfg.Seed
 	for remaining := cfg.Samples; remaining > 0; {
 		m := batch
@@ -259,12 +263,15 @@ func (c *Core) SampleBatches(cfg SampleConfig, strat SeedStrategy, fold func(bat
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
+				if strats[w] == nil {
+					strats[w] = newStrat()
+				}
 				for {
 					i := int(idx.Add(1)) - 1
 					if i >= m {
 						return
 					}
-					outs[i] = c.runSeed(c.instanceFor(w), next+int64(i), strat)
+					outs[i] = c.runSeed(c.instanceFor(w), next+int64(i), strats[w])
 					if cfg.Metrics != nil {
 						cfg.Metrics.Samples.Inc(w)
 					}
@@ -281,7 +288,8 @@ func (c *Core) SampleBatches(cfg SampleConfig, strat SeedStrategy, fold func(bat
 }
 
 // runSeed performs one seeded run on the given instance and records its
-// outcome. The terminal fingerprint is taken before the instance is reset.
+// outcome. The terminal fingerprint is taken before the instance is reset,
+// and a failing schedule is copied out of the executor's reused Result.
 func (c *Core) runSeed(inst *instance, seed int64, strat SeedStrategy) SeedOutcome {
 	s, finish := strat(seed, inst.env.N())
 	var res *sched.Result
@@ -304,7 +312,7 @@ func (c *Core) runSeed(inst *instance, seed int64, strat SeedStrategy) SeedOutco
 	c.checkMu.Unlock()
 	if err != nil {
 		out.Err = err
-		out.Schedule = res.Schedule
+		out.Schedule = append([]sched.Choice(nil), res.Schedule...)
 	}
 	return out
 }

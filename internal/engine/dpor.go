@@ -16,12 +16,15 @@ package engine
 // prefix-replay architecture:
 //
 //   - Every branching decision point (two or more parked processes) that an
-//     execution passes materializes a dnode, holding the immutable prefix
-//     that reaches it, the parked candidates with their pending accesses,
-//     the sleep set on arrival, and the mutable set of branches launched
-//     from it so far. Work items carry the chain of dnodes along their
-//     prefix, so a race discovered deep in one execution can add a
-//     backtrack point at any shallower decision node of the same path.
+//     execution passes materializes a dnode, holding a pointer to the
+//     nearest branching decision above it and the transitions taken since
+//     (so the immutable prefix that reaches it is shared with its
+//     ancestors, not copied), the parked candidates with their pending
+//     accesses, the sleep set on arrival, and the mutable list of branches
+//     launched from it so far. A work item names the node it branches off,
+//     which puts every node along its prefix in reach, so a race discovered
+//     deep in one execution can add a backtrack point at any shallower
+//     decision node of the same path.
 //   - After each execution (including sleep-set-aborted ones: their
 //     executed prefix is real), the engine computes happens-before vector
 //     bitsets over the trace and, for every newly appended event, scans
@@ -58,18 +61,16 @@ import (
 	"repro/internal/sched"
 )
 
-// dporScratch holds one worker's reusable race-analysis buffers. Only the
-// buffers no dnode retains may live here: node prefixes alias the per-run
-// transition slice, which therefore stays freshly allocated per run.
+// dporScratch holds one worker's reusable race-analysis tables (the trace
+// record they are computed from is the chooser's own scratch).
 type dporScratch struct {
 	hb       []uint64
 	v        []int
+	initials []Transition
 	lastProc []int
 	objs     map[uint64]*objDep
 	objPool  []*objDep
 	objUsed  int
-	accs     []memory.Access
-	nodes    []*dnode
 }
 
 // objDep tracks one object's immediate dependence frontier while building
@@ -96,19 +97,30 @@ func (s *dporScratch) depFor(obj uint64) *objDep {
 }
 
 // dnode is one branching decision point of a source-DPOR walk: the
-// potential target of race-driven backtrack additions. prefix, chain,
-// sleepAt and enabled are immutable after creation; explored and intrack
-// are guarded by mu.
+// potential target of race-driven backtrack additions. Everything but
+// explored is immutable after creation; explored is guarded by mu.
+//
+// Nodes form a tree through parent, and a node stores only the transitions
+// between its parent's decision and its own — the root-to-node prefix is
+// the concatenation of the segs up the chain — so what a run retains is
+// proportional to the decisions it was first to take, not to its depth.
+// seg, sleepAt and explored share one backing array, sized at creation for
+// the most branches the point can ever launch (one per enabled candidate):
+// a node is three allocations.
 type dnode struct {
 	mu      sync.Mutex
 	depth   int
-	prefix  []Transition // schedule root→this node (capacity-clamped view)
-	chain   []*dnode     // branching nodes root→this node, inclusive
+	parent  *dnode       // nearest branching decision above (nil: none)
+	seg     []Transition // transitions at decisions parent.depth (or 0) .. depth-1
 	sleepAt []Transition // sleep set on arrival (SDPOR's Sleep(E'))
 	enabled []candidate  // parked transitions + pending accesses here
 
-	explored []candidate  // branches launched from here, in order
-	intrack  []Transition // branches launched or scheduled (tiny: linear scan)
+	// explored lists the branches launched from here, in launch order: the
+	// one the creating run took, eagerly enqueued crash siblings, and every
+	// backtrack addition. It is both the "already scheduled" set a new race
+	// is checked against and the sequence a late branch's sleep set is
+	// accumulated over (tiny: linear scans).
+	explored []Transition
 
 	// snap is the branch-restoration snapshot of this decision point,
 	// pinned in the ledger (backtrack additions arrive at any later time).
@@ -116,29 +128,38 @@ type dnode struct {
 	snap *engineSnap
 }
 
+// newNode materializes the branching decision point the run is at (depth
+// len(c.trans), candidates cands, sleep set c.sleep), about to take chosen.
+func (c *itemChooser) newNode(cands []candidate, chosen Transition) *dnode {
+	step := len(c.trans)
+	from := 0
+	if c.lastNode != nil {
+		from = c.lastNode.depth
+	}
+	seg := c.trans[from:step]
+	k := len(seg) + len(c.sleep)
+	ts := make([]Transition, k, k+len(cands))
+	copy(ts, seg)
+	copy(ts[len(seg):], c.sleep)
+	return &dnode{
+		depth:    step,
+		parent:   c.lastNode,
+		seg:      ts[:len(seg):len(seg)],
+		sleepAt:  ts[len(seg):k:k],
+		enabled:  append([]candidate(nil), cands...),
+		explored: append(ts[k:], chosen),
+	}
+}
+
 // tracked reports whether t is already launched or scheduled from n.
 // Callers must hold n.mu (or be the creating run, pre-publication).
 func (n *dnode) tracked(t Transition) bool {
-	for _, x := range n.intrack {
+	for _, x := range n.explored {
 		if x == t {
 			return true
 		}
 	}
 	return false
-}
-
-// candOf resolves a transition to a candidate using this node's recorded
-// pending accesses (crash transitions need no access: they commute with
-// every other process's transitions regardless).
-func (n *dnode) candOf(t Transition) candidate {
-	if !t.Crash {
-		for _, en := range n.enabled {
-			if en.t.Proc == t.Proc && !en.t.Crash {
-				return candidate{t: t, acc: en.acc}
-			}
-		}
-	}
-	return candidate{t: t}
 }
 
 // chooseDPOR is the enumeration-zone decision of the source-DPOR mode:
@@ -152,24 +173,15 @@ func (c *itemChooser) chooseDPOR(step int, parked []sched.ProcState, cands, awak
 		if len(awake) > 1 {
 			e.noteTruncated()
 		}
-		c.advanceSleep(parked, chosen)
-		c.take(cands, chosen)
-		c.noteDPOR(chosen.t, chosen.acc, nil)
+		c.advanceSleep(cands, chosen)
+		c.take(cands, chosen, nil)
 		return sched.Choice{Proc: chosen.t.Proc, Crash: chosen.t.Crash}
 	}
 
 	var node *dnode
 	if len(parked) >= 2 {
-		node = &dnode{
-			depth:   step,
-			prefix:  c.trans[:len(c.trans):len(c.trans)],
-			sleepAt: append([]Transition(nil), c.sleep...),
-			enabled: append([]candidate(nil), cands...),
-			intrack: []Transition{chosen.t},
-		}
-		node.explored = []candidate{chosen}
-		node.chain = append(c.chain[:len(c.chain):len(c.chain)], node)
-		c.chain = node.chain
+		node = c.newNode(cands, chosen.t)
+		c.lastNode = node
 		if c.snapWanted(step) {
 			node.snap = c.capture(pinnedRefs)
 		}
@@ -179,48 +191,56 @@ func (c *itemChooser) chooseDPOR(step int, parked []sched.ProcState, cands, awak
 		// Crash branches race with nothing, so the analysis would never
 		// add them; enqueue them eagerly, with the same accumulated sleep
 		// sets as the legacy mode (reversed for the canonical LIFO pop).
-		explored := []candidate{chosen}
-		var items []WorkItem
+		// Their prefixes are relative to the nearest decision node — this
+		// point's own, or with a single process parked an ancestor's, with
+		// the steps since then spelled out.
+		var mid []Transition
+		if c.lastNode == nil {
+			mid = c.trans
+		} else {
+			mid = c.trans[c.lastNode.depth:]
+		}
+		explored := append(c.explored[:0], chosen.t)
+		items := c.items[:0]
 		for _, sib := range awake {
 			if !sib.t.Crash || sib.t == chosen.t {
 				continue
 			}
-			sl := sleepFor(c.sleep, func(t Transition) candidate { return c.withAccess(t, parked) }, explored, sib)
-			explored = append(explored, sib)
-			prefix := append(c.trans[:len(c.trans):len(c.trans)], sib.t)
-			items = append(items, WorkItem{Prefix: prefix, Sleep: sl, chain: c.chain})
+			sl := sleepFor(c.sl[:0], c.sleep, explored, cands, sib)
+			c.sl = sl
+			explored = append(explored, sib.t)
+			items = append(items, newItem(c.lastNode, mid, sib.t, sl))
 			if node != nil {
-				node.explored = append(node.explored, sib)
-				node.intrack = append(node.intrack, sib.t)
+				node.explored = append(node.explored, sib.t)
 			}
 		}
+		c.explored = explored
 		if len(items) > 0 {
 			// Crash siblings restore from the nearest live ancestor
 			// snapshot (possibly this node's own) and gated-replay the
 			// rest; all source-DPOR snapshots are pinned, so sharing one
 			// across items needs no refcounting.
-			snap := c.nearestChainSnap()
+			snap := nearestSnap(c.lastNode)
 			for i := range items {
 				items[i].snap = snap
 			}
 		}
-		for i := len(items) - 1; i >= 0; i-- {
-			e.enqueue(items[i])
-		}
+		c.enqueueReversed(items)
 	}
 
-	c.advanceSleep(parked, chosen)
-	c.take(cands, chosen)
-	c.noteDPOR(chosen.t, chosen.acc, node)
+	c.advanceSleep(cands, chosen)
+	c.take(cands, chosen, node)
 	return sched.Choice{Proc: chosen.t.Proc, Crash: chosen.t.Crash}
 }
 
 // advanceSleep keeps only the sleeping transitions independent of the
-// chosen one (dependent sleepers wake up).
-func (c *itemChooser) advanceSleep(parked []sched.ProcState, chosen candidate) {
-	var next []Transition
+// chosen one (dependent sleepers wake up), resolving each against this
+// decision point's candidates: a sleeping process is by construction still
+// parked at the access it slept on.
+func (c *itemChooser) advanceSleep(cands []candidate, chosen candidate) {
+	next := c.sleep[:0]
 	for _, s := range c.sleep {
-		if independent(c.withAccess(s, parked), chosen) {
+		if independent(resolve(cands, s), chosen) {
 			next = append(next, s)
 		}
 	}
@@ -237,7 +257,7 @@ func (c *itemChooser) advanceSleep(parked []sched.ProcState, chosen candidate) {
 // later event, so each pair along any path is analyzed exactly once.
 func (e *engine) analyzeRaces(c *itemChooser) {
 	m := len(c.trans)
-	start := len(c.item.Prefix) - 1
+	start := len(c.prefix) - 1
 	if start < 0 {
 		start = 0
 	}
@@ -252,7 +272,7 @@ func (e *engine) analyzeRaces(c *itemChooser) {
 	// of its object, and (for writes) the reads since that write; every
 	// earlier dependent event is already in those rows. Buffers are
 	// per-worker scratch.
-	s := c.scratch
+	s := &c.scratch
 	words := (m + 63) >> 6
 	if need := m * words; cap(s.hb) < need {
 		s.hb = make([]uint64, need)
@@ -365,7 +385,7 @@ func (e *engine) raceBacktrack(c *itemChooser, node *dnode, i, j int, row func(i
 	// transition of the reordered suffix. (Restriction of global
 	// happens-before to v is exact: any hb-path between v-members routes
 	// only through events not happening-after e[i], which are in v.)
-	var initials []Transition
+	initials := c.scratch.initials[:0]
 	var seen uint64 // by process id; Env process counts are word-small
 	for idx, k := range v {
 		p := c.trans[k].Proc
@@ -385,7 +405,8 @@ func (e *engine) raceBacktrack(c *itemChooser, node *dnode, i, j int, row func(i
 			initials = append(initials, c.trans[k])
 		}
 	}
-	node.addBacktrack(e, initials, c.trans[j])
+	c.scratch.initials = initials
+	node.addBacktrack(c, initials, c.trans[j])
 }
 
 // addBacktrack schedules one of the race's initials as a new branch from
@@ -393,8 +414,9 @@ func (e *engine) raceBacktrack(c *itemChooser, node *dnode, i, j int, row func(i
 // (either way the reversal is covered). The new branch's sleep set
 // accumulates the branches launched from this node before it, filtered by
 // independence — the same discipline the legacy mode applies to eagerly
-// enqueued siblings, just applied at discovery time.
-func (n *dnode) addBacktrack(e *engine, initials []Transition, pref Transition) {
+// enqueued siblings, just applied at discovery time. c is the discovering
+// run's chooser, for its scratch.
+func (n *dnode) addBacktrack(c *itemChooser, initials []Transition, pref Transition) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, t := range initials {
@@ -417,29 +439,21 @@ func (n *dnode) addBacktrack(e *engine, initials []Transition, pref Transition) 
 			break
 		}
 	}
-	cand := n.candOf(t)
-	sl := sleepFor(n.sleepAt, n.candOf, n.explored, cand)
-	n.intrack = append(n.intrack, t)
-	n.explored = append(n.explored, cand)
-	prefix := append(n.prefix[:len(n.prefix):len(n.prefix)], t)
+	sl := sleepFor(c.sl[:0], n.sleepAt, n.explored, n.enabled, resolve(n.enabled, t))
+	c.sl = sl
+	n.explored = append(n.explored, t)
+	e := c.e
 	e.backtracks.Add(1)
 	if e.obs != nil {
 		e.obs.Backtracks.Inc(0)
 	}
-	// Restore from the deepest live snapshot along this node's chain (its
-	// own if the stride captured here); the replay zone re-executes the at
-	// most snapStride decisions between it and the branch.
-	snap := n.snap
-	if !snap.live() {
-		snap = nil
-		for i := len(n.chain) - 1; i >= 0; i-- {
-			if s := n.chain[i].snap; s.live() {
-				snap = s
-				break
-			}
-		}
-	}
-	e.enqueue(WorkItem{Prefix: prefix, Sleep: sl, chain: n.chain, snap: snap})
+	// The item is this node plus one transition; it restores from the
+	// deepest live snapshot along the node's chain (its own if the stride
+	// captured here), and the replay zone re-executes the at most
+	// snapStride decisions between it and the branch.
+	item := newItem(n, nil, t, sl)
+	item.snap = nearestSnap(n)
+	e.enqueue(item)
 }
 
 // cacheKey identifies a decision-point state: both fingerprint lanes plus

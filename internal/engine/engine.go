@@ -337,10 +337,13 @@ type WorkItem struct {
 	Prefix []Transition `json:"prefix"`
 	Sleep  []Transition `json:"sleep,omitempty"`
 
-	// chain is the in-memory spine of source-DPOR items: the branching
-	// decision nodes along the prefix, deepest last. Never serialized —
-	// which is why source-DPOR walks are not checkpointable.
-	chain []*dnode
+	// node anchors a source-DPOR item in the in-memory tree of decision
+	// nodes: when set, Prefix holds only the transitions from node's
+	// decision on (for a backtrack addition, the one new branch) and the
+	// root-to-node part is read off the node chain when the item is run —
+	// an item shares its prefix with the tree instead of copying it. Never
+	// serialized — which is why source-DPOR walks are not checkpointable.
+	node *dnode
 
 	// snap is the branch-restoration snapshot captured at the decision
 	// point that spawned this item, when snapshots are active. In-memory
@@ -378,7 +381,8 @@ func (e *CheckError) Error() string {
 func (e *CheckError) Unwrap() error { return e.Err }
 
 // failure is a candidate CheckError tagged with the canonical branch-index
-// path of its leaf, the engine's tie-breaking order.
+// path of its leaf, the engine's tie-breaking order. It outlives the run
+// that found it, so path and schedule are its own copies.
 type failure struct {
 	path     []int
 	schedule []sched.Choice
@@ -531,7 +535,7 @@ func Run(h Harness, cfg Config) (Report, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			scratch := &dporScratch{}
+			ch := &itemChooser{e: e, w: w}
 			for {
 				item, ok := e.next()
 				if !ok {
@@ -540,7 +544,7 @@ func Run(h Harness, cfg Config) (Report, error) {
 				if e.obs != nil {
 					e.obs.Attempts.Inc(w)
 				}
-				e.runItem(w, e.core.instanceFor(w), item, scratch)
+				e.runItem(ch, e.core.instanceFor(w), item)
 				e.done()
 			}
 		}(w)
@@ -615,8 +619,10 @@ func (e *engine) next() (WorkItem, bool) {
 				e.stopLocked()
 				return WorkItem{}, false
 			}
-			item := e.queue[len(e.queue)-1]
-			e.queue = e.queue[:len(e.queue)-1]
+			last := len(e.queue) - 1
+			item := e.queue[last]
+			e.queue[last] = WorkItem{} // the slot must not keep the item's nodes alive
+			e.queue = e.queue[:last]
 			e.started++
 			e.inflight++
 			return item, true
@@ -696,62 +702,19 @@ func (e *engine) snapEnabled(inst *instance) bool {
 // re-executing it; the chooser is pre-seeded with the captured path so the
 // run is indistinguishable — in every deterministic respect — from a
 // reconstructed one.
-func (e *engine) runItem(w int, inst *instance, item WorkItem, scratch *dporScratch) {
+//
+// ch is the worker's chooser and res the executor's reused Result: both are
+// overwritten by the worker's next item, so the one thing that outlives
+// this call — a failure that becomes the walk's best — is copied out.
+func (e *engine) runItem(ch *itemChooser, inst *instance, item WorkItem) {
+	w := ch.w
 	snapOn := e.snapEnabled(inst)
-	ch := &itemChooser{e: e, w: w, item: item, env: inst.env, chain: item.chain, scratch: scratch, steps: make([]int, inst.env.N())}
-	if snapOn {
-		ch.snapOn = true
-		ch.inst = inst
-		ch.exec = inst.exec
-	}
-	if e.cfg.Prune == PruneSourceDPOR {
-		// The transition record is retained by the decision nodes it
-		// spawns (their prefixes alias it), so it is allocated per run;
-		// the access and node records are analysis-local scratch (nothing
-		// retains them — snapshots deliberately capture no trace record).
-		ch.trans = make([]Transition, 0, len(item.Prefix)+32)
-		ch.accs = scratch.accs[:0]
-		ch.nodes = scratch.nodes[:0]
-	}
+	ch.begin(item, inst, snapOn)
 	var res *sched.Result
 	restored := false
 	if snapOn && item.snap != nil {
 		if s, ok := e.snaps.take(item.snap, inst); ok {
-			// Seed the chooser with the captured prefix bookkeeping: the
-			// run resumes at decision s.depth (possibly an ancestor of the
-			// item's spawning decision: the stride captures sparsely), and
-			// the replay zone re-executes the remaining prefix steps.
-			d := s.depth
-			ch.path = s.path
-			ch.schedule = s.sched
-			for _, t := range item.Prefix[:d] {
-				ch.note(t)
-			}
-			for _, nd := range item.chain {
-				if nd.depth < d {
-					ch.chainIdx++
-				}
-			}
-			if e.cfg.Prune == PruneSourceDPOR {
-				// Rebuild the trace record the captured prefix would have
-				// produced: transitions are the prefix itself, accesses are
-				// the granted ones (zeroed for crash events, which access
-				// nothing), nodes are the chain's by depth.
-				ch.trans = append(ch.trans, item.Prefix[:d]...)
-				for i, t := range item.Prefix[:d] {
-					acc := memory.Access{}
-					if !t.Crash {
-						acc = s.resAccs[i]
-					}
-					ch.accs = append(ch.accs, acc)
-					ch.nodes = append(ch.nodes, nil)
-				}
-				for _, nd := range item.chain {
-					if nd.depth < d {
-						ch.nodes[nd.depth] = nd
-					}
-				}
-			}
+			ch.resume(&s)
 			// The restored snapshot also serves as the run's most recent
 			// capture point: sibling sets within snapStride of its depth
 			// attach to it rather than capturing anew.
@@ -776,8 +739,6 @@ func (e *engine) runItem(w int, inst *instance, item WorkItem, scratch *dporScra
 		// Race analysis mutates only per-node state (under node locks) and
 		// the work queue, so it runs outside the check lock.
 		e.analyzeRaces(ch)
-		scratch.accs = ch.accs[:0]
-		scratch.nodes = ch.nodes[:0]
 	}
 
 	e.core.checkMu.Lock()
@@ -806,7 +767,7 @@ func (e *engine) runItem(w int, inst *instance, item WorkItem, scratch *dporScra
 		if e.obs != nil {
 			e.obs.SnapshotRestores.Inc(w)
 		}
-	} else if len(item.Prefix) > 0 {
+	} else if len(ch.prefix) > 0 {
 		e.replays++
 		if e.obs != nil {
 			e.obs.Replays.Inc(w)
@@ -846,9 +807,12 @@ func (e *engine) runItem(w int, inst *instance, item WorkItem, scratch *dporScra
 		if e.obs != nil {
 			e.obs.Failures.Inc(w)
 		}
-		f := &failure{path: ch.path, schedule: res.Schedule, err: err}
-		if e.best == nil || lexLess(f.path, e.best.path) {
-			e.best = f
+		if e.best == nil || lexLess(ch.path, e.best.path) {
+			e.best = &failure{
+				path:     append([]int(nil), ch.path...),
+				schedule: append([]sched.Choice(nil), res.Schedule...),
+				err:      err,
+			}
 			if e.obs != nil {
 				e.obs.Event("failure_found", map[string]any{
 					"depth": len(res.Schedule), "error": err.Error(),

@@ -82,14 +82,14 @@ func ParseSnapshotMode(s string) (SnapshotMode, error) {
 
 // engineSnap is one captured branch-restoration point: everything needed to
 // re-enter the walk at a decision point without re-executing its prefix.
-// All slice fields are capacity-clipped views of per-run append-only
-// buffers, safe to retain because elements below their length are never
-// rewritten in place. inst pins the snapshot to the worker instance whose
+// All slice fields are the snapshot's own copies: the buffers a run builds
+// them in (chooser scratch, the executor's Result, the processes' logs) are
+// reused by the next run. inst pins the snapshot to the worker instance whose
 // environment produced it: object states may embed instance-local pointers,
 // so a snapshot is only restored into the same instance (a cross-worker pop
 // falls back to reconstruction).
 type engineSnap struct {
-	depth int   // decisions in the captured prefix (== len(item.Prefix)-1)
+	depth int   // decisions in the captured prefix
 	bytes int64 // admission size estimate
 	inst  *instance
 
@@ -102,9 +102,8 @@ type engineSnap struct {
 
 	// The source-DPOR trace record (trans/accs/nodes) is deliberately NOT
 	// captured: it is fully reconstructible on restore from the item's
-	// prefix, the granted accesses above, and the item's dnode chain, and
-	// not retaining it keeps the workers' race-analysis scratch buffers
-	// reusable across runs (a retained view would pin them).
+	// prefix, the granted accesses above, and the item's dnode chain
+	// (itemChooser.resume).
 
 	// refs is the number of pending take() calls for sibling-counted
 	// snapshots; pinnedRefs marks snapshots held by a source-DPOR decision
@@ -302,7 +301,7 @@ func (l *snapLedger) take(s *engineSnap, inst *instance) (engineSnap, bool) {
 }
 
 // snapOverhead estimates the bookkeeping bytes of a snapshot beyond the
-// memory state itself: the retained schedule/access/log views.
+// memory state itself: the retained schedule/access/log copies.
 func snapOverhead(s *engineSnap) int64 {
 	n := int64(len(s.sched))*24 + int64(len(s.path))*8 + int64(len(s.resAccs))*24
 	for _, lg := range s.logs {

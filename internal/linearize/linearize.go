@@ -156,13 +156,34 @@ func Check(t spec.Type, ops []trace.Op) (Result, error) {
 // and may still linearize first (the same tie convention as Check and the
 // JIT checker, whose cross-validation suite exercises tied stamps).
 func CheckTAS(ops []trace.Op) (Result, error) {
+	res, w, err := checkTAS(ops)
+	if w != nil {
+		res.Witness = tasWitness(w, ops)
+	}
+	return res, err
+}
+
+// CheckTASVerdict is CheckTAS without the witness: the same decision
+// procedure and the same Ok/Reason/error, but Result.Witness stays nil and
+// nothing is allocated. It is the form for oracles that judge one execution
+// after another and read only the verdict; a passing CheckTAS builds and
+// sorts a witness history per call.
+func CheckTASVerdict(ops []trace.Op) (Result, error) {
+	res, _, err := checkTAS(ops)
+	return res, err
+}
+
+// checkTAS is the decision procedure behind CheckTAS and CheckTASVerdict.
+// On acceptance it also returns the operation a witness linearizes first
+// (nil when no operation took effect).
+func checkTAS(ops []trace.Op) (Result, *trace.Op, error) {
 	var winner *trace.Op
 	minLoserRet := int64(1<<62 - 1)
 	losers := 0
 	for i := range ops {
 		o := &ops[i]
 		if o.Aborted {
-			return Result{}, fmt.Errorf("linearize: aborted operation (id %d) must be projected out before CheckTAS", o.Req.ID)
+			return Result{}, nil, fmt.Errorf("linearize: aborted operation (id %d) must be projected out before CheckTAS", o.Req.ID)
 		}
 		if o.Pending {
 			continue
@@ -170,7 +191,7 @@ func CheckTAS(ops []trace.Op) (Result, error) {
 		switch o.Resp {
 		case spec.Winner:
 			if winner != nil {
-				return Result{Ok: false, Reason: "two committed winners"}, nil
+				return Result{Ok: false, Reason: "two committed winners"}, nil, nil
 			}
 			winner = o
 		case spec.Loser:
@@ -179,26 +200,26 @@ func CheckTAS(ops []trace.Op) (Result, error) {
 				minLoserRet = o.Ret
 			}
 		default:
-			return Result{Ok: false, Reason: "non-TAS response"}, nil
+			return Result{Ok: false, Reason: "non-TAS response"}, nil, nil
 		}
 	}
 	if winner != nil {
 		if winner.Inv > minLoserRet {
-			return Result{Ok: false, Reason: "a loser completed before the winner was invoked"}, nil
+			return Result{Ok: false, Reason: "a loser completed before the winner was invoked"}, nil, nil
 		}
-		return Result{Ok: true, Witness: tasWitness(winner, ops)}, nil
+		return Result{Ok: true}, winner, nil
 	}
 	if losers == 0 {
-		return Result{Ok: true}, nil
+		return Result{Ok: true}, nil, nil
 	}
 	// No committed winner: a pending op must account for the set bit.
 	for i := range ops {
 		o := &ops[i]
 		if o.Pending && o.Inv <= minLoserRet {
-			return Result{Ok: true, Witness: tasWitness(o, ops)}, nil
+			return Result{Ok: true}, o, nil
 		}
 	}
-	return Result{Ok: false, Reason: "losers committed but no possible winner precedes them"}, nil
+	return Result{Ok: false, Reason: "losers committed but no possible winner precedes them"}, nil, nil
 }
 
 // tasWitness builds a linearization placing w first and the committed

@@ -217,12 +217,18 @@ func mustCheck(t *testing.T, ty spec.Type, ops []trace.Op) Result {
 	return res
 }
 
-// mustCheckTAS is the same convenience for the specialized TAS checker.
+// mustCheckTAS is the same convenience for the specialized TAS checker. It
+// also holds the witness-free form to the same verdict, so every history
+// the suite feeds CheckTAS cross-checks CheckTASVerdict too.
 func mustCheckTAS(t *testing.T, ops []trace.Op) Result {
 	t.Helper()
 	res, err := CheckTAS(ops)
 	if err != nil {
 		t.Fatal(err)
+	}
+	v, err := CheckTASVerdict(ops)
+	if err != nil || v.Ok != res.Ok || v.Reason != res.Reason || v.Witness != nil {
+		t.Fatalf("CheckTASVerdict = %+v, %v; CheckTAS = %+v", v, err, res)
 	}
 	return res
 }

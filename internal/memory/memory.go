@@ -217,6 +217,8 @@ type Env struct {
 	unsnapshottable bool
 	// stampClock orders EventStamp calls of ungated processes.
 	stampClock atomic.Int64
+	// fpHash is Fingerprint's accumulator, reused across calls.
+	fpHash StateHash
 
 	// historySrc is an opaque slot scenarios use to hand a history drain
 	// hook (a trace.Source) up to harnesses that only hold the Env. Typed
@@ -370,7 +372,11 @@ func (e *Env) Fingerprint() (Fingerprint, bool) {
 	if e.unhashable || len(e.objs) == 0 {
 		return Fingerprint{}, false
 	}
-	h := NewStateHash()
+	// The accumulator lives in the Env: HashState takes it through an
+	// interface call, so a local one would escape to the heap on every
+	// execution's terminal fingerprint.
+	h := &e.fpHash
+	*h = StateHash{a: fnvOffset64, b: fnvOffset64b}
 	for _, o := range e.objs {
 		if !o.(Fingerprinter).HashState(h) {
 			return Fingerprint{}, false

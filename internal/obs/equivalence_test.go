@@ -14,7 +14,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -225,49 +224,51 @@ func TestObsResultJSONByteIdentity(t *testing.T) {
 	}
 }
 
-// TestObsOverheadComposed bounds the cost of an attached (but unscraped)
-// metrics domain on the composed n=3 exhaustive walk: within 5% of the
-// bare run. Wall-clock comparisons are noisy, so each arm takes the
-// minimum over several interleaved runs and the bound gets a second
-// chance with more repetitions before failing.
+// TestObsOverheadComposed holds an attached (but unscraped) metrics domain
+// to its contract on the composed n=3 exhaustive walk in load-independent
+// form: at one worker, where advisory fields are exact too, the walk is the
+// same walk with the domain attached or nil — 1956 executions in 1991
+// attempts, every Report count equal — and each counter the domain kept
+// equals its Report twin. What attaching it costs in wall-clock is the
+// benchmark's obs.overhead_ratio (benchmark/), not a unit test's.
 func TestObsOverheadComposed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: timing comparison")
-	}
 	sc, err := scenario.Lookup("composed")
 	if err != nil {
 		t.Fatal(err)
 	}
-	measure := func(m *obs.Metrics) time.Duration {
+	walk := func(m *obs.Metrics) engine.Report {
 		h, _ := sc.Build(3, scenario.Options{})
-		start := time.Now()
-		if _, err := engine.Run(h, engine.Config{Prune: engine.PruneSourceDPOR, Workers: 1, Metrics: m}); err != nil {
+		rep, err := engine.Run(h, engine.Config{Prune: engine.PruneSourceDPOR, Workers: 1, Metrics: m})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return time.Since(start)
+		rep.WallTime = 0 // the one field that differs run to run
+		return rep
 	}
-	ratio := func(reps int) float64 {
-		minOff, minOn := time.Duration(1<<62), time.Duration(1<<62)
-		for i := 0; i < reps; i++ {
-			if off := measure(nil); off < minOff {
-				minOff = off
-			}
-			if on := measure(obs.New(1)); on < minOn {
-				minOn = on
-			}
+	bare := walk(nil)
+	m := obs.New(1)
+	with := walk(m)
+	if bare.Executions != 1956 || bare.Attempts != 1991 {
+		t.Fatalf("composed n=3 walk: %d executions in %d attempts, want 1956 in 1991", bare.Executions, bare.Attempts)
+	}
+	if !reflect.DeepEqual(bare, with) {
+		t.Fatalf("attaching obs changed the walk:\nbare %+v\nobs  %+v", bare, with)
+	}
+	for _, c := range []struct {
+		name string
+		obs  int64
+		rep  int
+	}{
+		{"attempts", m.Attempts.Value(), with.Attempts},
+		{"executions", m.Executions.Value(), with.Executions},
+		{"pruned", m.Pruned.Value(), with.Pruned},
+		{"backtracks", m.Backtracks.Value(), with.Backtracks},
+		{"replays", m.Replays.Value(), with.Replays},
+	} {
+		if c.obs != int64(c.rep) {
+			t.Errorf("%s: obs folded %d, report says %d", c.name, c.obs, c.rep)
 		}
-		return float64(minOn) / float64(minOff)
 	}
-	r := ratio(5)
-	if r > 1.05 {
-		// One retry with more repetitions: a single descheduling blip must
-		// not fail the build, a real regression will reproduce.
-		r = ratio(10)
-	}
-	if r > 1.05 {
-		t.Fatalf("obs overhead on composed n=3: %.1f%% > 5%%", (r-1)*100)
-	}
-	t.Logf("obs overhead on composed n=3: %.1f%%", (r-1)*100)
 }
 
 func itoa(n int) string {

@@ -203,48 +203,60 @@ type runner struct {
 	pctSteps int
 }
 
-// strategyFor builds the seeded strategy for one run (an
-// engine.SeedStrategy). The finish hook is non-nil only for the walk
-// sampler, whose importance weight is read off the strategy after the run.
-func (r *runner) strategyFor(seed int64, n int) (sched.Strategy, func(out *engine.SeedOutcome)) {
-	// Crash draws come from a distinct stream so they cannot perturb the
-	// structured samplers' decision state.
-	crashSeed := seed ^ 0x5DEECE66D
-	switch r.cfg.Sampler {
-	case SamplerPCT:
-		d := r.cfg.PCTDepth
-		if d < 1 {
-			d = DefaultPCTDepth
-		}
-		var s sched.Strategy = sched.NewPCT(seed, n, r.pctSteps, d)
-		if r.cfg.CrashProb > 0 {
-			s = sched.WithCrashes(s, crashSeed, r.cfg.CrashProb)
-		}
-		return s, nil
-	case SamplerWalk:
-		w := sched.NewWalk(seed)
-		if r.cfg.CrashProb > 0 {
+// workerStrategy returns one sampling worker's engine.SeedStrategy. The
+// seeded strategies are single-run state with a Reset method, so the worker
+// keeps one value of the configured sampler (and one crash wrapper) and
+// re-arms it per run: the draws are those of a freshly constructed strategy,
+// without constructing one — a generator alone is ~5 KB — per sampled
+// execution. The finish hook is non-nil only for the walk sampler, whose
+// importance weight is read off the strategy after the run.
+func (r *runner) workerStrategy() engine.SeedStrategy {
+	var (
+		random      sched.Random
+		randomCrash sched.RandomCrash
+		pct         sched.PCT
+		walk        sched.Walk
+		rates       sched.Rates
+		crashes     sched.Crashes
+	)
+	walkWeight := func(out *engine.SeedOutcome) { out.Weight = math.Exp(walk.LogWeight()) }
+	d := r.cfg.PCTDepth
+	if d < 1 {
+		d = DefaultPCTDepth
+	}
+	p := r.cfg.CrashProb
+	return func(seed int64, n int) (sched.Strategy, func(out *engine.SeedOutcome)) {
+		var s sched.Strategy
+		var finish func(out *engine.SeedOutcome)
+		switch r.cfg.Sampler {
+		case SamplerPCT:
+			s = pct.Reset(seed, n, r.pctSteps, d)
+		case SamplerWalk:
+			s = walk.Reset(seed)
 			// Crash injection truncates paths and shrinks later parked
 			// sets, so the walk's weight no longer inverts any fixed
 			// tree's path probability; the weight is not read and no
 			// estimate is reported rather than reporting a wrong one.
-			return sched.WithCrashes(w, crashSeed, r.cfg.CrashProb), nil
+			if p <= 0 {
+				finish = walkWeight
+			}
+		case SamplerRates:
+			s = rates.Reset(seed, r.cfg.Rates)
+		default: // SamplerRandom
+			if p > 0 {
+				// Single-stream draw order kept identical to the legacy
+				// explore.Sample path, so crash-mode samples reproduce across
+				// the shim.
+				return randomCrash.Reset(seed, p), nil
+			}
+			return random.Reset(seed), nil
 		}
-		return w, func(out *engine.SeedOutcome) { out.Weight = math.Exp(w.LogWeight()) }
-	case SamplerRates:
-		var s sched.Strategy = sched.NewRates(seed, r.cfg.Rates)
-		if r.cfg.CrashProb > 0 {
-			s = sched.WithCrashes(s, crashSeed, r.cfg.CrashProb)
+		if p > 0 {
+			// Crash draws come from a distinct stream so they cannot perturb
+			// the structured samplers' decision state.
+			s = crashes.Reset(s, seed^0x5DEECE66D, p)
 		}
-		return s, nil
-	default: // SamplerRandom
-		if r.cfg.CrashProb > 0 {
-			// Single-stream draw order kept identical to the legacy
-			// explore.Sample path, so crash-mode samples reproduce across
-			// the shim.
-			return sched.NewRandomCrash(seed, r.cfg.CrashProb), nil
-		}
-		return sched.NewRandom(seed), nil
+		return s, finish
 	}
 }
 
@@ -299,7 +311,7 @@ func Run(h Harness, cfg Config) (rep Report, err error) {
 	staleBatches := 0
 
 	scfg := engine.SampleConfig{Samples: cfg.Samples, Seed: cfg.Seed, BatchSize: batch, Metrics: cfg.Metrics}
-	core.SampleBatches(scfg, r.strategyFor, func(outs []engine.SeedOutcome) bool {
+	core.SampleBatches(scfg, r.workerStrategy, func(outs []engine.SeedOutcome) bool {
 		// Merge in seed order: coverage, depth accounting, failures.
 		newCov := 0
 		for i := range outs {

@@ -160,8 +160,10 @@ func buildA1(withDef2 bool) func(n int, opts Options) (explore.Harness, Oracle) 
 					}
 				}
 			}
+			var ops []trace.Op // the check's history buffer, reused across executions
 			check := func(res *sched.Result) error {
-				if err := uniqueWinner(rec.Ops(), false); err != nil {
+				ops = rec.AppendOps(ops[:0])
+				if err := uniqueWinner(ops, false); err != nil {
 					return err
 				}
 				if opts.Crashes {
@@ -169,7 +171,7 @@ func buildA1(withDef2 bool) func(n int, opts Options) (explore.Harness, Oracle) 
 						return err
 					}
 				}
-				if err := tasOracle.Check(rec.Ops()); err != nil {
+				if err := tasOracle.Check(ops); err != nil {
 					return err
 				}
 				if withDef2 {
@@ -203,8 +205,10 @@ func buildComposed(n int, opts Options) (explore.Harness, Oracle) {
 				rec.RecordCommit(i, m, v, "")
 			}
 		}
+		var ops []trace.Op // the check's history buffer, reused across executions
 		check := func(res *sched.Result) error {
-			if err := uniqueWinner(rec.Ops(), !opts.Crashes); err != nil {
+			ops = rec.AppendOps(ops[:0])
+			if err := uniqueWinner(ops, !opts.Crashes); err != nil {
 				return err
 			}
 			if opts.Crashes {
@@ -212,12 +216,17 @@ func buildComposed(n int, opts Options) (explore.Harness, Oracle) {
 					return err
 				}
 			}
-			return tasOracle.Check(rec.Ops())
+			return tasOracle.Check(ops)
 		}
 		return env, bodies, check, rec.Reset
 	}
 	return h, tasOracle
 }
+
+// moduleLabels are the trace labels of the two modules of the one-shot
+// composition (A1, then the hardware-backed A2), interned so recording a
+// commit formats nothing.
+var moduleLabels = [2]string{"module0", "module1"}
 
 // buildQuickstart is the examples/quickstart workload as a checkable
 // scenario: the composed race with per-module accounting — every completed
@@ -239,9 +248,10 @@ func buildQuickstart(n int, opts Options) (explore.Harness, Oracle) {
 				rec.RecordInvoke(i, m)
 				v, module := o.TestAndSetTraced(p)
 				modules[i] = module
-				rec.RecordCommit(i, m, v, fmt.Sprintf("module%d", module))
+				rec.RecordCommit(i, m, v, moduleLabels[module])
 			}
 		}
+		var ops []trace.Op // the check's history buffer, reused across executions
 		check := func(res *sched.Result) error {
 			for i := range modules {
 				if !res.Finished[i] {
@@ -251,7 +261,8 @@ func buildQuickstart(n int, opts Options) (explore.Harness, Oracle) {
 					return fmt.Errorf("proc %d served by impossible module %d", i, modules[i])
 				}
 			}
-			if err := uniqueWinner(rec.Ops(), !opts.Crashes); err != nil {
+			ops = rec.AppendOps(ops[:0])
+			if err := uniqueWinner(ops, !opts.Crashes); err != nil {
 				return err
 			}
 			if opts.Crashes {
@@ -259,7 +270,7 @@ func buildQuickstart(n int, opts Options) (explore.Harness, Oracle) {
 					return err
 				}
 			}
-			return tasOracle.Check(rec.Ops())
+			return tasOracle.Check(ops)
 		}
 		reset := func() {
 			rec.Reset()
@@ -309,11 +320,12 @@ func buildTASFAI(n int, opts Options) (explore.Harness, Oracle) {
 				}
 			}
 		}
+		var ops, tasOps []trace.Op // the check's history buffers, reused across executions
 		check := func(res *sched.Result) error {
-			ops := rec.Ops()
+			ops = rec.AppendOps(ops[:0])
 			// The winner invariant is about the TAS object alone: the fai
 			// ticket 0 is a legitimate zero response, not a win.
-			var tasOps []trace.Op
+			tasOps = tasOps[:0]
 			for _, op := range ops {
 				if op.Module == "tas" {
 					tasOps = append(tasOps, op)

@@ -180,22 +180,24 @@ func ResetLinStats() {
 
 // Check runs a linearize oracle on the invoke/commit projection of ops
 // (aborted operations become pending invocations, exactly Theorem 3's
-// projection), routed per the process-wide LinDispatch policy. Invariant
-// oracles have no generic check; the harness's check closure carries them.
+// projection), routed per the process-wide LinDispatch policy. The
+// projection is applied to ops in place: the slice is the caller's scratch
+// (a check closure's reused Recorder.AppendOps buffer), and the check runs
+// once per explored execution, so it copies nothing. Only the verdict is
+// computed — no witness linearization is built. Invariant oracles have no generic check; the
+// harness's check closure carries them.
 func (o Oracle) Check(ops []trace.Op) error {
 	if o.Kind != OracleLinearize {
 		return fmt.Errorf("scenario: oracle %s has no trace check", o)
 	}
-	proj := make([]trace.Op, 0, len(ops))
-	for _, op := range ops {
-		if op.Aborted {
+	for i := range ops {
+		if op := &ops[i]; op.Aborted {
 			op.Aborted = false
 			op.Pending = true
 			op.Ret = 0
 		}
-		proj = append(proj, op)
 	}
-	lr, err := o.dispatch(proj)
+	lr, err := o.dispatch(ops)
 	if err != nil {
 		// A contract error (unprojected aborts, budget overruns, a brute
 		// check past its 64-op boundary) means the scenario or the
@@ -213,7 +215,8 @@ func (o Oracle) Check(ops []trace.Op) error {
 	return nil
 }
 
-// dispatch routes the projection to a checker per the process policy.
+// dispatch routes the projection to a checker per the process policy. Check
+// reads only the verdict, so the TAS fast path skips the witness.
 func (o Oracle) dispatch(proj []trace.Op) (linearize.Result, error) {
 	mode := CurrentLinDispatch()
 	if o.Objects != nil {
@@ -227,7 +230,7 @@ func (o Oracle) dispatch(proj []trace.Op) (linearize.Result, error) {
 	_, isTAS := o.Type.(spec.TASType)
 	switch {
 	case mode == LinAuto && isTAS:
-		return linearize.CheckTAS(proj)
+		return linearize.CheckTASVerdict(proj)
 	case mode == LinBrute || (mode == LinAuto && len(proj) <= 64):
 		return linearize.Check(o.Type, proj)
 	default:

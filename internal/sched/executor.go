@@ -36,6 +36,10 @@ import (
 // drive the same environment concurrently. Result.Parked is never filled
 // (RunChooser retains the recorded parked sets for callers that need
 // them).
+//
+// Every run returns the same *Result, reset and refilled: it is valid until
+// the next run on this executor (see Result). An exhaustive walk performs
+// hundreds of thousands of runs per executor, so a run allocates nothing.
 type Executor struct {
 	env    *memory.Env
 	bodies []func(p *memory.Proc)
@@ -46,14 +50,16 @@ type Executor struct {
 	grants []chan bool
 	done   chan struct{}
 
-	// Per-run decision state, owned by the baton holder.
+	// Per-run decision state, owned by the baton holder. res points at
+	// result for the duration of a run and is nil between runs.
 	chooser   Chooser
 	res       *Result
+	result    Result          // the one Result every run refills
+	strat     strategyChooser // RunStrategy's adapter, reused across runs
 	executing atomic.Int32
 	parkedAcc []memory.Access
 	isParked  []bool
 	states    []ProcState
-	lastDepth int // previous run's decision count, to presize Result slices
 
 	stats ExecStats
 }
@@ -100,6 +106,11 @@ func NewExecutor(env *memory.Env, bodies []func(p *memory.Proc)) *Executor {
 		parkedAcc: make([]memory.Access, n),
 		isParked:  make([]bool, n),
 		states:    make([]ProcState, 0, n),
+		result: Result{
+			Finished: make([]bool, n),
+			Crashed:  make([]bool, n),
+			Steps:    make([]int64, n),
+		},
 	}
 	for i := 0; i < n; i++ {
 		x.start[i] = make(chan struct{}, 1)
@@ -209,13 +220,13 @@ func (x *Executor) decide(from int) {
 	x.grants[c.Proc] <- true
 }
 
-// PrefixView returns capacity-clipped views of the current run's schedule
-// and accesses so far. It must be called from inside a chooser decision
-// (the baton holder); the views stay valid after the run continues, since
-// later appends reallocate rather than overwrite.
+// PrefixView returns the current run's schedule and accesses so far. It
+// must be called from inside a chooser decision (the baton holder). The
+// slices alias the executor's reused Result buffers: they are overwritten
+// by the next run, so a caller that retains the prefix (a snapshot
+// capture) copies it.
 func (x *Executor) PrefixView() ([]Choice, []memory.Access) {
-	s, a := x.res.Schedule, x.res.Accesses
-	return s[:len(s):len(s)], a[:len(a):len(a)]
+	return x.res.Schedule, x.res.Accesses
 }
 
 // Prefix seeds a run from a recorded prefix: the schedule and access
@@ -234,8 +245,9 @@ type Prefix struct {
 }
 
 // Run performs one controlled execution under the chooser and returns its
-// summary. The ProcState slice passed to the chooser is scratch reused
-// across decisions; choosers must not retain it past the call.
+// summary, valid until the executor's next run. The ProcState slice passed
+// to the chooser is scratch reused across decisions; choosers must not
+// retain it past the call.
 func (x *Executor) Run(chooser Chooser) *Result {
 	return x.run(chooser, nil, false)
 }
@@ -273,17 +285,12 @@ func (x *Executor) run(chooser Chooser, rp *Prefix, capture bool) *Result {
 		x.stats.ReplayRuns.Add(1)
 	}
 	n := x.n
-	depth := x.lastDepth + 8
-	if rp != nil && len(rp.Schedule)+8 > depth {
-		depth = len(rp.Schedule) + 8
-	}
-	res := &Result{
-		Schedule: make([]Choice, 0, depth),
-		Accesses: make([]memory.Access, 0, depth),
-		Finished: make([]bool, n),
-		Crashed:  make([]bool, n),
-		Steps:    make([]int64, n),
-	}
+	res := &x.result
+	res.Schedule = res.Schedule[:0]
+	res.Accesses = res.Accesses[:0]
+	clear(res.Finished)
+	clear(res.Crashed)
+	clear(res.Steps)
 	if rp != nil {
 		res.Schedule = append(res.Schedule, rp.Schedule...)
 		res.Accesses = append(res.Accesses, rp.Accesses...)
@@ -338,13 +345,15 @@ func (x *Executor) run(chooser Chooser, rp *Prefix, capture bool) *Result {
 	x.env.SetGate(nil)
 	x.res = nil
 	x.chooser = nil
-	x.lastDepth = len(res.Schedule)
 	return res
 }
 
 // RunStrategy is Run for id-only deciders.
 func (x *Executor) RunStrategy(s Strategy) *Result {
-	return x.Run(strategyChooser{s})
+	x.strat.s = s
+	res := x.Run(&x.strat)
+	x.strat.s = nil
+	return res
 }
 
 // Close releases the pooled goroutines. The executor must be idle (no Run

@@ -35,6 +35,8 @@ import (
 // A PCT value is single-run state: construct a fresh one per sampled
 // execution.
 type PCT struct {
+	rng    *rand.Rand  // construction-time draws only; kept for Reset
+	perm   []int       // construction-time scratch; kept for Reset
 	prio   []int       // current priority per process id; higher runs first
 	change map[int]int // step index -> priority value to drop the runner to
 }
@@ -44,20 +46,41 @@ type PCT struct {
 // priority scheduling, no change points); k < 1 as 1. When two of the d−1
 // change points collide on the same step index only one applies, matching
 // the with-replacement sampling of the original algorithm.
-func NewPCT(seed int64, n, k, d int) *PCT {
+func NewPCT(seed int64, n, k, d int) *PCT { return new(PCT).Reset(seed, n, k, d) }
+
+// Reset re-arms p for a new run, as NewPCT(seed, n, k, d) would construct
+// it, reusing the generator, the priority table and the change-point map.
+func (p *PCT) Reset(seed int64, n, k, d int) *PCT {
 	if d < 1 {
 		d = 1
 	}
 	if k < 1 {
 		k = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
-	p := &PCT{prio: make([]int, n), change: make(map[int]int, d-1)}
-	for i, proc := range rng.Perm(n) {
+	p.rng = reseed(p.rng, seed)
+	if cap(p.prio) < n {
+		p.prio, p.perm = make([]int, n), make([]int, n)
+	}
+	p.prio, p.perm = p.prio[:n], p.perm[:n]
+	if p.change == nil {
+		p.change = make(map[int]int, d-1)
+	} else {
+		clear(p.change)
+	}
+	// rand.Perm, drawn into the reused buffer: the same generator calls in
+	// the same order, so a seed's schedule is what it always was. (Stale
+	// entries are harmless: perm[i] is only ever read after being written,
+	// except at j == i where the read value is overwritten at once.)
+	for i := 0; i < n; i++ {
+		j := p.rng.Intn(i + 1)
+		p.perm[i] = p.perm[j]
+		p.perm[j] = i
+	}
+	for i, proc := range p.perm {
 		p.prio[proc] = d + i // distinct initial priorities, all >= d
 	}
 	for i := 1; i < d; i++ {
-		p.change[rng.Intn(k)] = d - i // change-point priorities, all < d
+		p.change[p.rng.Intn(k)] = d - i // change-point priorities, all < d
 	}
 	return p
 }
@@ -108,8 +131,13 @@ type Walk struct {
 }
 
 // NewWalk returns a fresh uniform random walk with the given seed.
-func NewWalk(seed int64) *Walk {
-	return &Walk{rng: rand.New(rand.NewSource(seed))}
+func NewWalk(seed int64) *Walk { return new(Walk).Reset(seed) }
+
+// Reset re-arms w for a new run, as NewWalk(seed) would construct it.
+func (w *Walk) Reset(seed int64) *Walk {
+	w.rng = reseed(w.rng, seed)
+	w.logW = 0
+	return w
 }
 
 // Next implements Strategy.
@@ -139,8 +167,14 @@ type Rates struct {
 // rate; processes beyond len(weights) use the last weight, and an empty or
 // non-positive weight is treated as 1, so any prefix of weights is a valid
 // configuration.
-func NewRates(seed int64, weights []float64) *Rates {
-	return &Rates{rng: rand.New(rand.NewSource(seed)), weights: weights}
+func NewRates(seed int64, weights []float64) *Rates { return new(Rates).Reset(seed, weights) }
+
+// Reset re-arms r for a new run, as NewRates(seed, weights) would construct
+// it.
+func (r *Rates) Reset(seed int64, weights []float64) *Rates {
+	r.rng = reseed(r.rng, seed)
+	r.weights = weights
+	return r
 }
 
 func (r *Rates) weight(id int) float64 {
@@ -174,24 +208,35 @@ func (r *Rates) Next(_ int, parked []int) Choice {
 	return Choice{Proc: parked[len(parked)-1]}
 }
 
-// WithCrashes wraps any strategy with seeded crash injection: at each
+// Crashes wraps any strategy with seeded crash injection: at each
 // decision, with probability p, a uniformly chosen parked process is
 // crashed instead of consulting the inner strategy. It generalizes
-// RandomCrash (which is WithCrashes over Random, drawn from one stream) to
-// the structured samplers, whose own decision state must not be perturbed
-// by crash draws.
-func WithCrashes(inner Strategy, seed int64, p float64) Strategy {
-	return &crashing{inner: inner, rng: rand.New(rand.NewSource(seed)), p: p}
-}
-
-type crashing struct {
+// RandomCrash (which is Crashes over Random, drawn from one stream) to the
+// structured samplers, whose own decision state must not be perturbed by
+// crash draws.
+type Crashes struct {
 	inner Strategy
 	rng   *rand.Rand
 	p     float64
 }
 
+// WithCrashes returns inner wrapped with crash injection of probability p,
+// its crash draws seeded by seed.
+func WithCrashes(inner Strategy, seed int64, p float64) *Crashes {
+	return new(Crashes).Reset(inner, seed, p)
+}
+
+// Reset re-arms c for a new run, as WithCrashes(inner, seed, p) would
+// construct it.
+func (c *Crashes) Reset(inner Strategy, seed int64, p float64) *Crashes {
+	c.inner = inner
+	c.rng = reseed(c.rng, seed)
+	c.p = p
+	return c
+}
+
 // Next implements Strategy.
-func (c *crashing) Next(step int, parked []int) Choice {
+func (c *Crashes) Next(step int, parked []int) Choice {
 	if c.p > 0 && c.rng.Float64() < c.p {
 		return Choice{Proc: parked[c.rng.Intn(len(parked))], Crash: true}
 	}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -263,5 +264,63 @@ func TestRandomCrashNoGrantAfterCrash(t *testing.T) {
 	}
 	if !sawCrash {
 		t.Fatal("p=0.3 never crashed anyone in 200 executions")
+	}
+}
+
+// TestResetMatchesFreshConstruction pins the reuse contract of the seeded
+// strategies: a value that already ran under another seed, once Reset,
+// produces exactly the schedule a freshly constructed strategy produces —
+// which is what lets a sampling worker keep one strategy value for all its
+// runs. The PCT arm additionally pins its in-place permutation draw to
+// rand.Perm, so every recorded PCT seed keeps its schedule.
+func TestResetMatchesFreshConstruction(t *testing.T) {
+	const n, steps, k, d = 4, 5, 20, 3
+	weights := []float64{4, 1, 1, 0.5}
+	schedule := func(s Strategy) []Choice {
+		env := memory.NewEnv(n)
+		return Run(env, s, readerBodies(env, n, steps)).Schedule
+	}
+	var (
+		random  Random
+		crash   RandomCrash
+		pct     PCT
+		walk    Walk
+		rates   Rates
+		crashes Crashes
+	)
+	kinds := []struct {
+		name         string
+		fresh, reset func(seed int64) Strategy
+	}{
+		{"random", func(s int64) Strategy { return NewRandom(s) }, func(s int64) Strategy { return random.Reset(s) }},
+		{"random-crash", func(s int64) Strategy { return NewRandomCrash(s, 0.2) }, func(s int64) Strategy { return crash.Reset(s, 0.2) }},
+		{"pct", func(s int64) Strategy { return NewPCT(s, n, k, d) }, func(s int64) Strategy { return pct.Reset(s, n, k, d) }},
+		{"walk", func(s int64) Strategy { return NewWalk(s) }, func(s int64) Strategy { return walk.Reset(s) }},
+		{"rates", func(s int64) Strategy { return NewRates(s, weights) }, func(s int64) Strategy { return rates.Reset(s, weights) }},
+		{"crashes", func(s int64) Strategy { return WithCrashes(NewRoundRobin(), s, 0.2) },
+			func(s int64) Strategy { return crashes.Reset(NewRoundRobin(), s, 0.2) }},
+	}
+	for _, kind := range kinds {
+		schedule(kind.reset(99)) // dirty the reused value with another seed's run
+		for seed := int64(1); seed <= 8; seed++ {
+			want, got := schedule(kind.fresh(seed)), schedule(kind.reset(seed))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed %d: reset value scheduled %v, fresh one %v", kind.name, seed, got, want)
+			}
+		}
+	}
+	freshWalk := NewWalk(8) // the reused walk last ran seed 8
+	schedule(freshWalk)
+	if got, want := walk.LogWeight(), freshWalk.LogWeight(); got != want {
+		t.Fatalf("reset walk accumulated weight %v, fresh one %v", got, want)
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		want := make([]int, n)
+		for i, proc := range rand.New(rand.NewSource(seed)).Perm(n) {
+			want[proc] = d + i
+		}
+		if got := NewPCT(seed, n, k, d).prio; !reflect.DeepEqual(got, want) {
+			t.Fatalf("PCT seed %d: initial priorities %v, want rand.Perm's %v", seed, got, want)
+		}
 	}
 }

@@ -59,17 +59,29 @@ type Chooser interface {
 }
 
 // strategyChooser adapts a Strategy (ids only) to the Chooser interface.
-type strategyChooser struct{ s Strategy }
+// The id slice handed to the strategy is scratch reused across decisions;
+// strategies must not retain it past the call.
+type strategyChooser struct {
+	s   Strategy
+	ids []int
+}
 
-func (a strategyChooser) Choose(step int, parked []ProcState) Choice {
-	ids := make([]int, len(parked))
-	for i, ps := range parked {
-		ids[i] = ps.ID
+func (a *strategyChooser) Choose(step int, parked []ProcState) Choice {
+	ids := a.ids[:0]
+	for _, ps := range parked {
+		ids = append(ids, ps.ID)
 	}
+	a.ids = ids
 	return a.s.Next(step, ids)
 }
 
 // Result summarizes one controlled execution.
+//
+// A Result returned by an Executor is owned by that executor and valid only
+// until its next run: the executor reuses the value and every slice in it,
+// so a caller that keeps any part of one past the next Run/RunCapture/
+// RunReplay/RunStrategy call on the same executor must copy it first. Run
+// and RunChooser (the spawn path) return a fresh Result per call.
 type Result struct {
 	// Schedule is the sequence of choices actually taken.
 	Schedule []Choice
@@ -129,7 +141,7 @@ func (g *gate) Enter(p *memory.Proc, a memory.Access) {
 // Crashed processes stop taking steps permanently (their goroutine unwinds
 // via a recovered panic), matching the crash model of Section 3.
 func Run(env *memory.Env, strategy Strategy, bodies []func(p *memory.Proc)) *Result {
-	return RunChooser(env, strategyChooser{strategy}, bodies)
+	return RunChooser(env, &strategyChooser{s: strategy}, bodies)
 }
 
 // RunChooser is Run for access-aware deciders: at every decision point the

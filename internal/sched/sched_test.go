@@ -290,6 +290,37 @@ func TestExecutorCrashAndReuse(t *testing.T) {
 	}
 }
 
+// TestExecutorResultLifetime pins the Result contract of a pooled executor:
+// every run refills the same Result (no per-run allocation), so a copy
+// taken before the next run keeps the old execution while the returned
+// pointer moves on to the new one.
+func TestExecutorResultLifetime(t *testing.T) {
+	env, _, bodies := pooledHarness()
+	x := NewExecutor(env, bodies)
+	defer x.Close()
+
+	first := x.RunStrategy(NewSolo(0, 1))
+	kept := append([]Choice(nil), first.Schedule...)
+	env.Reset()
+	second := x.RunStrategy(NewSolo(1, 0))
+	if second != first {
+		t.Fatal("executor returned a fresh Result; runs must refill the one it owns")
+	}
+	if reflect.DeepEqual(kept, second.Schedule) {
+		t.Fatalf("solo(0,1) and solo(1,0) produced the same schedule %v", kept)
+	}
+	if kept[0].Proc != 0 || second.Schedule[0].Proc != 1 {
+		t.Fatalf("copy %v / refilled result %v: first choices should be proc 0 / proc 1", kept, second.Schedule)
+	}
+	env.Reset()
+	if avg := testing.AllocsPerRun(20, func() {
+		x.RunStrategy(NewRoundRobin())
+		env.Reset()
+	}); avg > 1 { // the RoundRobin value itself
+		t.Fatalf("a pooled run allocated %.1f objects, want at most the strategy value", avg)
+	}
+}
+
 // TestExecutorLeavesNoGate verifies the gate is uninstalled between runs so
 // checks can read registers without parking.
 func TestExecutorLeavesNoGate(t *testing.T) {

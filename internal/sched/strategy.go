@@ -31,6 +31,20 @@ func (r *RoundRobin) Next(_ int, parked []int) Choice {
 	return Choice{Proc: parked[0]}
 }
 
+// reseed returns a generator positioned at the start of seed's stream: r
+// itself, re-seeded, or a new one when r is nil. Every seeded strategy is
+// single-run state with a Reset method built on it, so a sampling worker
+// keeps one strategy value and resets it per run — drawing exactly the
+// stream a freshly constructed strategy would — instead of allocating a
+// ~5 KB generator per sampled execution.
+func reseed(r *rand.Rand, seed int64) *rand.Rand {
+	if r == nil {
+		return rand.New(rand.NewSource(seed))
+	}
+	r.Seed(seed)
+	return r
+}
+
 // Random picks uniformly among parked processes using a seeded source, so
 // randomized stress schedules are reproducible.
 type Random struct {
@@ -38,8 +52,12 @@ type Random struct {
 }
 
 // NewRandom returns a random strategy with the given seed.
-func NewRandom(seed int64) *Random {
-	return &Random{rng: rand.New(rand.NewSource(seed))}
+func NewRandom(seed int64) *Random { return new(Random).Reset(seed) }
+
+// Reset re-arms r for a new run, as NewRandom(seed) would construct it.
+func (r *Random) Reset(seed int64) *Random {
+	r.rng = reseed(r.rng, seed)
+	return r
 }
 
 // Next implements Strategy.
@@ -62,8 +80,14 @@ type RandomCrash struct {
 
 // NewRandomCrash returns a random strategy with the given seed that crashes
 // a parked process with probability p at every decision.
-func NewRandomCrash(seed int64, p float64) *RandomCrash {
-	return &RandomCrash{rng: rand.New(rand.NewSource(seed)), p: p}
+func NewRandomCrash(seed int64, p float64) *RandomCrash { return new(RandomCrash).Reset(seed, p) }
+
+// Reset re-arms r for a new run, as NewRandomCrash(seed, p) would construct
+// it.
+func (r *RandomCrash) Reset(seed int64, p float64) *RandomCrash {
+	r.rng = reseed(r.rng, seed)
+	r.p = p
+	return r
 }
 
 // Next implements Strategy.

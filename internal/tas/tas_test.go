@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/explore"
@@ -526,39 +525,30 @@ func TestRandomizedComposedThreeProcs(t *testing.T) {
 }
 
 // TestEngineSpeedupOverSeedBaseline pins the headline acceptance property
-// of the new engine: on the reference A1 harness, pruning + 8 workers must
-// beat the seed-equivalent sequential engine by at least 3x in wall-clock,
-// and (deterministically) by at least 3x in executions performed.
+// of the engine in its load-independent form: on the reference A1 harness
+// the seed-equivalent walk (one worker, no pruning) runs exactly 9662
+// executions and the default engine (source-DPOR, 8 workers) exactly 22 —
+// execution counts of completed walks are deterministic for every worker
+// count. How much wall-clock that buys is a benchmark's question
+// (BENCH_E10.json, benchmark/), not a unit test's.
 func TestEngineSpeedupOverSeedBaseline(t *testing.T) {
-	start := time.Now()
 	seedRep, err := explore.Run(a1Harness(2, false, false), explore.Config{}) // seed mode: 1 worker, no pruning
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedWall := time.Since(start)
-
-	start = time.Now()
 	newRep, err := explore.Run(a1Harness(2, false, false), engineCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newWall := time.Since(start)
-
 	if seedRep.Partial || newRep.Partial {
 		t.Fatal("both explorations must be exhaustive")
 	}
-	if newRep.Executions*3 > seedRep.Executions {
-		t.Fatalf("pruned engine ran %d executions, want <= 1/3 of the seed's %d", newRep.Executions, seedRep.Executions)
+	if seedRep.Executions != 9662 || newRep.Executions != 22 {
+		t.Fatalf("A1 n=2: seed mode ran %d executions, the pruned engine %d; want 9662 and 22", seedRep.Executions, newRep.Executions)
 	}
-	// The wall-clock half is inherently timing-dependent (the pruned run
-	// finishes in single-digit milliseconds), so only assert it outside
-	// short mode; the deterministic execution-count bound above always
-	// holds it to account.
-	if !testing.Short() && newWall*3 > seedWall {
-		t.Fatalf("pruned engine took %v, want <= 1/3 of the seed engine's %v", newWall, seedWall)
+	if !reflect.DeepEqual(seedRep.TerminalStates, newRep.TerminalStates) {
+		t.Fatalf("pruning lost terminal states: %d vs the seed walk's %d", newRep.DistinctStates, seedRep.DistinctStates)
 	}
-	t.Logf("seed mode: %d executions in %v; pruned+8 workers: %d executions in %v (%.0fx)",
-		seedRep.Executions, seedWall, newRep.Executions, newWall, float64(seedWall)/float64(newWall))
 }
 
 // TestSourceDPORStrictReduction pins the headline of the unified engine
@@ -627,45 +617,73 @@ func TestLegacyCachedCountsReproduce(t *testing.T) {
 	}
 }
 
-// TestSourceDPORSpeedupOverSleepSets pins the wall-clock half of the E14
-// claim: on the composed n=3 walk, source-DPOR must beat the legacy
-// sleep-set mode by at least 2x (measured ~2.3x; each mode takes the best
-// of three runs). Skipped in short mode like every wall-clock comparison;
-// the deterministic attempt-count bound above always holds it to account.
-func TestSourceDPORSpeedupOverSleepSets(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: wall-clock comparison")
-	}
-	measure := func(mode explore.PruneMode) time.Duration {
-		best := time.Duration(1 << 62)
-		for r := 0; r < 3; r++ {
-			start := time.Now()
-			// Snapshot restoration off in both arms: it narrows exactly the
-			// replay cost this comparison uses as its yardstick (sleep sets
-			// replay far more prefix steps than source-DPOR), so leaving it
-			// on would measure the restorer, not the reduction.
-			cfg := explore.Config{Prune: mode, Workers: 1, Snapshots: explore.SnapshotOff}
-			if _, err := explore.Run(composedHarness(3, false), cfg); err != nil {
-				t.Fatal(err)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	sleepWall := measure(explore.PruneSleep)
-	dporWall := measure(explore.PruneSourceDPOR)
-	if dporWall*2 > sleepWall {
-		t.Fatalf("source-DPOR took %v, want <= 1/2 of sleep sets' %v", dporWall, sleepWall)
-	}
-	t.Logf("composed n=3: sleep %v, dpor %v (%.1fx)", sleepWall, dporWall, float64(sleepWall)/float64(dporWall))
+// countingHarness wraps h so a test can read what a one-worker walk cost in
+// load-independent units: how many times the harness was constructed, and
+// (from the environment it built last) the cumulative shared-memory steps
+// executed through it.
+type countingHarness struct {
+	constructs int
+	env        *memory.Env
 }
+
+func (c *countingHarness) wrap(h explore.Harness) explore.Harness {
+	return func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
+		env, bodies, check, reset := h()
+		c.constructs++
+		c.env = env
+		return env, bodies, check, reset
+	}
+}
+
+func (c *countingHarness) steps() int64 {
+	steps, _, _ := c.env.CumulativeCounts()
+	return steps
+}
+
+// TestSourceDPORSpeedupOverSleepSets pins the work half of the E14 claim in
+// its load-independent form: on the composed n=3 walk at one worker —
+// snapshot restoration off in both arms, since it narrows exactly the
+// replay cost this comparison is about — source-DPOR runs 1991 attempts
+// where the legacy sleep sets run 7165, and executes less than half the
+// gated shared-memory steps (prefix replay included), which is what
+// wall-clock tracks. The wall-clock itself lives in BENCH_E14.json.
+func TestSourceDPORSpeedupOverSleepSets(t *testing.T) {
+	measure := func(mode explore.PruneMode) (attempts int, steps int64) {
+		var c countingHarness
+		cfg := explore.Config{Prune: mode, Workers: 1, Snapshots: explore.SnapshotOff}
+		rep, err := explore.Run(c.wrap(composedHarness(3, false)), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Executions != 1956 {
+			t.Fatalf("%v: %d executions, want 1956", mode, rep.Executions)
+		}
+		return rep.Attempts, c.steps()
+	}
+	sleepAttempts, sleepSteps := measure(explore.PruneSleep)
+	dporAttempts, dporSteps := measure(explore.PruneSourceDPOR)
+	if sleepAttempts != 7165 || dporAttempts != 1991 {
+		t.Fatalf("attempts sleep=%d dpor=%d, want 7165 / 1991", sleepAttempts, dporAttempts)
+	}
+	if sleepSteps != composedN3SleepSteps || dporSteps != composedN3DPORSteps {
+		t.Fatalf("gated steps sleep=%d dpor=%d, want %d / %d", sleepSteps, dporSteps, composedN3SleepSteps, composedN3DPORSteps)
+	}
+	if dporSteps*2 > sleepSteps {
+		t.Fatalf("source-DPOR executed %d steps, want <= 1/2 of sleep sets' %d", dporSteps, sleepSteps)
+	}
+}
+
+// The gated shared-memory steps of the composed n=3 walk at one worker with
+// snapshots off, prefix replay included: exact, like every one-worker count.
+const (
+	composedN3SleepSteps = 177069
+	composedN3DPORSteps  = 52142
+)
 
 // rrCapture is a deterministic round-robin chooser that, at decision capAt,
 // snapshots the environment and packs the prefix bookkeeping the way the
-// engine's capture does (copies, not views — the processes recycle their
-// log buffers across runs).
+// engine's capture does (copies, not views — the executor reuses its Result
+// buffers and the processes recycle their log buffers across runs).
 type rrCapture struct {
 	env   *memory.Env
 	x     *sched.Executor
@@ -683,24 +701,26 @@ func (f *rrCapture) Choose(step int, parked []sched.ProcState) sched.Choice {
 		for i := range logs {
 			logs[i] = append([]memory.ReplayRec(nil), f.env.Proc(i).LogView()...)
 		}
-		f.pfx = sched.Prefix{Schedule: schedView, Accesses: accView, Logs: logs}
+		f.pfx = sched.Prefix{
+			Schedule: append([]sched.Choice(nil), schedView...),
+			Accesses: append([]memory.Access(nil), accView...),
+			Logs:     logs,
+		}
 	}
 	return sched.Choice{Proc: parked[step%len(parked)].ID}
 }
 
-// TestSnapshotRestoreSpeedup pins the wall-clock half of the incremental-
-// replay claim at the layer where prefix re-execution is the whole cost:
-// restoring a deep decision point of the A1 n=3 walk from a memory snapshot
-// and fast-forwarding the value logs must beat gated re-execution of the
-// same prefix by at least 2x (measured ~2.5-3x; each arm takes the best of
-// three interleaved blocks, so machine noise must hit all three of one
-// arm's blocks to flip the verdict). The engine-level equivalence tests pin
-// that both paths explore identical trees; this pins that the restored path
-// is the cheap one. Skipped in short mode like every wall-clock comparison.
+// TestSnapshotRestoreSpeedup pins the incremental-replay claim in its
+// load-independent form, at the layer where prefix re-execution is the
+// whole cost: re-entering a deep decision point of an A1 n=3 run from a
+// memory snapshot makes exactly one live scheduler decision where gated
+// re-execution of the same prefix makes all of them, and ends in the same
+// schedule and the same terminal state; and at the engine level the unpruned
+// A1 n=2 walk re-enters each of its 9661 branches by restore (no prefix
+// replays) with snapshots on, by replay with them off. The engine-level
+// equivalence tests pin that both paths explore identical trees; what a
+// restore saves in wall-clock is BENCH_E15.json's row.
 func TestSnapshotRestoreSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: wall-clock comparison")
-	}
 	env := memory.NewEnv(3)
 	a1 := NewA1()
 	env.Register(a1)
@@ -717,11 +737,22 @@ func TestSnapshotRestoreSpeedup(t *testing.T) {
 	// Discover the round-robin schedule's depth, then capture one decision
 	// short of it: the restore arm fast-forwards depth-1 steps and decides
 	// once live, the reconstruct arm re-executes all of them gated.
-	probe := &rrCapture{env: env, x: x, capAt: -1}
-	depth := len(x.RunCapture(probe).Schedule)
-	env.Reset()
-	if depth < 20 {
-		t.Fatalf("A1 n=3 round-robin run is only %d decisions deep", depth)
+	decisions := func(run func() *sched.Result) (int64, []sched.Choice, memory.Fingerprint) {
+		before := x.Stats().Decisions.Load()
+		schedule := append([]sched.Choice(nil), run().Schedule...)
+		fp, ok := env.Fingerprint()
+		if !ok {
+			t.Fatal("A1 environment must fingerprint")
+		}
+		env.Reset()
+		return x.Stats().Decisions.Load() - before, schedule, fp
+	}
+	gated, want, wantFP := decisions(func() *sched.Result {
+		return x.RunCapture(&rrCapture{env: env, x: x, capAt: -1})
+	})
+	depth := len(want)
+	if depth < 20 || gated != int64(depth) {
+		t.Fatalf("A1 n=3 round-robin run: %d decisions for a schedule of %d (want equal, >= 20)", gated, depth)
 	}
 	cap := &rrCapture{env: env, x: x, capAt: depth - 1}
 	x.RunCapture(cap)
@@ -730,38 +761,32 @@ func TestSnapshotRestoreSpeedup(t *testing.T) {
 	}
 	env.Reset()
 
-	const runs = 1000
-	gatedBlock := func() time.Duration {
-		start := time.Now()
-		for i := 0; i < runs; i++ {
-			x.RunCapture(&rrCapture{env: env, x: x, capAt: -1})
-			env.Reset()
-		}
-		return time.Since(start)
-	}
-	restoreBlock := func() time.Duration {
-		start := time.Now()
-		for i := 0; i < runs; i++ {
+	for r := 0; r < 3; r++ { // the captured prefix replays any number of times
+		restored, got, gotFP := decisions(func() *sched.Result {
 			env.Restore(cap.snap)
-			x.RunReplay(&rrCapture{env: env, x: x, capAt: -1}, &cap.pfx)
-			env.Reset()
+			return x.RunReplay(&rrCapture{env: env, x: x, capAt: -1}, &cap.pfx)
+		})
+		if restored != 1 {
+			t.Fatalf("restore %d made %d live decisions, want 1 (gated re-execution: %d)", r, restored, gated)
 		}
-		return time.Since(start)
-	}
-	gated, restored := time.Duration(1<<62), time.Duration(1<<62)
-	for r := 0; r < 3; r++ {
-		if d := gatedBlock(); d < gated {
-			gated = d
-		}
-		if d := restoreBlock(); d < restored {
-			restored = d
+		if !reflect.DeepEqual(got, want) || gotFP != wantFP {
+			t.Fatalf("restore %d diverged from gated re-execution:\n%v\nvs\n%v", r, got, want)
 		}
 	}
-	if restored*2 > gated {
-		t.Fatalf("snapshot restore took %v per %d branches, want <= 1/2 of gated re-execution's %v (depth %d)",
-			restored, runs, gated, depth)
+
+	for _, arm := range []struct {
+		mode              explore.SnapshotMode
+		restores, replays int
+	}{{explore.SnapshotOn, 9661, 0}, {explore.SnapshotOff, 0, 9661}} {
+		rep, err := explore.Run(a1Harness(2, false, false), explore.Config{Workers: 1, Snapshots: arm.mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Executions != 9662 || rep.SnapshotRestores != arm.restores || rep.Replays != arm.replays {
+			t.Fatalf("snapshots %v: %d executions, %d restores, %d replays; want 9662, %d, %d",
+				arm.mode, rep.Executions, rep.SnapshotRestores, rep.Replays, arm.restores, arm.replays)
+		}
 	}
-	t.Logf("a1 n=3 depth %d: gated %v, restored %v (%.1fx)", depth, gated, restored, float64(gated)/float64(restored))
 }
 
 func TestTheorem2A1ComposedWithItself(t *testing.T) {
@@ -1158,44 +1183,35 @@ func TestSeedExecutionCountA1TwoProcs(t *testing.T) {
 	}
 }
 
-// TestPooledExecutorSpeedup pins experiment E11's headline: reusing one
-// executor per worker (pooled goroutines, Env.Reset between executions)
-// beats PR 1's per-execution reconstruct-and-spawn path by at least 2x in
-// wall-clock on the three-process A1 harness. Counts are asserted equal —
-// pooling must be a pure performance change. Wall-clock comparisons are
-// noisy, so each mode takes the best of three runs and the test is skipped
-// in short mode (CI asserts the deterministic halves elsewhere).
+// TestPooledExecutorSpeedup pins experiment E11's headline in its
+// load-independent form: on the three-process A1 walk the pooled engine
+// constructs the harness once for its one worker, where PR 1's
+// reconstruct-and-spawn path constructs it once per attempt (4037 of them)
+// — and pooling is otherwise invisible: the same executions, attempts,
+// pruning and terminal states. The wall-clock that construction costs is
+// BENCH_E11.json's row.
 func TestPooledExecutorSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: wall-clock comparison")
-	}
 	cfg := explore.Config{Prune: explore.PruneSleep, Workers: 1}
-	measure := func(h explore.Harness) (time.Duration, int) {
-		best := time.Duration(1 << 62)
-		execs := 0
-		for r := 0; r < 3; r++ {
-			start := time.Now()
-			rep, err := explore.Run(h, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-			execs = rep.Executions
+	measure := func(h explore.Harness) (explore.Report, int) {
+		var c countingHarness
+		rep, err := explore.Run(c.wrap(h), cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return best, execs
+		return rep, c.constructs
 	}
-	spawnWall, spawnExecs := measure(explore.NoReset(a1Harness(3, false, false)))
-	pooledWall, pooledExecs := measure(a1Harness(3, false, false))
-	if spawnExecs != pooledExecs {
-		t.Fatalf("pooling changed the walk: %d vs %d executions", pooledExecs, spawnExecs)
+	spawn, spawnBuilt := measure(explore.NoReset(a1Harness(3, false, false)))
+	pooled, pooledBuilt := measure(a1Harness(3, false, false))
+	if pooled.Executions != 1092 || pooled.Attempts != 4037 {
+		t.Fatalf("pooled A1 n=3 walk: %d executions in %d attempts, want 1092 in 4037", pooled.Executions, pooled.Attempts)
 	}
-	if pooledWall*2 > spawnWall {
-		t.Fatalf("pooled executor took %v, want <= 1/2 of the spawn path's %v", pooledWall, spawnWall)
+	if spawn.Executions != pooled.Executions || spawn.Attempts != pooled.Attempts || spawn.Pruned != pooled.Pruned ||
+		!reflect.DeepEqual(spawn.TerminalStates, pooled.TerminalStates) {
+		t.Fatalf("pooling changed the walk:\npooled %+v\nspawn  %+v", pooled, spawn)
 	}
-	t.Logf("A1 n=3: spawn %v, pooled %v (%.1fx) over %d executions",
-		spawnWall, pooledWall, float64(spawnWall)/float64(pooledWall), pooledExecs)
+	if pooledBuilt != 1 || spawnBuilt != spawn.Attempts {
+		t.Fatalf("harness constructions: pooled %d (want 1), spawn %d (want one per attempt, %d)", pooledBuilt, spawnBuilt, spawn.Attempts)
+	}
 }
 
 // Wall-clock benchmarks of the execution core on the A1 n=3 walk (the E11

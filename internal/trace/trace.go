@@ -8,7 +8,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -195,6 +197,11 @@ func (o Op) PrecededBy(other Op) bool {
 // Ops matches invocations with responses per process (each process is
 // sequential: it invokes a new request only after the previous one
 // returned) and returns operations sorted by invocation stamp.
+//
+// Ops is also the stress tier's per-round history drain (a Source), and that
+// tier's latency tail is sensitive to what the driver allocates between
+// rounds — so Ops keeps its own body rather than calling AppendOps(nil).
+// Code that extracts a history once per explored execution uses AppendOps.
 func (r *Recorder) Ops() []Op {
 	var out []Op
 	for pi := range r.procs {
@@ -228,6 +235,42 @@ func (r *Recorder) Ops() []Op {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Inv < out[j].Inv })
 	return out
+}
+
+// AppendOps is Ops into a caller-owned buffer: the operations are appended
+// to dst (sorted by invocation stamp among themselves) and the extended
+// slice is returned. A check closure that runs once per explored execution
+// passes its previous result re-sliced to length zero, so extracting the
+// history allocates nothing once the buffer has grown to the harness's
+// operation count.
+func (r *Recorder) AppendOps(dst []Op) []Op {
+	base := len(dst)
+	for pi := range r.procs {
+		cur := -1 // index in dst of the process's open operation
+		for _, e := range r.procs[pi].events {
+			switch e.Kind {
+			case Invoke, Init:
+				cur = len(dst)
+				dst = append(dst, Op{Proc: pi, Req: e.Req, Inv: e.Seq, Pending: true, IsInit: e.Kind == Init, InitSV: e.SV})
+			case Commit:
+				if cur < 0 || dst[cur].Req.ID != e.Req.ID {
+					panic(fmt.Sprintf("trace: commit of %v without matching invocation", e.Req))
+				}
+				op := &dst[cur]
+				op.Ret, op.Resp, op.Pending, op.Module = e.Seq, e.Resp, false, e.Module
+				cur = -1
+			case Abort:
+				if cur < 0 || dst[cur].Req.ID != e.Req.ID {
+					panic(fmt.Sprintf("trace: abort of %v without matching invocation", e.Req))
+				}
+				op := &dst[cur]
+				op.Ret, op.SV, op.Pending, op.Aborted, op.Module = e.Seq, e.SV, false, true, e.Module
+				cur = -1
+			}
+		}
+	}
+	slices.SortFunc(dst[base:], func(a, b Op) int { return cmp.Compare(a.Inv, b.Inv) })
+	return dst
 }
 
 // Source yields the operations recorded since it was last drained.

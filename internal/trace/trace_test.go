@@ -209,3 +209,39 @@ func TestResetWithPendingOps(t *testing.T) {
 		t.Fatalf("recording after Reset broken: %+v", ops)
 	}
 }
+
+// AppendOps is Ops into a caller's buffer: same operations in the same
+// order, appended after what the buffer already holds, and a re-sliced
+// buffer is reused without carrying anything over.
+func TestAppendOpsMatchesOps(t *testing.T) {
+	r := NewRecorder(3)
+	m1 := spec.Request{ID: 1, Proc: 0, Op: spec.OpTAS}
+	m2 := spec.Request{ID: 2, Proc: 1, Op: spec.OpTAS}
+	m3 := spec.Request{ID: 3, Proc: 0, Op: spec.OpTAS}
+	m4 := spec.Request{ID: 4, Proc: 2, Op: spec.OpTAS}
+	r.RecordInit(2, m4, "sv")
+	r.RecordInvoke(1, m2)
+	r.RecordInvoke(0, m1)
+	r.RecordCommit(0, m1, spec.Winner, "A1")
+	r.RecordAbort(1, m2, "W", "A1")
+	r.RecordInvoke(0, m3) // left pending
+	r.RecordCommit(2, m4, spec.Loser, "A2")
+
+	want := r.Ops()
+	if len(want) != 4 {
+		t.Fatalf("ops = %d, want 4", len(want))
+	}
+	keep := Op{Proc: 9}
+	got := r.AppendOps([]Op{keep})
+	if len(got) != 5 || got[0] != keep {
+		t.Fatalf("AppendOps disturbed the buffer's prefix: %+v", got)
+	}
+	for round := 0; round < 2; round++ {
+		for i, o := range got[len(got)-len(want):] {
+			if o != want[i] {
+				t.Fatalf("round %d op %d = %+v, want %+v", round, i, o, want[i])
+			}
+		}
+		got = r.AppendOps(got[:0])
+	}
+}
