@@ -17,6 +17,7 @@ import (
 	"repro/internal/memory"
 	"repro/internal/randexp"
 	"repro/internal/scenario"
+	"repro/internal/sched"
 	"repro/internal/spec"
 	"repro/internal/tas"
 )
@@ -299,6 +300,64 @@ func BenchmarkE9_HardwareFetchInc(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Inc(p)
+	}
+}
+
+// --- Gate protocol --------------------------------------------------------
+
+// BenchmarkExecutorDecision prices one scheduler decision on a bare
+// sched.Executor (four processes, 64 private reads each, no engine around
+// it) under three schedules, so the protocol's separate costs are visible:
+// self — lowest parked id first, so all but four decisions of a run grant
+// the decider itself and switch nothing; handoff — round-robin, so every
+// decision resumes another process (two coroutine switches); crash — every
+// decision a crash grant, the drain an abandoned attempt performs (a handoff
+// plus a panic/recover unwind; a run is only four decisions, so the per-run
+// start-up is in the figure too). The memory step itself (≈ 40 ns gated) is
+// part of each granted decision.
+func BenchmarkExecutorDecision(b *testing.B) {
+	const n, reads = 4, 64
+	env := memory.NewEnv(n)
+	bodies := make([]func(p *memory.Proc), n)
+	for i := range bodies {
+		r := memory.NewIntReg(0)
+		bodies[i] = func(p *memory.Proc) {
+			for k := 0; k < reads; k++ {
+				r.Read(p)
+			}
+		}
+	}
+	last := 0
+	for _, c := range []struct {
+		name string
+		next sched.Func
+	}{
+		{"self", func(_ int, parked []int) sched.Choice { return sched.Choice{Proc: parked[0]} }},
+		{"handoff", func(_ int, parked []int) sched.Choice {
+			next := parked[0]
+			for _, id := range parked {
+				if id > last {
+					next = id
+					break
+				}
+			}
+			last = next
+			return sched.Choice{Proc: next}
+		}},
+		{"crash", func(_ int, parked []int) sched.Choice { return sched.Choice{Proc: parked[0], Crash: true} }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			x := sched.NewExecutor(env, bodies)
+			defer x.Close()
+			var s sched.Strategy = c.next
+			b.ReportAllocs()
+			decisions := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				decisions += len(x.RunStrategy(s).Schedule)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(decisions), "ns/decision")
+		})
 	}
 }
 

@@ -436,8 +436,8 @@ func TestE11Shapes(t *testing.T) {
 	if len(pool.Rows) != 6 {
 		t.Fatalf("E11a rows = %d", len(pool.Rows))
 	}
-	// Per harness: spawn and pooled rows must report identical execution
-	// counts — pooling is a pure performance change.
+	// Per harness: construct-per-execution and pooled rows must report
+	// identical execution counts — pooling is a pure performance change.
 	for r := 0; r < len(pool.Rows); r += 2 {
 		if cellInt(t, pool, r, 2) != cellInt(t, pool, r+1, 2) {
 			t.Fatalf("E11a: pooled mode changed the walk: %v", pool.Rows)

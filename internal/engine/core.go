@@ -3,10 +3,12 @@ package engine
 // The reusable execution core shared by both frontends: per-worker harness
 // instances (pooled through a persistent sched.Executor when the harness
 // provides a reset path, reconstructed per run otherwise), the lock that
-// serializes harness construction/check/reset, and the batched seeded
-// sampling loop with its seed-order merge discipline.
+// serializes harness construction/check/reset, the batched seeded sampling
+// loop with its seed-order merge discipline, and the conversion of a
+// panicking harness closure into a named error.
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -117,9 +119,9 @@ func (c *Core) RegisterObs(m *obs.Metrics) (remove func()) {
 	removes := []func(){
 		execStat("sched_decisions_total", "Scheduler decisions made by pooled executors.",
 			func(s *sched.ExecStats) int64 { return s.Decisions.Load() }),
-		execStat("sched_self_grants_total", "Decisions where the baton holder granted itself (no goroutine switch).",
+		execStat("sched_self_grants_total", "Decisions where the baton holder granted itself (no coroutine switch).",
 			func(s *sched.ExecStats) int64 { return s.SelfGrants.Load() }),
-		execStat("sched_handoffs_total", "Decisions handing the baton to another process goroutine.",
+		execStat("sched_handoffs_total", "Decisions handing the baton to another process (two coroutine switches).",
 			func(s *sched.ExecStats) int64 { return s.Handoffs.Load() }),
 		execStat("sched_crash_unwinds_total", "Crash grants (each unwinds one process body).",
 			func(s *sched.ExecStats) int64 { return s.CrashUnwinds.Load() }),
@@ -158,26 +160,65 @@ func (c *Core) RegisterObs(m *obs.Metrics) (remove func()) {
 	}
 }
 
+// The stages of one execution a harness closure can panic in.
+const (
+	stageRun   = "run"
+	stageCheck = "check"
+	stageReset = "reset"
+)
+
+// harnessPanic names a panic recovered while driving a harness: a process
+// body (the executor reports those as *sched.PanicError, with the process id
+// and the schedule so far), the check or reset closure, or — stageRun with
+// any other value — the decision procedure itself. Both frontends recover
+// on the worker goroutine, stop, and return this instead of a verdict; the
+// instance is abandoned to Core.Close, which unwinds whatever the aborted
+// run left parked. res is the run's result, nil if the run did not finish.
+func harnessPanic(stage string, r any, res *sched.Result) error {
+	if pe, ok := r.(*sched.PanicError); ok {
+		return fmt.Errorf("engine: harness body panicked: %w", pe)
+	}
+	var schedule []sched.Choice
+	if res != nil {
+		schedule = res.Schedule
+	}
+	if stage == stageRun {
+		return fmt.Errorf("engine: panic while scheduling after %v: %v", schedule, r)
+	}
+	return fmt.Errorf("engine: harness %s panicked on schedule %v: %v", stage, schedule, r)
+}
+
+// run performs one execution under the strategy: through the pooled
+// executor, or the one-shot path when the harness has no reset.
+func (inst *instance) run(s sched.Strategy) *sched.Result {
+	if inst.exec != nil {
+		return inst.exec.RunStrategy(s)
+	}
+	return sched.Run(inst.env, s, inst.bodies)
+}
+
 // Probe runs one throwaway execution under the strategy on worker 0's
 // instance — resetting it afterwards — and returns the schedule length
 // (minimum 1). The sampling frontends use it to measure deterministic
-// schedule-length bounds (the PCT k parameter) before sampling starts.
-func (c *Core) Probe(s sched.Strategy) int {
+// schedule-length bounds (the PCT k parameter) before sampling starts. A
+// panicking harness is reported as in SampleBatches.
+func (c *Core) Probe(s sched.Strategy) (depth int, err error) {
 	inst := c.instanceFor(0)
-	var res *sched.Result
+	stage := stageRun
+	defer func() {
+		if r := recover(); r != nil {
+			err = harnessPanic(stage, r, nil)
+		}
+	}()
+	res := inst.run(s)
 	if inst.exec != nil {
-		res = inst.exec.RunStrategy(s)
 		c.checkMu.Lock()
+		defer c.checkMu.Unlock()
+		stage = stageReset
 		inst.env.Reset()
 		inst.reset()
-		c.checkMu.Unlock()
-	} else {
-		res = sched.Run(inst.env, s, inst.bodies)
 	}
-	if d := len(res.Schedule); d > 0 {
-		return d
-	}
-	return 1
+	return max(len(res.Schedule), 1), nil
 }
 
 // SeedOutcome is the per-run record of the sampling loop, merged in seed
@@ -239,7 +280,11 @@ type SampleConfig struct {
 // them is independent of the worker count; only wall-clock changes. fold
 // returning false stops the loop after that batch (failure stops,
 // saturation stops).
-func (c *Core) SampleBatches(cfg SampleConfig, newStrat func() SeedStrategy, fold func(batch []SeedOutcome) bool) {
+//
+// A harness closure that panics ends the loop: the workers stop, the batch
+// is not folded, and the error names the panic (of several in one batch,
+// the one on the lowest seed reached) and its seed.
+func (c *Core) SampleBatches(cfg SampleConfig, newStrat func() SeedStrategy, fold func(batch []SeedOutcome) bool) error {
 	batch := cfg.BatchSize
 	if batch < 1 {
 		batch = 1
@@ -253,7 +298,9 @@ func (c *Core) SampleBatches(cfg SampleConfig, newStrat func() SeedStrategy, fol
 			m = remaining
 		}
 		outs := make([]SeedOutcome, m)
+		fatal := make([]*seedPanic, workers) // slot w is touched only by worker w
 		var idx atomic.Int64
+		var stop atomic.Bool
 		var wg sync.WaitGroup
 		active := workers
 		if m < active {
@@ -266,12 +313,16 @@ func (c *Core) SampleBatches(cfg SampleConfig, newStrat func() SeedStrategy, fol
 				if strats[w] == nil {
 					strats[w] = newStrat()
 				}
-				for {
+				for !stop.Load() {
 					i := int(idx.Add(1)) - 1
 					if i >= m {
 						return
 					}
-					outs[i] = c.runSeed(c.instanceFor(w), next+int64(i), strats[w])
+					outs[i], fatal[w] = c.runSeed(c.instanceFor(w), next+int64(i), strats[w])
+					if fatal[w] != nil {
+						stop.Store(true)
+						return
+					}
 					if cfg.Metrics != nil {
 						cfg.Metrics.Samples.Inc(w)
 					}
@@ -279,42 +330,67 @@ func (c *Core) SampleBatches(cfg SampleConfig, newStrat func() SeedStrategy, fol
 			}(w)
 		}
 		wg.Wait()
+		if stop.Load() {
+			// Seeds are claimed in order and each worker stops at its first
+			// panic, so the lowest panicking seed is among the recorded ones.
+			var first *seedPanic
+			for _, sp := range fatal {
+				if sp != nil && (first == nil || sp.seed < first.seed) {
+					first = sp
+				}
+			}
+			return first
+		}
 		next += int64(m)
 		remaining -= m
 		if !fold(outs) {
-			return
+			return nil
 		}
 	}
+	return nil
 }
+
+// seedPanic is a harness panic on the sampling path, tagged with its seed.
+type seedPanic struct {
+	seed int64
+	err  error
+}
+
+func (e *seedPanic) Error() string { return fmt.Sprintf("seed %d: %v", e.seed, e.err) }
+func (e *seedPanic) Unwrap() error { return e.err }
 
 // runSeed performs one seeded run on the given instance and records its
 // outcome. The terminal fingerprint is taken before the instance is reset,
-// and a failing schedule is copied out of the executor's reused Result.
-func (c *Core) runSeed(inst *instance, seed int64, strat SeedStrategy) SeedOutcome {
-	s, finish := strat(seed, inst.env.N())
+// and a failing schedule is copied out of the executor's reused Result. A
+// panic in a harness closure comes back as fatal.
+func (c *Core) runSeed(inst *instance, seed int64, strat SeedStrategy) (out SeedOutcome, fatal *seedPanic) {
+	stage := stageRun
 	var res *sched.Result
-	if inst.exec != nil {
-		res = inst.exec.RunStrategy(s)
-	} else {
-		res = sched.Run(inst.env, s, inst.bodies)
-	}
-	out := SeedOutcome{Seed: seed, Depth: len(res.Schedule), Shape: ShapeHash(res.Schedule)}
+	defer func() {
+		if r := recover(); r != nil {
+			fatal = &seedPanic{seed: seed, err: harnessPanic(stage, r, res)}
+		}
+	}()
+	s, finish := strat(seed, inst.env.N())
+	res = inst.run(s)
+	out = SeedOutcome{Seed: seed, Depth: len(res.Schedule), Shape: ShapeHash(res.Schedule)}
 	out.Fingerprint, out.FingerprintOK = inst.env.Fingerprint()
 	if finish != nil {
 		finish(&out)
 	}
 	c.checkMu.Lock()
-	err := inst.check(res)
-	if inst.exec != nil {
-		inst.env.Reset()
-		inst.reset()
-	}
-	c.checkMu.Unlock()
-	if err != nil {
+	defer c.checkMu.Unlock()
+	stage = stageCheck
+	if err := inst.check(res); err != nil {
 		out.Err = err
 		out.Schedule = append([]sched.Choice(nil), res.Schedule...)
 	}
-	return out
+	if inst.exec != nil {
+		stage = stageReset
+		inst.env.Reset()
+		inst.reset()
+	}
+	return out, nil
 }
 
 // ShapeHash folds a schedule's (proc, crash) sequence into a 64-bit

@@ -112,6 +112,11 @@ import (
 // the engine, so a harness may safely accumulate into shared state captured
 // outside the closure (outcome histograms and the like) from its
 // constructor and its check function.
+//
+// A body, check or reset that panics does not take the process down: the
+// worker that ran it recovers, the walk (or sampling loop) stops, and Run
+// returns an error naming the closure, the panic value, the process for a
+// body, and the schedule that led there.
 type Harness func() (env *memory.Env, bodies []func(p *memory.Proc), check func(res *sched.Result) error, reset func())
 
 // PruneMode selects the partial-order reduction of an exhaustive walk.
@@ -453,8 +458,9 @@ type engine struct {
 
 // Run walks the interleaving tree of h under cfg. It returns a CheckError
 // carrying the canonically least failing schedule if any check failed, an
-// internal error if the harness turned out nondeterministic, and otherwise
-// the report of the completed (or budget-cut) walk.
+// internal error if the harness turned out nondeterministic or one of its
+// closures panicked, and otherwise the report of the completed (or
+// budget-cut) walk.
 func Run(h Harness, cfg Config) (Report, error) {
 	if cfg.Prune == PruneSourceDPOR {
 		if cfg.CacheStates {
@@ -694,7 +700,7 @@ func (e *engine) snapEnabled(inst *instance) bool {
 // siblings eagerly; step siblings on demand from the race analysis of the
 // completed trace). With a pooled instance the bodies re-enter the
 // persistent executor and the instance is reset afterwards; otherwise the
-// freshly constructed instance runs through the per-execution spawn path.
+// freshly constructed instance runs through a one-shot executor.
 //
 // When the item carries a live snapshot of its spawning decision point
 // (and snapshots are enabled for this instance), the memory state is
@@ -706,11 +712,20 @@ func (e *engine) snapEnabled(inst *instance) bool {
 // ch is the worker's chooser and res the executor's reused Result: both are
 // overwritten by the worker's next item, so the one thing that outlives
 // this call — a failure that becomes the walk's best — is copied out.
+//
+// A panic in a harness closure (a body, check or reset) is recovered here,
+// on the worker's goroutine, after the deferred unlock below has released
+// the check lock: the walk stops and Run returns the named error.
 func (e *engine) runItem(ch *itemChooser, inst *instance, item WorkItem) {
-	w := ch.w
+	stage := stageRun
+	var res *sched.Result
+	defer func() {
+		if r := recover(); r != nil {
+			e.fail(harnessPanic(stage, r, res))
+		}
+	}()
 	snapOn := e.snapEnabled(inst)
 	ch.begin(item, inst, snapOn)
-	var res *sched.Result
 	restored := false
 	if snapOn && item.snap != nil {
 		if s, ok := e.snaps.take(item.snap, inst); ok {
@@ -743,19 +758,21 @@ func (e *engine) runItem(ch *itemChooser, inst *instance, item WorkItem) {
 
 	e.core.checkMu.Lock()
 	defer e.core.checkMu.Unlock()
+	stage = stageCheck // the only harness code merge calls
+	e.merge(ch, inst, res, restored)
 	if inst.exec != nil {
-		defer func() {
-			inst.env.Reset()
-			inst.reset()
-		}()
+		stage = stageReset
+		inst.env.Reset()
+		inst.reset()
 	}
+}
+
+// merge folds one finished run into the walk's result fields and, if it
+// reached a leaf, checks it. The caller holds the check lock.
+func (e *engine) merge(ch *itemChooser, inst *instance, res *sched.Result, restored bool) {
+	w := ch.w
 	if ch.bad != nil {
-		if e.internalErr == nil {
-			e.internalErr = ch.bad
-		}
-		e.mu.Lock()
-		e.stopLocked()
-		e.mu.Unlock()
+		e.failLocked(ch.bad)
 		return
 	}
 	e.pruned += ch.pruned
@@ -827,6 +844,24 @@ func (e *engine) runItem(ch *itemChooser, inst *instance, item WorkItem) {
 	}
 }
 
+// fail records the walk's first internal error — a nondeterministic or
+// panicking harness — and stops the walk.
+func (e *engine) fail(err error) {
+	e.core.checkMu.Lock()
+	defer e.core.checkMu.Unlock()
+	e.failLocked(err)
+}
+
+// failLocked is fail for callers that hold the check lock.
+func (e *engine) failLocked(err error) {
+	if e.internalErr == nil {
+		e.internalErr = err
+	}
+	e.mu.Lock()
+	e.stopLocked()
+	e.mu.Unlock()
+}
+
 func (e *engine) noteTruncated() {
 	e.core.checkMu.Lock()
 	e.truncated = true
@@ -837,10 +872,10 @@ func (e *engine) noteTruncated() {
 }
 
 // NoReset strips a harness's reset path, forcing the engine onto the
-// per-execution reconstruct-and-spawn path for every interleaving. It
-// exists for benchmarking the pooled executor against that baseline, and
-// as an escape hatch for a harness whose reset turns out to be
-// incomplete.
+// reconstruct-per-execution path (fresh harness, one-shot executor) for
+// every interleaving. It exists for benchmarking the pooled executor
+// against that baseline, and as an escape hatch for a harness whose reset
+// turns out to be incomplete.
 func NoReset(h Harness) Harness {
 	return func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
 		env, bodies, check, _ := h()

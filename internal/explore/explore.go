@@ -89,7 +89,7 @@ func Run(h Harness, cfg Config) (Report, error) {
 }
 
 // NoReset strips a harness's reset path, forcing the engine onto the
-// per-execution reconstruct-and-spawn path for every interleaving.
+// reconstruct-per-execution path for every interleaving.
 func NoReset(h Harness) Harness {
 	return engine.NoReset(h)
 }

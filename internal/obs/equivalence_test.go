@@ -16,8 +16,10 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/memory"
 	"repro/internal/obs"
 	"repro/internal/scenario"
+	"repro/internal/sched"
 )
 
 // obsBudget mirrors the snapshot-equivalence budget: scenario trees beyond
@@ -267,6 +269,48 @@ func TestObsOverheadComposed(t *testing.T) {
 	} {
 		if c.obs != int64(c.rep) {
 			t.Errorf("%s: obs folded %d, report says %d", c.name, c.obs, c.rep)
+		}
+	}
+}
+
+// TestSchedCensusComposed pins the executor's scheduling census on the same
+// walk. A run's first decider is always process n-1 and each later one is
+// whoever parked or retired last, so at one worker the split of decisions
+// into self-grants (no coroutine switch) and handoffs (two) is a function of
+// the schedules walked, exactly like the attempt count. The layer sources
+// unregister when Run returns, so the census is read from inside the walk:
+// the reset closure runs after every attempt, by which time that attempt's
+// run has folded its counts.
+func TestSchedCensusComposed(t *testing.T) {
+	sc, err := scenario.Lookup("composed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, _ := sc.Build(3, scenario.Options{})
+	m := obs.New(1)
+	var last map[string]int64
+	tapped := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
+		env, bodies, check, reset := h()
+		return env, bodies, check, func() {
+			reset()
+			last = m.Snapshot().Counters
+		}
+	}
+	rep, err := engine.Run(tapped, engine.Config{Prune: engine.PruneSourceDPOR, Workers: 1, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Executions != 1956 || rep.Attempts != 1991 {
+		t.Fatalf("composed n=3 walk: %d executions in %d attempts, want 1956 in 1991", rep.Executions, rep.Attempts)
+	}
+	for name, want := range map[string]int64{
+		"sched_runs_total":        1991,
+		"sched_decisions_total":   52142,
+		"sched_self_grants_total": 27224,
+		"sched_handoffs_total":    24918,
+	} {
+		if last[name] != want {
+			t.Errorf("%s = %d, want %d", name, last[name], want)
 		}
 	}
 }

@@ -264,7 +264,8 @@ func (r *runner) workerStrategy() engine.SeedStrategy {
 // batched sampling loop and returns the merged report. A check failure is
 // returned as a *CheckError carrying the lex-least failing seed; by the
 // batch discipline that seed (and every other Report field) is identical
-// for every Config.Workers value.
+// for every Config.Workers value. A harness closure that panics ends the
+// run with an error naming it and its seed (see engine.Harness).
 func Run(h Harness, cfg Config) (rep Report, err error) {
 	start := time.Now()
 	rep = Report{DepthHist: stats.NewHist(8)}
@@ -299,7 +300,9 @@ func Run(h Harness, cfg Config) (rep Report, err error) {
 		if r.pctSteps < 1 {
 			// One deterministic round-robin probe measures the harness's
 			// schedule length, the PCT bound k.
-			r.pctSteps = core.Probe(sched.NewRoundRobin())
+			if r.pctSteps, err = core.Probe(sched.NewRoundRobin()); err != nil {
+				return rep, err
+			}
 		}
 		rep.PCTSteps = r.pctSteps
 	}
@@ -311,7 +314,7 @@ func Run(h Harness, cfg Config) (rep Report, err error) {
 	staleBatches := 0
 
 	scfg := engine.SampleConfig{Samples: cfg.Samples, Seed: cfg.Seed, BatchSize: batch, Metrics: cfg.Metrics}
-	core.SampleBatches(scfg, r.workerStrategy, func(outs []engine.SeedOutcome) bool {
+	fatal := core.SampleBatches(scfg, r.workerStrategy, func(outs []engine.SeedOutcome) bool {
 		// Merge in seed order: coverage, depth accounting, failures.
 		newCov := 0
 		for i := range outs {
@@ -367,6 +370,9 @@ func Run(h Harness, cfg Config) (rep Report, err error) {
 		return true
 	})
 
+	if fatal != nil {
+		return rep, fatal
+	}
 	rep.DistinctStates = len(states)
 	rep.DistinctShapes = len(shapes)
 	if cfg.Sampler == SamplerWalk && weightRuns > 0 {

@@ -92,14 +92,14 @@ func TestPCTBoundedPreemptions(t *testing.T) {
 }
 
 // TestWalkWeightMatchesBranchingFactors: the walk's importance weight must
-// be exactly the product of the parked-set sizes along its own path, the
-// quantity Result.Parked records.
+// be exactly the product of the parked-set sizes along its own path.
 func TestWalkWeightMatchesBranchingFactors(t *testing.T) {
 	env := memory.NewEnv(3)
 	w := NewWalk(11)
-	res := Run(env, w, readerBodies(env, 3, 3))
+	log := &parkedLog{Strategy: w}
+	Run(env, log, readerBodies(env, 3, 3))
 	want := 0.0
-	for _, parked := range res.Parked {
+	for _, parked := range log.sets {
 		want += math.Log(float64(len(parked)))
 	}
 	if diff := math.Abs(w.LogWeight() - want); diff > 1e-9 {
@@ -133,11 +133,12 @@ func TestRatesSkewsGrants(t *testing.T) {
 		total := 0
 		for seed := int64(0); seed < 200; seed++ {
 			env := memory.NewEnv(2)
-			res := Run(env, NewRates(seed, weights), readerBodies(env, 2, 8))
+			log := &parkedLog{Strategy: NewRates(seed, weights)}
+			res := Run(env, log, readerBodies(env, 2, 8))
 			// Count only decisions where both processes were parked: rate
 			// weighting is conditional on the parked set.
 			for i, c := range res.Schedule {
-				if len(res.Parked[i]) == 2 {
+				if len(log.sets[i]) == 2 {
 					total++
 					if c.Proc == 0 {
 						fast++

@@ -7,28 +7,28 @@
 // freedom in the absence of *interval contention* (no other operation's
 // interval overlaps mine) [2, 6]. Reproducing the paper therefore needs a
 // way to *produce* such schedules on demand, rather than hoping the OS
-// scheduler does. This package provides it: each process body runs in its
-// own goroutine, parks at its memory.Gate before every shared-memory
-// access, and a single scheduler goroutine grants exactly one access at a
-// time according to a pluggable decision procedure. Local computation
-// between accesses is treated as instantaneous (it runs to the next park
-// before the scheduler makes another choice), so an execution is fully
-// determined by the sequence of scheduler choices — the property the
-// explore package uses to enumerate interleavings exhaustively.
+// scheduler does. This package provides it in the model the paper (and the
+// stochastic-scheduler analyses that followed it) reasons in: at each
+// decision exactly one process takes exactly one step. Each process body
+// runs in its own coroutine, parks at its memory.Gate before every
+// shared-memory access, and a pluggable decision procedure grants exactly
+// one access at a time. Local computation between accesses is treated as
+// instantaneous (it runs to the next park before another choice is made),
+// so an execution is fully determined by the sequence of scheduler choices
+// — the property the engine uses to enumerate interleavings exhaustively.
+//
+// There is one gate protocol, Executor — a driver goroutine, one iter.Pull
+// coroutine per process and baton-passed decisions; its doc comment has
+// the protocol and its costs. Run and RunChooser are its one-shot form.
 //
 // Decisions can be made at two levels. A Strategy sees only the parked
 // process ids — enough for the canned schedules (solo, round-robin,
 // random, replay). A Chooser additionally sees, for every parked process,
-// the memory.Access it is about to perform; the explore package's
-// partial-order reduction is built on that metadata.
+// the memory.Access it is about to perform; the engine's partial-order
+// reduction is built on that metadata.
 package sched
 
-import (
-	"fmt"
-	"sort"
-
-	"repro/internal/memory"
-)
+import "repro/internal/memory"
 
 // Choice is one scheduler decision: which parked process to grant a step,
 // or to crash instead of granting.
@@ -81,12 +81,11 @@ func (a *strategyChooser) Choose(step int, parked []ProcState) Choice {
 // until its next run: the executor reuses the value and every slice in it,
 // so a caller that keeps any part of one past the next Run/RunCapture/
 // RunReplay/RunStrategy call on the same executor must copy it first. Run
-// and RunChooser (the spawn path) return a fresh Result per call.
+// and RunChooser close their one-shot executor before returning, so their
+// Result is the caller's to keep.
 type Result struct {
 	// Schedule is the sequence of choices actually taken.
 	Schedule []Choice
-	// Parked[i] is the parked set the i-th choice was made from.
-	Parked [][]int
 	// Accesses[i] is the access associated with the i-th choice: the access
 	// performed, or, for a crash choice, the access the victim was about to
 	// perform (which never executed). Deciders that need the pending access
@@ -101,144 +100,28 @@ type Result struct {
 	Steps []int64
 }
 
-type msgKind uint8
-
-const (
-	msgParked msgKind = iota
-	msgFinished
-)
-
-type msg struct {
-	kind msgKind
-	proc int
-	acc  memory.Access
-}
-
-// gate implements memory.Gate by parking the calling process until the
-// scheduler grants it a step. A false grant means "crash": the gate panics
-// with crashSignal, which the runner recovers.
-type gate struct {
-	toSched chan msg
-	grants  []chan bool
-}
-
+// crashSignal unwinds the body of a process the scheduler crashed.
 type crashSignal struct{ proc int }
 
-func (g *gate) Enter(p *memory.Proc, a memory.Access) {
-	id := p.ID()
-	g.toSched <- msg{kind: msgParked, proc: id, acc: a}
-	if !<-g.grants[id] {
-		panic(crashSignal{proc: id})
-	}
-}
-
 // Run executes bodies[i] as process i of env under the given strategy and
-// returns the execution summary. len(bodies) must equal env.N(). Run
-// installs gates on all processes for the duration of the call and removes
-// them before returning. It must not be invoked concurrently on the same
-// env.
+// returns the execution summary. len(bodies) must equal env.N(). It is a
+// one-shot Executor — constructed, run once and closed — so it installs the
+// gate for the duration of the call, leaves no goroutine behind, and
+// returns a Result nobody else will refill. It must not be invoked
+// concurrently on the same env.
 //
-// Crashed processes stop taking steps permanently (their goroutine unwinds
-// via a recovered panic), matching the crash model of Section 3.
+// Crashed processes stop taking steps permanently (their body unwinds via a
+// recovered panic), matching the crash model of Section 3.
 func Run(env *memory.Env, strategy Strategy, bodies []func(p *memory.Proc)) *Result {
-	return RunChooser(env, &strategyChooser{s: strategy}, bodies)
+	x := NewExecutor(env, bodies)
+	defer x.Close()
+	return x.RunStrategy(strategy)
 }
 
 // RunChooser is Run for access-aware deciders: at every decision point the
 // chooser sees the pending access of each parked process alongside its id.
 func RunChooser(env *memory.Env, chooser Chooser, bodies []func(p *memory.Proc)) *Result {
-	n := env.N()
-	if len(bodies) != n {
-		panic(fmt.Sprintf("sched: %d bodies for %d processes", len(bodies), n))
-	}
-	g := &gate{
-		toSched: make(chan msg),
-		grants:  make([]chan bool, n),
-	}
-	for i := range g.grants {
-		g.grants[i] = make(chan bool)
-	}
-	env.SetGate(g)
-	defer env.SetGate(nil)
-
-	res := &Result{
-		Finished: make([]bool, n),
-		Crashed:  make([]bool, n),
-		Steps:    make([]int64, n),
-	}
-
-	// Launch all process bodies. Each runs local code until it parks at the
-	// gate or finishes.
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer func() {
-				if r := recover(); r != nil {
-					if cs, ok := r.(crashSignal); ok && cs.proc == i {
-						g.toSched <- msg{kind: msgFinished, proc: i}
-						return
-					}
-					panic(r)
-				}
-				g.toSched <- msg{kind: msgFinished, proc: i}
-			}()
-			bodies[i](env.Proc(i))
-		}(i)
-	}
-
-	executing := n // processes running local code (will park or finish)
-	parked := map[int]memory.Access{}
-	done := map[int]bool{}
-	for {
-		for executing > 0 {
-			m := <-g.toSched
-			switch m.kind {
-			case msgParked:
-				parked[m.proc] = m.acc
-			case msgFinished:
-				done[m.proc] = true
-				if !res.Crashed[m.proc] {
-					res.Finished[m.proc] = true
-				}
-			}
-			executing--
-		}
-		if len(parked) == 0 {
-			break // every process finished or crashed
-		}
-		ids := sortedKeys(parked)
-		states := make([]ProcState, len(ids))
-		for i, id := range ids {
-			states[i] = ProcState{ID: id, Next: parked[id]}
-		}
-		c := chooser.Choose(len(res.Schedule), states)
-		acc, ok := parked[c.Proc]
-		if !ok {
-			panic(fmt.Sprintf("sched: chooser chose non-parked process %d from %v", c.Proc, ids))
-		}
-		res.Schedule = append(res.Schedule, c)
-		res.Parked = append(res.Parked, ids)
-		res.Accesses = append(res.Accesses, acc)
-		delete(parked, c.Proc)
-		if c.Crash {
-			res.Crashed[c.Proc] = true
-			env.Proc(c.Proc).MarkCrashed()
-			g.grants[c.Proc] <- false // unwind the goroutine
-			executing = 1             // it will report finished
-			continue
-		}
-		res.Steps[c.Proc]++
-		env.Proc(c.Proc).SetPos(len(res.Schedule))
-		g.grants[c.Proc] <- true
-		executing = 1 // granted process executes its access + local code
-	}
-	return res
-}
-
-func sortedKeys(m map[int]memory.Access) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
+	x := NewExecutor(env, bodies)
+	defer x.Close()
+	return x.Run(chooser)
 }

@@ -177,15 +177,25 @@ func TestFuncStrategy(t *testing.T) {
 	}
 }
 
+// parkedLog wraps a strategy and records the parked set every decision was
+// made from (the slice a strategy sees is scratch, so each set is copied).
+type parkedLog struct {
+	Strategy
+	sets [][]int
+}
+
+func (l *parkedLog) Next(step int, parked []int) Choice {
+	l.sets = append(l.sets, append([]int(nil), parked...))
+	return l.Strategy.Next(step, parked)
+}
+
 func TestParkedSetsRecorded(t *testing.T) {
 	env := memory.NewEnv(2)
 	r := memory.NewIntReg(0)
-	res := Run(env, NewRoundRobin(), []func(p *memory.Proc){reader(r, 1), reader(r, 1)})
-	if len(res.Parked) != 2 {
-		t.Fatalf("parked sets = %v", res.Parked)
-	}
-	if len(res.Parked[0]) != 2 {
-		t.Fatalf("first decision should see both parked: %v", res.Parked[0])
+	log := &parkedLog{Strategy: NewRoundRobin()}
+	Run(env, log, []func(p *memory.Proc){reader(r, 1), reader(r, 1)})
+	if want := [][]int{{0, 1}, {1}}; !reflect.DeepEqual(log.sets, want) {
+		t.Fatalf("parked sets = %v, want %v", log.sets, want)
 	}
 }
 
@@ -227,9 +237,11 @@ func pooledHarness() (*memory.Env, *memory.IntReg, []func(p *memory.Proc)) {
 	return env, r, []func(p *memory.Proc){inc, inc}
 }
 
-// TestExecutorMatchesRunChooser pins the pooled executor to the spawn
-// path's semantics: the same strategy over the same system produces the
-// same schedule, steps, flags and accesses, run after run after reset.
+// TestExecutorMatchesRunChooser pins a reused executor to the reference
+// channel scheduler's semantics on a system small enough to read: the same
+// strategy over the same system produces the same schedule, steps, flags and
+// accesses, run after run after reset. (protocol_test.go does the same over
+// the whole scenario registry under random schedules with crashes.)
 func TestExecutorMatchesRunChooser(t *testing.T) {
 	env, r, bodies := pooledHarness()
 	x := NewExecutor(env, bodies)
@@ -241,7 +253,7 @@ func TestExecutorMatchesRunChooser(t *testing.T) {
 		env.Reset()
 
 		envB, rB, bodiesB := pooledHarness()
-		want := Run(envB, NewRoundRobin(), bodiesB)
+		want := RefRun(envB, NewRoundRobin(), bodiesB)
 
 		if !reflect.DeepEqual(got.Schedule, want.Schedule) {
 			t.Fatalf("round %d: schedule %v, want %v", round, got.Schedule, want.Schedule)
