@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -412,3 +413,60 @@ func BenchmarkEngineAttempt(b *testing.B) {
 		})
 	})
 }
+
+// --- Strategy reseeding ---------------------------------------------------
+
+// BenchmarkReseed prices what a sampling worker pays per run to re-arm its
+// strategy: Reset plus the draws the run makes. The seeded strategies draw
+// from sched's lazily filled source, whose Seed is O(1) and whose state
+// words are computed on first touch, so the cost follows the draws — ten for
+// a PCT sample of composed n=8 (8 priorities + 2 change points, k=73 as
+// tascheck probes it), one per decision for a walk. The 2000-draw case
+// (sched.Random: one Intn per decision, nothing else) touches all 607 words
+// several times over and stands beside math/rand's own source doing the same
+// work — eager 607-word seeding, then 2000 Intn — to show the lazy fill
+// costs no more than the warm-up it replaces even when nothing is saved.
+func BenchmarkReseed(b *testing.B) {
+	parked := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	perReset := func(b *testing.B, reset func(seed int64)) {
+		for i := 0; i < b.N; i++ {
+			reset(int64(i))
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/reset")
+	}
+	b.Run("pct-n8-d3", func(b *testing.B) {
+		var pct sched.PCT
+		perReset(b, func(seed int64) { reseedSink += pct.Reset(seed, 8, 73, 3).Next(0, parked).Proc })
+	})
+	b.Run("walk-100", func(b *testing.B) {
+		var w sched.Walk
+		perReset(b, func(seed int64) {
+			w.Reset(seed)
+			for d := 0; d < 100; d++ {
+				reseedSink += w.Next(d, parked).Proc
+			}
+		})
+	})
+	draw2000 := func(s sched.Strategy) {
+		for d := 0; d < 2000; d++ {
+			reseedSink += s.Next(d, parked).Proc
+		}
+	}
+	b.Run("random-2000", func(b *testing.B) {
+		var r sched.Random
+		perReset(b, func(seed int64) { draw2000(r.Reset(seed)) })
+	})
+	b.Run("mathrand-eager-2000", func(b *testing.B) {
+		r := rand.New(rand.NewSource(0))
+		uniform := sched.Func(func(_ int, parked []int) sched.Choice {
+			return sched.Choice{Proc: parked[r.Intn(len(parked))]}
+		})
+		perReset(b, func(seed int64) {
+			r.Seed(seed)
+			draw2000(uniform)
+		})
+	})
+}
+
+// reseedSink keeps BenchmarkReseed's draws observable.
+var reseedSink int

@@ -38,8 +38,14 @@ type PCT struct {
 	rng    *rand.Rand  // construction-time draws only; kept for Reset
 	perm   []int       // construction-time scratch; kept for Reset
 	prio   []int       // current priority per process id; higher runs first
-	change map[int]int // step index -> priority value to drop the runner to
+	change []pctChange // the d−1 change points, in draw order
 }
+
+// pctChange is one priority change point: at decision step the would-be
+// runner drops to prio. There are d−1 of them in draw order, so a linear
+// scan beats a map on every decision; where two collide on one step the
+// later-drawn one applies.
+type pctChange struct{ step, prio int }
 
 // NewPCT returns a PCT strategy for n processes with schedule-length bound
 // k and depth d, seeded deterministically. d < 1 is treated as 1 (pure
@@ -49,7 +55,7 @@ type PCT struct {
 func NewPCT(seed int64, n, k, d int) *PCT { return new(PCT).Reset(seed, n, k, d) }
 
 // Reset re-arms p for a new run, as NewPCT(seed, n, k, d) would construct
-// it, reusing the generator, the priority table and the change-point map.
+// it, reusing the generator, the priority table and the change-point list.
 func (p *PCT) Reset(seed int64, n, k, d int) *PCT {
 	if d < 1 {
 		d = 1
@@ -62,11 +68,7 @@ func (p *PCT) Reset(seed int64, n, k, d int) *PCT {
 		p.prio, p.perm = make([]int, n), make([]int, n)
 	}
 	p.prio, p.perm = p.prio[:n], p.perm[:n]
-	if p.change == nil {
-		p.change = make(map[int]int, d-1)
-	} else {
-		clear(p.change)
-	}
+	p.change = p.change[:0]
 	// rand.Perm, drawn into the reused buffer: the same generator calls in
 	// the same order, so a seed's schedule is what it always was. (Stale
 	// entries are harmless: perm[i] is only ever read after being written,
@@ -80,7 +82,7 @@ func (p *PCT) Reset(seed int64, n, k, d int) *PCT {
 		p.prio[proc] = d + i // distinct initial priorities, all >= d
 	}
 	for i := 1; i < d; i++ {
-		p.change[p.rng.Intn(k)] = d - i // change-point priorities, all < d
+		p.change = append(p.change, pctChange{step: p.rng.Intn(k), prio: d - i}) // all < d
 	}
 	return p
 }
@@ -90,9 +92,11 @@ func (p *PCT) Reset(seed int64, n, k, d int) *PCT {
 // point.
 func (p *PCT) Next(step int, parked []int) Choice {
 	best := p.highest(parked)
-	if v, ok := p.change[step]; ok {
-		p.prio[best] = v
-		best = p.highest(parked)
+	for i := len(p.change) - 1; i >= 0; i-- {
+		if p.change[i].step == step {
+			p.prio[best] = p.change[i].prio
+			return Choice{Proc: p.highest(parked)}
+		}
 	}
 	return Choice{Proc: best}
 }

@@ -268,12 +268,89 @@ func TestRandomCrashNoGrantAfterCrash(t *testing.T) {
 	}
 }
 
+// The six seeded strategies as they were written against math/rand itself:
+// rand.NewSource per construction, rand.Perm and a change-point map in PCT.
+// TestResetMatchesFreshConstruction compares the real ones, which draw from
+// alfgSource, against these.
+
+func refRandom(seed int64) Strategy {
+	rng := rand.New(rand.NewSource(seed))
+	return Func(func(_ int, parked []int) Choice { return Choice{Proc: parked[rng.Intn(len(parked))]} })
+}
+
+func refRandomCrash(seed int64, p float64) Strategy {
+	rng := rand.New(rand.NewSource(seed))
+	return Func(func(_ int, parked []int) Choice {
+		crash := p > 0 && rng.Float64() < p
+		return Choice{Proc: parked[rng.Intn(len(parked))], Crash: crash}
+	})
+}
+
+func refPCT(seed int64, n, k, d int) Strategy {
+	rng := rand.New(rand.NewSource(seed))
+	prio := make([]int, n)
+	for i, proc := range rng.Perm(n) {
+		prio[proc] = d + i
+	}
+	change := map[int]int{}
+	for i := 1; i < d; i++ {
+		change[rng.Intn(k)] = d - i
+	}
+	highest := func(parked []int) int {
+		best := parked[0]
+		for _, id := range parked[1:] {
+			if prio[id] > prio[best] {
+				best = id
+			}
+		}
+		return best
+	}
+	return Func(func(step int, parked []int) Choice {
+		best := highest(parked)
+		if v, ok := change[step]; ok {
+			prio[best] = v
+			best = highest(parked)
+		}
+		return Choice{Proc: best}
+	})
+}
+
+func refRates(seed int64, weights []float64) Strategy {
+	rng := rand.New(rand.NewSource(seed))
+	weight := (&Rates{weights: weights}).weight
+	return Func(func(_ int, parked []int) Choice {
+		total := 0.0
+		for _, id := range parked {
+			total += weight(id)
+		}
+		x := rng.Float64() * total
+		for _, id := range parked {
+			if x -= weight(id); x < 0 {
+				return Choice{Proc: id}
+			}
+		}
+		return Choice{Proc: parked[len(parked)-1]}
+	})
+}
+
+func refCrashes(inner Strategy, seed int64, p float64) Strategy {
+	rng := rand.New(rand.NewSource(seed))
+	return Func(func(step int, parked []int) Choice {
+		if p > 0 && rng.Float64() < p {
+			return Choice{Proc: parked[rng.Intn(len(parked))], Crash: true}
+		}
+		return inner.Next(step, parked)
+	})
+}
+
 // TestResetMatchesFreshConstruction pins the reuse contract of the seeded
 // strategies: a value that already ran under another seed, once Reset,
 // produces exactly the schedule a freshly constructed strategy produces —
 // which is what lets a sampling worker keep one strategy value for all its
-// runs. The PCT arm additionally pins its in-place permutation draw to
-// rand.Perm, so every recorded PCT seed keeps its schedule.
+// runs — and both produce the schedule of the math/rand reference above, so
+// every recorded seed keeps its schedule. "pct-colliding" draws three change
+// points over two step indices: the later-drawn one must win, as a map
+// write would have it.
 func TestResetMatchesFreshConstruction(t *testing.T) {
 	const n, steps, k, d = 4, 5, 20, 3
 	weights := []float64{4, 1, 1, 0.5}
@@ -285,43 +362,59 @@ func TestResetMatchesFreshConstruction(t *testing.T) {
 		random  Random
 		crash   RandomCrash
 		pct     PCT
+		collide PCT
 		walk    Walk
 		rates   Rates
 		crashes Crashes
 	)
 	kinds := []struct {
-		name         string
-		fresh, reset func(seed int64) Strategy
+		name              string
+		fresh, reset, ref func(seed int64) Strategy
 	}{
-		{"random", func(s int64) Strategy { return NewRandom(s) }, func(s int64) Strategy { return random.Reset(s) }},
-		{"random-crash", func(s int64) Strategy { return NewRandomCrash(s, 0.2) }, func(s int64) Strategy { return crash.Reset(s, 0.2) }},
-		{"pct", func(s int64) Strategy { return NewPCT(s, n, k, d) }, func(s int64) Strategy { return pct.Reset(s, n, k, d) }},
-		{"walk", func(s int64) Strategy { return NewWalk(s) }, func(s int64) Strategy { return walk.Reset(s) }},
-		{"rates", func(s int64) Strategy { return NewRates(s, weights) }, func(s int64) Strategy { return rates.Reset(s, weights) }},
-		{"crashes", func(s int64) Strategy { return WithCrashes(NewRoundRobin(), s, 0.2) },
-			func(s int64) Strategy { return crashes.Reset(NewRoundRobin(), s, 0.2) }},
+		{"random",
+			func(s int64) Strategy { return NewRandom(s) },
+			func(s int64) Strategy { return random.Reset(s) },
+			refRandom},
+		{"random-crash",
+			func(s int64) Strategy { return NewRandomCrash(s, 0.2) },
+			func(s int64) Strategy { return crash.Reset(s, 0.2) },
+			func(s int64) Strategy { return refRandomCrash(s, 0.2) }},
+		{"pct",
+			func(s int64) Strategy { return NewPCT(s, n, k, d) },
+			func(s int64) Strategy { return pct.Reset(s, n, k, d) },
+			func(s int64) Strategy { return refPCT(s, n, k, d) }},
+		{"pct-colliding",
+			func(s int64) Strategy { return NewPCT(s, n, 2, 4) },
+			func(s int64) Strategy { return collide.Reset(s, n, 2, 4) },
+			func(s int64) Strategy { return refPCT(s, n, 2, 4) }},
+		{"walk",
+			func(s int64) Strategy { return NewWalk(s) },
+			func(s int64) Strategy { return walk.Reset(s) },
+			refRandom},
+		{"rates",
+			func(s int64) Strategy { return NewRates(s, weights) },
+			func(s int64) Strategy { return rates.Reset(s, weights) },
+			func(s int64) Strategy { return refRates(s, weights) }},
+		{"crashes",
+			func(s int64) Strategy { return WithCrashes(NewRoundRobin(), s, 0.2) },
+			func(s int64) Strategy { return crashes.Reset(NewRoundRobin(), s, 0.2) },
+			func(s int64) Strategy { return refCrashes(NewRoundRobin(), s, 0.2) }},
 	}
 	for _, kind := range kinds {
 		schedule(kind.reset(99)) // dirty the reused value with another seed's run
-		for seed := int64(1); seed <= 8; seed++ {
-			want, got := schedule(kind.fresh(seed)), schedule(kind.reset(seed))
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s seed %d: reset value scheduled %v, fresh one %v", kind.name, seed, got, want)
+		for seed := int64(1); seed <= 32; seed++ {
+			want := schedule(kind.ref(seed))
+			if got := schedule(kind.fresh(seed)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed %d: fresh value scheduled %v, math/rand reference %v", kind.name, seed, got, want)
+			}
+			if got := schedule(kind.reset(seed)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed %d: reset value scheduled %v, math/rand reference %v", kind.name, seed, got, want)
 			}
 		}
 	}
-	freshWalk := NewWalk(8) // the reused walk last ran seed 8
+	freshWalk := NewWalk(32) // the reused walk last ran seed 32
 	schedule(freshWalk)
 	if got, want := walk.LogWeight(), freshWalk.LogWeight(); got != want {
 		t.Fatalf("reset walk accumulated weight %v, fresh one %v", got, want)
-	}
-	for seed := int64(1); seed <= 8; seed++ {
-		want := make([]int, n)
-		for i, proc := range rand.New(rand.NewSource(seed)).Perm(n) {
-			want[proc] = d + i
-		}
-		if got := NewPCT(seed, n, k, d).prio; !reflect.DeepEqual(got, want) {
-			t.Fatalf("PCT seed %d: initial priorities %v, want rand.Perm's %v", seed, got, want)
-		}
 	}
 }

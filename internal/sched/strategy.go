@@ -36,10 +36,12 @@ func (r *RoundRobin) Next(_ int, parked []int) Choice {
 // single-run state with a Reset method built on it, so a sampling worker
 // keeps one strategy value and resets it per run — drawing exactly the
 // stream a freshly constructed strategy would — instead of allocating a
-// ~5 KB generator per sampled execution.
+// generator per sampled execution. The stream is math/rand's for that seed
+// (alfgSource reproduces it bit for bit); re-seeding costs O(1) plus the
+// words the run goes on to draw, not math/rand's 607-word warm-up.
 func reseed(r *rand.Rand, seed int64) *rand.Rand {
 	if r == nil {
-		return rand.New(rand.NewSource(seed))
+		return rand.New(newALFGSource(seed))
 	}
 	r.Seed(seed)
 	return r
