@@ -21,10 +21,10 @@
 // a JSON array of one object per row ({experiment, table, title, row,
 // cells}), the machine-readable form the bench trajectory (BENCH_*.json)
 // records; the markdown output is unchanged.
-// With -bench-dir, the engine-driving experiments (E10–E15) additionally
-// write one BENCH_<id>.json perf-trajectory file each — the committed
-// files CI's bench-regression smoke compares fresh runs against via
-// benchdiff (see EXPERIMENTS.md, "Perf-trajectory files").
+// With -bench-dir, the timed experiments (E10–E12, E14, E16, E17)
+// additionally write one BENCH_<id>.json perf-trajectory file each — the
+// committed files CI's bench-regression smoke compares fresh runs against
+// via benchdiff (see EXPERIMENTS.md, "Perf-trajectory files").
 package main
 
 import (

@@ -18,14 +18,14 @@ import (
 // The flag defaults, shared by the flag declarations in main and the
 // changed-from-default detection here.
 const (
-	defMax       = 2000000
-	defSamples   = 3000
-	defSeed      = int64(1)
-	defSampler   = "random"
-	defWorkers   = 8
-	defPrune     = "dpor"
-	defSnapshots = "auto"
-	defLincheck  = "auto"
+	defScenario = "a1"
+	defMax      = 2000000
+	defSamples  = 3000
+	defSeed     = int64(1)
+	defSampler  = "random"
+	defWorkers  = 8
+	defPrune    = "dpor"
+	defLincheck = "auto"
 )
 
 // runPath classifies an invocation by what it runs.
@@ -78,7 +78,6 @@ type cliFlags struct {
 	ckptOut    string
 	ckptIn     string
 	timeBudget time.Duration
-	snapshots  explore.SnapshotMode
 	failFast   bool
 	jsonOut    bool
 	progress   time.Duration
@@ -138,8 +137,6 @@ func flagRules() []flagRule {
 			Allowed: on(pathList, pathExhaustive), Context: dporHint},
 		{Name: "-timebudget", Set: func(f *cliFlags) bool { return f.timeBudget != 0 },
 			Allowed: on(pathList, pathExhaustive, pathExhaustiveDPOR)},
-		{Name: "-snapshots", Set: func(f *cliFlags) bool { return f.snapshots != explore.SnapshotAuto },
-			Allowed: on(pathList, pathSweep, pathExhaustive, pathExhaustiveDPOR)},
 		{Name: "-failfast", Set: func(f *cliFlags) bool { return f.failFast },
 			Allowed: on(pathList, pathExhaustive, pathExhaustiveDPOR)},
 		{Name: "-json", Set: func(f *cliFlags) bool { return f.jsonOut },

@@ -19,14 +19,13 @@ import (
 // rule's set() must report false on it.
 func defaultFlags() *cliFlags {
 	return &cliFlags{
-		sampler:   defSampler,
-		pctDepth:  randexp.DefaultPCTDepth,
-		maxExecs:  defMax,
-		samples:   defSamples,
-		seed:      defSeed,
-		prune:     explore.PruneSourceDPOR,
-		lincheck:  defLincheck,
-		snapshots: explore.SnapshotAuto,
+		sampler:  defSampler,
+		pctDepth: randexp.DefaultPCTDepth,
+		maxExecs: defMax,
+		samples:  defSamples,
+		seed:     defSeed,
+		prune:    explore.PruneSourceDPOR,
+		lincheck: defLincheck,
 	}
 }
 
@@ -45,7 +44,6 @@ var setters = map[string]func(f *cliFlags){
 	"-checkpoint-out": func(f *cliFlags) { f.ckptOut = "ckpt.json" },
 	"-checkpoint-in":  func(f *cliFlags) { f.ckptIn = "ckpt.json" },
 	"-timebudget":     func(f *cliFlags) { f.timeBudget = time.Second },
-	"-snapshots":      func(f *cliFlags) { f.snapshots = explore.SnapshotOn },
 	"-failfast":       func(f *cliFlags) { f.failFast = true },
 	"-json":           func(f *cliFlags) { f.jsonOut = true },
 	"-progress":       func(f *cliFlags) { f.progress = time.Second },

@@ -15,10 +15,7 @@
 // state-fingerprint caching in a cache shared across all workers (sleep or
 // none only; see DESIGN.md for its soundness caveats), and -crashes adds
 // crash branches at every decision point (seeded crash injection on the
-// sampled path). -snapshots selects branch restoration from memory
-// snapshots (auto restores wherever the scenario's registered objects all
-// support it; off forces prefix re-execution; the two paths explore
-// identical trees, so only the advisory replay counters move). Long explorations survive interruption: -timebudget cuts
+// sampled path). Long explorations survive interruption: -timebudget cuts
 // the walk after a wall-clock budget, -checkpoint-out saves the unexplored
 // frontier, and -checkpoint-in resumes from it (sleep or none only:
 // source-DPOR backtracking state is not serializable).
@@ -71,8 +68,7 @@ import (
 )
 
 func main() {
-	mode := flag.String("mode", "", "legacy scenario alias: invariants | def2 | composed (prefer -scenario)")
-	scenarioName := flag.String("scenario", "", "scenario to check: a registered name, gen:<seed>, or 'all' for the sweep (see -list)")
+	scenarioName := flag.String("scenario", defScenario, "scenario to check: a registered name, gen:<seed>, or 'all' for the sweep (see -list)")
 	list := flag.Bool("list", false, "print every registered and generator scenario with its oracle, then exit")
 	n := flag.Int("n", 0, "number of processes (0 = the scenario's default)")
 	maxExecs := flag.Int("max", defMax, "max execution attempts for exhaustive exploration (per scenario in a sweep)")
@@ -87,7 +83,6 @@ func main() {
 	lincheck := flag.String("lincheck", defLincheck, "linearizability checker dispatch: auto (TAS fast path, brute ≤64 ops, JIT beyond) | brute | jit")
 	cache := flag.Bool("cache", false, "state-fingerprint caching, shared across workers (requires -prune sleep or none; see DESIGN.md caveats)")
 	crashes := flag.Bool("crashes", false, "explore crash branches at every decision point")
-	snapshots := flag.String("snapshots", defSnapshots, "snapshot-based branch restoration: auto (when supported) | on | off")
 	failFast := flag.Bool("failfast", false, "stop at the first failing schedule instead of the canonical one")
 	exhaustiveN := flag.Int("exhaustive-n", 3, "largest n explored exhaustively rather than sampled")
 	timeBudget := flag.Duration("timebudget", 0, "stop the exhaustive walk after this wall-clock budget (0 = none)")
@@ -101,11 +96,6 @@ func main() {
 	flag.Parse()
 
 	pruneMode, err := explore.ParsePruneMode(*prune)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tascheck: %v\n", err)
-		os.Exit(2)
-	}
-	snapMode, err := explore.ParseSnapshotMode(*snapshots)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tascheck: %v\n", err)
 		os.Exit(2)
@@ -134,7 +124,6 @@ func main() {
 		ckptOut:    *ckptOut,
 		ckptIn:     *ckptIn,
 		timeBudget: *timeBudget,
-		snapshots:  snapMode,
 		failFast:   *failFast,
 		jsonOut:    *jsonOut,
 		progress:   *progress,
@@ -155,30 +144,13 @@ func main() {
 		return
 	}
 
-	name := *scenarioName
-	if name == "" {
-		// Legacy -mode spelling: map onto the registry so existing
-		// invocations keep working.
-		switch m := *mode; m {
-		case "", "invariants":
-			name = "a1"
-		case "def2", "composed":
-			name = m
-		default:
-			exitWithListing("unknown mode %q", m)
-		}
-	} else if *mode != "" {
-		fmt.Fprintln(os.Stderr, "tascheck: -mode and -scenario are aliases; pass only one")
-		os.Exit(2)
-	}
-
-	if name == "all" {
+	if *scenarioName == "all" {
 		validate(pathSweep, 0)
-		runSweep(cf, *n, *exhaustiveN, *maxExecs, *samples, *seed, *workers, *crashes, snapMode)
+		runSweep(cf, *n, *exhaustiveN, *maxExecs, *samples, *seed, *workers, *crashes)
 		return
 	}
 
-	sc, err := scenario.Lookup(name)
+	sc, err := scenario.Lookup(*scenarioName)
 	if err != nil {
 		exitWithListing("%v", err)
 	}
@@ -230,7 +202,6 @@ func main() {
 		Prune:         pruneMode,
 		CacheStates:   *cache,
 		FailFast:      *failFast,
-		Snapshots:     snapMode,
 		Metrics:       session.metrics(),
 	}
 	if *ckptIn != "" {
@@ -265,7 +236,7 @@ func main() {
 		how = "exhaustive-partial"
 	}
 	if *jsonOut {
-		printJSON(scenario.ExhaustiveResult(sc.Name, procs, oracle, pruneMode, snapMode, how, rep, err))
+		printJSON(scenario.ExhaustiveResult(sc.Name, procs, oracle, pruneMode, how, rep, err))
 		if err != nil {
 			os.Exit(1)
 		}
@@ -281,8 +252,8 @@ func main() {
 	if rep.Partial {
 		how = "partial (hit -max or -timebudget)"
 	}
-	fmt.Printf("tascheck %s (n=%d, oracle %s, prune %s): OK — %d interleavings (%s), %d pruned as redundant, %d backtracks, %d state-cache hits, %d prefix replays, %d snapshot restores, max depth %d\n",
-		sc.Name, procs, oracle, pruneMode, rep.Executions, how, rep.Pruned, rep.Backtracks, rep.CacheHits, rep.Replays, rep.SnapshotRestores, rep.MaxDepth)
+	fmt.Printf("tascheck %s (n=%d, oracle %s, prune %s): OK — %d interleavings (%s), %d pruned as redundant, %d backtracks, %d state-cache hits, %d prefix replays, max depth %d\n",
+		sc.Name, procs, oracle, pruneMode, rep.Executions, how, rep.Pruned, rep.Backtracks, rep.CacheHits, rep.Replays, rep.MaxDepth)
 }
 
 // verdictOf folds a run error into the run_end event's verdict field.
@@ -317,7 +288,7 @@ func exitWithListing(format string, args ...any) {
 
 // runSweep drives the registry-wide parallel sweep and prints its
 // deterministic report.
-func runSweep(cf *cliFlags, n, exhaustiveN, maxExecs, samples int, seed int64, workers int, crashes bool, snaps explore.SnapshotMode) {
+func runSweep(cf *cliFlags, n, exhaustiveN, maxExecs, samples int, seed int64, workers int, crashes bool) {
 	session, serr := newObsSession(cf, workers, map[string]string{"mode": "sweep"})
 	if serr != nil {
 		fmt.Fprintf(os.Stderr, "tascheck: %v\n", serr)
@@ -332,7 +303,6 @@ func runSweep(cf *cliFlags, n, exhaustiveN, maxExecs, samples int, seed int64, w
 		Seed:          seed,
 		Workers:       workers,
 		Crashes:       crashes,
-		Snapshots:     snaps,
 		Metrics:       session.metrics(),
 	}
 	rows, err := scenario.Sweep(scenario.Registered(), cfg)

@@ -313,31 +313,6 @@ func TestE14Shapes(t *testing.T) {
 	}
 }
 
-func TestE15Shapes(t *testing.T) {
-	tables := RunE15()
-	if len(tables) != 1 {
-		t.Fatalf("E15 tables = %d", len(tables))
-	}
-	rows := tables[0].Rows
-	if len(rows) != 16 {
-		t.Fatalf("E15 rows = %d, want 4 harnesses x 2 prunes x 2 snapshot modes", len(rows))
-	}
-	restores := 0
-	for r := 0; r < len(rows); r += 2 {
-		offExecs, onExecs := cellInt(t, tables[0], r, 3), cellInt(t, tables[0], r+1, 3)
-		if offExecs != onExecs {
-			t.Fatalf("E15 rows %d/%d: executions diverged between snapshot modes: %d vs %d", r, r+1, offExecs, onExecs)
-		}
-		if off := cellInt(t, tables[0], r, 5); off != 0 {
-			t.Fatalf("E15 row %d: snapshots-off run restored %d branches", r, off)
-		}
-		restores += cellInt(t, tables[0], r+1, 5)
-	}
-	if restores == 0 {
-		t.Fatal("E15: no snapshots-on row restored a single branch")
-	}
-}
-
 func TestE12Shapes(t *testing.T) {
 	tables := RunE12()
 	if len(tables) != 2 {

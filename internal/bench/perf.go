@@ -1,8 +1,8 @@
 package bench
 
-// Perf-trajectory capture: the engine-driving experiments (E10–E15) record
-// one PerfRow per timed engine run — executions, attempts, wall-clock and
-// the derived attempts/sec — alongside the markdown cells. composebench
+// Perf-trajectory capture: the timed experiments (E10–E12, E14, E16, E17)
+// record one PerfRow per timed run — executions, attempts, wall-clock and the
+// derived attempts/sec — alongside the markdown cells. composebench
 // -bench-dir writes them to BENCH_<id>.json files, committed so the
 // repository carries a throughput trajectory that CI's bench-regression
 // smoke can compare fresh measurements against (see EXPERIMENTS.md,

@@ -44,9 +44,3 @@ func (c *CASConsensus) ResetState() { c.cell.ResetState() }
 
 // HashState implements memory.Fingerprinter.
 func (c *CASConsensus) HashState(h *memory.StateHash) bool { return c.cell.HashState(h) }
-
-// Snapshot implements memory.Snapshotter.
-func (c *CASConsensus) Snapshot() any { return c.cell.Snapshot() }
-
-// Restore implements memory.Snapshotter.
-func (c *CASConsensus) Restore(s any) { c.cell.Restore(s) }

@@ -82,16 +82,3 @@ func (s *SplitConsensus) HashState(h *memory.StateHash) bool {
 	s.c.HashState(h)
 	return true
 }
-
-// Snapshot implements memory.Snapshotter.
-func (s *SplitConsensus) Snapshot() any {
-	return [3]any{s.split.Snapshot(), s.v.Snapshot(), s.c.Snapshot()}
-}
-
-// Restore implements memory.Snapshotter.
-func (s *SplitConsensus) Restore(v any) {
-	st := v.([3]any)
-	s.split.Restore(st[0])
-	s.v.Restore(st[1])
-	s.c.Restore(st[2])
-}

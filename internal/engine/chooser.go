@@ -56,7 +56,7 @@ func resolve(enabled []candidate, t Transition) candidate {
 // analysis tables — is scratch held here and reused, so a run allocates
 // only what it hands to the rest of the walk: decision nodes and frontier
 // items. Whatever a longer-lived value keeps from this scratch (a failing
-// path, a snapshot capture) is copied at the moment it is retained.
+// path) is copied at the moment it is retained.
 type itemChooser struct {
 	e *engine
 	w int // worker index: the obs counter shard this run writes
@@ -72,19 +72,8 @@ type itemChooser struct {
 	cacheHit  bool // aborted because the state key was already claimed
 	// lastNode is the deepest branching decision node on the path walked so
 	// far (source-DPOR only): the parent of the next node created, and the
-	// anchor item prefixes and snapshot searches are relative to.
+	// anchor item prefixes are relative to.
 	lastNode *dnode
-
-	// Snapshot capture state (see engine.snapEnabled): when snapOn, the
-	// run logs values for replay and capture() can snapshot decision
-	// points of inst for the sibling items they spawn.
-	snapOn bool
-	inst   *instance
-	// lastSnap is the most recent decision-point snapshot along this run
-	// (seeded from the item's restored snapshot, if any): sibling sets
-	// within snapStride of its depth attach to it instead of capturing,
-	// and their restores gated-replay the few remaining prefix steps.
-	lastSnap *engineSnap
 
 	// Worker scratch, reused across items. path is the canonical branch
 	// index taken at every step and trans the transition; both are kept in
@@ -107,16 +96,16 @@ type itemChooser struct {
 	scratch  dporScratch  // race-analysis tables
 }
 
-// begin re-arms the chooser for one work item on the given instance: the
+// begin re-arms the chooser for one work item on the given environment: the
 // per-item state is cleared and the item's prefix — for a source-DPOR item
 // the spawning node's root path plus the item's own tail — is laid out in
 // the trans and nodes scratch.
-func (c *itemChooser) begin(item WorkItem, inst *instance, snapOn bool) {
-	c.env, c.inst, c.snapOn = inst.env, inst, snapOn
+func (c *itemChooser) begin(item WorkItem, env *memory.Env) {
+	c.env = env
 	c.itemSleep = item.Sleep
 	c.crashed, c.pruned, c.bad, c.aborted, c.cacheHit = 0, 0, nil, false, false
-	c.lastNode, c.lastSnap = nil, nil
-	if n := inst.env.N(); len(c.steps) != n {
+	c.lastNode = nil
+	if n := env.N(); len(c.steps) != n {
 		c.steps = make([]int, n)
 	} else {
 		clear(c.steps)
@@ -153,37 +142,6 @@ func (c *itemChooser) begin(item WorkItem, inst *instance, snapOn bool) {
 	c.nodes, c.accs = c.nodes[:0], c.accs[:0]
 }
 
-// resume seeds the chooser with the bookkeeping of a restored snapshot: the
-// run re-enters at decision s.depth (possibly an ancestor of the item's
-// spawning decision: the stride captures sparsely), as if the chooser had
-// just replayed the first s.depth prefix steps, and the replay zone
-// re-executes the rest.
-func (c *itemChooser) resume(s *engineSnap) {
-	d := s.depth
-	c.path = append(c.path, s.path...)
-	for _, t := range c.prefix[:d] {
-		c.note(t)
-	}
-	c.trans = c.trans[:d]
-	if c.e.cfg.Prune != PruneSourceDPOR {
-		return
-	}
-	// The trace record the captured prefix would have produced:
-	// transitions are the prefix itself, accesses are the granted ones
-	// (zeroed for crash events, which access nothing), nodes are the
-	// item's chain by depth — the last two laid out by begin.
-	c.accs, c.nodes = c.accs[:d], c.nodes[:d]
-	for i, t := range c.prefix[:d] {
-		c.accs[i] = memory.Access{}
-		if !t.Crash {
-			c.accs[i] = s.resAccs[i]
-		}
-		if c.nodes[i] != nil {
-			c.lastNode = c.nodes[i]
-		}
-	}
-}
-
 // newItem builds the frontier item that branches off with transition t
 // after the steps mid beyond node (the whole path so far when node is nil),
 // carrying the sleep set sl. mid and sl are scratch: the item gets its own
@@ -199,110 +157,6 @@ func newItem(node *dnode, mid []Transition, t Transition, sl []Transition) WorkI
 		item.Sleep = buf[k:]
 	}
 	return item
-}
-
-// capture snapshots the current decision point for branch restoration:
-// the memory state, the prefix bookkeeping (copied: the path is worker
-// scratch and the schedule and accesses are the executor's reused Result
-// buffers, all overwritten by the next run), and every process's value
-// log. refs is the number of take() calls expected (engine.pinnedRefs for
-// source-DPOR nodes). It must be called from inside a Choose decision,
-// before the chosen branch is recorded, so everything captured ends exactly
-// at this decision's depth. Returns nil — and sticky-disables snapshots for
-// the walk — if the environment declines.
-func (c *itemChooser) capture(refs int32) *engineSnap {
-	if !c.snapOn {
-		return nil
-	}
-	mem, ok := c.env.Snapshot()
-	if !ok {
-		if c.e.obs != nil && !c.e.snapDisabled.Load() {
-			c.e.obs.Event("snapshot_fallback", map[string]any{
-				"reason": "environment declined capture; reconstruct path for the rest of the walk",
-			})
-		}
-		c.e.snapDisabled.Store(true)
-		c.snapOn = false
-		return nil
-	}
-	schedView, accView := c.inst.exec.PrefixView()
-	// Pack copies of every process's value log into one backing array (the
-	// processes recycle their log buffers across runs, so views must not be
-	// retained), and precompute the per-process fast-forward positions the
-	// executor would otherwise rederive on every restore.
-	n := c.env.N()
-	total := 0
-	for i := 0; i < n; i++ {
-		total += c.env.Proc(i).LogLen()
-	}
-	buf := make([]memory.ReplayRec, 0, total)
-	logs := make([][]memory.ReplayRec, n)
-	for i := 0; i < n; i++ {
-		start := len(buf)
-		buf = c.env.Proc(i).LogAppend(buf)
-		logs[i] = buf[start:len(buf):len(buf)]
-	}
-	posBuf := make([]int32, 0, len(schedView))
-	posAfter := make([][]int32, n)
-	for i := 0; i < n; i++ {
-		start := len(posBuf)
-		for j, ch := range schedView {
-			if !ch.Crash && ch.Proc == i {
-				posBuf = append(posBuf, int32(j+1))
-			}
-		}
-		posAfter[i] = posBuf[start:len(posBuf):len(posBuf)]
-	}
-	s := &engineSnap{
-		depth:    len(schedView),
-		inst:     c.inst,
-		mem:      mem,
-		path:     append([]int(nil), c.path...),
-		sched:    append([]sched.Choice(nil), schedView...),
-		resAccs:  append([]memory.Access(nil), accView...),
-		logs:     logs,
-		posAfter: posAfter,
-		refs:     refs,
-	}
-	s.bytes = mem.Size() + snapOverhead(s)
-	c.e.snaps.admit(s)
-	c.e.snapBytes.Add(s.bytes)
-	if c.e.obs != nil {
-		c.e.obs.SnapshotCaptures.Inc(c.w)
-		c.e.obs.SnapshotBytes.Add(c.w, s.bytes)
-	}
-	return s
-}
-
-// snapWanted reports whether a new source-DPOR decision node at the given
-// depth should capture a snapshot: only when no ancestor node within
-// snapStride depths holds a live one (see snapStride). The walk is up the
-// shared parent chain, so spacing is consistent across the runs that
-// re-visit it.
-func (c *itemChooser) snapWanted(depth int) bool {
-	if !c.snapOn {
-		return false
-	}
-	for nd := c.lastNode; nd != nil; nd = nd.parent {
-		if nd.depth <= depth-snapStride {
-			break
-		}
-		if nd.snap.live() {
-			return false
-		}
-	}
-	return true
-}
-
-// nearestSnap returns the deepest live snapshot held by n or a branching
-// ancestor of it — the restoration point closest to a branch off n.
-func nearestSnap(n *dnode) *engineSnap {
-	for ; n != nil; n = n.parent {
-		if s := n.snap; s.live() {
-			return s
-		}
-	}
-	return nil
 }
 
 // note records a taken choice in the per-process progress counters that,
@@ -484,23 +338,6 @@ func (c *itemChooser) Choose(step int, parked []sched.ProcState) sched.Choice {
 				c.sl = sl
 			}
 			c.explored = explored
-			if len(items) > 0 {
-				// All siblings restore from the same snapshot; each differs
-				// only in its replayed suffix, which the replay zone still
-				// chooses live. A live snapshot within snapStride of this
-				// depth is reused (restores gated-replay the gap) so dense
-				// branching does not capture at every decision.
-				s := c.lastSnap
-				if !s.live() || s.depth <= step-snapStride || !c.e.snaps.addRefs(s, int32(len(items))) {
-					s = c.capture(int32(len(items)))
-					c.lastSnap = s
-				}
-				if s != nil {
-					for i := range items {
-						items[i].snap = s
-					}
-				}
-			}
 			c.enqueueReversed(items)
 		}
 	}

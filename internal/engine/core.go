@@ -127,8 +127,6 @@ func (c *Core) RegisterObs(m *obs.Metrics) (remove func()) {
 			func(s *sched.ExecStats) int64 { return s.CrashUnwinds.Load() }),
 		execStat("sched_runs_total", "Executions entered through pooled executors.",
 			func(s *sched.ExecStats) int64 { return s.Runs.Load() }),
-		execStat("sched_replay_runs_total", "Executions entered by snapshot-restored fast-forward (RunReplay).",
-			func(s *sched.ExecStats) int64 { return s.ReplayRuns.Load() }),
 	}
 	kindNames := [6]string{"read", "write", "cas", "tas", "fetch_inc", "swap"}
 	envStat := func(name, help string, pick func(*memory.Env) int64) func() {

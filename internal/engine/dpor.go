@@ -121,11 +121,6 @@ type dnode struct {
 	// is checked against and the sequence a late branch's sleep set is
 	// accumulated over (tiny: linear scans).
 	explored []Transition
-
-	// snap is the branch-restoration snapshot of this decision point,
-	// pinned in the ledger (backtrack additions arrive at any later time).
-	// Nil when snapshots are off or the capture declined; may be evicted.
-	snap *engineSnap
 }
 
 // newNode materializes the branching decision point the run is at (depth
@@ -182,9 +177,6 @@ func (c *itemChooser) chooseDPOR(step int, parked []sched.ProcState, cands, awak
 	if len(parked) >= 2 {
 		node = c.newNode(cands, chosen.t)
 		c.lastNode = node
-		if c.snapWanted(step) {
-			node.snap = c.capture(pinnedRefs)
-		}
 	}
 
 	if e.cfg.Crashes {
@@ -215,16 +207,6 @@ func (c *itemChooser) chooseDPOR(step int, parked []sched.ProcState, cands, awak
 			}
 		}
 		c.explored = explored
-		if len(items) > 0 {
-			// Crash siblings restore from the nearest live ancestor
-			// snapshot (possibly this node's own) and gated-replay the
-			// rest; all source-DPOR snapshots are pinned, so sharing one
-			// across items needs no refcounting.
-			snap := nearestSnap(c.lastNode)
-			for i := range items {
-				items[i].snap = snap
-			}
-		}
 		c.enqueueReversed(items)
 	}
 
@@ -447,13 +429,8 @@ func (n *dnode) addBacktrack(c *itemChooser, initials []Transition, pref Transit
 	if e.obs != nil {
 		e.obs.Backtracks.Inc(0)
 	}
-	// The item is this node plus one transition; it restores from the
-	// deepest live snapshot along the node's chain (its own if the stride
-	// captured here), and the replay zone re-executes the at most
-	// snapStride decisions between it and the branch.
-	item := newItem(n, nil, t, sl)
-	item.snap = nearestSnap(n)
-	e.enqueue(item)
+	// The item is this node plus one transition.
+	e.enqueue(newItem(n, nil, t, sl))
 }
 
 // cacheKey identifies a decision-point state: both fingerprint lanes plus

@@ -219,22 +219,6 @@ type Config struct {
 	// the run that produced it. Counters restart from zero. Incompatible
 	// with PruneSourceDPOR (its backtracking state is not serializable).
 	Resume *Checkpoint
-	// Snapshots selects branch restoration from memory snapshots (see
-	// SnapshotMode; the zero value is SnapshotAuto). When active, the
-	// engine captures the registered shared state at branching decision
-	// points and restores it — fast-forwarding the process bodies over
-	// recorded value logs — instead of re-executing the choice prefix from
-	// scratch. Requires a pooled harness whose every registered object
-	// implements memory.Snapshotter; anything else degrades, per item, to
-	// the reconstruct path. Deterministic Report fields are identical
-	// either way (the equivalence property tests pin this); only the
-	// advisory Replays/SnapshotRestores/SnapshotBytes counters and
-	// wall-clock change.
-	Snapshots SnapshotMode
-	// SnapshotBudget bounds the total estimated bytes of live snapshots
-	// (0 = 64 MiB). Over budget, the shallowest held snapshot is dropped
-	// first; dropped snapshots fall back to the reconstruct path.
-	SnapshotBudget int64
 	// Metrics, when non-nil, attaches the observability layer: the walk
 	// increments the domain's sharded counters (a handful of atomic adds
 	// per execution, never per scheduler step), registers frontier and
@@ -281,17 +265,10 @@ type Report struct {
 	// claimed by another part of the walk. Zero unless Config.CacheStates
 	// is set and the harness registers its shared objects. Advisory.
 	CacheHits int
-	// Replays counts executions that re-entered the tree by re-executing a
-	// nonempty choice prefix from the initial state (the reconstruct
-	// path). Advisory.
+	// Replays counts attempts that re-entered the tree by re-executing a
+	// nonempty choice prefix from the initial state: every work item but
+	// the root. Advisory.
 	Replays int
-	// SnapshotRestores counts executions that re-entered the tree by
-	// restoring a memory snapshot and fast-forwarding the recorded prefix
-	// (see Config.Snapshots). Advisory.
-	SnapshotRestores int
-	// SnapshotBytes is the cumulative estimated size of the snapshots
-	// captured during the walk. Advisory.
-	SnapshotBytes int64
 	// Partial reports whether the walk was cut off by MaxExecutions,
 	// MaxDepth or TimeBudget. Deterministic on completed walks (false).
 	Partial bool
@@ -349,12 +326,6 @@ type WorkItem struct {
 	// an item shares its prefix with the tree instead of copying it. Never
 	// serialized — which is why source-DPOR walks are not checkpointable.
 	node *dnode
-
-	// snap is the branch-restoration snapshot captured at the decision
-	// point that spawned this item, when snapshots are active. In-memory
-	// only (never serialized); a checkpoint resumed in another program run
-	// reconstructs its prefixes as always.
-	snap *engineSnap
 }
 
 // Checkpoint is a resumable frontier: the set of work items an interrupted
@@ -430,20 +401,12 @@ type engine struct {
 
 	backtracks atomic.Int64 // race-driven additions (source-DPOR)
 
-	// Snapshot-restoration state: the bounded ledger of captured
-	// snapshots, the cumulative captured bytes, and the sticky kill switch
-	// flipped when the environment declines a capture at runtime.
-	snaps        *snapLedger
-	snapBytes    atomic.Int64
-	snapDisabled atomic.Bool
-
 	// The result fields below are guarded by core.checkMu, which also
 	// serializes harness construction, check and reset calls.
 	executions  int
 	pruned      int
 	cacheHits   int
 	replays     int
-	snapRests   int
 	truncated   bool
 	maxDepth    int
 	fpOK        bool
@@ -498,7 +461,7 @@ func Run(h Harness, cfg Config) (Report, error) {
 			removeLayers()
 		}()
 		e.obs.Event("walk_start", map[string]any{
-			"workers": workers, "prune": cfg.Prune.String(), "snapshots": cfg.Snapshots.String(),
+			"workers": workers, "prune": cfg.Prune.String(),
 			"crashes": cfg.Crashes, "resume": cfg.Resume != nil,
 		})
 	}
@@ -507,28 +470,6 @@ func Run(h Harness, cfg Config) (Report, error) {
 	}
 	if cfg.CacheStates {
 		e.cache = newStateCache()
-	}
-	// Auto engages snapshots only where they are profitable: under none and
-	// sleep every sibling re-enters through a deep redundant prefix, while
-	// source-DPOR's short, rare prefixes make capture cost parity at best
-	// (see DESIGN.md "Incremental replay" and the E15 ledger). On forces
-	// capture regardless, for the equivalence tests and for measurement.
-	if cfg.Snapshots == SnapshotOn ||
-		(cfg.Snapshots == SnapshotAuto && cfg.Prune != PruneSourceDPOR) {
-		e.snaps = newSnapLedger(cfg.SnapshotBudget)
-		if e.obs != nil {
-			e.snaps.onEvict = func(count int64, depth int, bytes int64) {
-				e.obs.SnapshotEvictions.Inc(0)
-				// Evictions can churn by the hundred thousand on deep walks;
-				// log only power-of-two milestones to keep the event stream
-				// bounded.
-				if count&(count-1) == 0 {
-					e.obs.Event("snapshot_evicted", map[string]any{
-						"count": count, "depth": depth, "bytes": bytes,
-					})
-				}
-			}
-		}
 	}
 	if cfg.Resume != nil {
 		e.queue = append(e.queue, cfg.Resume.Items...)
@@ -558,17 +499,15 @@ func Run(h Harness, cfg Config) (Report, error) {
 	wg.Wait()
 
 	rep := Report{
-		Executions:       e.executions,
-		Attempts:         e.started,
-		Pruned:           e.pruned,
-		Backtracks:       int(e.backtracks.Load()),
-		CacheHits:        e.cacheHits,
-		Replays:          e.replays,
-		SnapshotRestores: e.snapRests,
-		SnapshotBytes:    e.snapBytes.Load(),
-		MaxDepth:         e.maxDepth,
-		Partial:          len(e.leftover) > 0 || e.truncated,
-		WallTime:         time.Since(start),
+		Executions: e.executions,
+		Attempts:   e.started,
+		Pruned:     e.pruned,
+		Backtracks: int(e.backtracks.Load()),
+		CacheHits:  e.cacheHits,
+		Replays:    e.replays,
+		MaxDepth:   e.maxDepth,
+		Partial:    len(e.leftover) > 0 || e.truncated,
+		WallTime:   time.Since(start),
 	}
 	if rep.Partial {
 		rep.CutBy = e.cutBy
@@ -682,32 +621,12 @@ func (e *engine) enqueue(item WorkItem) {
 	e.mu.Unlock()
 }
 
-// snapEnabled reports whether this run should capture and restore
-// snapshots on the given instance: the ledger exists (on, or auto under a
-// profitable prune mode), the instance is pooled, the environment's
-// registry is exactly snapshottable, and no earlier capture declined at
-// runtime (a sticky, walk-wide disable — a registry that declines once
-// will decline again).
-func (e *engine) snapEnabled(inst *instance) bool {
-	return e.snaps != nil &&
-		inst.exec != nil &&
-		!e.snapDisabled.Load() &&
-		inst.env.Snapshottable()
-}
-
 // runItem executes one frontier prefix to a leaf, enqueuing the sibling
 // branches it passes on the way down (in source-DPOR mode: only crash
 // siblings eagerly; step siblings on demand from the race analysis of the
 // completed trace). With a pooled instance the bodies re-enter the
 // persistent executor and the instance is reset afterwards; otherwise the
 // freshly constructed instance runs through a one-shot executor.
-//
-// When the item carries a live snapshot of its spawning decision point
-// (and snapshots are enabled for this instance), the memory state is
-// restored and the executor fast-forwards the prefix instead of
-// re-executing it; the chooser is pre-seeded with the captured path so the
-// run is indistinguishable — in every deterministic respect — from a
-// reconstructed one.
 //
 // ch is the worker's chooser and res the executor's reused Result: both are
 // overwritten by the worker's next item, so the one thing that outlives
@@ -724,30 +643,11 @@ func (e *engine) runItem(ch *itemChooser, inst *instance, item WorkItem) {
 			e.fail(harnessPanic(stage, r, res))
 		}
 	}()
-	snapOn := e.snapEnabled(inst)
-	ch.begin(item, inst, snapOn)
-	restored := false
-	if snapOn && item.snap != nil {
-		if s, ok := e.snaps.take(item.snap, inst); ok {
-			ch.resume(&s)
-			// The restored snapshot also serves as the run's most recent
-			// capture point: sibling sets within snapStride of its depth
-			// attach to it rather than capturing anew.
-			ch.lastSnap = item.snap
-			inst.env.Restore(s.mem)
-			res = inst.exec.RunReplay(ch, &sched.Prefix{Schedule: s.sched, Accesses: s.resAccs, Logs: s.logs, PosAfter: s.posAfter})
-			restored = true
-		}
-	}
-	if !restored {
-		switch {
-		case inst.exec == nil:
-			res = sched.RunChooser(inst.env, ch, inst.bodies)
-		case snapOn:
-			res = inst.exec.RunCapture(ch)
-		default:
-			res = inst.exec.Run(ch)
-		}
+	ch.begin(item, inst.env)
+	if inst.exec == nil {
+		res = sched.RunChooser(inst.env, ch, inst.bodies)
+	} else {
+		res = inst.exec.Run(ch)
 	}
 
 	if ch.bad == nil && e.cfg.Prune == PruneSourceDPOR {
@@ -759,7 +659,7 @@ func (e *engine) runItem(ch *itemChooser, inst *instance, item WorkItem) {
 	e.core.checkMu.Lock()
 	defer e.core.checkMu.Unlock()
 	stage = stageCheck // the only harness code merge calls
-	e.merge(ch, inst, res, restored)
+	e.merge(ch, inst, res)
 	if inst.exec != nil {
 		stage = stageReset
 		inst.env.Reset()
@@ -769,7 +669,7 @@ func (e *engine) runItem(ch *itemChooser, inst *instance, item WorkItem) {
 
 // merge folds one finished run into the walk's result fields and, if it
 // reached a leaf, checks it. The caller holds the check lock.
-func (e *engine) merge(ch *itemChooser, inst *instance, res *sched.Result, restored bool) {
+func (e *engine) merge(ch *itemChooser, inst *instance, res *sched.Result) {
 	w := ch.w
 	if ch.bad != nil {
 		e.failLocked(ch.bad)
@@ -779,12 +679,7 @@ func (e *engine) merge(ch *itemChooser, inst *instance, res *sched.Result, resto
 	if e.obs != nil && ch.pruned > 0 {
 		e.obs.Pruned.Add(w, int64(ch.pruned))
 	}
-	if restored {
-		e.snapRests++
-		if e.obs != nil {
-			e.obs.SnapshotRestores.Inc(w)
-		}
-	} else if len(ch.prefix) > 0 {
+	if len(ch.prefix) > 0 {
 		e.replays++
 		if e.obs != nil {
 			e.obs.Replays.Inc(w)

@@ -3,10 +3,10 @@ package engine_test
 // Retention safety of the allocation-free attempt path. A worker's chooser
 // scratch and its executor's Result are overwritten by every later attempt,
 // so whatever outlives an attempt — the walk's best failure, a sampled
-// failure, a snapshot capture — must have been copied out when it was
-// retained. Each test here retains something early, lets hundreds to
-// thousands of later attempts reuse the buffers, and then holds the
-// retained value to a known answer. Run them under -race -count=10.
+// failure — must have been copied out when it was retained. Each test here
+// retains something early, lets hundreds to thousands of later attempts
+// reuse the buffers, and then holds the retained value to a known answer.
+// Run them under -race -count=10.
 
 import (
 	"errors"
@@ -101,45 +101,6 @@ func TestSampledFailureSurvivesBufferReuse(t *testing.T) {
 			first = ce.Schedule
 		} else if fmt.Sprint(first) != fmt.Sprint(ce.Schedule) {
 			t.Fatalf("seed 29's schedule depends on the worker count:\n%v\nvs\n%v", first, ce.Schedule)
-		}
-	}
-}
-
-// TestSnapshotCopiesEquivalence pins the snapshot side of the same rule: a
-// capture keeps copies of the run's buffers (which are reused), and
-// restoring from them must be indistinguishable from re-executing the prefix — a1 and composed at three
-// processes, legacy sleep sets (sibling-counted snapshots) and source-DPOR
-// (pinned ones), one worker (every count exact) and four.
-func TestSnapshotCopiesEquivalence(t *testing.T) {
-	for _, name := range []string{"a1", "composed"} {
-		sc, err := scenario.Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, prune := range []engine.PruneMode{engine.PruneSleep, engine.PruneSourceDPOR} {
-			for _, workers := range []int{1, 4} {
-				walk := func(snaps engine.SnapshotMode) engine.Report {
-					h, _ := sc.Build(3, scenario.Options{})
-					rep, err := engine.Run(h, engine.Config{Prune: prune, Workers: workers, Snapshots: snaps})
-					if err != nil {
-						t.Fatalf("%s %v workers=%d snapshots=%v: %v", name, prune, workers, snaps, err)
-					}
-					return rep
-				}
-				off, on := walk(engine.SnapshotOff), walk(engine.SnapshotOn)
-				label := fmt.Sprintf("%s n=3 %v workers=%d", name, prune, workers)
-				if on.SnapshotRestores == 0 || off.SnapshotRestores != 0 {
-					t.Fatalf("%s: %d restores with snapshots on, %d with them off", label, on.SnapshotRestores, off.SnapshotRestores)
-				}
-				if on.Executions != off.Executions || on.MaxDepth != off.MaxDepth || on.Partial != off.Partial ||
-					fmt.Sprint(on.TerminalStates) != fmt.Sprint(off.TerminalStates) {
-					t.Fatalf("%s: deterministic fields diverged:\non  %+v\noff %+v", label, on, off)
-				}
-				if workers == 1 && (on.Attempts != off.Attempts || on.Pruned != off.Pruned || on.Backtracks != off.Backtracks ||
-					on.SnapshotRestores+on.Replays != off.Replays) {
-					t.Fatalf("%s: one-worker counts diverged:\non  %+v\noff %+v", label, on, off)
-				}
-			}
 		}
 	}
 }

@@ -47,20 +47,6 @@ const (
 // with the historical boolean spellings accepted).
 func ParsePruneMode(s string) (PruneMode, error) { return engine.ParsePruneMode(s) }
 
-// SnapshotMode selects snapshot-based branch restoration versus prefix
-// re-execution; see engine.SnapshotMode.
-type SnapshotMode = engine.SnapshotMode
-
-// The snapshot modes of Config.Snapshots, re-exported for this frontend.
-const (
-	SnapshotAuto = engine.SnapshotAuto
-	SnapshotOn   = engine.SnapshotOn
-	SnapshotOff  = engine.SnapshotOff
-)
-
-// ParseSnapshotMode parses a -snapshots flag value ("auto" | "on" | "off").
-func ParseSnapshotMode(s string) (SnapshotMode, error) { return engine.ParseSnapshotMode(s) }
-
 // Report summarizes an exploration; see engine.Report for which fields are
 // deterministic and which advisory.
 type Report = engine.Report

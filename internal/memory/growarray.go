@@ -16,10 +16,9 @@ import "sync/atomic"
 type GrowArray[T any] struct {
 	mk   func(i int) *T
 	base atomic.Uint64 // first of Cap() reserved slot identities
-	// hi is a high-water mark over installed chunk indices, so reset and
-	// snapshot scans touch only the live prefix of the directory instead of
-	// all dirSize entries. It only grows (a stale-high value merely widens
-	// the scan).
+	// hi is a high-water mark over installed chunk indices, so a reset
+	// touches only the live prefix of the directory instead of all dirSize
+	// entries. It only grows (a stale-high value merely widens the scan).
 	hi  atomic.Int32
 	dir [dirSize]atomic.Pointer[chunk[T]]
 }
@@ -63,73 +62,6 @@ func (a *GrowArray[T]) raiseHi(ci int) {
 	}
 }
 
-// growSlot is one live slot in a GrowArray snapshot: the slot index, the
-// identical slot pointer (restore must reinstall the same object so
-// pointers held by replayed processes stay valid), and the slot object's
-// own snapshot.
-type growSlot struct {
-	idx   int
-	ptr   any
-	state any
-}
-
-// growSnap is the snapshot of a GrowArray: its live slots in index order.
-type growSnap struct{ slots []growSlot }
-
-func (s *growSnap) snapSize() int64 { return int64(len(s.slots)) * 64 }
-
-// Snapshot implements Snapshotter: each live slot contributes its pointer
-// and its element's snapshot. If the element type is not itself a
-// Snapshotter the array declines (returns nil), which disables
-// snapshotting for the whole environment.
-func (a *GrowArray[T]) Snapshot() any {
-	s := &growSnap{}
-	for ci := 0; ci <= int(a.hi.Load()) && ci < dirSize; ci++ {
-		c := a.dir[ci].Load()
-		if c == nil {
-			continue
-		}
-		for si := range c.slots {
-			p := c.slots[si].Load()
-			if p == nil {
-				continue
-			}
-			sn, ok := any(p).(Snapshotter)
-			if !ok {
-				return nil
-			}
-			st := sn.Snapshot()
-			if st == nil {
-				return nil
-			}
-			s.slots = append(s.slots, growSlot{idx: ci*chunkSize + si, ptr: p, state: st})
-		}
-	}
-	return s
-}
-
-// Restore implements Snapshotter: the directory reverts to exactly the
-// snapshot's live-slot set, reinstalling the identical slot objects and
-// restoring each one's state.
-func (a *GrowArray[T]) Restore(v any) {
-	s := v.(*growSnap)
-	for ci := 0; ci <= int(a.hi.Load()) && ci < dirSize; ci++ {
-		a.dir[ci].Store(nil)
-	}
-	for _, sl := range s.slots {
-		ci, si := sl.idx/chunkSize, sl.idx%chunkSize
-		c := a.dir[ci].Load()
-		if c == nil {
-			c = &chunk[T]{}
-			a.dir[ci].Store(c)
-			a.raiseHi(ci)
-		}
-		p := sl.ptr.(*T)
-		any(p).(Snapshotter).Restore(sl.state)
-		c.slots[si].Store(p)
-	}
-}
-
 // HashState implements Fingerprinter: slot contents are arbitrary values
 // created at schedule-dependent times, so the array reports itself
 // unfingerprintable.
@@ -159,24 +91,21 @@ func (a *GrowArray[T]) slotObj(i int) uint64 {
 // Get returns slot i, creating it if necessary. It charges one read step,
 // plus one CAS if this call had to publish the slot.
 func (a *GrowArray[T]) Get(p *Proc, i int) *T {
+	slot := a.lookup(p, i)
+	if s := slot.Load(); s != nil {
+		return s
+	}
+	return a.publish(p, i, slot, a.mk(i))
+}
+
+// lookup is the gated read step Get and GetOrPut share: it returns slot i's
+// cell, installing its chunk if absent.
+func (a *GrowArray[T]) lookup(p *Proc, i int) *atomic.Pointer[T] {
 	if i < 0 || i >= a.Cap() {
 		panic("memory: GrowArray index out of range")
 	}
-	if rec, ok := p.ffRec(); ok {
-		if s, _ := rec.P.(*T); s != nil {
-			return s
-		}
-		// The recorded lookup found the slot empty, so the recorded call
-		// continued into the publishing CAS — a second gated step with its
-		// own record. If the log ends between the two, the process goes
-		// live mid-call and must perform the publish for real.
-		if rec2, ok2 := p.ffRec(); ok2 {
-			return rec2.P.(*T)
-		}
-		return a.publish(p, i)
-	}
 	p.enterObj(OpRead, a.slotObj(i))
-	ci, si := i/chunkSize, i%chunkSize
+	ci := i / chunkSize
 	c := a.dir[ci].Load()
 	if c == nil {
 		fresh := &chunk[T]{}
@@ -187,41 +116,18 @@ func (a *GrowArray[T]) Get(p *Proc, i int) *T {
 		}
 		a.raiseHi(ci)
 	}
-	s := c.slots[si].Load()
-	if s != nil {
-		p.logP(s)
-		return s
-	}
-	p.logP((*T)(nil))
-	return a.publish(p, i)
+	return &c.slots[i%chunkSize]
 }
 
-// publish creates and installs slot i (the second, slot-creating gated step
-// of a Get whose lookup found the slot empty), adopting a concurrent
-// winner on CAS failure.
-func (a *GrowArray[T]) publish(p *Proc, i int) *T {
-	ci, si := i/chunkSize, i%chunkSize
-	fresh := a.mk(i)
+// publish installs v in the empty slot a lookup found (the second,
+// slot-creating gated step), adopting a concurrent winner on CAS failure.
+func (a *GrowArray[T]) publish(p *Proc, i int, slot *atomic.Pointer[T], v *T) *T {
 	p.enterObj(OpCAS, a.slotObj(i))
-	c := a.dir[ci].Load()
-	if c == nil {
-		fc := &chunk[T]{}
-		if a.dir[ci].CompareAndSwap(nil, fc) {
-			c = fc
-		} else {
-			c = a.dir[ci].Load()
-		}
-		a.raiseHi(ci)
+	if slot.CompareAndSwap(nil, v) {
+		return v
 	}
-	var out *T
-	if c.slots[si].CompareAndSwap(nil, fresh) {
-		out = fresh
-	} else {
-		p.rmwFail(OpCAS)
-		out = c.slots[si].Load()
-	}
-	p.logP(out)
-	return out
+	p.rmwFail(OpCAS)
+	return slot.Load()
 }
 
 // GetOrPut returns slot i, publishing v as its value if the slot is still
@@ -229,62 +135,11 @@ func (a *GrowArray[T]) publish(p *Proc, i int) *T {
 // write-once registry primitive the universal construction uses to map
 // request ids to requests before proposing them.
 func (a *GrowArray[T]) GetOrPut(p *Proc, i int, v *T) *T {
-	if i < 0 || i >= a.Cap() {
-		panic("memory: GrowArray index out of range")
-	}
-	if rec, ok := p.ffRec(); ok {
-		if s, _ := rec.P.(*T); s != nil {
-			return s
-		}
-		if rec2, ok2 := p.ffRec(); ok2 {
-			return rec2.P.(*T)
-		}
-		return a.putLive(p, i, v)
-	}
-	p.enterObj(OpRead, a.slotObj(i))
-	ci, si := i/chunkSize, i%chunkSize
-	c := a.dir[ci].Load()
-	if c == nil {
-		fresh := &chunk[T]{}
-		if a.dir[ci].CompareAndSwap(nil, fresh) {
-			c = fresh
-		} else {
-			c = a.dir[ci].Load()
-		}
-		a.raiseHi(ci)
-	}
-	if s := c.slots[si].Load(); s != nil {
-		p.logP(s)
+	slot := a.lookup(p, i)
+	if s := slot.Load(); s != nil {
 		return s
 	}
-	p.logP((*T)(nil))
-	return a.putLive(p, i, v)
-}
-
-// putLive is GetOrPut's publishing step (mirrors publish, but installs the
-// caller's value rather than a factory-made one).
-func (a *GrowArray[T]) putLive(p *Proc, i int, v *T) *T {
-	ci, si := i/chunkSize, i%chunkSize
-	p.enterObj(OpCAS, a.slotObj(i))
-	c := a.dir[ci].Load()
-	if c == nil {
-		fc := &chunk[T]{}
-		if a.dir[ci].CompareAndSwap(nil, fc) {
-			c = fc
-		} else {
-			c = a.dir[ci].Load()
-		}
-		a.raiseHi(ci)
-	}
-	var out *T
-	if c.slots[si].CompareAndSwap(nil, v) {
-		out = v
-	} else {
-		p.rmwFail(OpCAS)
-		out = c.slots[si].Load()
-	}
-	p.logP(out)
-	return out
+	return a.publish(p, i, slot, v)
 }
 
 // Peek returns slot i if it has already been created, without creating it.
@@ -293,17 +148,10 @@ func (a *GrowArray[T]) Peek(p *Proc, i int) *T {
 	if i < 0 || i >= a.Cap() {
 		panic("memory: GrowArray index out of range")
 	}
-	if rec, ok := p.ffRec(); ok {
-		s, _ := rec.P.(*T)
-		return s
-	}
 	p.enterObj(OpRead, a.slotObj(i))
 	c := a.dir[i/chunkSize].Load()
 	if c == nil {
-		p.logP((*T)(nil))
 		return nil
 	}
-	s := c.slots[i%chunkSize].Load()
-	p.logP(s)
-	return s
+	return c.slots[i%chunkSize].Load()
 }

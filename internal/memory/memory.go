@@ -211,10 +211,9 @@ func (h *StateHash) Sum128() Fingerprint { return Fingerprint{h.a, h.b} }
 // objects are created independently and shared by closure, and harnesses
 // that want Reset/Fingerprint support register them explicitly.
 type Env struct {
-	procs           []*Proc
-	objs            []Resettable
-	unhashable      bool
-	unsnapshottable bool
+	procs      []*Proc
+	objs       []Resettable
+	unhashable bool
 	// stampClock orders EventStamp calls of ungated processes.
 	stampClock atomic.Int64
 	// fpHash is Fingerprint's accumulator, reused across calls.
@@ -339,9 +338,6 @@ func (e *Env) Register(objs ...Resettable) {
 		if _, ok := o.(Fingerprinter); !ok {
 			e.unhashable = true
 		}
-		if _, ok := o.(Snapshotter); !ok {
-			e.unsnapshottable = true
-		}
 	}
 }
 
@@ -400,16 +396,12 @@ type Proc struct {
 	crashed atomic.Bool
 
 	// pos is the schedule position after the process's last granted step;
-	// stampSeq disambiguates multiple EventStamp calls at one position; rp
-	// is the capture/fast-forward state of snapshot-based replay. All three
-	// are written either by the process itself or by the scheduler before a
-	// grant (which happens-before the process resumes), so they need no
-	// atomicity.
+	// stampSeq disambiguates multiple EventStamp calls at one position.
+	// Both are written either by the process itself or by the scheduler
+	// before a grant (which happens-before the process resumes), so they
+	// need no atomicity.
 	pos      int32
 	stampSeq int32
-	rp       *procReplay
-	rpState  procReplay  // backing storage for rp: one per process, reused
-	capBuf   []ReplayRec // recycled capture-log buffer (see StartCapture)
 }
 
 // ID returns the process id (0-based).
@@ -525,6 +517,33 @@ func (p *Proc) rmwFail(kind OpKind) {
 		return
 	}
 	p.instr.RMWFail(p.id, kind)
+}
+
+// SetPos records the process's current schedule position (the number of
+// scheduler decisions made once this process's step was granted).
+// Scheduler use only; EventStamp folds it into logical timestamps.
+func (p *Proc) SetPos(v int) { p.pos = int32(v) }
+
+// globalStampClock serializes EventStamp for detached processes.
+var globalStampClock atomic.Int64
+
+// EventStamp returns a logical timestamp for an observation the process
+// makes between shared-memory steps (trace events, lock-hold intervals).
+// Stamps are strictly increasing per process, and stamps taken by
+// different processes order consistently with the schedule positions at
+// which they were taken — a function of the schedule alone, so re-executing
+// a schedule regenerates the same stamps, unlike a shared wall-order
+// counter. Ungated processes (wall-clock benchmarks) fall back to a shared
+// atomic clock. All stamps are nonzero.
+func (p *Proc) EventStamp() int64 {
+	if p.gate == nil {
+		if p.env != nil {
+			return p.env.stampClock.Add(1)
+		}
+		return globalStampClock.Add(1)
+	}
+	p.stampSeq++
+	return (int64(p.pos)+1)<<32 | int64(p.id&0xff)<<24 | int64(p.stampSeq&0xffffff)
 }
 
 // NewDetachedProc creates a process handle that is not part of any Env.

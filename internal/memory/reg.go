@@ -28,31 +28,16 @@ func (r *IntReg) HashState(h *StateHash) bool {
 	return true
 }
 
-// Snapshot implements Snapshotter.
-func (r *IntReg) Snapshot() any { return r.v.Load() }
-
-// Restore implements Snapshotter.
-func (r *IntReg) Restore(s any) { r.v.Store(s.(int64)) }
-
 // Read atomically reads the register, charging one step to p.
 func (r *IntReg) Read(p *Proc) int64 {
-	if rec, ok := p.ffRec(); ok {
-		return rec.V
-	}
 	p.enter(OpRead, &r.oid)
-	v := r.v.Load()
-	p.logV(v)
-	return v
+	return r.v.Load()
 }
 
 // Write atomically writes v, charging one step to p.
 func (r *IntReg) Write(p *Proc, v int64) {
-	if _, ok := p.ffRec(); ok {
-		return
-	}
 	p.enter(OpWrite, &r.oid)
 	r.v.Store(v)
-	p.logV(0)
 }
 
 // BoolReg is an atomic boolean register (initially false unless constructed
@@ -83,35 +68,16 @@ func (r *BoolReg) HashState(h *StateHash) bool {
 	return true
 }
 
-// Snapshot implements Snapshotter.
-func (r *BoolReg) Snapshot() any { return r.v.Load() }
-
-// Restore implements Snapshotter.
-func (r *BoolReg) Restore(s any) { r.v.Store(s.(bool)) }
-
 // Read atomically reads the register, charging one step to p.
 func (r *BoolReg) Read(p *Proc) bool {
-	if rec, ok := p.ffRec(); ok {
-		return rec.V != 0
-	}
 	p.enter(OpRead, &r.oid)
-	v := r.v.Load()
-	if v {
-		p.logV(1)
-	} else {
-		p.logV(0)
-	}
-	return v
+	return r.v.Load()
 }
 
 // Write atomically writes v, charging one step to p.
 func (r *BoolReg) Write(p *Proc, v bool) {
-	if _, ok := p.ffRec(); ok {
-		return
-	}
 	p.enter(OpWrite, &r.oid)
 	r.v.Store(v)
-	p.logV(0)
 }
 
 // Reg is a multi-writer multi-reader atomic register holding a *T, with nil
@@ -143,35 +109,17 @@ func (r *Reg[T]) ResetState() { r.v.Store(r.init) }
 // values), so the register reports itself unfingerprintable.
 func (r *Reg[T]) HashState(*StateHash) bool { return false }
 
-// Snapshot implements Snapshotter: the stored pointer is the state, and it
-// is sound to share between the snapshot and the live register because
-// written values are immutable by the register's contract.
-func (r *Reg[T]) Snapshot() any { return r.v.Load() }
-
-// Restore implements Snapshotter.
-func (r *Reg[T]) Restore(s any) { r.v.Store(s.(*T)) }
-
 // Read atomically reads the register, charging one step to p. A nil result
 // is the initial value ⊥.
 func (r *Reg[T]) Read(p *Proc) *T {
-	if rec, ok := p.ffRec(); ok {
-		v, _ := rec.P.(*T)
-		return v
-	}
 	p.enter(OpRead, &r.oid)
-	v := r.v.Load()
-	p.logP(v)
-	return v
+	return r.v.Load()
 }
 
 // Write atomically writes v (nil resets to ⊥), charging one step to p.
 func (r *Reg[T]) Write(p *Proc, v *T) {
-	if _, ok := p.ffRec(); ok {
-		return
-	}
 	p.enter(OpWrite, &r.oid)
 	r.v.Store(v)
-	p.logV(0)
 }
 
 // RegArray is a fixed-size array of IntReg, a convenience for the collect
@@ -204,23 +152,6 @@ func (a *RegArray) HashState(h *StateHash) bool {
 		a.regs[i].HashState(h)
 	}
 	return true
-}
-
-// Snapshot implements Snapshotter.
-func (a *RegArray) Snapshot() any {
-	vals := make([]int64, len(a.regs))
-	for i := range a.regs {
-		vals[i] = a.regs[i].v.Load()
-	}
-	return vals
-}
-
-// Restore implements Snapshotter.
-func (a *RegArray) Restore(s any) {
-	vals := s.([]int64)
-	for i := range a.regs {
-		a.regs[i].v.Store(vals[i])
-	}
 }
 
 // Len returns the number of registers in the array.

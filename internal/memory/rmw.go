@@ -29,46 +29,25 @@ func (r *CASReg) HashState(h *StateHash) bool {
 	return true
 }
 
-// Snapshot implements Snapshotter.
-func (r *CASReg) Snapshot() any { return r.v.Load() }
-
-// Restore implements Snapshotter.
-func (r *CASReg) Restore(s any) { r.v.Store(s.(int64)) }
-
 // Read atomically reads the register, charging one step to p.
 func (r *CASReg) Read(p *Proc) int64 {
-	if rec, ok := p.ffRec(); ok {
-		return rec.V
-	}
 	p.enter(OpRead, &r.oid)
-	v := r.v.Load()
-	p.logV(v)
-	return v
+	return r.v.Load()
 }
 
 // Write atomically writes v, charging one step to p.
 func (r *CASReg) Write(p *Proc, v int64) {
-	if _, ok := p.ffRec(); ok {
-		return
-	}
 	p.enter(OpWrite, &r.oid)
 	r.v.Store(v)
-	p.logV(0)
 }
 
 // CompareAndSwap atomically replaces old with new if the register holds old,
 // charging one step and one RMW to p. It reports whether the swap happened.
 func (r *CASReg) CompareAndSwap(p *Proc, old, new int64) bool {
-	if rec, ok := p.ffRec(); ok {
-		return rec.V != 0
-	}
 	p.enter(OpCAS, &r.oid)
 	ok := r.v.CompareAndSwap(old, new)
-	if ok {
-		p.logV(1)
-	} else {
+	if !ok {
 		p.rmwFail(OpCAS)
-		p.logV(0)
 	}
 	return ok
 }
@@ -91,47 +70,23 @@ func (c *CASCell[T]) ResetState() { c.v.Store(nil) }
 // faithfully hashable, so the cell reports itself unfingerprintable.
 func (c *CASCell[T]) HashState(*StateHash) bool { return false }
 
-// Snapshot implements Snapshotter: the winning pointer is the state.
-// Sharing it between the snapshot and the live cell is sound because the
-// cell is write-once (the value is never mutated after installation).
-func (c *CASCell[T]) Snapshot() any { return c.v.Load() }
-
-// Restore implements Snapshotter.
-func (c *CASCell[T]) Restore(s any) { c.v.Store(s.(*T)) }
-
 // Read atomically reads the cell, charging one step to p. Nil means the
 // cell is still empty.
 func (c *CASCell[T]) Read(p *Proc) *T {
-	if rec, ok := p.ffRec(); ok {
-		v, _ := rec.P.(*T)
-		return v
-	}
 	p.enter(OpRead, &c.oid)
-	v := c.v.Load()
-	p.logP(v)
-	return v
+	return c.v.Load()
 }
 
 // PutIfEmpty installs v if the cell is empty, charging one step and one RMW
 // to p. It returns the cell's value after the operation (v itself if the
 // put won, the earlier winner otherwise) and whether the put won.
 func (c *CASCell[T]) PutIfEmpty(p *Proc, v *T) (*T, bool) {
-	if rec, ok := p.ffRec(); ok {
-		// Both outcomes return the recorded cell content (for a winning put
-		// that is the originally installed pointer, which the restored cell
-		// still holds); the record's V flag reports who won.
-		w, _ := rec.P.(*T)
-		return w, rec.V != 0
-	}
 	p.enter(OpCAS, &c.oid)
 	if c.v.CompareAndSwap(nil, v) {
-		p.logVP(1, v)
 		return v, true
 	}
 	p.rmwFail(OpCAS)
-	w := c.v.Load()
-	p.logP(w)
-	return w, false
+	return c.v.Load(), false
 }
 
 // HardwareTAS is the hardware test-and-set object of Section 6.2: initially
@@ -157,47 +112,28 @@ func (t *HardwareTAS) HashState(h *StateHash) bool {
 	return true
 }
 
-// Snapshot implements Snapshotter.
-func (t *HardwareTAS) Snapshot() any { return t.v.Load() }
-
-// Restore implements Snapshotter.
-func (t *HardwareTAS) Restore(s any) { t.v.Store(s.(int32)) }
-
 // TestAndSet atomically swaps 1 into the object and returns the previous
 // value (0 for the unique winner, 1 for losers), charging one step and one
 // RMW to p.
 func (t *HardwareTAS) TestAndSet(p *Proc) int {
-	if rec, ok := p.ffRec(); ok {
-		return int(rec.V)
-	}
 	p.enter(OpTAS, &t.oid)
-	v := int64(t.v.Swap(1))
+	v := t.v.Swap(1)
 	if v != 0 {
 		p.rmwFail(OpTAS)
 	}
-	p.logV(v)
 	return int(v)
 }
 
 // Read atomically reads the current value, charging one step to p.
 func (t *HardwareTAS) Read(p *Proc) int {
-	if rec, ok := p.ffRec(); ok {
-		return int(rec.V)
-	}
 	p.enter(OpRead, &t.oid)
-	v := int64(t.v.Load())
-	p.logV(v)
-	return int(v)
+	return int(t.v.Load())
 }
 
 // Reset reverts the object to 0, charging one step to p.
 func (t *HardwareTAS) Reset(p *Proc) {
-	if _, ok := p.ffRec(); ok {
-		return
-	}
 	p.enter(OpWrite, &t.oid)
 	t.v.Store(0)
-	p.logV(0)
 }
 
 // FetchInc is an atomic fetch-and-increment counter (consensus number 2),
@@ -225,33 +161,17 @@ func (c *FetchInc) HashState(h *StateHash) bool {
 	return true
 }
 
-// Snapshot implements Snapshotter.
-func (c *FetchInc) Snapshot() any { return c.v.Load() }
-
-// Restore implements Snapshotter.
-func (c *FetchInc) Restore(s any) { c.v.Store(s.(int64)) }
-
 // Read atomically reads the counter, charging one step to p.
 func (c *FetchInc) Read(p *Proc) int64 {
-	if rec, ok := p.ffRec(); ok {
-		return rec.V
-	}
 	p.enter(OpRead, &c.oid)
-	v := c.v.Load()
-	p.logV(v)
-	return v
+	return c.v.Load()
 }
 
 // Inc atomically increments the counter and returns the new value, charging
 // one step and one RMW to p.
 func (c *FetchInc) Inc(p *Proc) int64 {
-	if rec, ok := p.ffRec(); ok {
-		return rec.V
-	}
 	p.enter(OpFetchInc, &c.oid)
-	v := c.v.Add(1)
-	p.logV(v)
-	return v
+	return c.v.Add(1)
 }
 
 // Write atomically stores v, charging one step to p. Algorithm 2's reset
@@ -259,10 +179,6 @@ func (c *FetchInc) Inc(p *Proc) int64 {
 // there because only the unique current winner resets; Write supports that
 // faithful transcription.
 func (c *FetchInc) Write(p *Proc, v int64) {
-	if _, ok := p.ffRec(); ok {
-		return
-	}
 	p.enter(OpWrite, &c.oid)
 	c.v.Store(v)
-	p.logV(0)
 }

@@ -22,8 +22,8 @@ import (
 	"repro/internal/sched"
 )
 
-// obsBudget mirrors the snapshot-equivalence budget: scenario trees beyond
-// it are skipped (budget-cut multi-worker walks are not deterministic).
+// obsBudget is the equivalence budget: scenario trees beyond it are skipped
+// (budget-cut multi-worker walks are not deterministic).
 const obsBudget = 30000
 
 func runObsArm(t *testing.T, sc scenario.Scenario, n, workers int, m *obs.Metrics) (engine.Report, error) {
@@ -121,7 +121,7 @@ func TestObsCountersMatchReport(t *testing.T) {
 	h, _ := sc.Build(2, scenario.Options{})
 	m := obs.New(1)
 	rep, err := engine.Run(h, engine.Config{
-		Prune: engine.PruneSourceDPOR, Workers: 1, Snapshots: engine.SnapshotOn, Metrics: m,
+		Prune: engine.PruneSourceDPOR, Workers: 1, Metrics: m,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,14 +137,13 @@ func TestObsCountersMatchReport(t *testing.T) {
 		{"backtracks", m.Backtracks.Value(), rep.Backtracks},
 		{"cache_hits", m.CacheHits.Value(), rep.CacheHits},
 		{"replays", m.Replays.Value(), rep.Replays},
-		{"snapshot_restores", m.SnapshotRestores.Value(), rep.SnapshotRestores},
 	} {
 		if c.obs != int64(c.rep) {
 			t.Errorf("%s: obs folded %d, report says %d", c.name, c.obs, c.rep)
 		}
 	}
-	if m.SnapshotBytes.Value() != rep.SnapshotBytes {
-		t.Errorf("snapshot_bytes: obs folded %d, report says %d", m.SnapshotBytes.Value(), rep.SnapshotBytes)
+	if rep.Replays != rep.Attempts-1 {
+		t.Errorf("replays: report says %d, want every attempt but the root (%d)", rep.Replays, rep.Attempts-1)
 	}
 	if rep.WallTime <= 0 {
 		t.Errorf("WallTime not recorded: %v", rep.WallTime)
@@ -205,7 +204,7 @@ func TestObsResultJSONByteIdentity(t *testing.T) {
 	encode := func(m *obs.Metrics) []byte {
 		h, oracle := sc.Build(2, scenario.Options{})
 		rep, runErr := engine.Run(h, engine.Config{Prune: engine.PruneSourceDPOR, Workers: 1, Metrics: m})
-		r := scenario.ExhaustiveResult("a1", 2, oracle, engine.PruneSourceDPOR, engine.SnapshotAuto, "exhaustive", rep, runErr)
+		r := scenario.ExhaustiveResult("a1", 2, oracle, engine.PruneSourceDPOR, "exhaustive", rep, runErr)
 		r.WallMS = 0 // the one advisory field that may differ run to run
 		data, err := json.MarshalIndent(r, "", " ")
 		if err != nil {

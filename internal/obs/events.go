@@ -1,7 +1,7 @@
 package obs
 
 // The structured JSONL event log: one JSON object per line, recording run
-// lifecycle, checkpoint, snapshot-eviction, fallback and failure events.
+// lifecycle, checkpoint and failure events.
 // Each event carries two clocks: wall-clock milliseconds since the log was
 // opened (advisory, never reproducible) and a schedule-derived stamp — the
 // cumulative attempts count at emission — which is the engine's logical
@@ -26,7 +26,7 @@ type Event struct {
 	// Stamp is the schedule-derived logical clock: the cumulative engine
 	// attempts count at emission.
 	Stamp int64 `json:"stamp"`
-	// Type names the event (run_start, walk_end, snapshot_evicted, ...).
+	// Type names the event (run_start, walk_end, failure_found, ...).
 	Type string `json:"type"`
 	// Fields is the event-specific payload.
 	Fields map[string]any `json:"fields,omitempty"`

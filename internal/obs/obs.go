@@ -145,19 +145,15 @@ type Metrics struct {
 
 	// Engine-layer counters, incremented by internal/engine (at most a
 	// handful of atomic adds per execution — never per scheduler step).
-	Attempts          *Counter
-	Executions        *Counter
-	Pruned            *Counter
-	Backtracks        *Counter
-	CacheLookups      *Counter
-	CacheHits         *Counter
-	Replays           *Counter
-	SnapshotRestores  *Counter
-	SnapshotCaptures  *Counter
-	SnapshotEvictions *Counter
-	SnapshotBytes     *Counter
-	Failures          *Counter
-	Samples           *Counter
+	Attempts     *Counter
+	Executions   *Counter
+	Pruned       *Counter
+	Backtracks   *Counter
+	CacheLookups *Counter
+	CacheHits    *Counter
+	Replays      *Counter
+	Failures     *Counter
+	Samples      *Counter
 
 	// Depths is the completed-execution schedule-depth distribution
 	// (bucket width 8, matching randexp's DepthHist).
@@ -190,11 +186,7 @@ func New(workers int) *Metrics {
 	m.Backtracks = reg("engine_backtracks_total", "Race-driven backtrack points added by source-DPOR.")
 	m.CacheLookups = reg("engine_cache_lookups_total", "State-cache claim attempts at branching decision points.")
 	m.CacheHits = reg("engine_cache_hits_total", "Runs abandoned because their state key was already claimed.")
-	m.Replays = reg("engine_replays_total", "Branch re-entries by prefix re-execution (the reconstruct path).")
-	m.SnapshotRestores = reg("engine_snapshot_restores_total", "Branch re-entries by snapshot restore plus fast-forward.")
-	m.SnapshotCaptures = reg("engine_snapshot_captures_total", "Decision-point snapshots captured.")
-	m.SnapshotEvictions = reg("engine_snapshot_evictions_total", "Snapshots dropped by the ledger's byte budget.")
-	m.SnapshotBytes = reg("engine_snapshot_bytes_total", "Cumulative estimated bytes of captured snapshots.")
+	m.Replays = reg("engine_replays_total", "Branch re-entries by prefix re-execution: every work item but the root.")
 	m.Failures = reg("engine_failures_total", "Executions whose check failed.")
 	m.Samples = reg("engine_samples_total", "Seeded sampling runs completed.")
 	m.Depths = newHist("engine_depth", "Schedule depth of completed executions.", 8, shards)

@@ -123,9 +123,7 @@ var tasOracle = Oracle{Kind: OracleLinearize, Type: spec.TASType{}}
 // stampFromSchedule wires a recorder's event stamps to the environment's
 // schedule-derived per-process clocks (memory.Proc.EventStamp) instead of
 // the recorder's wall-order counter. The resulting traces depend only on
-// the scheduler's choice sequence, so a branch restored from a snapshot
-// and fast-forwarded regenerates exactly the trace a full re-execution
-// would have produced.
+// the scheduler's choice sequence.
 func stampFromSchedule(rec *trace.Recorder, env *memory.Env) {
 	rec.SetStampSource(func(proc int) int64 { return env.Proc(proc).EventStamp() })
 }
@@ -402,9 +400,7 @@ var mutexOracle = Oracle{Kind: OracleInvariant, Invariant: "mutual-exclusion"}
 // acquire/release attempts on the long-lived TAS, stamping each successful
 // hold with the process's schedule-derived logical clock (stamps are taken
 // in the holder's ungated window, so they are consistent with the
-// controlled interleaving — and, unlike a shared wall-order counter, they
-// are regenerated identically when a branch is restored from a snapshot
-// and its prefix fast-forwarded).
+// controlled interleaving and a function of the schedule alone).
 func lockBodies(ll *tas.LongLived, cycles []int, holds [][]hold) []func(p *memory.Proc) {
 	bodies := make([]func(p *memory.Proc), len(cycles))
 	for i := range cycles {

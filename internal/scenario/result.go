@@ -39,25 +39,19 @@ type RunResult struct {
 	Mode   string `json:"mode"`
 	Oracle string `json:"oracle"`
 	// Prune names the reduction of an exhaustive run; Sampler the
-	// distribution of a sampled one; Snapshots the branch-restoration mode
-	// requested for an exhaustive run ("auto" | "on" | "off").
-	Snapshots  string `json:"snapshots,omitempty"`
+	// distribution of a sampled one.
 	Prune      string `json:"prune,omitempty"`
 	Sampler    string `json:"sampler,omitempty"`
 	Executions int    `json:"executions"`
 	Pruned     int    `json:"pruned,omitempty"`
 	Backtracks int    `json:"backtracks,omitempty"`
 	CacheHits  int    `json:"cache_hits,omitempty"`
-	// Replays counts reconstructed prefix re-executions and
-	// SnapshotRestores snapshot-restored ones; SnapshotBytes is the
-	// cumulative captured snapshot size. All advisory, like the engine
-	// fields they mirror.
-	Replays          int   `json:"replays,omitempty"`
-	SnapshotRestores int   `json:"snapshot_restores,omitempty"`
-	SnapshotBytes    int64 `json:"snapshot_bytes,omitempty"`
-	MaxDepth         int   `json:"max_depth"`
-	DistinctStates   int   `json:"distinct_states,omitempty"`
-	DistinctShapes   int   `json:"distinct_shapes,omitempty"`
+	// Replays counts prefix re-executions (every work item but the root).
+	// Advisory, like the engine field it mirrors.
+	Replays        int `json:"replays,omitempty"`
+	MaxDepth       int `json:"max_depth"`
+	DistinctStates int `json:"distinct_states,omitempty"`
+	DistinctShapes int `json:"distinct_shapes,omitempty"`
 	// WallMS is the run's wall-clock in milliseconds and CutBy the budget
 	// that cut a partial run ("executions" | "time" | "depth"). Advisory:
 	// consumers comparing results across runs or worker counts must ignore
@@ -121,25 +115,22 @@ func (r *RunResult) failureOf(err error) {
 }
 
 // ExhaustiveResult builds the -json object of an exhaustive run.
-func ExhaustiveResult(name string, n int, oracle Oracle, prune explore.PruneMode, snaps explore.SnapshotMode, mode string, rep explore.Report, err error) RunResult {
+func ExhaustiveResult(name string, n int, oracle Oracle, prune explore.PruneMode, mode string, rep explore.Report, err error) RunResult {
 	r := RunResult{
-		Scenario:         name,
-		N:                n,
-		Mode:             mode,
-		Oracle:           oracle.String(),
-		Prune:            prune.String(),
-		Snapshots:        snaps.String(),
-		Executions:       rep.Executions,
-		Pruned:           rep.Pruned,
-		Backtracks:       rep.Backtracks,
-		CacheHits:        rep.CacheHits,
-		Replays:          rep.Replays,
-		SnapshotRestores: rep.SnapshotRestores,
-		SnapshotBytes:    rep.SnapshotBytes,
-		MaxDepth:         rep.MaxDepth,
-		DistinctStates:   rep.DistinctStates,
-		WallMS:           float64(rep.WallTime.Microseconds()) / 1000,
-		CutBy:            rep.CutBy,
+		Scenario:       name,
+		N:              n,
+		Mode:           mode,
+		Oracle:         oracle.String(),
+		Prune:          prune.String(),
+		Executions:     rep.Executions,
+		Pruned:         rep.Pruned,
+		Backtracks:     rep.Backtracks,
+		CacheHits:      rep.CacheHits,
+		Replays:        rep.Replays,
+		MaxDepth:       rep.MaxDepth,
+		DistinctStates: rep.DistinctStates,
+		WallMS:         float64(rep.WallTime.Microseconds()) / 1000,
+		CutBy:          rep.CutBy,
 	}
 	r.attachLin()
 	r.failureOf(err)

@@ -43,29 +43,15 @@ func TestRunResultJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	h, oracle := sc.Build(2, Options{})
-	rep, runErr := explore.Run(h, explore.Config{Prune: explore.PruneSourceDPOR, Workers: 1, Snapshots: explore.SnapshotOn})
-	r := ExhaustiveResult("a1", 2, oracle, explore.PruneSourceDPOR, explore.SnapshotOn, "exhaustive", rep, runErr)
+	rep, runErr := explore.Run(h, explore.Config{Prune: explore.PruneSourceDPOR, Workers: 1})
+	r := ExhaustiveResult("a1", 2, oracle, explore.PruneSourceDPOR, "exhaustive", rep, runErr)
 	if r.Verdict != "ok" || r.Failure != nil || r.Executions != 22 || r.Prune != "dpor" {
 		t.Fatalf("a1 exhaustive result: %+v", r)
 	}
-	if r.Snapshots != "on" || r.SnapshotRestores == 0 || r.SnapshotBytes == 0 || r.Replays != 0 {
-		t.Fatalf("a1 snapshot counters not carried: %+v", r)
+	if r.Replays != 21 {
+		t.Fatalf("a1 replay counter not carried: %+v", r)
 	}
 	roundTrip(t, r)
-
-	// The same run with restoration off reports the mirror-image advisory
-	// counters (replays instead of restores) and identical deterministic
-	// fields.
-	h, oracle = sc.Build(2, Options{})
-	rep2, runErr := explore.Run(h, explore.Config{Prune: explore.PruneSourceDPOR, Workers: 1, Snapshots: explore.SnapshotOff})
-	r2 := ExhaustiveResult("a1", 2, oracle, explore.PruneSourceDPOR, explore.SnapshotOff, "exhaustive", rep2, runErr)
-	if r2.Snapshots != "off" || r2.SnapshotRestores != 0 || r2.Replays == 0 {
-		t.Fatalf("a1 reconstruct counters not carried: %+v", r2)
-	}
-	if r2.Executions != r.Executions || r2.MaxDepth != r.MaxDepth || r2.DistinctStates != r.DistinctStates {
-		t.Fatalf("snapshot arm diverged deterministically: %+v vs %+v", r, r2)
-	}
-	roundTrip(t, r2)
 
 	// A failing exhaustive run: the planted handoff bug. The failure must
 	// carry the canonical schedule.
@@ -75,7 +61,7 @@ func TestRunResultJSONRoundTrip(t *testing.T) {
 	}
 	h, oracle = hb.Build(hb.Procs(2), Options{})
 	rep, runErr = explore.Run(h, explore.Config{Prune: explore.PruneSourceDPOR, Workers: 1})
-	r = ExhaustiveResult(hb.Name, hb.Procs(2), oracle, explore.PruneSourceDPOR, explore.SnapshotAuto, "exhaustive", rep, runErr)
+	r = ExhaustiveResult(hb.Name, hb.Procs(2), oracle, explore.PruneSourceDPOR, "exhaustive", rep, runErr)
 	if r.Verdict != "fail" || r.Failure == nil || len(r.Failure.Schedule) == 0 || r.Failure.Sampled {
 		t.Fatalf("handoffbug exhaustive result: %+v", r)
 	}
@@ -106,7 +92,7 @@ func TestRunResultTimingFields(t *testing.T) {
 	}
 	h, oracle := sc.Build(2, Options{})
 	rep, runErr := explore.Run(h, explore.Config{Prune: explore.PruneSourceDPOR, Workers: 1})
-	r := ExhaustiveResult("a1", 2, oracle, explore.PruneSourceDPOR, explore.SnapshotAuto, "exhaustive", rep, runErr)
+	r := ExhaustiveResult("a1", 2, oracle, explore.PruneSourceDPOR, "exhaustive", rep, runErr)
 	if r.WallMS <= 0 {
 		t.Fatalf("completed run reports wall_ms=%v", r.WallMS)
 	}
@@ -116,7 +102,7 @@ func TestRunResultTimingFields(t *testing.T) {
 
 	h, oracle = sc.Build(2, Options{})
 	rep, runErr = explore.Run(h, explore.Config{Workers: 1, MaxExecutions: 50})
-	r = ExhaustiveResult("a1", 2, oracle, explore.PruneNone, explore.SnapshotAuto, "exhaustive-partial", rep, runErr)
+	r = ExhaustiveResult("a1", 2, oracle, explore.PruneNone, "exhaustive-partial", rep, runErr)
 	if r.CutBy != "executions" {
 		t.Fatalf("budget-cut run reports cut_by=%q, want executions", r.CutBy)
 	}

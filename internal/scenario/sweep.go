@@ -41,12 +41,6 @@ type SweepConfig struct {
 	// Crashes explores crash branches (or injects sampled crashes) on every
 	// scenario that declares crash-aware checks; others run crash-free.
 	Crashes bool
-	// Snapshots is the branch-restoration mode of exhaustive runs (the
-	// default, SnapshotAuto, restores wherever the scenario's registered
-	// objects support it and the prune mode profits). It never changes a
-	// row: restoration preserves every deterministic field, and rows carry
-	// no advisory counters.
-	Snapshots explore.SnapshotMode
 	// Metrics, when non-nil, attaches the observability layer to every
 	// scenario's engine run and emits one scenario_done event per row.
 	// Strictly advisory: rows are byte-identical with Metrics attached or
@@ -92,7 +86,6 @@ func RunOne(sc Scenario, cfg SweepConfig) Row {
 			Crashes:       opts.Crashes,
 			Workers:       1,
 			Prune:         explore.PruneSourceDPOR,
-			Snapshots:     cfg.Snapshots,
 			Metrics:       cfg.Metrics,
 		})
 		row.Mode = "exhaustive"

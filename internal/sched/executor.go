@@ -133,10 +133,8 @@ func (e *PanicError) Unwrap() error {
 // snapshot) sees complete totals; the fields are atomics only because those
 // readers live on other goroutines.
 type ExecStats struct {
-	// Runs counts Run/RunCapture/RunReplay calls; ReplayRuns the RunReplay
-	// subset (snapshot-restored re-entries).
-	Runs       atomic.Int64
-	ReplayRuns atomic.Int64
+	// Runs counts Run calls.
+	Runs atomic.Int64
 	// Decisions counts scheduler decisions (== granted steps + crashes).
 	Decisions atomic.Int64
 	// SelfGrants counts decisions where the baton holder granted itself —
@@ -202,10 +200,6 @@ func (x *Executor) runBody(i int, p *memory.Proc) (live bool) {
 		case crashSignal:
 			// Crashed[i] was recorded by the decider that granted the crash.
 			live = sig.proc == i
-		case memory.ReplayCrash:
-			// The replayed prefix crashed this process; Crashed[i] was
-			// seeded from the recorded schedule.
-			live = sig.Proc == i
 		case stopSignal:
 			return
 		}
@@ -304,63 +298,11 @@ func (x *Executor) resume(i int) int {
 	return to
 }
 
-// PrefixView returns the current run's schedule and accesses so far. It
-// must be called from inside a chooser decision (the baton holder). The
-// slices alias the executor's reused Result buffers: they are overwritten
-// by the next run, so a caller that retains the prefix (a snapshot
-// capture) copies it.
-func (x *Executor) PrefixView() ([]Choice, []memory.Access) {
-	return x.res.Schedule, x.res.Accesses
-}
-
-// Prefix seeds a run from a recorded prefix: the schedule and access
-// sequence of the first d decisions, and the per-process value logs those
-// decisions produced. The memory state must already have been restored to
-// the matching snapshot (memory.Env.Restore) before RunReplay is called.
-type Prefix struct {
-	Schedule []Choice
-	Accesses []memory.Access
-	Logs     [][]memory.ReplayRec
-	// PosAfter optionally pre-computes, per process, the schedule position
-	// after each of its granted steps (parallel to Logs). When nil, RunReplay
-	// derives it from Schedule; a caller replaying the same prefix many times
-	// computes it once instead.
-	PosAfter [][]int32
-}
-
 // Run performs one controlled execution under the chooser and returns its
 // summary, valid until the executor's next run. The ProcState slice passed
 // to the chooser is scratch reused across decisions; choosers must not
 // retain it past the call.
 func (x *Executor) Run(chooser Chooser) *Result {
-	return x.run(chooser, nil, false)
-}
-
-// RunCapture is Run with per-process value logging enabled, so that a
-// snapshot taken at any decision point of this run can later seed
-// RunReplay for a sibling branch.
-func (x *Executor) RunCapture(chooser Chooser) *Result {
-	return x.run(chooser, nil, true)
-}
-
-// RunReplay re-enters a run mid-prefix: the recorded decisions are seeded
-// into the result, and every process re-executes its body in fast-forward,
-// consuming its value log instead of touching memory or the gate. A
-// process that exhausts its log either unwinds (its recorded crash) or
-// rejoins the live run at its next access; the first live scheduler
-// decision therefore happens at exactly the recorded prefix's end, with
-// every surviving process parked at the same access as in the original
-// run. Capture stays enabled for the live suffix, so snapshots taken
-// there are themselves replayable.
-func (x *Executor) RunReplay(chooser Chooser, rp *Prefix) *Result {
-	return x.run(chooser, rp, true)
-}
-
-// Stats returns the executor's lifetime scheduling census. The pointer is
-// valid for the executor's lifetime; fields are read with their atomics.
-func (x *Executor) Stats() *ExecStats { return &x.stats }
-
-func (x *Executor) run(chooser Chooser, rp *Prefix, capture bool) *Result {
 	if x.closed {
 		panic("sched: Run on closed Executor")
 	}
@@ -374,40 +316,6 @@ func (x *Executor) run(chooser Chooser, rp *Prefix, capture bool) *Result {
 	clear(res.Finished)
 	clear(res.Crashed)
 	clear(res.Steps)
-	if rp != nil {
-		res.Schedule = append(res.Schedule, rp.Schedule...)
-		res.Accesses = append(res.Accesses, rp.Accesses...)
-		// Per-process positions after each granted step, for stamp
-		// regeneration during fast-forward (precomputed by the caller when
-		// the prefix is replayed more than once).
-		posAfter := rp.PosAfter
-		if posAfter == nil {
-			posAfter = make([][]int32, n)
-			for j, c := range rp.Schedule {
-				if !c.Crash {
-					posAfter[c.Proc] = append(posAfter[c.Proc], int32(j+1))
-				}
-			}
-		}
-		for _, c := range rp.Schedule {
-			if c.Crash {
-				res.Crashed[c.Proc] = true
-			} else {
-				res.Steps[c.Proc]++
-			}
-		}
-		for i := 0; i < n; i++ {
-			var log []memory.ReplayRec
-			if i < len(rp.Logs) {
-				log = rp.Logs[i]
-			}
-			x.env.Proc(i).StartFF(log, posAfter[i], res.Crashed[i])
-		}
-	} else if capture {
-		for i := 0; i < n; i++ {
-			x.env.Proc(i).StartCapture()
-		}
-	}
 	x.res = res
 	x.chooser = chooser
 	clear(x.isParked)
@@ -425,9 +333,6 @@ func (x *Executor) run(chooser Chooser, rp *Prefix, capture bool) *Result {
 	}
 	x.release()
 	x.stats.Runs.Add(1)
-	if rp != nil {
-		x.stats.ReplayRuns.Add(1)
-	}
 	x.stats.Decisions.Add(x.decisions)
 	x.stats.SelfGrants.Add(x.selfGrants)
 	x.stats.Handoffs.Add(x.decisions - x.selfGrants)
@@ -435,14 +340,12 @@ func (x *Executor) run(chooser Chooser, rp *Prefix, capture bool) *Result {
 	return res
 }
 
+// Stats returns the executor's lifetime scheduling census. The pointer is
+// valid for the executor's lifetime; fields are read with their atomics.
+func (x *Executor) Stats() *ExecStats { return &x.stats }
+
 // release detaches the executor from the environment at the end of a run.
-// Replay/capture mode ends before the gate is removed, so post-run oracle
-// code (which reads shared state through the same primitives) neither logs
-// nor consumes records.
 func (x *Executor) release() {
-	for i := 0; i < x.n; i++ {
-		x.env.Proc(i).EndReplay()
-	}
 	x.env.SetGate(nil)
 	x.res = nil
 	x.chooser = nil

@@ -79,10 +79,10 @@ func (a *strategyChooser) Choose(step int, parked []ProcState) Choice {
 //
 // A Result returned by an Executor is owned by that executor and valid only
 // until its next run: the executor reuses the value and every slice in it,
-// so a caller that keeps any part of one past the next Run/RunCapture/
-// RunReplay/RunStrategy call on the same executor must copy it first. Run
-// and RunChooser close their one-shot executor before returning, so their
-// Result is the caller's to keep.
+// so a caller that keeps any part of one past the next Run/RunStrategy call
+// on the same executor must copy it first. Run and RunChooser close their
+// one-shot executor before returning, so their Result is the caller's to
+// keep.
 type Result struct {
 	// Schedule is the sequence of choices actually taken.
 	Schedule []Choice

@@ -106,7 +106,7 @@ func TestRunCrash(t *testing.T) {
 	}
 }
 
-func TestRunReplay(t *testing.T) {
+func TestReplayStrategy(t *testing.T) {
 	mk := func() (*memory.Env, *memory.IntReg, []func(p *memory.Proc)) {
 		env := memory.NewEnv(2)
 		r := memory.NewIntReg(0)

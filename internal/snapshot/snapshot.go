@@ -125,23 +125,3 @@ func (s *Snapshot[T]) ResetState() {
 		r.ResetState()
 	}
 }
-
-// Snapshot implements memory.Snapshotter: the component pointers are the
-// state. Sharing them between the captured state and the live object is
-// sound because Update always writes a freshly allocated component and
-// never mutates one in place.
-func (s *Snapshot[T]) Snapshot() any {
-	states := make([]any, len(s.regs))
-	for i, r := range s.regs {
-		states[i] = r.Snapshot()
-	}
-	return states
-}
-
-// Restore implements memory.Snapshotter.
-func (s *Snapshot[T]) Restore(v any) {
-	states := v.([]any)
-	for i, r := range s.regs {
-		r.Restore(states[i])
-	}
-}

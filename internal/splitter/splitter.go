@@ -92,15 +92,3 @@ func (s *Splitter) HashState(h *memory.StateHash) bool {
 	s.y.HashState(h)
 	return true
 }
-
-// Snapshot implements memory.Snapshotter.
-func (s *Splitter) Snapshot() any {
-	return [2]any{s.x.Snapshot(), s.y.Snapshot()}
-}
-
-// Restore implements memory.Snapshotter.
-func (s *Splitter) Restore(v any) {
-	st := v.([2]any)
-	s.x.Restore(st[0])
-	s.y.Restore(st[1])
-}

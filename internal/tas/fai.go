@@ -160,52 +160,14 @@ func (f *F1) HashState(h *memory.StateHash) bool {
 	return true
 }
 
-// Snapshot implements memory.Snapshotter.
-func (f *F1) Snapshot() any {
-	return [4]any{f.x.Snapshot(), f.y.Snapshot(), f.v.Snapshot(), f.c.Snapshot()}
-}
-
-// Restore implements memory.Snapshotter.
-func (f *F1) Restore(s any) {
-	st := s.([4]any)
-	f.x.Restore(st[0])
-	f.y.Restore(st[1])
-	f.v.Restore(st[2])
-	f.c.Restore(st[3])
-}
-
 // ResetState implements memory.Resettable.
 func (f *F2) ResetState() {
 	f.base.ResetState()
 	f.hw.ResetState()
 }
 
-// Snapshot implements memory.Snapshotter.
-func (f *F2) Snapshot() any {
-	return [2]any{f.base.Snapshot(), f.hw.Snapshot()}
-}
-
-// Restore implements memory.Snapshotter.
-func (f *F2) Restore(s any) {
-	st := s.([2]any)
-	f.base.Restore(st[0])
-	f.hw.Restore(st[1])
-}
-
 // ResetState implements memory.Resettable.
 func (s *SpecFetchInc) ResetState() {
 	s.f1.ResetState()
 	s.f2.ResetState()
-}
-
-// Snapshot implements memory.Snapshotter.
-func (s *SpecFetchInc) Snapshot() any {
-	return [2]any{s.f1.Snapshot(), s.f2.Snapshot()}
-}
-
-// Restore implements memory.Snapshotter.
-func (s *SpecFetchInc) Restore(v any) {
-	st := v.([2]any)
-	s.f1.Restore(st[0])
-	s.f2.Restore(st[1])
 }

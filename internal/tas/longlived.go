@@ -56,32 +56,6 @@ func (t *LongLived) ResetState() {
 	}
 }
 
-// Snapshot implements memory.Snapshotter: the round counter and the
-// instance array (per-slot, with identical slot pointers) are the gated
-// shared state. The crtWinner flags are deliberately NOT captured: they
-// are ungated process-local state, and a restored branch re-executes the
-// process bodies in fast-forward, which regenerates them. Restoring them
-// to their snapshot values instead would break the fast-forward (Reset's
-// early return on !crtWinner is control flow that must re-run exactly as
-// in the original prefix, starting from construction state).
-func (t *LongLived) Snapshot() any {
-	arr := t.arr.Snapshot()
-	if arr == nil {
-		return nil
-	}
-	return [2]any{t.count.Snapshot(), arr}
-}
-
-// Restore implements memory.Snapshotter.
-func (t *LongLived) Restore(s any) {
-	st := s.([2]any)
-	t.count.Restore(st[0])
-	t.arr.Restore(st[1])
-	for i := range t.crtWinner {
-		t.crtWinner[i] = false
-	}
-}
-
 // TestAndSet performs the long-lived operation: read the current round,
 // then run that round's composed one-shot object.
 func (t *LongLived) TestAndSet(p *memory.Proc) int64 {

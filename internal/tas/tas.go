@@ -99,20 +99,6 @@ func (a *A1) HashState(h *memory.StateHash) bool {
 	return true
 }
 
-// Snapshot implements memory.Snapshotter.
-func (a *A1) Snapshot() any {
-	return [4]any{a.p.Snapshot(), a.s.Snapshot(), a.aborted.Snapshot(), a.v.Snapshot()}
-}
-
-// Restore implements memory.Snapshotter.
-func (a *A1) Restore(s any) {
-	st := s.([4]any)
-	a.p.Restore(st[0])
-	a.s.Restore(st[1])
-	a.aborted.Restore(st[2])
-	a.v.Restore(st[3])
-}
-
 // Name implements core.Module.
 func (a *A1) Name() string {
 	if a.soloFast {
@@ -188,12 +174,6 @@ func (a *A2) ResetState() { a.t.ResetState() }
 // HashState implements memory.Fingerprinter.
 func (a *A2) HashState(h *memory.StateHash) bool { return a.t.HashState(h) }
 
-// Snapshot implements memory.Snapshotter.
-func (a *A2) Snapshot() any { return a.t.Snapshot() }
-
-// Restore implements memory.Snapshotter.
-func (a *A2) Restore(s any) { a.t.Restore(s) }
-
 // Name implements core.Module.
 func (a *A2) Name() string { return "A2" }
 
@@ -236,18 +216,6 @@ func (o *OneShot) ResetState() {
 // HashState implements memory.Fingerprinter.
 func (o *OneShot) HashState(h *memory.StateHash) bool {
 	return o.a1.HashState(h) && o.a2.HashState(h)
-}
-
-// Snapshot implements memory.Snapshotter.
-func (o *OneShot) Snapshot() any {
-	return [2]any{o.a1.Snapshot(), o.a2.Snapshot()}
-}
-
-// Restore implements memory.Snapshotter.
-func (o *OneShot) Restore(s any) {
-	st := s.([2]any)
-	o.a1.Restore(st[0])
-	o.a2.Restore(st[1])
 }
 
 // TestAndSet runs the composed object: A1 first, switching to A2 with A1's

@@ -95,8 +95,7 @@ func TestSoloComposedZeroRMW(t *testing.T) {
 
 // stamped wires a recorder to the environment's schedule-derived stamps
 // (memory.Proc.EventStamp), so that recorded traces depend only on the
-// scheduler's choices and regenerate identically when the engine restores
-// a branch from a snapshot and fast-forwards its prefix.
+// scheduler's choices.
 func stamped(env *memory.Env, rec *trace.Recorder) *trace.Recorder {
 	rec.SetStampSource(func(proc int) int64 { return env.Proc(proc).EventStamp() })
 	return rec
@@ -641,16 +640,14 @@ func (c *countingHarness) steps() int64 {
 }
 
 // TestSourceDPORSpeedupOverSleepSets pins the work half of the E14 claim in
-// its load-independent form: on the composed n=3 walk at one worker —
-// snapshot restoration off in both arms, since it narrows exactly the
-// replay cost this comparison is about — source-DPOR runs 1991 attempts
-// where the legacy sleep sets run 7165, and executes less than half the
-// gated shared-memory steps (prefix replay included), which is what
-// wall-clock tracks. The wall-clock itself lives in BENCH_E14.json.
+// its load-independent form: on the composed n=3 walk at one worker
+// source-DPOR runs 1991 attempts where the legacy sleep sets run 7165, and
+// executes less than half the gated shared-memory steps (prefix replay
+// included), which is what wall-clock tracks. The wall-clock itself lives in BENCH_E14.json.
 func TestSourceDPORSpeedupOverSleepSets(t *testing.T) {
 	measure := func(mode explore.PruneMode) (attempts int, steps int64) {
 		var c countingHarness
-		cfg := explore.Config{Prune: mode, Workers: 1, Snapshots: explore.SnapshotOff}
+		cfg := explore.Config{Prune: mode, Workers: 1}
 		rep, err := explore.Run(c.wrap(composedHarness(3, false)), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -673,121 +670,12 @@ func TestSourceDPORSpeedupOverSleepSets(t *testing.T) {
 	}
 }
 
-// The gated shared-memory steps of the composed n=3 walk at one worker with
-// snapshots off, prefix replay included: exact, like every one-worker count.
+// The gated shared-memory steps of the composed n=3 walk at one worker,
+// prefix replay included: exact, like every one-worker count.
 const (
 	composedN3SleepSteps = 177069
 	composedN3DPORSteps  = 52142
 )
-
-// rrCapture is a deterministic round-robin chooser that, at decision capAt,
-// snapshots the environment and packs the prefix bookkeeping the way the
-// engine's capture does (copies, not views — the executor reuses its Result
-// buffers and the processes recycle their log buffers across runs).
-type rrCapture struct {
-	env   *memory.Env
-	x     *sched.Executor
-	capAt int
-
-	snap *memory.EnvSnapshot
-	pfx  sched.Prefix
-}
-
-func (f *rrCapture) Choose(step int, parked []sched.ProcState) sched.Choice {
-	if step == f.capAt && f.snap == nil {
-		f.snap, _ = f.env.Snapshot()
-		schedView, accView := f.x.PrefixView()
-		logs := make([][]memory.ReplayRec, f.env.N())
-		for i := range logs {
-			logs[i] = append([]memory.ReplayRec(nil), f.env.Proc(i).LogView()...)
-		}
-		f.pfx = sched.Prefix{
-			Schedule: append([]sched.Choice(nil), schedView...),
-			Accesses: append([]memory.Access(nil), accView...),
-			Logs:     logs,
-		}
-	}
-	return sched.Choice{Proc: parked[step%len(parked)].ID}
-}
-
-// TestSnapshotRestoreSpeedup pins the incremental-replay claim in its
-// load-independent form, at the layer where prefix re-execution is the
-// whole cost: re-entering a deep decision point of an A1 n=3 run from a
-// memory snapshot makes exactly one live scheduler decision where gated
-// re-execution of the same prefix makes all of them, and ends in the same
-// schedule and the same terminal state; and at the engine level the unpruned
-// A1 n=2 walk re-enters each of its 9661 branches by restore (no prefix
-// replays) with snapshots on, by replay with them off. The engine-level
-// equivalence tests pin that both paths explore identical trees; what a
-// restore saves in wall-clock is BENCH_E15.json's row.
-func TestSnapshotRestoreSpeedup(t *testing.T) {
-	env := memory.NewEnv(3)
-	a1 := NewA1()
-	env.Register(a1)
-	bodies := make([]func(p *memory.Proc), 3)
-	for i := 0; i < 3; i++ {
-		i := i
-		bodies[i] = func(p *memory.Proc) {
-			a1.Invoke(p, spec.Request{ID: int64(i + 1), Proc: i, Op: spec.OpTAS}, nil)
-		}
-	}
-	x := sched.NewExecutor(env, bodies)
-	defer x.Close()
-
-	// Discover the round-robin schedule's depth, then capture one decision
-	// short of it: the restore arm fast-forwards depth-1 steps and decides
-	// once live, the reconstruct arm re-executes all of them gated.
-	decisions := func(run func() *sched.Result) (int64, []sched.Choice, memory.Fingerprint) {
-		before := x.Stats().Decisions.Load()
-		schedule := append([]sched.Choice(nil), run().Schedule...)
-		fp, ok := env.Fingerprint()
-		if !ok {
-			t.Fatal("A1 environment must fingerprint")
-		}
-		env.Reset()
-		return x.Stats().Decisions.Load() - before, schedule, fp
-	}
-	gated, want, wantFP := decisions(func() *sched.Result {
-		return x.RunCapture(&rrCapture{env: env, x: x, capAt: -1})
-	})
-	depth := len(want)
-	if depth < 20 || gated != int64(depth) {
-		t.Fatalf("A1 n=3 round-robin run: %d decisions for a schedule of %d (want equal, >= 20)", gated, depth)
-	}
-	cap := &rrCapture{env: env, x: x, capAt: depth - 1}
-	x.RunCapture(cap)
-	if cap.snap == nil {
-		t.Fatalf("no snapshot captured at decision %d", depth-1)
-	}
-	env.Reset()
-
-	for r := 0; r < 3; r++ { // the captured prefix replays any number of times
-		restored, got, gotFP := decisions(func() *sched.Result {
-			env.Restore(cap.snap)
-			return x.RunReplay(&rrCapture{env: env, x: x, capAt: -1}, &cap.pfx)
-		})
-		if restored != 1 {
-			t.Fatalf("restore %d made %d live decisions, want 1 (gated re-execution: %d)", r, restored, gated)
-		}
-		if !reflect.DeepEqual(got, want) || gotFP != wantFP {
-			t.Fatalf("restore %d diverged from gated re-execution:\n%v\nvs\n%v", r, got, want)
-		}
-	}
-
-	for _, arm := range []struct {
-		mode              explore.SnapshotMode
-		restores, replays int
-	}{{explore.SnapshotOn, 9661, 0}, {explore.SnapshotOff, 0, 9661}} {
-		rep, err := explore.Run(a1Harness(2, false, false), explore.Config{Workers: 1, Snapshots: arm.mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Executions != 9662 || rep.SnapshotRestores != arm.restores || rep.Replays != arm.replays {
-			t.Fatalf("snapshots %v: %d executions, %d restores, %d replays; want 9662, %d, %d",
-				arm.mode, rep.Executions, rep.SnapshotRestores, rep.Replays, arm.restores, arm.replays)
-		}
-	}
-}
 
 func TestTheorem2A1ComposedWithItself(t *testing.T) {
 	// "Module A1 can also be composed with itself" (Section 6.3). The
@@ -1162,14 +1050,15 @@ func TestCompositionOutcomeString(t *testing.T) {
 // TestSeedExecutionCountA1TwoProcs pins the compatibility anchor of the
 // execution core: in unpruned, uncached, 1-worker mode the pooled engine
 // visits exactly the seed engine's 9662 interleavings of the two-process
-// A1 harness, and the reconstruction fallback agrees.
+// A1 harness, re-entering each of its 9661 branches by prefix replay, and
+// the reconstruction fallback agrees.
 func TestSeedExecutionCountA1TwoProcs(t *testing.T) {
 	rep, err := explore.Run(a1Harness(2, false, false), explore.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Executions != 9662 || rep.Pruned != 0 || rep.CacheHits != 0 {
-		t.Fatalf("pooled seed-mode walk: %+v, want exactly 9662 executions", rep)
+	if rep.Executions != 9662 || rep.Replays != 9661 || rep.Pruned != 0 || rep.CacheHits != 0 {
+		t.Fatalf("pooled seed-mode walk: %+v, want exactly 9662 executions and 9661 replays", rep)
 	}
 	if testing.Short() {
 		return
@@ -1178,8 +1067,8 @@ func TestSeedExecutionCountA1TwoProcs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Executions != 9662 {
-		t.Fatalf("spawn-path seed-mode walk: %+v, want exactly 9662 executions", rep)
+	if rep.Executions != 9662 || rep.Replays != 9661 {
+		t.Fatalf("spawn-path seed-mode walk: %+v, want exactly 9662 executions and 9661 replays", rep)
 	}
 }
 

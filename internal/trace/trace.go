@@ -115,8 +115,7 @@ func (r *Recorder) Reset() {
 // SetStampSource replaces the recorder's built-in wall-order counter with
 // an external stamp source (typically memory.Proc.EventStamp). A source
 // that derives stamps from the controlled schedule rather than wall order
-// makes traces reproducible when a branch is restored from a snapshot and
-// its prefix is regenerated by fast-forward re-execution. The source must
+// makes traces a function of the schedule alone. The source must
 // return stamps that are strictly increasing per process and consistent
 // with real-time order across processes. Must be set before recording.
 func (r *Recorder) SetStampSource(f func(proc int) int64) { r.stamp = f }
