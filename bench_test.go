@@ -15,12 +15,14 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/consensus"
 	"repro/internal/engine"
+	"repro/internal/linearize"
 	"repro/internal/memory"
 	"repro/internal/randexp"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/spec"
 	"repro/internal/tas"
+	"repro/internal/trace"
 )
 
 // --- E1: solo step complexity ------------------------------------------
@@ -470,3 +472,88 @@ func BenchmarkReseed(b *testing.B) {
 
 // reseedSink keeps BenchmarkReseed's draws observable.
 var reseedSink int
+
+// --- linearizability checker: per-object composition --------------------
+
+var linObjects = map[string]spec.Type{"tas": spec.TASType{}, "fai": spec.FetchIncType{}}
+
+// smallTASFAIHistory is the history the exhaustive tier checks once per
+// execution of the tasfai scenario at n=4: every process races the one-shot
+// test-and-set, then takes two tickets — 12 operations over two objects,
+// all invocations of a phase overlapping.
+func smallTASFAIHistory() []trace.Op {
+	var ops []trace.Op
+	stamp, ticket := int64(0), int64(0)
+	add := func(proc int, id int64, mod, op string, resp, inv, ret int64) {
+		ops = append(ops, trace.Op{Proc: proc, Module: mod, Inv: inv, Ret: ret, Resp: resp,
+			Req: spec.Request{ID: id, Proc: proc, Op: op}})
+	}
+	for p := 0; p < 4; p++ {
+		resp := spec.Loser
+		if p == 0 {
+			resp = spec.Winner
+		}
+		add(p, int64(3*p+1), "tas", spec.OpTAS, resp, int64(p), int64(10+p))
+	}
+	stamp = 20
+	for k := int64(2); k <= 3; k++ {
+		for p := 0; p < 4; p++ {
+			add(p, int64(3*p)+k, "fai", spec.OpInc, ticket, stamp, stamp+1)
+			ticket++
+			stamp += 2
+		}
+	}
+	return ops
+}
+
+// wideHistory is the repo benchmark's lin-wide-1m generator (benchmark/
+// workload_lin.go, copied because that module is not importable from
+// here): a seeded composed test-and-set + fetch-and-increment history,
+// linearizable by construction, stamps jittered by up to 7 around twice
+// the commit index over 64 processes, a forced quiescent cut every 192
+// commits — windows of about 511 operations and 512 configurations.
+func wideHistory(seed int64, total int) []trace.Op {
+	rng := rand.New(rand.NewSource(seed))
+	ops := make([]trace.Op, 0, total)
+	base, faiNext := int64(0), int64(0)
+	tasSet := false
+	for k := 0; k < total; k++ {
+		if k%192 == 0 {
+			base += 64
+		}
+		commit := base + int64(2*k)
+		o := trace.Op{Proc: k % 64, Inv: commit - rng.Int63n(7), Ret: commit + rng.Int63n(7)}
+		o.Req = spec.Request{ID: int64(k + 1), Proc: o.Proc}
+		if k%2 == 0 {
+			o.Module, o.Req.Op, o.Resp = "fai", spec.OpInc, faiNext
+			faiNext++
+		} else {
+			o.Module, o.Req.Op, o.Resp = "tas", spec.OpTAS, spec.Loser
+			if !tasSet {
+				o.Resp, tasSet = spec.Winner, true
+			}
+		}
+		ops = append(ops, o)
+	}
+	return ops
+}
+
+func benchCheckObjects(b *testing.B, ops []trace.Op) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, st, err := linearize.CheckObjects(linObjects, ops, linearize.JITConfig{})
+		if err != nil || !res.Ok || st.Ops != int64(len(ops)) {
+			b.Fatalf("ok=%v (%s) ops=%d err=%v", res.Ok, res.Reason, st.Ops, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(ops)), "ns/histop")
+}
+
+// BenchmarkCheckObjectsSmall prices the per-execution oracle call of the
+// model-checking tier: it must stay on the caller's goroutine and must not
+// pay for the machinery that makes the wide case fast.
+func BenchmarkCheckObjectsSmall(b *testing.B) { benchCheckObjects(b, smallTASFAIHistory()) }
+
+// BenchmarkCheckObjectsWide is lin-wide-1m at 2^16 operations: sort,
+// segment solve, memoization and interning on windows of about 511.
+func BenchmarkCheckObjectsWide(b *testing.B) { benchCheckObjects(b, wideHistory(1, 1<<16)) }

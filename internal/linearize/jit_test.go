@@ -30,6 +30,15 @@ func TestStreamRejectsAbortedOp(t *testing.T) {
 	}
 }
 
+func TestStreamRejectsReturnBeforeInvocation(t *testing.T) {
+	// A completed operation whose response stamp precedes its invocation
+	// is a recorder bug; the event list cannot order its two entries.
+	s := NewStream(spec.TASType{}, JITConfig{})
+	if err := s.Push(op(1, spec.OpTAS, 0, spec.Winner, 5, 4)); err == nil {
+		t.Fatal("operation returning before its invocation accepted")
+	}
+}
+
 func TestStreamPendingBudget(t *testing.T) {
 	s := NewStream(spec.TASType{}, JITConfig{MaxPending: 1})
 	if err := s.Push(pend(1, spec.OpTAS, 0, 1)); err != nil {

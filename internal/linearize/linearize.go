@@ -63,10 +63,10 @@ func Check(t spec.Type, ops []trace.Op) (Result, error) {
 	ops = append([]trace.Op(nil), ops...)
 	sort.Slice(ops, func(i, j int) bool { return ops[i].Inv < ops[j].Inv })
 
-	in := spec.NewInterner(t)
+	in := newInterner(t)
 	type key struct {
 		mask  uint64
-		state spec.StateID
+		state stateID
 	}
 	visited := map[key]bool{}
 	var full uint64
@@ -75,8 +75,8 @@ func Check(t spec.Type, ops []trace.Op) (Result, error) {
 	}
 
 	var witness spec.History
-	var dfs func(mask uint64, state spec.StateID) bool
-	dfs = func(mask uint64, state spec.StateID) bool {
+	var dfs func(mask uint64, state stateID) bool
+	dfs = func(mask uint64, state stateID) bool {
 		if mask == full {
 			return true
 		}
@@ -107,7 +107,7 @@ func Check(t spec.Type, ops []trace.Op) (Result, error) {
 			}
 			if o.Pending {
 				// Branch 1: the pending op takes effect here (any response).
-				next, _ := in.Apply(state, o.Req)
+				next, _ := in.apply(state, in.opIndex(o.Req.Op), &o.Req)
 				witness = append(witness, o.Req)
 				if dfs(mask|bit, next) {
 					return true
@@ -119,7 +119,7 @@ func Check(t spec.Type, ops []trace.Op) (Result, error) {
 				}
 				continue
 			}
-			next, resp := in.Apply(state, o.Req)
+			next, resp := in.apply(state, in.opIndex(o.Req.Op), &o.Req)
 			if resp != o.Resp {
 				continue // cannot linearize here; maybe later in another order
 			}

@@ -6,10 +6,10 @@
 //
 // States are explicit values behind the State interface (apply, equality,
 // hashing, cloning), which keeps Apply pure while letting the
-// linearizability checkers memoize over *interned* state identities: an
-// Interner maps each distinct state (by Equal) to a dense integer id, so
-// memo keys are integers and transition results are cached once per
-// (state, operation, argument) triple. Two histories that reach Equal
+// linearizability checkers memoize over *interned* state identities:
+// package linearize's interner maps each distinct state (by Equal) to a
+// dense integer id, so memo keys are integers and transition results are
+// cached once per (state, operation, argument) triple. Two histories that reach Equal
 // states return the same responses in every extension, which is the sound
 // decision procedure for ≡_I on deterministic types.
 package spec
@@ -43,8 +43,8 @@ func (r Request) String() string {
 // State is one sequential-object state: an immutable value the transition
 // function Δ maps to a successor state plus a response.
 //
-// Apply must be pure and total, and — so transition memoization by an
-// Interner is sound — may depend only on the request's Op and Arg fields,
+// Apply must be pure and total, and — so the checkers' transition
+// memoization is sound — may depend only on the request's Op and Arg fields,
 // never on its ID or Proc. Equal must be an equivalence consistent with
 // observational equality (Equal states respond identically in every
 // extension), and Hash must respect it (Equal states hash equally). Clone

@@ -130,14 +130,21 @@ func newLinChecker(o scenario.Oracle, cfg linearize.JITConfig, maxOps int64, m *
 
 // feedRound streams one round's recorded operations and closes the round.
 // Aborted operations are projected to pending invocations (Theorem 3's
-// projection), exactly as Oracle.Check does.
+// projection), exactly as Oracle.Check does. The verified-operations
+// counter moves once per round, by the round's count, and a stream is
+// looked up once per run of operations on the same module.
 func (lc *linChecker) feedRound(ops []trace.Op) {
 	if lc.err != nil {
 		return
 	}
-	t0 := time.Now()
-	defer func() { lc.wall += time.Since(t0) }()
+	t0, fed0 := time.Now(), lc.fed
+	defer func() {
+		lc.opsC.Add(0, lc.fed-fed0)
+		lc.wall += time.Since(t0)
+	}()
 	lc.roundsC.Add(0, 1)
+	var s *linearize.Stream // the stream of module mod
+	var mod string
 	for _, op := range ops {
 		if lc.maxOps > 0 && lc.fed >= lc.maxOps {
 			lc.truncated = true
@@ -148,21 +155,23 @@ func (lc *linChecker) feedRound(ops []trace.Op) {
 			op.Pending = true
 			op.Ret = 0
 		}
-		mod := op.Module
-		if lc.single {
-			mod = ""
-		}
-		s, ok := lc.streams[mod]
-		if !ok {
-			lc.err = fmt.Errorf("stress: operation %v labeled with unknown module %q", op.Req, op.Module)
-			return
+		if s == nil || !lc.single && op.Module != mod {
+			key := op.Module
+			if lc.single {
+				key = ""
+			}
+			next, ok := lc.streams[key]
+			if !ok {
+				lc.err = fmt.Errorf("stress: operation %v labeled with unknown module %q", op.Req, op.Module)
+				return
+			}
+			s, mod = next, op.Module
 		}
 		if err := s.Push(op); err != nil {
 			lc.err = err
 			return
 		}
 		lc.fed++
-		lc.opsC.Add(0, 1)
 	}
 	for _, mod := range lc.order {
 		if err := lc.streams[mod].Barrier(); err != nil {
