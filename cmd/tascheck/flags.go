@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cliflags"
-	"repro/internal/explore"
+	"repro/internal/engine"
 	"repro/internal/randexp"
 )
 
@@ -72,7 +72,7 @@ type cliFlags struct {
 	maxExecs   int
 	samples    int
 	seed       int64
-	prune      explore.PruneMode
+	prune      engine.PruneMode
 	lincheck   string
 	cache      bool
 	ckptOut    string
@@ -122,7 +122,7 @@ func flagRules() []flagRule {
 			Allowed: on(pathList, pathSweep, pathSampled)},
 		{Name: "-seed", Set: func(f *cliFlags) bool { return f.seed != defSeed },
 			Allowed: on(pathList, pathSweep, pathSampled)},
-		{Name: "-prune", Set: func(f *cliFlags) bool { return f.prune != explore.PruneSourceDPOR },
+		{Name: "-prune", Set: func(f *cliFlags) bool { return f.prune != engine.PruneSourceDPOR },
 			Allowed: on(pathList, pathExhaustive, pathExhaustiveDPOR)},
 		// The checker dispatch applies wherever an oracle actually runs —
 		// every path, with -list carrying the usual silently-valid

@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/explore"
+	"repro/internal/engine"
 	"repro/internal/randexp"
 )
 
@@ -24,7 +24,7 @@ func defaultFlags() *cliFlags {
 		maxExecs: defMax,
 		samples:  defSamples,
 		seed:     defSeed,
-		prune:    explore.PruneSourceDPOR,
+		prune:    engine.PruneSourceDPOR,
 		lincheck: defLincheck,
 	}
 }
@@ -38,7 +38,7 @@ var setters = map[string]func(f *cliFlags){
 	"-max":            func(f *cliFlags) { f.maxExecs = defMax + 1 },
 	"-samples":        func(f *cliFlags) { f.samples = defSamples + 1 },
 	"-seed":           func(f *cliFlags) { f.seed = defSeed + 1 },
-	"-prune":          func(f *cliFlags) { f.prune = explore.PruneSleep },
+	"-prune":          func(f *cliFlags) { f.prune = engine.PruneSleep },
 	"-lincheck":       func(f *cliFlags) { f.lincheck = "jit" },
 	"-cache":          func(f *cliFlags) { f.cache = true },
 	"-checkpoint-out": func(f *cliFlags) { f.ckptOut = "ckpt.json" },

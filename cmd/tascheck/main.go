@@ -62,7 +62,7 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/explore"
+	"repro/internal/engine"
 	"repro/internal/randexp"
 	"repro/internal/scenario"
 )
@@ -95,7 +95,7 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write a failing interleaving as a Chrome trace-event JSON file (viewable in Perfetto)")
 	flag.Parse()
 
-	pruneMode, err := explore.ParsePruneMode(*prune)
+	pruneMode, err := engine.ParsePruneMode(*prune)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tascheck: %v\n", err)
 		os.Exit(2)
@@ -174,7 +174,7 @@ func main() {
 	// Symmetrically, the sampler knobs mean nothing on an exhaustive walk,
 	// and source-DPOR cannot honour the cache or checkpoint flags.
 	path := pathExhaustive
-	if pruneMode == explore.PruneSourceDPOR {
+	if pruneMode == engine.PruneSourceDPOR {
 		path = pathExhaustiveDPOR
 	}
 	validate(path, procs)
@@ -191,10 +191,10 @@ func main() {
 		// A short walk-sampler probe on a fresh harness instance yields a
 		// Knuth estimate of the full tree — an exact attempts target under
 		// -prune none, an upper bound under any reduction.
-		session.startProgress(*progress, estimateTree(sc, procs, opts), pruneMode != explore.PruneNone, sc.Name)
+		session.startProgress(*progress, estimateTree(sc, procs, opts), pruneMode != engine.PruneNone, sc.Name)
 	}
 
-	cfg := explore.Config{
+	cfg := engine.Config{
 		MaxExecutions: *maxExecs,
 		TimeBudget:    *timeBudget,
 		Crashes:       *crashes,
@@ -211,7 +211,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	rep, err := explore.Run(h, cfg)
+	rep, err := engine.Run(h, cfg)
 	if rep.Checkpoint != nil && *ckptOut != "" {
 		if werr := saveCheckpoint(*ckptOut, rep.Checkpoint); werr != nil {
 			fmt.Fprintf(os.Stderr, "tascheck: %v\n", werr)
@@ -222,7 +222,7 @@ func main() {
 			len(rep.Checkpoint.Items), *ckptOut, *ckptOut)
 	}
 	session.close(verdictOf(err))
-	var ce *explore.CheckError
+	var ce *engine.CheckError
 	if errors.As(err, &ce) && *traceOut != "" {
 		if terr := writeTraceOut(*traceOut, sc, procs, opts, ce.Schedule); terr != nil {
 			fmt.Fprintf(os.Stderr, "tascheck: %v\n", terr)
@@ -261,7 +261,7 @@ func verdictOf(err error) string {
 	if err == nil {
 		return "ok"
 	}
-	var ce *explore.CheckError
+	var ce *engine.CheckError
 	if errors.As(err, &ce) {
 		return "fail"
 	}
@@ -316,7 +316,7 @@ func runSweep(cf *cliFlags, n, exhaustiveN, maxExecs, samples int, seed int64, w
 
 // runSampled drives the randomized frontend for process counts beyond the
 // exhaustive range and prints its coverage-aware summary.
-func runSampled(cf *cliFlags, h explore.Harness, sc scenario.Scenario, procs int, oracle scenario.Oracle, workers int, crashes bool, opts scenario.Options) {
+func runSampled(cf *cliFlags, h engine.Harness, sc scenario.Scenario, procs int, oracle scenario.Oracle, workers int, crashes bool, opts scenario.Options) {
 	kind, err := randexp.ParseSampler(cf.sampler)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tascheck: %v\n", err)
@@ -349,11 +349,11 @@ func runSampled(cf *cliFlags, h explore.Harness, sc scenario.Scenario, procs int
 		Metrics:    session.metrics(),
 	}
 	if crashes {
-		cfg.CrashProb = explore.SampleCrashProb
+		cfg.CrashProb = randexp.SampleCrashProb
 	}
 	rep, err := randexp.Run(h, cfg)
 	session.close(verdictOf(err))
-	var ceTrace *randexp.CheckError
+	var ceTrace *engine.CheckError
 	if errors.As(err, &ceTrace) && cf.traceOut != "" {
 		if terr := writeTraceOut(cf.traceOut, sc, procs, opts, ceTrace.Schedule); terr != nil {
 			fmt.Fprintf(os.Stderr, "tascheck: %v\n", terr)
@@ -367,7 +367,7 @@ func runSampled(cf *cliFlags, h explore.Harness, sc scenario.Scenario, procs int
 		return
 	}
 	if err != nil {
-		var ce *randexp.CheckError
+		var ce *engine.CheckError
 		if errors.As(err, &ce) {
 			fmt.Fprintf(os.Stderr, "tascheck: FAILED after %d sampled executions: seed %d reproduces it (schedule %v): %v\n",
 				rep.Executions, ce.Seed, ce.Schedule, ce.Err)
@@ -412,19 +412,19 @@ func parseRates(s string) ([]float64, error) {
 	return out, nil
 }
 
-func loadCheckpoint(path string) (*explore.Checkpoint, error) {
+func loadCheckpoint(path string) (*engine.Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("reading checkpoint: %w", err)
 	}
-	var ck explore.Checkpoint
+	var ck engine.Checkpoint
 	if err := json.Unmarshal(data, &ck); err != nil {
 		return nil, fmt.Errorf("parsing checkpoint %s: %w", path, err)
 	}
 	return &ck, nil
 }
 
-func saveCheckpoint(path string, ck *explore.Checkpoint) error {
+func saveCheckpoint(path string, ck *engine.Checkpoint) error {
 	data, err := json.MarshalIndent(ck, "", " ")
 	if err != nil {
 		return fmt.Errorf("encoding checkpoint: %w", err)

@@ -11,9 +11,10 @@ import (
 	"repro/internal/bench"
 	"repro/internal/consensus"
 	"repro/internal/core"
-	"repro/internal/explore"
+	"repro/internal/engine"
 	"repro/internal/linearize"
 	"repro/internal/memory"
+	"repro/internal/randexp"
 	"repro/internal/sched"
 	"repro/internal/spec"
 	"repro/internal/tas"
@@ -65,7 +66,7 @@ func TestIntegrationComposedTASWithCrashes(t *testing.T) {
 		}
 		return env, bodies, check, rec.Reset
 	}
-	rep, err := explore.Run(h, explore.Config{Crashes: true, Prune: explore.PruneSourceDPOR, Workers: 8})
+	rep, err := engine.Run(h, engine.Config{Crashes: true, Prune: engine.PruneSourceDPOR, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +89,7 @@ func TestIntegrationFullStackSoak(t *testing.T) {
 			abstract.StageSpec{Name: "wf", MkCons: func(int) consensus.Abortable { return consensus.NewCASConsensus() }},
 		)
 		ll := tas.NewLongLived(n)
+		env.Register(queue, ll)
 		qRec := trace.NewRecorder(n)
 		tasRec := trace.NewRecorder(n)
 		bodies := make([]func(p *memory.Proc), n)
@@ -148,11 +150,9 @@ func TestIntegrationFullStackSoak(t *testing.T) {
 			}
 			return nil
 		}
-		// The universal-construction side has no reset path; sample via
-		// per-execution reconstruction.
-		return env, bodies, check, nil
+		return env, bodies, check, func() { qRec.Reset(); tasRec.Reset() }
 	}
-	if _, err := explore.Sample(h, 600, 31, false); err != nil {
+	if _, err := randexp.Sample(h, 600, 31, false); err != nil {
 		t.Fatal(err)
 	}
 }

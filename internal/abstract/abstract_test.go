@@ -6,9 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/consensus"
-	"repro/internal/explore"
+	"repro/internal/engine"
 	"repro/internal/linearize"
 	"repro/internal/memory"
+	"repro/internal/randexp"
 	"repro/internal/sched"
 	"repro/internal/spec"
 	"repro/internal/trace"
@@ -162,11 +163,12 @@ func TestConcurrentCounterLinearizable(t *testing.T) {
 // abstractHarness drives k ops per process on a composed object under the
 // controlled scheduler, records an Abstract trace per stage, and checks
 // Definition 1 plus linearizability of the committed projection.
-func abstractHarness(nproc, opsPer int, specs func(n int) []StageSpec) explore.Harness {
+func abstractHarness(nproc, opsPer int, specs func(n int) []StageSpec) engine.Harness {
 	return func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
 		env := memory.NewEnv(nproc)
 		typ := spec.FetchIncType{}
 		o := NewObject(typ, nproc, specs(nproc)...)
+		env.Register(o)
 		rec := trace.NewRecorder(nproc)
 		bodies := make([]func(p *memory.Proc), nproc)
 		for i := 0; i < nproc; i++ {
@@ -203,16 +205,70 @@ func abstractHarness(nproc, opsPer int, specs func(n int) []StageSpec) explore.H
 			}
 			return nil
 		}
-		// No reset path: the universal construction materializes consensus
-		// instances and registry slots at schedule-dependent times, so the
-		// engine reconstructs this harness per execution.
-		return env, bodies, check, nil
+		return env, bodies, check, rec.Reset
+	}
+}
+
+// TestObjectResetMatchesFreshConstruction runs k seeded random schedules
+// (crashes included, so resets also follow half-finished operations) on one
+// object, reset in between, and on k freshly constructed objects: every
+// operation must end with the same outcome, response and history on the
+// same stage, and every process bound to the same stage.
+func TestObjectResetMatchesFreshConstruction(t *testing.T) {
+	const n, opsPer, k = 3, 2, 300
+	type system struct {
+		env    *memory.Env
+		o      *Object
+		bodies []func(p *memory.Proc)
+		ops    []string // one line per operation, in (process, k) order
+	}
+	build := func() *system {
+		s := &system{env: memory.NewEnv(n), o: fullObject(spec.QueueType{}, n), ops: make([]string, n*opsPer)}
+		s.env.Register(s.o)
+		for i := 0; i < n; i++ {
+			i := i
+			s.bodies = append(s.bodies, func(p *memory.Proc) {
+				for j := 0; j < opsPer; j++ {
+					m := spec.Request{ID: int64(i*opsPer + j + 1), Proc: i, Op: spec.OpEnq, Arg: int64(10*i + j)}
+					if i == n-1 {
+						m.Op = spec.OpDeq
+					}
+					out, resp, h, stage := s.o.Invoke(p, m)
+					s.ops[i*opsPer+j] = fmt.Sprint(out, resp, h.IDs(), stage)
+				}
+			})
+		}
+		return s
+	}
+	run := func(s *system, seed int64) string {
+		clear(s.ops)
+		sched.Run(s.env, sched.NewRandomCrash(seed, 0.002), s.bodies)
+		line := fmt.Sprint(s.ops)
+		for _, p := range s.env.Procs() {
+			line += fmt.Sprint(" ", s.o.CurrentStage(p))
+		}
+		return line
+	}
+	reused := build()
+	stages := map[int]bool{}
+	for seed := int64(1); seed <= k; seed++ {
+		got, want := run(reused, seed), run(build(), seed)
+		if got != want {
+			t.Fatalf("seed %d: reset object\n%s\nfresh object\n%s", seed, got, want)
+		}
+		for _, p := range reused.env.Procs() {
+			stages[reused.o.CurrentStage(p)] = true
+		}
+		reused.env.Reset()
+	}
+	if len(stages) < 2 {
+		t.Fatalf("schedules never left stage 0 (%v): the later stages' reset went unexercised", stages)
 	}
 }
 
 func TestExhaustiveAbstractProperties(t *testing.T) {
 	specs := func(n int) []StageSpec { return []StageSpec{splitSpec(), casSpec()} }
-	rep, err := explore.Run(abstractHarness(2, 1, specs), explore.Config{Prune: explore.PruneSourceDPOR, Workers: 8, MaxExecutions: 10000})
+	rep, err := engine.Run(abstractHarness(2, 1, specs), engine.Config{Prune: engine.PruneSourceDPOR, Workers: 8, MaxExecutions: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,12 +277,12 @@ func TestExhaustiveAbstractProperties(t *testing.T) {
 
 func TestRandomizedAbstractProperties(t *testing.T) {
 	specs := func(n int) []StageSpec { return []StageSpec{splitSpec(), bakerySpec(n), casSpec()} }
-	if _, err := explore.Sample(abstractHarness(3, 2, specs), 1200, 7, false); err != nil {
+	if _, err := randexp.Sample(abstractHarness(3, 2, specs), 1200, 7, false); err != nil {
 		t.Fatal(err)
 	}
 	// Register-only composition: aborts allowed, properties must still hold.
 	specsReg := func(n int) []StageSpec { return []StageSpec{splitSpec(), bakerySpec(n)} }
-	if _, err := explore.Sample(abstractHarness(3, 2, specsReg), 1200, 11, false); err != nil {
+	if _, err := randexp.Sample(abstractHarness(3, 2, specsReg), 1200, 11, false); err != nil {
 		t.Fatal(err)
 	}
 }

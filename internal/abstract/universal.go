@@ -49,6 +49,10 @@ func (r *Registry) Publish(p *memory.Proc, m spec.Request) {
 	r.arr.GetOrPut(p, int(m.ID), &req)
 }
 
+// ResetState implements memory.Resettable: every published request is
+// forgotten.
+func (r *Registry) ResetState() { r.arr.ResetState() }
+
 // Lookup returns the request with the given id; it panics if the id was
 // never published (a decided id is always published before being proposed).
 func (r *Registry) Lookup(p *memory.Proc, id int64) spec.Request {
@@ -110,14 +114,33 @@ func NewStage(name string, typ spec.Type, n int, reg *Registry, mkCons func(slot
 		return &slotCell{inst: mkCons(i)}
 	})
 	for i := range s.local {
-		s.local[i] = &stageLocal{
-			decided: map[int64]bool{},
-			resp:    map[int64]int64{},
-			slot:    1,
-			state:   typ.Start(),
-		}
+		s.local[i] = newStageLocal(typ)
 	}
 	return s
+}
+
+func newStageLocal(typ spec.Type) *stageLocal {
+	return &stageLocal{
+		decided: map[int64]bool{},
+		resp:    map[int64]int64{},
+		slot:    1,
+		state:   typ.Start(),
+	}
+}
+
+// ResetState implements memory.Resettable: the stage's shared state reverts
+// to construction — consensus slots are discarded, to be re-created by
+// mkCons on their next access, so mkCons must be deterministic — and every
+// process's private bookkeeping starts over. The registry is shared between
+// stages and is reset by whoever owns it (Object.ResetState).
+func (s *Stage) ResetState() {
+	s.cons.ResetState()
+	s.aborted.ResetState()
+	s.reqs.ResetState()
+	s.c.ResetState()
+	for i := range s.local {
+		s.local[i] = newStageLocal(s.typ)
+	}
 }
 
 // Name returns the stage label.
@@ -262,6 +285,7 @@ func (s *Stage) StepsPerformed(p *memory.Proc) int { return len(s.local[p.ID()].
 // CAS otherwise).
 type Object struct {
 	typ    spec.Type
+	reg    *Registry
 	stages []*Stage
 	local  []*objLocal
 }
@@ -284,15 +308,27 @@ func NewObject(typ spec.Type, n int, specs ...StageSpec) *Object {
 	if len(specs) == 0 {
 		panic("abstract: object needs at least one stage")
 	}
-	reg := NewRegistry()
-	o := &Object{typ: typ, local: make([]*objLocal, n)}
+	o := &Object{typ: typ, reg: NewRegistry(), local: make([]*objLocal, n)}
 	for _, sp := range specs {
-		o.stages = append(o.stages, NewStage(sp.Name, typ, n, reg, sp.MkCons))
+		o.stages = append(o.stages, NewStage(sp.Name, typ, n, o.reg, sp.MkCons))
 	}
 	for i := range o.local {
 		o.local[i] = &objLocal{}
 	}
 	return o
+}
+
+// ResetState implements memory.Resettable: the registry, every stage and
+// every process's stage binding revert to construction, so a harness that
+// registers the object with its Env can re-run it instead of rebuilding it.
+func (o *Object) ResetState() {
+	o.reg.ResetState()
+	for _, s := range o.stages {
+		s.ResetState()
+	}
+	for i := range o.local {
+		o.local[i] = &objLocal{}
+	}
 }
 
 // Stages returns the composed stages, in order.

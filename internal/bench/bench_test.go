@@ -404,25 +404,10 @@ func TestSeedPlumbing(t *testing.T) {
 
 func TestE11Shapes(t *testing.T) {
 	tables := RunE11()
-	if len(tables) != 2 {
+	if len(tables) != 1 {
 		t.Fatalf("E11 tables = %d", len(tables))
 	}
-	pool := tables[0]
-	if len(pool.Rows) != 6 {
-		t.Fatalf("E11a rows = %d", len(pool.Rows))
-	}
-	// Per harness: construct-per-execution and pooled rows must report
-	// identical execution counts — pooling is a pure performance change.
-	for r := 0; r < len(pool.Rows); r += 2 {
-		if cellInt(t, pool, r, 2) != cellInt(t, pool, r+1, 2) {
-			t.Fatalf("E11a: pooled mode changed the walk: %v", pool.Rows)
-		}
-	}
-	if cellInt(t, pool, 0, 2) != 9662 {
-		t.Fatalf("E11a seed walk = %d executions, want 9662", cellInt(t, pool, 0, 2))
-	}
-
-	cache := tables[1]
+	cache := tables[0]
 	if len(cache.Rows) != 6 {
 		t.Fatalf("E11b rows = %d", len(cache.Rows))
 	}

@@ -3,7 +3,7 @@ package bench
 import (
 	"time"
 
-	"repro/internal/explore"
+	"repro/internal/engine"
 	"repro/internal/stats"
 )
 
@@ -26,7 +26,7 @@ func RunE10() []*Table {
 	}
 	type mode struct {
 		name string
-		cfg  explore.Config
+		cfg  engine.Config
 	}
 	// The attempt budget keeps the unpruned seed-mode row bounded when
 	// -scenario swaps in a workload with a larger tree than the composed
@@ -38,22 +38,22 @@ func RunE10() []*Table {
 		modes []mode
 	}{
 		{2, []mode{
-			{"seed (1 worker, no pruning)", explore.Config{MaxExecutions: budget}},
-			{"sleep sets (8 workers)", explore.Config{MaxExecutions: budget, Prune: explore.PruneSleep, Workers: 8}},
-			{"source-DPOR (8 workers)", explore.Config{MaxExecutions: budget, Prune: explore.PruneSourceDPOR, Workers: 8}},
+			{"seed (1 worker, no pruning)", engine.Config{MaxExecutions: budget}},
+			{"sleep sets (8 workers)", engine.Config{MaxExecutions: budget, Prune: engine.PruneSleep, Workers: 8}},
+			{"source-DPOR (8 workers)", engine.Config{MaxExecutions: budget, Prune: engine.PruneSourceDPOR, Workers: 8}},
 		}},
 		{3, []mode{
-			{"sleep sets (8 workers)", explore.Config{MaxExecutions: budget, Prune: explore.PruneSleep, Workers: 8}},
-			{"source-DPOR (8 workers)", explore.Config{MaxExecutions: budget, Prune: explore.PruneSourceDPOR, Workers: 8}},
+			{"sleep sets (8 workers)", engine.Config{MaxExecutions: budget, Prune: engine.PruneSleep, Workers: 8}},
+			{"source-DPOR (8 workers)", engine.Config{MaxExecutions: budget, Prune: engine.PruneSourceDPOR, Workers: 8}},
 		}},
 	}
 	for _, r := range rows {
 		h, label := harnessFor("composed", r.n)
 		var base int
 		for _, m := range r.modes {
-			var rep explore.Report
+			var rep engine.Report
 			var err error
-			wall, heap := timedWithHeap(func() { rep, err = explore.Run(h, m.cfg) })
+			wall, heap := timedWithHeap(func() { rep, err = engine.Run(h, m.cfg) })
 			if err != nil {
 				t.AddRow(label, m.name, "FAILED", err, "", "", "")
 				continue
@@ -64,7 +64,7 @@ func RunE10() []*Table {
 			// silently wrong.
 			execs := intCell(rep.Executions, rep.Partial)
 			reduction := "—"
-			if m.cfg.Prune == explore.PruneNone {
+			if m.cfg.Prune == engine.PruneNone {
 				if !rep.Partial {
 					base = rep.Executions
 				}

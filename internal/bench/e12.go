@@ -101,7 +101,7 @@ func RunE12() []*Table {
 			cfg.Samples = covSamples
 			cfg.Seed = seedFor(1300)
 			h, _ := harnessFor("composed", n)
-			rep, err := randexp.Run(randexp.Harness(h), cfg)
+			rep, err := randexp.Run(h, cfg)
 			if err != nil {
 				covTab.AddRow(n, s.name, "FAILED", err, "", "")
 				continue

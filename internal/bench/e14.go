@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/explore"
+	"repro/internal/engine"
 	"repro/internal/stats"
 )
 
@@ -46,11 +46,11 @@ func RunE14() []*Table {
 	} {
 		h, label := harnessFor(cfg.def, cfg.n)
 		var sleepAttempts int
-		for _, mode := range []explore.PruneMode{explore.PruneSleep, explore.PruneSourceDPOR} {
-			var rep explore.Report
+		for _, mode := range []engine.PruneMode{engine.PruneSleep, engine.PruneSourceDPOR} {
+			var rep engine.Report
 			var err error
 			wall, heap := timedWithHeap(func() {
-				rep, err = explore.Run(h, explore.Config{Prune: mode, Workers: 1, MaxExecutions: budget})
+				rep, err = engine.Run(h, engine.Config{Prune: mode, Workers: 1, MaxExecutions: budget})
 			})
 			if err != nil {
 				t.AddRow(label, mode.String(), "FAILED", err, "", "", "", "")
@@ -59,7 +59,7 @@ func RunE14() []*Table {
 			recordPerfHeap("E14", t.ID, label+" / "+mode.String(), rep.Executions, rep.Attempts, wall, heap)
 			attempts := intCell(rep.Attempts, rep.Partial)
 			reduction := "—"
-			if mode == explore.PruneSleep {
+			if mode == engine.PruneSleep {
 				if !rep.Partial {
 					sleepAttempts = rep.Attempts
 				}

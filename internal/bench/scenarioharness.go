@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/explore"
+	"repro/internal/engine"
 	"repro/internal/scenario"
 )
 
@@ -28,7 +28,7 @@ func SetScenario(name string) error {
 // harnessFor resolves the experiment harness from the scenario registry:
 // the configured override if SetScenario was called, otherwise def. It
 // returns the harness and its row label.
-func harnessFor(def string, n int) (explore.Harness, string) {
+func harnessFor(def string, n int) (engine.Harness, string) {
 	name := benchScenario
 	if name == "" {
 		name = def

@@ -102,7 +102,7 @@ func All() []Experiment {
 		{"E8", RunE8, "solo-fast TAS: hardware only on own step contention"},
 		{"E9", RunE9, "ablations: stage stacks and the speculative fetch-and-increment"},
 		{"E10", RunE10, "exploration engine: partial-order reduction and worker-pool scaling"},
-		{"E11", RunE11, "execution core: pooled executors, resettable memory, state-fingerprint caching"},
+		{"E11", RunE11, "execution core: state-fingerprint caching on top of sleep sets"},
 		{"E12", RunE12, "randomized exploration: PCT vs uniform bug finding, sampler coverage growth"},
 		{"E14", RunE14, "unified engine core: source-DPOR vs legacy sleep sets, attempts and wall-clock"},
 		{"E16", RunE16, "native stress: throughput scaling, latency tails and the RMW census"},

@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/explore"
+	"repro/internal/engine"
 	"repro/internal/memory"
+	"repro/internal/randexp"
 	"repro/internal/sched"
 )
 
@@ -133,7 +134,7 @@ func TestCASConsensusAlwaysCommits(t *testing.T) {
 // consensusHarness runs both processes proposing distinct values through a
 // fresh instance and checks agreement, validity, and the ⊥-abort property
 // (an abort with ⊥ implies the instance never commits).
-func consensusHarness(t *testing.T, name string, stats *map[string]int) explore.Harness {
+func consensusHarness(t *testing.T, name string, stats *map[string]int) engine.Harness {
 	t.Helper()
 	return func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
 		env := memory.NewEnv(2)
@@ -191,7 +192,7 @@ func consensusHarness(t *testing.T, name string, stats *map[string]int) explore.
 
 func TestExhaustiveSplitConsensus(t *testing.T) {
 	stats := map[string]int{}
-	rep, err := explore.Run(consensusHarness(t, "split", &stats), explore.Config{Prune: explore.PruneSourceDPOR, Workers: 8})
+	rep, err := engine.Run(consensusHarness(t, "split", &stats), engine.Config{Prune: engine.PruneSourceDPOR, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestExhaustiveSplitConsensus(t *testing.T) {
 
 func TestExhaustiveBakery(t *testing.T) {
 	stats := map[string]int{}
-	rep, err := explore.Run(consensusHarness(t, "bakery", &stats), explore.Config{Prune: explore.PruneSourceDPOR, Workers: 8, MaxExecutions: 200000})
+	rep, err := engine.Run(consensusHarness(t, "bakery", &stats), engine.Config{Prune: engine.PruneSourceDPOR, Workers: 8, MaxExecutions: 200000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestExhaustiveBakery(t *testing.T) {
 
 func TestExhaustiveCAS(t *testing.T) {
 	stats := map[string]int{}
-	rep, err := explore.Run(consensusHarness(t, "cas", &stats), explore.Config{})
+	rep, err := engine.Run(consensusHarness(t, "cas", &stats), engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestExhaustiveCAS(t *testing.T) {
 
 func TestExhaustiveChainWaitFree(t *testing.T) {
 	stats := map[string]int{}
-	rep, err := explore.Run(consensusHarness(t, "chain", &stats), explore.Config{Prune: explore.PruneSourceDPOR, Workers: 8, MaxExecutions: 200000})
+	rep, err := engine.Run(consensusHarness(t, "chain", &stats), engine.Config{Prune: engine.PruneSourceDPOR, Workers: 8, MaxExecutions: 200000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestRandomizedThreeProcs(t *testing.T) {
 			}
 			return env, bodies, check, reset
 		}
-		if _, err := explore.Sample(h, 1500, 99, false); err != nil {
+		if _, err := randexp.Sample(h, 1500, 99, false); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("%s: stats=%v", name, stats)

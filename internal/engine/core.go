@@ -1,14 +1,17 @@
 package engine
 
 // The reusable execution core shared by both frontends: per-worker harness
-// instances (pooled through a persistent sched.Executor when the harness
-// provides a reset path, reconstructed per run otherwise), the lock that
-// serializes harness construction/check/reset, the batched seeded sampling
-// loop with its seed-order merge discipline, and the conversion of a
-// panicking harness closure into a named error.
+// instances (each re-run through its own persistent sched.Executor and reset
+// between executions), the lock that serializes harness
+// construction/check/reset, the batched seeded sampling loop with its
+// seed-order merge discipline, and the conversion of a panicking harness
+// closure into a named error.
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -17,23 +20,18 @@ import (
 	"repro/internal/sched"
 )
 
-// instance is one worker's constructed harness. With a reset path the
-// worker keeps it for its whole lifetime and reuses it through the pooled
-// executor; without one, a fresh instance is built per run and exec is nil.
+// instance is one worker's constructed harness: the worker keeps it for its
+// whole lifetime and re-runs it through the pooled executor.
 type instance struct {
-	env    *memory.Env
-	bodies []func(p *memory.Proc)
-	check  func(res *sched.Result) error
-	reset  func()
-	exec   *sched.Executor
+	env   *memory.Env
+	check func(res *sched.Result) error
+	reset func()
+	exec  *sched.Executor
 }
 
-// close releases the instance's pooled executor, if any.
-func (inst *instance) close() {
-	if inst != nil && inst.exec != nil {
-		inst.exec.Close()
-	}
-}
+// ErrNilReset is the rejection of a harness whose constructor returns no
+// reset closure; the error wrapping it names the harness function.
+var ErrNilReset = errors.New("engine: harness returned a nil reset")
 
 // Core owns the execution-driving state both frontends share: one harness,
 // up to workers live instances, and the lock serializing construction,
@@ -59,37 +57,32 @@ func NewCore(h Harness, workers int) *Core {
 	return &Core{h: h, insts: make([]atomic.Pointer[instance], workers)}
 }
 
-// newInstance constructs a harness instance (serialized with checks, so
-// harness closures may share state) and, if the harness provides a reset
-// path, its pooled executor.
-func (c *Core) newInstance() *instance {
+// instanceFor returns worker w's instance, constructing it — and its pooled
+// executor — on first use (serialized with checks, so harness closures may
+// share state). A harness without a reset closure is rejected here: there is
+// no second way to run one.
+func (c *Core) instanceFor(w int) (*instance, error) {
+	if inst := c.insts[w].Load(); inst != nil {
+		return inst, nil
+	}
 	c.checkMu.Lock()
 	env, bodies, check, reset := c.h()
 	c.checkMu.Unlock()
-	inst := &instance{env: env, bodies: bodies, check: check, reset: reset}
-	if reset != nil {
-		inst.exec = sched.NewExecutor(env, bodies)
+	if reset == nil {
+		return nil, fmt.Errorf("%w: %s must register its shared objects with the Env and return a reset restoring its own state",
+			ErrNilReset, runtime.FuncForPC(reflect.ValueOf(c.h).Pointer()).Name())
 	}
-	return inst
-}
-
-// instanceFor returns worker w's instance: persistent when pooled, fresh
-// per call when the harness has no reset path (the documented fallback —
-// all shared state must then live inside the closure, and the construction
-// cost is paid per run).
-func (c *Core) instanceFor(w int) *instance {
-	if inst := c.insts[w].Load(); inst != nil && inst.exec != nil {
-		return inst
-	}
-	inst := c.newInstance()
+	inst := &instance{env: env, check: check, reset: reset, exec: sched.NewExecutor(env, bodies)}
 	c.insts[w].Store(inst)
-	return inst
+	return inst, nil
 }
 
 // Close releases every pooled executor the core constructed.
 func (c *Core) Close() {
 	for i := range c.insts {
-		c.insts[i].Load().close()
+		if inst := c.insts[i].Load(); inst != nil {
+			inst.exec.Close()
+		}
 	}
 }
 
@@ -109,7 +102,7 @@ func (c *Core) RegisterObs(m *obs.Metrics) (remove func()) {
 		return m.AddSource(name, help, false, func() int64 {
 			var t int64
 			for i := range c.insts {
-				if inst := c.insts[i].Load(); inst != nil && inst.exec != nil {
+				if inst := c.insts[i].Load(); inst != nil {
 					t += pick(inst.exec.Stats())
 				}
 			}
@@ -186,36 +179,28 @@ func harnessPanic(stage string, r any, res *sched.Result) error {
 	return fmt.Errorf("engine: harness %s panicked on schedule %v: %v", stage, schedule, r)
 }
 
-// run performs one execution under the strategy: through the pooled
-// executor, or the one-shot path when the harness has no reset.
-func (inst *instance) run(s sched.Strategy) *sched.Result {
-	if inst.exec != nil {
-		return inst.exec.RunStrategy(s)
-	}
-	return sched.Run(inst.env, s, inst.bodies)
-}
-
 // Probe runs one throwaway execution under the strategy on worker 0's
 // instance — resetting it afterwards — and returns the schedule length
 // (minimum 1). The sampling frontends use it to measure deterministic
 // schedule-length bounds (the PCT k parameter) before sampling starts. A
 // panicking harness is reported as in SampleBatches.
 func (c *Core) Probe(s sched.Strategy) (depth int, err error) {
-	inst := c.instanceFor(0)
+	inst, err := c.instanceFor(0)
+	if err != nil {
+		return 0, err
+	}
 	stage := stageRun
 	defer func() {
 		if r := recover(); r != nil {
 			err = harnessPanic(stage, r, nil)
 		}
 	}()
-	res := inst.run(s)
-	if inst.exec != nil {
-		c.checkMu.Lock()
-		defer c.checkMu.Unlock()
-		stage = stageReset
-		inst.env.Reset()
-		inst.reset()
-	}
+	res := inst.exec.RunStrategy(s)
+	c.checkMu.Lock()
+	defer c.checkMu.Unlock()
+	stage = stageReset
+	inst.env.Reset()
+	inst.reset()
 	return max(len(res.Schedule), 1), nil
 }
 
@@ -279,9 +264,10 @@ type SampleConfig struct {
 // returning false stops the loop after that batch (failure stops,
 // saturation stops).
 //
-// A harness closure that panics ends the loop: the workers stop, the batch
-// is not folded, and the error names the panic (of several in one batch,
-// the one on the lowest seed reached) and its seed.
+// A harness closure that panics — or a harness the core rejects at
+// construction — ends the loop: the workers stop, the batch is not folded,
+// and the error names the cause (of several in one batch, the one on the
+// lowest seed reached) and its seed.
 func (c *Core) SampleBatches(cfg SampleConfig, newStrat func() SeedStrategy, fold func(batch []SeedOutcome) bool) error {
 	batch := cfg.BatchSize
 	if batch < 1 {
@@ -296,7 +282,7 @@ func (c *Core) SampleBatches(cfg SampleConfig, newStrat func() SeedStrategy, fol
 			m = remaining
 		}
 		outs := make([]SeedOutcome, m)
-		fatal := make([]*seedPanic, workers) // slot w is touched only by worker w
+		fatal := make([]*seedFatal, workers) // slot w is touched only by worker w
 		var idx atomic.Int64
 		var stop atomic.Bool
 		var wg sync.WaitGroup
@@ -316,7 +302,7 @@ func (c *Core) SampleBatches(cfg SampleConfig, newStrat func() SeedStrategy, fol
 					if i >= m {
 						return
 					}
-					outs[i], fatal[w] = c.runSeed(c.instanceFor(w), next+int64(i), strats[w])
+					outs[i], fatal[w] = c.runSeed(w, next+int64(i), strats[w])
 					if fatal[w] != nil {
 						stop.Store(true)
 						return
@@ -330,8 +316,8 @@ func (c *Core) SampleBatches(cfg SampleConfig, newStrat func() SeedStrategy, fol
 		wg.Wait()
 		if stop.Load() {
 			// Seeds are claimed in order and each worker stops at its first
-			// panic, so the lowest panicking seed is among the recorded ones.
-			var first *seedPanic
+			// fatal run, so the lowest such seed is among the recorded ones.
+			var first *seedFatal
 			for _, sp := range fatal {
 				if sp != nil && (first == nil || sp.seed < first.seed) {
 					first = sp
@@ -348,29 +334,34 @@ func (c *Core) SampleBatches(cfg SampleConfig, newStrat func() SeedStrategy, fol
 	return nil
 }
 
-// seedPanic is a harness panic on the sampling path, tagged with its seed.
-type seedPanic struct {
+// seedFatal is what ends a sampling loop — a harness panic, or a harness
+// rejected at construction — tagged with the seed whose run hit it.
+type seedFatal struct {
 	seed int64
 	err  error
 }
 
-func (e *seedPanic) Error() string { return fmt.Sprintf("seed %d: %v", e.seed, e.err) }
-func (e *seedPanic) Unwrap() error { return e.err }
+func (e *seedFatal) Error() string { return fmt.Sprintf("seed %d: %v", e.seed, e.err) }
+func (e *seedFatal) Unwrap() error { return e.err }
 
-// runSeed performs one seeded run on the given instance and records its
+// runSeed performs one seeded run on worker w's instance and records its
 // outcome. The terminal fingerprint is taken before the instance is reset,
 // and a failing schedule is copied out of the executor's reused Result. A
-// panic in a harness closure comes back as fatal.
-func (c *Core) runSeed(inst *instance, seed int64, strat SeedStrategy) (out SeedOutcome, fatal *seedPanic) {
+// panic in a harness closure, or a rejected harness, comes back as fatal.
+func (c *Core) runSeed(w int, seed int64, strat SeedStrategy) (out SeedOutcome, fatal *seedFatal) {
+	inst, err := c.instanceFor(w)
+	if err != nil {
+		return out, &seedFatal{seed: seed, err: err}
+	}
 	stage := stageRun
 	var res *sched.Result
 	defer func() {
 		if r := recover(); r != nil {
-			fatal = &seedPanic{seed: seed, err: harnessPanic(stage, r, res)}
+			fatal = &seedFatal{seed: seed, err: harnessPanic(stage, r, res)}
 		}
 	}()
 	s, finish := strat(seed, inst.env.N())
-	res = inst.run(s)
+	res = inst.exec.RunStrategy(s)
 	out = SeedOutcome{Seed: seed, Depth: len(res.Schedule), Shape: ShapeHash(res.Schedule)}
 	out.Fingerprint, out.FingerprintOK = inst.env.Fingerprint()
 	if finish != nil {
@@ -383,11 +374,9 @@ func (c *Core) runSeed(inst *instance, seed int64, strat SeedStrategy) (out Seed
 		out.Err = err
 		out.Schedule = append([]sched.Choice(nil), res.Schedule...)
 	}
-	if inst.exec != nil {
-		stage = stageReset
-		inst.env.Reset()
-		inst.reset()
-	}
+	stage = stageReset
+	inst.env.Reset()
+	inst.reset()
 	return out, nil
 }
 

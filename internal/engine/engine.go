@@ -1,12 +1,12 @@
-// Package engine is the shared execution-driving core under both
-// exploration frontends: internal/explore (exhaustive frontier walks) and
-// internal/randexp (seeded batch sampling) are thin strategy layers over
-// the machinery this package owns — the worker pool, pooled-executor
-// acquisition and reset (with the non-pooled reconstruct fallback), the
-// step/time/execution budgets, the checkpoint frontier, deterministic
-// merging (lex-least canonical failures for walks, seed-order batch merges
-// for sampling), the cross-worker sharded state cache, and the single
-// CheckError type every checking path reports failures through.
+// Package engine is the model-checking engine: Run, the exhaustive frontier
+// walk, lives here, and internal/randexp (seeded batch sampling) is a thin
+// strategy layer over the machinery this package owns — the worker pool,
+// the one harness lifecycle (construct once per worker, re-run through a
+// pooled executor, reset between executions), the step/time/execution
+// budgets, the checkpoint frontier, deterministic merging (lex-least
+// canonical failures for walks, seed-order batch merges for sampling), the
+// cross-worker sharded state cache, and the single CheckError type every
+// checking path reports failures through.
 //
 // # Exhaustive walks
 //
@@ -17,11 +17,10 @@
 // stateless walk of that tree by re-running the system from scratch with
 // successive choice prefixes, organized as a work queue of frontier
 // prefixes executed by a pool of workers. Each worker owns a reusable
-// execution core: a harness that registers its shared objects and returns a
-// reset path is constructed once per worker and re-run over the same
+// execution core: the harness registers its shared objects and returns a
+// reset, is constructed once per worker and is re-run over the same
 // memory.Env through a pooled sched.Executor, with Env.Reset plus the
-// harness reset between executions; harnesses without a reset path fall
-// back to per-execution reconstruction.
+// harness reset between executions.
 //
 // # Pruning
 //
@@ -87,25 +86,23 @@ import (
 
 // Harness builds one instance of the system under test: a new environment,
 // one body per process, a predicate checked on the resulting execution, and
-// an optional reset path.
+// a reset.
 //
-// When reset is non-nil the engine treats the instance as reusable: it
-// constructs one instance per worker, runs its bodies through a pooled
-// sched.Executor, and between executions calls env.Reset() followed by
-// reset(). The harness must then (a) register every shared object the
-// bodies touch with env.Register — env.Reset only restores registered
-// objects — and (b) restore all harness-local state (recorders, outcome
-// slices) in reset, so that each execution starts from the construction
-// state. Under Run, a harness that misses state is detected by the
-// engine's nondeterminism check (a recorded transition fails to replay)
-// rather than silently corrupting the walk; the sampling path replays
-// nothing and has no such net, so its pooled mode relies on the reset being
-// complete. reset must touch only instance-local state; the engine calls it
-// under the same lock as check.
-//
-// When reset is nil the engine falls back to reconstructing the harness for
-// every executed run (the pre-pooling behaviour), so all shared state must
-// be created inside the closure.
+// An instance is reused: the engine constructs one per worker, runs its
+// bodies through a pooled sched.Executor, and between executions calls
+// env.Reset() followed by reset(). The harness must therefore (a) register
+// every shared object the bodies touch with env.Register — env.Reset only
+// restores registered objects — and (b) restore all harness-local state
+// (recorders, outcome slices) in reset, so that each execution starts from
+// the construction state; a harness with no such state returns a no-op, and
+// a nil reset is rejected (ErrNilReset). Under Run, a harness that misses
+// state is detected by the engine's nondeterminism check (a recorded
+// transition fails to replay) rather than silently corrupting the walk; the
+// sampling path replays nothing and has no such net, so it relies on the
+// reset being complete (scenario.TestConformance replays every registered
+// scenario's checked executions on fresh instances to certify it). reset
+// must touch only instance-local state; the engine calls it under the same
+// lock as check.
 //
 // With Workers > 1, process bodies from different executions run
 // concurrently, but harness construction and check calls are serialized by
@@ -147,17 +144,13 @@ func (m PruneMode) String() string {
 	return fmt.Sprintf("PruneMode(%d)", uint8(m))
 }
 
-// ParsePruneMode parses a -prune flag value. The historical boolean
-// spellings stay meaningful: "true" is the reduction the flag used to
-// enable (sleep sets), "false" disables pruning.
+// ParsePruneMode parses a -prune flag value: the String spellings, nothing
+// else.
 func ParsePruneMode(s string) (PruneMode, error) {
-	switch s {
-	case "none", "off", "false":
-		return PruneNone, nil
-	case "sleep", "legacy", "true":
-		return PruneSleep, nil
-	case "dpor", "source-dpor":
-		return PruneSourceDPOR, nil
+	for _, m := range []PruneMode{PruneNone, PruneSleep, PruneSourceDPOR} {
+		if s == m.String() {
+			return m, nil
+		}
 	}
 	return PruneNone, fmt.Errorf("engine: unknown prune mode %q (none | sleep | dpor)", s)
 }
@@ -421,9 +414,9 @@ type engine struct {
 
 // Run walks the interleaving tree of h under cfg. It returns a CheckError
 // carrying the canonically least failing schedule if any check failed, an
-// internal error if the harness turned out nondeterministic or one of its
-// closures panicked, and otherwise the report of the completed (or
-// budget-cut) walk.
+// internal error if the harness turned out nondeterministic, returned no
+// reset or one of its closures panicked, and otherwise the report of the
+// completed (or budget-cut) walk.
 func Run(h Harness, cfg Config) (Report, error) {
 	if cfg.Prune == PruneSourceDPOR {
 		if cfg.CacheStates {
@@ -491,7 +484,11 @@ func Run(h Harness, cfg Config) (Report, error) {
 				if e.obs != nil {
 					e.obs.Attempts.Inc(w)
 				}
-				e.runItem(ch, e.core.instanceFor(w), item)
+				if inst, err := e.core.instanceFor(w); err != nil {
+					e.fail(err)
+				} else {
+					e.runItem(ch, inst, item)
+				}
 				e.done()
 			}
 		}(w)
@@ -624,9 +621,8 @@ func (e *engine) enqueue(item WorkItem) {
 // runItem executes one frontier prefix to a leaf, enqueuing the sibling
 // branches it passes on the way down (in source-DPOR mode: only crash
 // siblings eagerly; step siblings on demand from the race analysis of the
-// completed trace). With a pooled instance the bodies re-enter the
-// persistent executor and the instance is reset afterwards; otherwise the
-// freshly constructed instance runs through a one-shot executor.
+// completed trace). The bodies re-enter the instance's persistent executor
+// and the instance is reset afterwards.
 //
 // ch is the worker's chooser and res the executor's reused Result: both are
 // overwritten by the worker's next item, so the one thing that outlives
@@ -644,11 +640,7 @@ func (e *engine) runItem(ch *itemChooser, inst *instance, item WorkItem) {
 		}
 	}()
 	ch.begin(item, inst.env)
-	if inst.exec == nil {
-		res = sched.RunChooser(inst.env, ch, inst.bodies)
-	} else {
-		res = inst.exec.Run(ch)
-	}
+	res = inst.exec.Run(ch)
 
 	if ch.bad == nil && e.cfg.Prune == PruneSourceDPOR {
 		// Race analysis mutates only per-node state (under node locks) and
@@ -660,11 +652,9 @@ func (e *engine) runItem(ch *itemChooser, inst *instance, item WorkItem) {
 	defer e.core.checkMu.Unlock()
 	stage = stageCheck // the only harness code merge calls
 	e.merge(ch, inst, res)
-	if inst.exec != nil {
-		stage = stageReset
-		inst.env.Reset()
-		inst.reset()
-	}
+	stage = stageReset
+	inst.env.Reset()
+	inst.reset()
 }
 
 // merge folds one finished run into the walk's result fields and, if it
@@ -764,16 +754,4 @@ func (e *engine) noteTruncated() {
 	e.mu.Lock()
 	e.cutLocked("depth")
 	e.mu.Unlock()
-}
-
-// NoReset strips a harness's reset path, forcing the engine onto the
-// reconstruct-per-execution path (fresh harness, one-shot executor) for
-// every interleaving. It exists for benchmarking the pooled executor
-// against that baseline, and as an escape hatch for a harness whose reset
-// turns out to be incomplete.
-func NoReset(h Harness) Harness {
-	return func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
-		env, bodies, check, _ := h()
-		return env, bodies, check, nil
-	}
 }

@@ -1,9 +1,10 @@
-package explore
+package engine
 
 import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -246,14 +247,8 @@ func TestPruningFindsPlantedBug(t *testing.T) {
 			t.Fatalf("prune=%v: want CheckError, got %v", prune, err)
 		}
 		// The reported canonical schedule must reproduce the failure.
-		env := memory.NewEnv(2)
-		r := memory.NewIntReg(0)
-		inc := func(p *memory.Proc) {
-			v := r.Read(p)
-			r.Write(p, v+1)
-		}
-		sched.Run(env, sched.NewReplay(ce.Schedule), []func(p *memory.Proc){inc, inc})
-		if got := r.Read(env.Proc(0)); got == 2 {
+		env, bodies, check, _ := plantedBugHarness()()
+		if check(sched.Run(env, sched.NewReplay(ce.Schedule), bodies)) == nil {
 			t.Fatalf("prune=%v: replayed schedule did not reproduce the lost update", prune)
 		}
 	}
@@ -359,42 +354,84 @@ func TestFailFastStops(t *testing.T) {
 	}
 }
 
-// TestPooledMatchesSpawnPath: the pooled executor must be a pure
-// performance change — execution counts, pruning and the canonical failing
-// schedule all match the reconstruction path exactly.
+// checkedRun is one execution a walk checked: its schedule, the check's
+// verdict and the terminal fingerprint, taken before the instance was reset.
+type checkedRun struct {
+	schedule []sched.Choice
+	err      error
+	fp       memory.Fingerprint
+	fpOK     bool
+}
+
+// recordRuns wraps h so that every execution a walk checks is appended to
+// log (the engine serializes check calls, so a plain slice is safe).
+func recordRuns(h Harness, log *[]checkedRun) Harness {
+	return func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
+		env, bodies, check, reset := h()
+		return env, bodies, func(res *sched.Result) error {
+			run := checkedRun{schedule: append([]sched.Choice(nil), res.Schedule...)}
+			run.fp, run.fpOK = env.Fingerprint()
+			run.err = check(res)
+			*log = append(*log, run)
+			return run.err
+		}, reset
+	}
+}
+
+// replayOnFresh is the reset-completeness reference: every recorded schedule,
+// replayed on a freshly constructed h through the one-shot executor, must
+// reproduce the schedule, verdict and terminal fingerprint the reused
+// instance produced.
+func replayOnFresh(t *testing.T, h Harness, log []checkedRun) {
+	t.Helper()
+	for _, want := range log {
+		env, bodies, check, _ := h()
+		res := sched.Run(env, sched.NewReplay(want.schedule), bodies)
+		if !reflect.DeepEqual(res.Schedule, want.schedule) {
+			t.Fatalf("fresh instance ran %v, reused instance %v", res.Schedule, want.schedule)
+		}
+		fp, ok := env.Fingerprint()
+		if fp != want.fp || ok != want.fpOK {
+			t.Fatalf("schedule %v: fresh fingerprint %v (ok=%v), reused %v (ok=%v)", want.schedule, fp, ok, want.fp, want.fpOK)
+		}
+		if err := check(res); fmt.Sprint(err) != fmt.Sprint(want.err) {
+			t.Fatalf("schedule %v: fresh verdict %v, reused %v", want.schedule, err, want.err)
+		}
+	}
+}
+
+// TestPooledMatchesSpawnPath: reusing one instance through the pooled
+// executor must be a pure performance change — every execution a walk
+// checks replays, on a fresh instance through the one-shot executor, to the
+// same verdict and terminal state, so the outcome multisets agree too.
 func TestPooledMatchesSpawnPath(t *testing.T) {
 	for _, prune := range []PruneMode{PruneNone, PruneSleep, PruneSourceDPOR} {
 		outsPooled := map[string]int{}
 		outsSpawn := map[string]int{}
-		pooled, errP := Run(mixedHarness(outsPooled), Config{Prune: prune, Crashes: true})
-		spawn, errS := Run(NoReset(mixedHarness(outsSpawn)), Config{Prune: prune, Crashes: true})
-		if errP != nil || errS != nil {
-			t.Fatal(errP, errS)
+		var runs []checkedRun
+		pooled, err := Run(recordRuns(mixedHarness(outsPooled), &runs), Config{Prune: prune, Crashes: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if pooled.Executions != spawn.Executions || pooled.Pruned != spawn.Pruned {
-			t.Fatalf("prune=%v: pooled %+v, spawn %+v", prune, pooled, spawn)
+		if len(runs) != pooled.Executions {
+			t.Fatalf("prune=%v: recorded %d checked runs of %d executions", prune, len(runs), pooled.Executions)
 		}
+		replayOnFresh(t, mixedHarness(outsSpawn), runs)
 		if !reflect.DeepEqual(outsPooled, outsSpawn) {
 			t.Fatalf("prune=%v: outcome multisets diverge: %v vs %v", prune, outsPooled, outsSpawn)
 		}
 
-		// Failing-harness comparison: count equality needs count-
-		// deterministic configs, so source-DPOR runs sequentially here.
-		workers := 4
-		if prune == PruneSourceDPOR {
-			workers = 1
+		// Failing harness: the failing executions fail on a fresh instance
+		// too, the canonical one included.
+		runs = nil
+		_, err = Run(recordRuns(plantedBugHarness(), &runs), Config{Prune: prune, Workers: 4})
+		var ce *CheckError
+		if !errors.As(err, &ce) {
+			t.Fatalf("prune=%v: want CheckError, got %v", prune, err)
 		}
-		var cePooled, ceSpawn *CheckError
-		repP, errP := Run(plantedBugHarness(), Config{Prune: prune, Workers: workers})
-		repS, errS := Run(NoReset(plantedBugHarness()), Config{Prune: prune, Workers: workers})
-		if !errors.As(errP, &cePooled) || !errors.As(errS, &ceSpawn) {
-			t.Fatalf("prune=%v: want CheckErrors, got %v / %v", prune, errP, errS)
-		}
-		if repP.Executions != repS.Executions {
-			t.Fatalf("prune=%v: failing-harness executions %d vs %d", prune, repP.Executions, repS.Executions)
-		}
-		if !reflect.DeepEqual(cePooled.Schedule, ceSpawn.Schedule) {
-			t.Fatalf("prune=%v: canonical failures diverge: %v vs %v", prune, cePooled.Schedule, ceSpawn.Schedule)
+		replayOnFresh(t, plantedBugHarness(), runs)
+		if !slices.ContainsFunc(runs, func(r checkedRun) bool { return r.err != nil && reflect.DeepEqual(r.schedule, ce.Schedule) }) {
+			t.Fatalf("prune=%v: canonical failure %v is not among the checked runs", prune, ce.Schedule)
 		}
 	}
 }
@@ -483,7 +520,7 @@ func TestCacheStatesInertWithoutRegistration(t *testing.T) {
 				outcomes[r.Read(env.Proc(0))]++
 				return nil
 			}
-			return env, []func(p *memory.Proc){inc, inc}, check, nil
+			return env, []func(p *memory.Proc){inc, inc}, check, r.ResetState
 		}
 	}
 	base := map[int64]int{}
@@ -637,37 +674,5 @@ func TestSharedCacheDeterministicFieldsAcrossWorkers(t *testing.T) {
 				t.Fatalf("prune=%v workers=%d: deterministic fields diverged:\n%+v\nvs\n%+v", prune, workers, rep, base)
 			}
 		}
-	}
-}
-
-// TestSampleWithCrashes: crash-mode sampling must inject crashes (reaching
-// final states impossible in crash-free runs) while staying seeded-
-// deterministic, and crash-free sampling must not crash anyone.
-func TestSampleWithCrashes(t *testing.T) {
-	crashed := map[int64]int{}
-	rep, err := Sample(lostUpdateHarness(crashed), 300, 1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Executions != 300 {
-		t.Fatalf("executions = %d", rep.Executions)
-	}
-	if crashed[0] == 0 {
-		// Final value 0 requires both increments to have been cut short.
-		t.Fatalf("crash sampling never crashed both increments: %v", crashed)
-	}
-	clean := map[int64]int{}
-	if _, err := Sample(lostUpdateHarness(clean), 300, 1, false); err != nil {
-		t.Fatal(err)
-	}
-	if clean[0] != 0 {
-		t.Fatalf("crash-free sampling produced a crashed outcome: %v", clean)
-	}
-	again := map[int64]int{}
-	if _, err := Sample(lostUpdateHarness(again), 300, 1, true); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(crashed, again) {
-		t.Fatalf("crash sampling not deterministic: %v vs %v", crashed, again)
 	}
 }

@@ -1,8 +1,7 @@
-package explore
+package engine
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/memory"
@@ -53,23 +52,7 @@ func TestExploreFindsAllOutcomes(t *testing.T) {
 }
 
 func TestExploreReportsFailingSchedule(t *testing.T) {
-	h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
-		env := memory.NewEnv(2)
-		r := memory.NewIntReg(0)
-		env.Register(r)
-		inc := func(p *memory.Proc) {
-			v := r.Read(p)
-			r.Write(p, v+1)
-		}
-		check := func(res *sched.Result) error {
-			if got := r.Read(env.Proc(0)); got != 2 {
-				return fmt.Errorf("lost update: got %d", got)
-			}
-			return nil
-		}
-		return env, []func(p *memory.Proc){inc, inc}, check, func() {}
-	}
-	_, err := Run(h, Config{})
+	_, err := Run(plantedBugHarness(), Config{})
 	var ce *CheckError
 	if !errors.As(err, &ce) {
 		t.Fatalf("want CheckError, got %v", err)
@@ -79,15 +62,9 @@ func TestExploreReportsFailingSchedule(t *testing.T) {
 	}
 
 	// The reported schedule must reproduce the failure under replay.
-	env := memory.NewEnv(2)
-	r := memory.NewIntReg(0)
-	inc := func(p *memory.Proc) {
-		v := r.Read(p)
-		r.Write(p, v+1)
-	}
-	sched.Run(env, sched.NewReplay(ce.Schedule), []func(p *memory.Proc){inc, inc})
-	if got := r.Read(env.Proc(0)); got != 1 {
-		t.Fatalf("replayed schedule should reproduce the lost update, got %d", got)
+	env, bodies, check, _ := plantedBugHarness()()
+	if check(sched.Run(env, sched.NewReplay(ce.Schedule), bodies)) == nil {
+		t.Fatal("replayed schedule should reproduce the lost update")
 	}
 }
 
@@ -174,43 +151,5 @@ func TestExploreCountsMatchCombinatorics(t *testing.T) {
 		if want := choose(2*k, k); rep.Executions != want {
 			t.Fatalf("k=%d: executions = %d, want C(%d,%d) = %d", k, rep.Executions, 2*k, k, want)
 		}
-	}
-}
-
-func TestSample(t *testing.T) {
-	outcomes := map[int64]int{}
-	rep, err := Sample(lostUpdateHarness(outcomes), 20, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Executions != 20 {
-		t.Fatalf("executions = %d", rep.Executions)
-	}
-	if outcomes[1]+outcomes[2] != 20 {
-		t.Fatalf("outcomes = %v", outcomes)
-	}
-}
-
-func TestSampleReportsFailure(t *testing.T) {
-	h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
-		env := memory.NewEnv(2)
-		r := memory.NewIntReg(0)
-		env.Register(r)
-		inc := func(p *memory.Proc) {
-			v := r.Read(p)
-			r.Write(p, v+1)
-		}
-		check := func(res *sched.Result) error {
-			if got := r.Read(env.Proc(0)); got != 2 {
-				return fmt.Errorf("lost update: got %d", got)
-			}
-			return nil
-		}
-		return env, []func(p *memory.Proc){inc, inc}, check, func() {}
-	}
-	_, err := Sample(h, 50, 3, false)
-	var ce *CheckError
-	if !errors.As(err, &ce) {
-		t.Fatalf("expected CheckError from sampling, got %v", err)
 	}
 }

@@ -3,7 +3,8 @@ package engine_test
 // Fault injection: a harness body or check closure that panics must come
 // back from engine.Run / randexp.Run as a named error — cause, process,
 // schedule — on every path and at any worker count, with no worker left
-// waiting and no coroutine left behind. The panics are planted on
+// waiting and no coroutine left behind; so must a harness that returns no
+// reset, from stress.Run as well. The panics are planted on
 // interleaving-dependent conditions, so they fire some attempts into the walk
 // (seeds 11 and 15 of the first sampled batch), with the other workers busy.
 
@@ -17,7 +18,9 @@ import (
 	"repro/internal/engine"
 	"repro/internal/memory"
 	"repro/internal/randexp"
+	"repro/internal/scenario"
 	"repro/internal/sched"
+	"repro/internal/stress"
 )
 
 var errBoom = errors.New("boom")
@@ -27,7 +30,7 @@ var errBoom = errors.New("boom")
 // read returns 4; with checkPanic, the check panics on a final value of 3.
 // Both need particular interleavings; neither is reachable round-robin (the
 // PCT probe) or solo.
-func faulty(bodyPanic, checkPanic, pooled bool) engine.Harness {
+func faulty(bodyPanic, checkPanic bool) engine.Harness {
 	return func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
 		env := memory.NewEnv(3)
 		r := memory.NewIntReg(0)
@@ -50,9 +53,6 @@ func faulty(bodyPanic, checkPanic, pooled bool) engine.Harness {
 				panic(errBoom)
 			}
 			return nil
-		}
-		if !pooled {
-			return env, bodies, check, nil
 		}
 		return env, bodies, check, func() {}
 	}
@@ -114,18 +114,61 @@ func assertNamedPanic(t *testing.T, h engine.Harness, wrapsValue bool, fragments
 }
 
 func TestBodyPanicIsNamedError(t *testing.T) {
-	assertNamedPanic(t, faulty(true, false, true), true,
-		"harness body panicked", "process 1", "schedule [{", "boom")
-}
-
-// TestBodyPanicNonPooled: the same through the one-shot executor path of a
-// harness without a reset.
-func TestBodyPanicNonPooled(t *testing.T) {
-	assertNamedPanic(t, faulty(true, false, false), true,
+	assertNamedPanic(t, faulty(true, false), true,
 		"harness body panicked", "process 1", "schedule [{", "boom")
 }
 
 func TestCheckPanicIsNamedError(t *testing.T) {
-	assertNamedPanic(t, faulty(false, true, true), false,
+	assertNamedPanic(t, faulty(false, true), false,
 		"harness check panicked", "schedule [{", "boom")
+}
+
+// TestNilResetIsNamedError: there is one harness lifecycle — construct once
+// per worker, reset between executions — so every entry point rejects a
+// harness that returns no reset, with an error that wraps engine.ErrNilReset
+// and names the harness function (stress.Run: the scenario).
+func TestNilResetIsNamedError(t *testing.T) {
+	build := func(n int, _ scenario.Options) (engine.Harness, scenario.Oracle) {
+		return func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
+			bodies := make([]func(p *memory.Proc), n)
+			for i := range bodies {
+				bodies[i] = func(*memory.Proc) {}
+			}
+			return memory.NewEnv(n), bodies, func(*sched.Result) error { return nil }, nil
+		}, scenario.Oracle{}
+	}
+	h, _ := build(2, scenario.Options{})
+	sampled := func(s randexp.Sampler) func(int) error {
+		return func(workers int) error {
+			_, err := randexp.Run(h, randexp.Config{Sampler: s, Samples: 200, Seed: 1, Workers: workers})
+			return err
+		}
+	}
+	for _, c := range []struct {
+		entry string
+		names string
+		run   func(workers int) error
+	}{
+		{"engine.Run", "TestNilResetIsNamedError", func(workers int) error {
+			_, err := engine.Run(h, engine.Config{Prune: engine.PruneSourceDPOR, Workers: workers})
+			return err
+		}},
+		{"randexp.Run probe", "TestNilResetIsNamedError", sampled(randexp.SamplerPCT)},
+		{"randexp.Run batch", "TestNilResetIsNamedError", sampled(randexp.SamplerRandom)},
+		{"stress.Run", `scenario "noreset"`, func(workers int) error {
+			_, err := stress.Run(stress.Config{Scenario: scenario.Scenario{Name: "noreset", Build: build}, G: workers, MaxRounds: 1})
+			return err
+		}},
+	} {
+		for _, workers := range []int{1, 4} {
+			base := runtime.NumGoroutine()
+			err := c.run(workers)
+			if !errors.Is(err, engine.ErrNilReset) || !strings.Contains(err.Error(), c.names) {
+				t.Fatalf("%s, %d workers: error %v, want engine.ErrNilReset naming %s", c.entry, workers, err, c.names)
+			}
+			if got := settledGoroutines(base); got > base {
+				t.Fatalf("%s, %d workers: %d goroutines after the rejection, baseline %d", c.entry, workers, got, base)
+			}
+		}
+	}
 }

@@ -3,7 +3,7 @@
 // other by property tests:
 //
 //   - Check: the general Wing–Gong-style memoized search, exponential but
-//     fine for the small-scope executions the explore package produces.
+//     fine for the small-scope executions the engine package produces.
 //     Kept as the baseline the scalable checker is validated against.
 //   - CheckTAS: a specialized O(k log k) decision procedure for one-shot
 //     test-and-set histories.

@@ -13,7 +13,7 @@
 // noise.
 //
 // A Proc may carry a Gate. When set, each shared-memory access first parks
-// at the gate, which lets the sched and explore packages serialize accesses
+// at the gate, which lets the sched and engine packages serialize accesses
 // into one fully controlled, sequentially consistent interleaving. With no
 // gate, primitives compile down to raw sync/atomic operations plus two
 // uncontended counter increments, so the same algorithm code is usable in

@@ -3,6 +3,7 @@ package randexp
 import (
 	"errors"
 
+	"repro/internal/engine"
 	"repro/internal/memory"
 	"repro/internal/sched"
 )
@@ -20,7 +21,7 @@ import (
 // PCT with depth 2 the bug needs only process 0 outranking process 1 plus
 // one change point in the gap window, and a skewed rates sampler (fast
 // process 0, slow process 1) finds it at constant rate.
-func HandoffBug(n, warmup, gap int) Harness {
+func HandoffBug(n, warmup, gap int) engine.Harness {
 	if n < 2 {
 		panic("randexp: HandoffBug requires n >= 2")
 	}

@@ -1,7 +1,7 @@
 // Package randexp is the randomized-exploration frontend over the shared
-// engine core (internal/engine): where the explore frontend discharges the
-// paper's universally-quantified claims by enumerating every interleaving
-// for small process counts, randexp opens the large-n regime by sampling
+// engine core (internal/engine): where engine.Run discharges the paper's
+// universally-quantified claims by enumerating every interleaving for
+// small process counts, randexp opens the large-n regime by sampling
 // interleavings from structured scheduler distributions, in parallel, with
 // a coverage signal and deterministic failure reporting.
 //
@@ -10,8 +10,8 @@
 // Four schedulers are offered (see internal/sched for their semantics and
 // guarantees):
 //
-//   - random: uniform choice among parked processes at every decision — the
-//     legacy explore.Sample behaviour.
+//   - random: uniform choice among parked processes at every decision — what
+//     Sample runs.
 //   - pct: the PCT priority scheduler, whose d−1 priority change points
 //     give every run probability at least 1/(n·k^(d−1)) of triggering any
 //     depth-d ordering bug. The schedule-length bound k is measured by a
@@ -29,13 +29,13 @@
 // Sampling proceeds in fixed-size batches of consecutive seeds
 // (Config.BatchSize, independent of Workers), executed and merged by the
 // engine core's batched sampling loop: within a batch, runs execute on a
-// worker pool — each worker owning one pooled executor instance — but
-// results are merged in seed order, batch by batch. Coverage counters, the
-// saturation decision, and the canonical failure (the lex-least failing
-// seed, always in the first batch that contains any failure) are therefore
-// identical for every worker count; only wall-clock changes. A reported
-// failure replays with sched.NewReplay(CheckError.Schedule), or by
-// re-running its seed.
+// worker pool — each worker owning one harness instance, reset between
+// runs — but results are merged in seed order, batch by batch. Coverage
+// counters, the saturation decision, and the canonical failure (the
+// lex-least failing seed, always in the first batch that contains any
+// failure) are therefore identical for every worker count; only wall-clock
+// changes. A reported failure replays with
+// sched.NewReplay(CheckError.Schedule), or by re-running its seed.
 //
 // This package owns only the strategy construction and the coverage fold;
 // the worker pool, pooled-executor lifecycle, batch merge and the unified
@@ -63,16 +63,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/stats"
 )
-
-// Harness builds one instance of the system under test; it is the shared
-// engine.Harness type (explore.Harness converts freely) and obeys its
-// contract: when reset is non-nil the instance must register its shared
-// objects and restore all harness-local state in reset, and it is then run
-// through a pooled sched.Executor; when reset is nil the harness is
-// reconstructed for every sampled run. Construction, check and reset calls
-// are serialized across workers, so harness closures may accumulate into
-// shared state.
-type Harness = engine.Harness
 
 // Sampler names a scheduling distribution.
 type Sampler string
@@ -113,8 +103,8 @@ type Config struct {
 	// wall-clock.
 	Workers int
 	// CrashProb, when positive, injects seeded crashes: at each decision a
-	// parked process is crashed with this probability (explore.SampleCrashProb
-	// is the conventional value).
+	// parked process is crashed with this probability (SampleCrashProb is the
+	// conventional value).
 	CrashProb float64
 	// PCTDepth is the PCT bug-depth parameter d: d−1 priority change
 	// points per run (default DefaultPCTDepth). Only meaningful for the
@@ -191,12 +181,6 @@ type Report struct {
 	WallTime time.Duration
 }
 
-// CheckError is the unified engine failure type: a check failure carrying
-// the seed and schedule that produced it (Sampled set), so re-running the
-// seed or replaying the schedule with sched.NewReplay reproduces the
-// failure without re-sampling the batch.
-type CheckError = engine.CheckError
-
 // runner holds the per-Run sampler parameters the strategy factory needs.
 type runner struct {
 	cfg      Config
@@ -244,9 +228,8 @@ func (r *runner) workerStrategy() engine.SeedStrategy {
 			s = rates.Reset(seed, r.cfg.Rates)
 		default: // SamplerRandom
 			if p > 0 {
-				// Single-stream draw order kept identical to the legacy
-				// explore.Sample path, so crash-mode samples reproduce across
-				// the shim.
+				// One stream for decisions and crashes: the draw order every
+				// pinned crash-mode sample was recorded under.
 				return randomCrash.Reset(seed, p), nil
 			}
 			return random.Reset(seed), nil
@@ -262,11 +245,14 @@ func (r *runner) workerStrategy() engine.SeedStrategy {
 
 // Run samples cfg.Samples seeded executions of h on the engine core's
 // batched sampling loop and returns the merged report. A check failure is
-// returned as a *CheckError carrying the lex-least failing seed; by the
-// batch discipline that seed (and every other Report field) is identical
-// for every Config.Workers value. A harness closure that panics ends the
-// run with an error naming it and its seed (see engine.Harness).
-func Run(h Harness, cfg Config) (rep Report, err error) {
+// returned as an *engine.CheckError (Sampled set) carrying the lex-least
+// failing seed and its schedule, so re-running the seed or replaying the
+// schedule with sched.NewReplay reproduces it without re-sampling the batch;
+// by the batch discipline that seed (and every other Report field) is
+// identical for every Config.Workers value. A harness closure that panics,
+// or a harness without a reset, ends the run with an error naming it and its
+// seed (see engine.Harness).
+func Run(h engine.Harness, cfg Config) (rep Report, err error) {
 	start := time.Now()
 	rep = Report{DepthHist: stats.NewHist(8)}
 	defer func() { rep.WallTime = time.Since(start) }()
@@ -388,7 +374,28 @@ func Run(h Harness, cfg Config) (rep Report, err error) {
 	}
 	if firstFail != nil {
 		rep.FailSeed = firstFail.Seed
-		return rep, &CheckError{Seed: firstFail.Seed, Schedule: firstFail.Schedule, Sampled: true, Err: firstFail.Err}
+		return rep, &engine.CheckError{Seed: firstFail.Seed, Schedule: firstFail.Schedule, Sampled: true, Err: firstFail.Err}
 	}
 	return rep, nil
+}
+
+// SampleCrashProb is the conventional per-decision crash probability of
+// crash-mode sampling: high enough that most sampled runs exercise crash
+// recovery, low enough that long, mostly-live interleavings stay in the
+// sample (a uniform choice over the step-and-crash branch space engine.Run
+// explores would crash at half of all decisions).
+const SampleCrashProb = 0.25
+
+// Sample runs k uniformly random interleavings of h (seeds seed..seed+k-1)
+// on one worker, with seeded crash injection at SampleCrashProb when crashes
+// is set: the fallback tests reach for at process counts where exhaustive
+// exploration is infeasible. Sampling stops at the end of the first batch
+// containing a failure, so on a failing harness Executions may exceed the
+// failing run's index.
+func Sample(h engine.Harness, k int, seed int64, crashes bool) (Report, error) {
+	cfg := Config{Sampler: SamplerRandom, Samples: k, Seed: seed, Workers: 1}
+	if crashes {
+		cfg.CrashProb = SampleCrashProb
+	}
+	return Run(h, cfg)
 }

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/memory"
 	"repro/internal/sched"
 )
@@ -13,7 +15,7 @@ import (
 // lostUpdateHarness: the classic two-process non-atomic increment, with the
 // final value recorded per run. Small enough that sampling saturates its
 // whole behaviour space quickly.
-func lostUpdateHarness(outcomes map[int64]int) Harness {
+func lostUpdateHarness(outcomes map[int64]int) engine.Harness {
 	return func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
 		env := memory.NewEnv(2)
 		r := memory.NewIntReg(0)
@@ -116,7 +118,7 @@ func TestPCTFindsPlantedBugFasterThanRandom(t *testing.T) {
 	pctRep, pctErr := Run(HandoffBug(bugN, bugWarmup, bugGap), Config{
 		Sampler: SamplerPCT, PCTDepth: 2, Samples: samples, Seed: 1,
 	})
-	var ce *CheckError
+	var ce *engine.CheckError
 	if !errors.As(pctErr, &ce) {
 		t.Fatalf("pct d=2 found nothing in %d runs: %v", samples, pctErr)
 	}
@@ -160,7 +162,7 @@ func TestRatesFindsStragglerBug(t *testing.T) {
 	_, err := Run(HandoffBug(bugN, bugWarmup, bugGap), Config{
 		Sampler: SamplerRates, Rates: []float64{12, 1}, Samples: 2000, Seed: 1,
 	})
-	var ce *CheckError
+	var ce *engine.CheckError
 	if !errors.As(err, &ce) {
 		t.Fatalf("skewed rates found nothing: %v", err)
 	}
@@ -174,7 +176,7 @@ func TestParallelSamplingDeterministic(t *testing.T) {
 		rep, err := Run(HandoffBug(bugN, bugWarmup, bugGap), Config{
 			Sampler: SamplerPCT, PCTDepth: 2, Samples: 2000, Seed: 1, Workers: workers,
 		})
-		var ce *CheckError
+		var ce *engine.CheckError
 		if !errors.As(err, &ce) {
 			t.Fatalf("workers=%d: no failure found: %v", workers, err)
 		}
@@ -212,7 +214,7 @@ func TestParallelSamplingDeterministic(t *testing.T) {
 func TestFailingSeedReplays(t *testing.T) {
 	cfg := Config{Sampler: SamplerPCT, PCTDepth: 2, Samples: 2000, Seed: 1}
 	rep, err := Run(HandoffBug(bugN, bugWarmup, bugGap), cfg)
-	var ce *CheckError
+	var ce *engine.CheckError
 	if !errors.As(err, &ce) {
 		t.Fatal("no failure to replay")
 	}
@@ -221,7 +223,7 @@ func TestFailingSeedReplays(t *testing.T) {
 	cfg2.Seed = ce.Seed
 	cfg2.PCTSteps = rep.PCTSteps // pin the probe bound: same seed ⇒ same run
 	rep2, err2 := Run(HandoffBug(bugN, bugWarmup, bugGap), cfg2)
-	var ce2 *CheckError
+	var ce2 *engine.CheckError
 	if !errors.As(err2, &ce2) || ce2.Seed != ce.Seed {
 		t.Fatalf("re-running seed %d did not reproduce: %v", ce.Seed, err2)
 	}
@@ -307,39 +309,6 @@ func TestCrashInjection(t *testing.T) {
 	}
 }
 
-// TestNonPooledFallback: a harness without a reset path must be
-// reconstructed per run (shared state lives inside the closure) and still
-// sample correctly, including across workers.
-func TestNonPooledFallback(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		outcomes := map[int64]int{}
-		var mu = outcomes // written under the runner's check lock
-		h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
-			env := memory.NewEnv(2)
-			r := memory.NewIntReg(0)
-			inc := func(p *memory.Proc) {
-				v := r.Read(p)
-				r.Write(p, v+1)
-			}
-			check := func(res *sched.Result) error {
-				mu[r.Read(env.Proc(0))]++
-				return nil
-			}
-			return env, []func(p *memory.Proc){inc, inc}, check, nil
-		}
-		rep, err := Run(h, Config{Samples: 120, Seed: 1, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Executions != 120 || outcomes[1]+outcomes[2] != 120 {
-			t.Fatalf("workers=%d: rep %+v outcomes %v", workers, rep, outcomes)
-		}
-		if outcomes[1] == 0 || outcomes[2] == 0 {
-			t.Fatalf("workers=%d: fallback sampling missed an outcome: %v", workers, outcomes)
-		}
-	}
-}
-
 // TestKeepGoingCountsAllFailures: KeepGoing must run the full budget and
 // count every failure while still reporting the lex-least failing seed.
 func TestKeepGoingCountsAllFailures(t *testing.T) {
@@ -352,7 +321,7 @@ func TestKeepGoingCountsAllFailures(t *testing.T) {
 		return env, []func(p *memory.Proc){body, body}, check, func() {}
 	}
 	rep, err := Run(alwaysFail, Config{Samples: 150, Seed: 10, KeepGoing: true})
-	var ce *CheckError
+	var ce *engine.CheckError
 	if !errors.As(err, &ce) {
 		t.Fatalf("want CheckError, got %v", err)
 	}
@@ -366,5 +335,121 @@ func TestKeepGoingCountsAllFailures(t *testing.T) {
 	rep, err = Run(alwaysFail, Config{Samples: 150, Seed: 10})
 	if !errors.As(err, &ce) || rep.Executions != DefaultBatchSize {
 		t.Fatalf("non-keepgoing rep = %+v, err %v", rep, err)
+	}
+}
+
+// plantedBugHarness fails its check on every interleaving where the two
+// increments race (the classic lost update).
+func plantedBugHarness() engine.Harness {
+	return func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
+		env := memory.NewEnv(2)
+		r := memory.NewIntReg(0)
+		env.Register(r)
+		inc := func(p *memory.Proc) {
+			v := r.Read(p)
+			r.Write(p, v+1)
+		}
+		check := func(res *sched.Result) error {
+			if got := r.Read(env.Proc(0)); got != 2 {
+				return fmt.Errorf("lost update: got %d", got)
+			}
+			return nil
+		}
+		return env, []func(p *memory.Proc){inc, inc}, check, func() {}
+	}
+}
+
+func TestSample(t *testing.T) {
+	outcomes := map[int64]int{}
+	rep, err := Sample(lostUpdateHarness(outcomes), 20, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Executions != 20 {
+		t.Fatalf("executions = %d", rep.Executions)
+	}
+	if outcomes[1]+outcomes[2] != 20 {
+		t.Fatalf("outcomes = %v", outcomes)
+	}
+}
+
+func TestSampleReportsFailure(t *testing.T) {
+	h := plantedBugHarness()
+	_, err := Sample(h, 50, 3, false)
+	var ce *engine.CheckError
+	if !errors.As(err, &ce) {
+		t.Fatalf("expected CheckError from sampling, got %v", err)
+	}
+}
+
+// TestSampleWithCrashes: crash-mode sampling must inject crashes (reaching
+// final states impossible in crash-free runs) while staying seeded-
+// deterministic, and crash-free sampling must not crash anyone.
+func TestSampleWithCrashes(t *testing.T) {
+	crashed := map[int64]int{}
+	rep, err := Sample(lostUpdateHarness(crashed), 300, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Executions != 300 {
+		t.Fatalf("executions = %d", rep.Executions)
+	}
+	if crashed[0] == 0 {
+		// Final value 0 requires both increments to have been cut short.
+		t.Fatalf("crash sampling never crashed both increments: %v", crashed)
+	}
+	clean := map[int64]int{}
+	if _, err := Sample(lostUpdateHarness(clean), 300, 1, false); err != nil {
+		t.Fatal(err)
+	}
+	if clean[0] != 0 {
+		t.Fatalf("crash-free sampling produced a crashed outcome: %v", clean)
+	}
+	again := map[int64]int{}
+	if _, err := Sample(lostUpdateHarness(again), 300, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(crashed, again) {
+		t.Fatalf("crash sampling not deterministic: %v vs %v", crashed, again)
+	}
+}
+
+// TestSampleReportsFailingSeed: the shimmed Sample must surface the seed of
+// the failing run in the CheckError, and both the seed and the schedule
+// must independently reproduce the failure.
+func TestSampleReportsFailingSeed(t *testing.T) {
+	h := plantedBugHarness()
+	const base = 40
+	_, err := Sample(h, 100, base, false)
+	var ce *engine.CheckError
+	if !errors.As(err, &ce) {
+		t.Fatalf("want CheckError, got %v", err)
+	}
+	if !ce.Sampled {
+		t.Fatal("sampled failure not marked Sampled")
+	}
+	if ce.Seed < base || ce.Seed >= base+100 {
+		t.Fatalf("failing seed %d outside sampled range [%d,%d)", ce.Seed, base, base+100)
+	}
+	// Seed 0 is a legitimate base seed: a failure there must still render
+	// its seed (Sampled, not a zero-sentinel, carries the distinction).
+	_, err = Sample(h, 100, 0, false)
+	var ce0 *engine.CheckError
+	if !errors.As(err, &ce0) || !ce0.Sampled {
+		t.Fatalf("seed-0 sampling failure not marked Sampled: %v", err)
+	}
+	if !strings.Contains(ce0.Error(), "seed") {
+		t.Fatalf("seed-0 failure message lost the seed: %q", ce0.Error())
+	}
+	// Reproduce by seed: a 1-sample batch at exactly that seed fails too.
+	_, err = Sample(h, 1, ce.Seed, false)
+	var ce2 *engine.CheckError
+	if !errors.As(err, &ce2) || ce2.Seed != ce.Seed {
+		t.Fatalf("re-running failing seed %d did not reproduce: %v", ce.Seed, err)
+	}
+	// Reproduce by schedule.
+	env, bodies, check, _ := h()
+	if check(sched.Run(env, sched.NewReplay(ce.Schedule), bodies)) == nil {
+		t.Fatal("replaying the failing schedule did not reproduce the failure")
 	}
 }

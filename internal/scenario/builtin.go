@@ -3,7 +3,7 @@ package scenario
 // The built-in scenarios: every workload that previously lived as a local
 // harness builder in cmd/tascheck, cmd/composebench, internal/bench or
 // examples/, registered once under a stable name. Each Build follows the
-// explore.Harness contract (see the package comment); bodies perform the
+// engine.Harness contract (see the package comment); bodies perform the
 // same gated access sequences as the builders they replace, so every
 // execution count recorded in EXPERIMENTS.md is preserved.
 
@@ -13,7 +13,7 @@ import (
 	"repro/internal/abstract"
 	"repro/internal/consensus"
 	"repro/internal/core"
-	"repro/internal/explore"
+	"repro/internal/engine"
 	"repro/internal/memory"
 	"repro/internal/randexp"
 	"repro/internal/sched"
@@ -76,7 +76,7 @@ func init() {
 	Register(Scenario{
 		Name:        "abstract",
 		Description: "universal construction (Section 4): fetch-and-increment Abstract over split+CAS stages, Definition 1 + linearizability",
-		Params:      Params{NoReset: true},
+		Params:      Params{},
 		Build:       buildAbstract,
 	})
 	Register(Scenario{
@@ -112,7 +112,7 @@ func init() {
 	Register(Scenario{
 		Name:        "universalqueue",
 		Description: "the examples/universalqueue workload: wait-free FIFO queue from the universal construction, linearizable",
-		Params:      Params{NoReset: true},
+		Params:      Params{},
 		Build:       buildUniversalQueue,
 	})
 }
@@ -132,8 +132,8 @@ func stampFromSchedule(rec *trace.Recorder, env *memory.Env) {
 // Lemma 4's safety (at most one winner), crash-mode liveness, and
 // linearizability of the invoke/commit projection; withDef2 additionally
 // checks Definition 2 with the constraint M on the recorded trace.
-func buildA1(withDef2 bool) func(n int, opts Options) (explore.Harness, Oracle) {
-	return func(n int, opts Options) (explore.Harness, Oracle) {
+func buildA1(withDef2 bool) func(n int, opts Options) (engine.Harness, Oracle) {
+	return func(n int, opts Options) (engine.Harness, Oracle) {
 		oracle := Oracle{Kind: OracleInvariant, Invariant: "lemma-4"}
 		if withDef2 {
 			oracle = Oracle{Kind: OracleInvariant, Invariant: "definition-2"}
@@ -186,7 +186,7 @@ func buildA1(withDef2 bool) func(n int, opts Options) (explore.Harness, Oracle) 
 // buildComposed builds the composed one-shot TAS harness: the A1→A2
 // composition is wait-free, so without crashes exactly one process must
 // win; the recorded trace must linearize as a test-and-set.
-func buildComposed(n int, opts Options) (explore.Harness, Oracle) {
+func buildComposed(n int, opts Options) (engine.Harness, Oracle) {
 	h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
 		env := memory.NewEnv(n)
 		o := tas.NewOneShot()
@@ -230,7 +230,7 @@ var moduleLabels = [2]string{"module0", "module1"}
 // scenario: the composed race with per-module accounting — every completed
 // operation must have been served by one of the two modules, and the
 // composition's TAS semantics must hold.
-func buildQuickstart(n int, opts Options) (explore.Harness, Oracle) {
+func buildQuickstart(n int, opts Options) (engine.Harness, Oracle) {
 	h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
 		env := memory.NewEnv(n)
 		o := tas.NewOneShot()
@@ -287,7 +287,7 @@ func buildQuickstart(n int, opts Options) (explore.Harness, Oracle) {
 // P-compositionality form of Theorem 3 — and the harness exposes its
 // recorder through the environment so streaming harnesses (the stress
 // driver's -lincheck sidecar) can drain history round by round.
-func buildTASFAI(n int, opts Options) (explore.Harness, Oracle) {
+func buildTASFAI(n int, opts Options) (engine.Harness, Oracle) {
 	oracle := Oracle{Kind: OracleLinearize, Objects: map[string]spec.Type{
 		"tas": spec.TASType{},
 		"fai": spec.FetchIncType{},
@@ -343,7 +343,7 @@ func buildTASFAI(n int, opts Options) (explore.Harness, Oracle) {
 // per process through the composed F1→F2 dispenser; recorded tickets must
 // be globally unique and strictly increasing per process (crashed
 // processes simply record fewer tickets).
-func buildFAI(n int, opts Options) (explore.Harness, Oracle) {
+func buildFAI(n int, opts Options) (engine.Harness, Oracle) {
 	oracle := Oracle{Kind: OracleInvariant, Invariant: "unique-tickets"}
 	h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
 		env := memory.NewEnv(n)
@@ -437,7 +437,7 @@ func symmetricCycles(rounds int) func(n int) []int {
 // late-arrival orderings where a one-shot process races holders of later
 // rounds. Holds must be mutually exclusive and survivors must finish
 // (wait-freedom).
-func buildLongLived(n int, opts Options) (explore.Harness, Oracle) {
+func buildLongLived(n int, opts Options) (engine.Harness, Oracle) {
 	return buildLockScenario(n, opts, mutexOracle, func(n int) []int {
 		cycles := symmetricCycles(2)(n)
 		cycles[0] = 1
@@ -447,7 +447,7 @@ func buildLongLived(n int, opts Options) (explore.Harness, Oracle) {
 
 // buildBiasedLock builds the examples/biasedlock workload: process 0 (the
 // owner) reacquires twice while every other process barges in once.
-func buildBiasedLock(n int, opts Options) (explore.Harness, Oracle) {
+func buildBiasedLock(n int, opts Options) (engine.Harness, Oracle) {
 	return buildLockScenario(n, opts, mutexOracle, func(n int) []int {
 		cycles := make([]int, n)
 		cycles[0] = 2
@@ -462,7 +462,7 @@ func buildBiasedLock(n int, opts Options) (explore.Harness, Oracle) {
 // process stands in two elections, winners lead (mutual exclusion) and
 // step down by resetting; additionally, the round counter must account
 // for exactly the terms led.
-func buildLeaderElection(n int, opts Options) (explore.Harness, Oracle) {
+func buildLeaderElection(n int, opts Options) (engine.Harness, Oracle) {
 	oracle := Oracle{Kind: OracleInvariant, Invariant: "one-leader-per-term"}
 	return buildLockScenario(n, opts, oracle, symmetricCycles(2),
 		func(ll *tas.LongLived, env *memory.Env, holds [][]hold) error {
@@ -485,7 +485,7 @@ func buildLeaderElection(n int, opts Options) (explore.Harness, Oracle) {
 // parameterized by the per-process cycle counts and an optional extra
 // invariant evaluated after the hold-disjointness check.
 func buildLockScenario(n int, opts Options, oracle Oracle, mkCycles func(n int) []int,
-	extra func(ll *tas.LongLived, env *memory.Env, holds [][]hold) error) (explore.Harness, Oracle) {
+	extra func(ll *tas.LongLived, env *memory.Env, holds [][]hold) error) (engine.Harness, Oracle) {
 	h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
 		env := memory.NewEnv(n)
 		ll := tas.NewLongLived(n)
@@ -520,7 +520,7 @@ func buildLockScenario(n int, opts Options, oracle Oracle, mkCycles func(n int) 
 // a distinct value; committed values must agree, be someone's proposal, and
 // never coexist with a ⊥-abort (an abort with ⊥ certifies the instance
 // never commits).
-func buildConsensus(n int, _ Options) (explore.Harness, Oracle) {
+func buildConsensus(n int, _ Options) (engine.Harness, Oracle) {
 	oracle := Oracle{Kind: OracleInvariant, Invariant: "agreement"}
 	h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
 		env := memory.NewEnv(n)
@@ -576,7 +576,7 @@ func buildConsensus(n int, _ Options) (explore.Harness, Oracle) {
 // component twice, process 1 scans twice (scans must be pointwise
 // monotone), remaining processes update their components once; every
 // observed value must be in its component's written domain.
-func buildSnapshot(n int, opts Options) (explore.Harness, Oracle) {
+func buildSnapshot(n int, opts Options) (engine.Harness, Oracle) {
 	oracle := Oracle{Kind: OracleInvariant, Invariant: "monotone-scans"}
 	h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
 		env := memory.NewEnv(n)
@@ -636,7 +636,7 @@ func buildSnapshot(n int, opts Options) (explore.Harness, Oracle) {
 
 // buildSplitter builds the splitter harness: every process acquires once;
 // among processes that completed, at most one may obtain Stop.
-func buildSplitter(n int, opts Options) (explore.Harness, Oracle) {
+func buildSplitter(n int, opts Options) (engine.Harness, Oracle) {
 	oracle := Oracle{Kind: OracleInvariant, Invariant: "at-most-one-stop"}
 	h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
 		env := memory.NewEnv(n)
@@ -676,11 +676,11 @@ func buildSplitter(n int, opts Options) (explore.Harness, Oracle) {
 // contention-free stage ordered by SplitConsensus backed by a CAS-ordered
 // wait-free stage. The recorded Abstract trace must satisfy Definition 1
 // and the committed projection must linearize against the oracle's type.
-// No reset path: the construction materializes consensus instances and
-// registry slots at schedule-dependent times, so the engines reconstruct
-// it per execution.
-func buildUniversal(oracle Oracle, opsPer int, mkReq func(i, k, n int) spec.Request) func(n int, _ Options) (explore.Harness, Oracle) {
-	return func(n int, _ Options) (explore.Harness, Oracle) {
+// The construction materializes consensus instances and registry slots at
+// schedule-dependent times; Object.ResetState discards them, so a reset
+// instance re-creates them exactly as a fresh one would.
+func buildUniversal(oracle Oracle, opsPer int, mkReq func(i, k, n int) spec.Request) func(n int, _ Options) (engine.Harness, Oracle) {
+	return func(n int, _ Options) (engine.Harness, Oracle) {
 		h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
 			env := memory.NewEnv(n)
 			o := abstract.NewObject(oracle.Type, n,
@@ -691,6 +691,7 @@ func buildUniversal(oracle Oracle, opsPer int, mkReq func(i, k, n int) spec.Requ
 					return consensus.NewCASConsensus()
 				}},
 			)
+			env.Register(o)
 			rec := trace.NewRecorder(n)
 			stampFromSchedule(rec, env)
 			bodies := make([]func(p *memory.Proc), n)
@@ -722,7 +723,7 @@ func buildUniversal(oracle Oracle, opsPer int, mkReq func(i, k, n int) spec.Requ
 				}
 				return oracle.Check(committed)
 			}
-			return env, bodies, check, nil
+			return env, bodies, check, rec.Reset
 		}
 		return h, oracle
 	}
@@ -769,8 +770,8 @@ const (
 // buildHandoffBug wraps the randomized subsystem's planted depth-2 bug as
 // a registered scenario: the checker is *expected* to report a failing
 // interleaving (Params.ExpectFail), which exercises the failure-reporting
-// path of both engines end to end.
-func buildHandoffBug(n int, _ Options) (explore.Harness, Oracle) {
-	return explore.Harness(randexp.HandoffBug(n, handoffBugWarmup, handoffBugGap)),
+// path of both frontends end to end.
+func buildHandoffBug(n int, _ Options) (engine.Harness, Oracle) {
+	return randexp.HandoffBug(n, handoffBugWarmup, handoffBugGap),
 		Oracle{Kind: OracleInvariant, Invariant: "planted-handoff-bug"}
 }

@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/explore"
+	"repro/internal/engine"
 	"repro/internal/memory"
 	"repro/internal/sched"
 	"repro/internal/spec"
@@ -53,7 +53,7 @@ func genTASTree(name string, seed int64, arity, depth int) Scenario {
 	for level, width := 0, 1; level <= depth; level, width = level+1, width*arity {
 		nodes += width
 	}
-	build := func(n int, opts Options) (explore.Harness, Oracle) {
+	build := func(n int, opts Options) (engine.Harness, Oracle) {
 		oracle := Oracle{Kind: OracleInvariant, Invariant: "unique-root-winner"}
 		h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
 			env := memory.NewEnv(n)
@@ -116,7 +116,7 @@ func genTASTree(name string, seed int64, arity, depth int) Scenario {
 // dispensers: each process draws one ticket from every level in order;
 // within a level, recorded tickets must be unique and non-negative.
 func genFAIStack(name string, seed int64, levels int) Scenario {
-	build := func(n int, opts Options) (explore.Harness, Oracle) {
+	build := func(n int, opts Options) (engine.Harness, Oracle) {
 		oracle := Oracle{Kind: OracleInvariant, Invariant: "unique-tickets"}
 		h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
 			env := memory.NewEnv(n)
@@ -190,7 +190,7 @@ func genFAIStack(name string, seed int64, levels int) Scenario {
 // must be unique, and without crashes every process acquires one inside
 // the grid.
 func genSplitterNet(name string, seed int64, margin int) Scenario {
-	build := func(n int, opts Options) (explore.Harness, Oracle) {
+	build := func(n int, opts Options) (engine.Harness, Oracle) {
 		oracle := Oracle{Kind: OracleInvariant, Invariant: "unique-names"}
 		size := n + margin
 		h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {

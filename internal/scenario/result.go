@@ -9,7 +9,7 @@ package scenario
 import (
 	"errors"
 
-	"repro/internal/explore"
+	"repro/internal/engine"
 	"repro/internal/randexp"
 )
 
@@ -100,7 +100,7 @@ func (r *RunResult) failureOf(err error) {
 		r.Verdict = "ok"
 		return
 	}
-	var ce *explore.CheckError
+	var ce *engine.CheckError
 	if !errors.As(err, &ce) {
 		r.Verdict = "error"
 		r.Error = err.Error()
@@ -115,7 +115,7 @@ func (r *RunResult) failureOf(err error) {
 }
 
 // ExhaustiveResult builds the -json object of an exhaustive run.
-func ExhaustiveResult(name string, n int, oracle Oracle, prune explore.PruneMode, mode string, rep explore.Report, err error) RunResult {
+func ExhaustiveResult(name string, n int, oracle Oracle, prune engine.PruneMode, mode string, rep engine.Report, err error) RunResult {
 	r := RunResult{
 		Scenario:       name,
 		N:              n,

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/explore"
+	"repro/internal/engine"
 	"repro/internal/randexp"
 )
 
@@ -43,8 +43,8 @@ func TestRunResultJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	h, oracle := sc.Build(2, Options{})
-	rep, runErr := explore.Run(h, explore.Config{Prune: explore.PruneSourceDPOR, Workers: 1})
-	r := ExhaustiveResult("a1", 2, oracle, explore.PruneSourceDPOR, "exhaustive", rep, runErr)
+	rep, runErr := engine.Run(h, engine.Config{Prune: engine.PruneSourceDPOR, Workers: 1})
+	r := ExhaustiveResult("a1", 2, oracle, engine.PruneSourceDPOR, "exhaustive", rep, runErr)
 	if r.Verdict != "ok" || r.Failure != nil || r.Executions != 22 || r.Prune != "dpor" {
 		t.Fatalf("a1 exhaustive result: %+v", r)
 	}
@@ -60,8 +60,8 @@ func TestRunResultJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	h, oracle = hb.Build(hb.Procs(2), Options{})
-	rep, runErr = explore.Run(h, explore.Config{Prune: explore.PruneSourceDPOR, Workers: 1})
-	r = ExhaustiveResult(hb.Name, hb.Procs(2), oracle, explore.PruneSourceDPOR, "exhaustive", rep, runErr)
+	rep, runErr = engine.Run(h, engine.Config{Prune: engine.PruneSourceDPOR, Workers: 1})
+	r = ExhaustiveResult(hb.Name, hb.Procs(2), oracle, engine.PruneSourceDPOR, "exhaustive", rep, runErr)
 	if r.Verdict != "fail" || r.Failure == nil || len(r.Failure.Schedule) == 0 || r.Failure.Sampled {
 		t.Fatalf("handoffbug exhaustive result: %+v", r)
 	}
@@ -91,8 +91,8 @@ func TestRunResultTimingFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	h, oracle := sc.Build(2, Options{})
-	rep, runErr := explore.Run(h, explore.Config{Prune: explore.PruneSourceDPOR, Workers: 1})
-	r := ExhaustiveResult("a1", 2, oracle, explore.PruneSourceDPOR, "exhaustive", rep, runErr)
+	rep, runErr := engine.Run(h, engine.Config{Prune: engine.PruneSourceDPOR, Workers: 1})
+	r := ExhaustiveResult("a1", 2, oracle, engine.PruneSourceDPOR, "exhaustive", rep, runErr)
 	if r.WallMS <= 0 {
 		t.Fatalf("completed run reports wall_ms=%v", r.WallMS)
 	}
@@ -101,8 +101,8 @@ func TestRunResultTimingFields(t *testing.T) {
 	}
 
 	h, oracle = sc.Build(2, Options{})
-	rep, runErr = explore.Run(h, explore.Config{Workers: 1, MaxExecutions: 50})
-	r = ExhaustiveResult("a1", 2, oracle, explore.PruneNone, "exhaustive-partial", rep, runErr)
+	rep, runErr = engine.Run(h, engine.Config{Workers: 1, MaxExecutions: 50})
+	r = ExhaustiveResult("a1", 2, oracle, engine.PruneNone, "exhaustive-partial", rep, runErr)
 	if r.CutBy != "executions" {
 		t.Fatalf("budget-cut run reports cut_by=%q, want executions", r.CutBy)
 	}

@@ -1,5 +1,5 @@
 // Package scenario is the layer between the object library and the two
-// exploration engines: a registry of named, checkable workloads.
+// exploration frontends: a registry of named, checkable workloads.
 //
 // The paper's central claim is about *safely composable* objects —
 // correctness of a composition reduces to linearizability of its
@@ -8,7 +8,7 @@
 // exactly three hard-coded compositions; every other harness lived as a
 // copy-pasted local builder in a command, a benchmark, or an example. The
 // registry turns that fixed set into an open-ended family: every workload
-// is a Scenario — a named builder producing an explore.Harness plus the
+// is a Scenario — a named builder producing an engine.Harness plus the
 // Oracle that judges its executions — and new compositions join by
 // Register (or are synthesized on demand by the seeded generator, see
 // gen.go).
@@ -16,11 +16,10 @@
 // # Contract
 //
 // Build(n, opts) must return a self-contained harness obeying the
-// explore.Harness contract: when the harness provides a reset path it must
-// register every shared object with the Env and restore all harness-local
-// state in reset; when Params.NoReset is set the harness returns a nil
-// reset and the engines reconstruct it per execution. The harness's check
-// function must enforce exactly the returned Oracle. Builders must be
+// engine.Harness contract: it registers every shared object with the Env
+// and returns a reset that restores all harness-local state (a nil reset is
+// rejected by every tier). The harness's check function must enforce
+// exactly the returned Oracle. Builders must be
 // deterministic: two Build calls with equal arguments produce harnesses
 // with identical interleaving trees (the engines rely on this for replay,
 // checkpointing and worker-count-independent reports).
@@ -42,7 +41,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/explore"
+	"repro/internal/engine"
 	"repro/internal/linearize"
 	"repro/internal/sched"
 	"repro/internal/spec"
@@ -284,9 +283,6 @@ type Params struct {
 	// (Options.Crashes may be set). Scenarios whose invariants assume every
 	// process completes leave it false.
 	Crashes bool
-	// NoReset marks harnesses without a reset path: the engines reconstruct
-	// them per execution (the documented fallback).
-	NoReset bool
 	// Fingerprints reports whether the built environment registers only
 	// exactly-hashable objects, so Env.Fingerprint returns ok and
 	// state-caching/coverage signals are available.
@@ -311,7 +307,7 @@ type Scenario struct {
 	Params      Params
 	// Build constructs the workload for n processes. It returns the
 	// exploration harness and the oracle its check function enforces.
-	Build func(n int, opts Options) (explore.Harness, Oracle)
+	Build func(n int, opts Options) (engine.Harness, Oracle)
 }
 
 // Procs clamps a requested process count to the scenario's range: n <= 0

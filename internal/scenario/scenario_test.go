@@ -2,10 +2,14 @@ package scenario
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/explore"
+	"repro/internal/engine"
+	"repro/internal/memory"
+	"repro/internal/sched"
 )
 
 // genFamily classifies a generated scenario by its family (independent of
@@ -82,11 +86,11 @@ func TestListingMentionsEveryScenario(t *testing.T) {
 }
 
 // TestConformance is the registry conformance check: every scenario (and
-// one generated scenario per family) builds at n=2, declares its reset and
-// fingerprint capabilities truthfully, and explores identically under
-// pooled and reconstruct-fallback execution — equal counts plus the
-// engine's nondeterminism net certify that reset restores construction
-// state exactly.
+// one generated scenario per family) builds at n=2, returns a reset, declares
+// its fingerprint capability truthfully, and resets completely — every
+// execution a budget-cut walk checks on its reused instance replays, on a
+// freshly constructed instance through the one-shot executor, to the same
+// schedule, verdict and terminal fingerprint.
 func TestConformance(t *testing.T) {
 	const budget = 400
 	for _, sc := range conformanceScenarios(t) {
@@ -102,61 +106,71 @@ func TestConformance(t *testing.T) {
 			if len(bodies) != n || env.N() != n {
 				t.Fatalf("built %d bodies over env of %d procs, want %d", len(bodies), env.N(), n)
 			}
-			if (reset == nil) != sc.Params.NoReset {
-				t.Fatalf("reset path nil=%v, Params.NoReset=%v", reset == nil, sc.Params.NoReset)
+			if reset == nil {
+				t.Fatal("harness returns no reset")
 			}
 			if _, ok := env.Fingerprint(); ok != sc.Params.Fingerprints {
 				t.Fatalf("Fingerprint ok=%v, Params.Fingerprints=%v", ok, sc.Params.Fingerprints)
 			}
 
-			cfg := explore.Config{Prune: explore.PruneSourceDPOR, Workers: 1, MaxExecutions: budget}
-			pooled, errPooled := explore.Run(h, cfg)
-			fallback, errFallback := explore.Run(explore.NoReset(h), cfg)
-			checkErrs(t, sc, errPooled, errFallback)
-			if !sameReport(pooled, fallback) {
-				t.Fatalf("pooled report %+v != fallback report %+v", pooled, fallback)
-			}
-
+			cfg := engine.Config{Prune: engine.PruneSourceDPOR, Workers: 1, MaxExecutions: budget}
+			resetMatchesFresh(t, sc, h, cfg)
 			if sc.Params.Crashes {
 				hc, _ := sc.Build(n, Options{Crashes: true})
-				ccfg := cfg
-				ccfg.Crashes = true
-				pooled, errPooled = explore.Run(hc, ccfg)
-				fallback, errFallback = explore.Run(explore.NoReset(hc), ccfg)
-				checkErrs(t, sc, errPooled, errFallback)
-				if !sameReport(pooled, fallback) {
-					t.Fatalf("crash-mode pooled report %+v != fallback report %+v", pooled, fallback)
-				}
+				cfg.Crashes = true
+				resetMatchesFresh(t, sc, hc, cfg)
 			}
 		})
 	}
 }
 
-// sameReport compares the deterministic counters of two reports, ignoring
-// the checkpoint frontier (a pointer, carried only by budget-cut walks).
-func sameReport(a, b explore.Report) bool {
-	return a.Executions == b.Executions && a.Pruned == b.Pruned &&
-		a.CacheHits == b.CacheHits && a.Partial == b.Partial && a.MaxDepth == b.MaxDepth
+// resetMatchesFresh walks h under cfg recording (schedule, terminal
+// fingerprint, verdict) of every checked execution — the engine serializes
+// check calls, and takes the fingerprint before the reset as here — then
+// replays each schedule on a fresh h() and requires the same three.
+func resetMatchesFresh(t *testing.T, sc Scenario, h engine.Harness, cfg engine.Config) {
+	t.Helper()
+	type checkedRun struct {
+		schedule []sched.Choice
+		fp       memory.Fingerprint
+		fpOK     bool
+		err      error
+	}
+	var runs []checkedRun
+	_, err := engine.Run(func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
+		env, bodies, check, reset := h()
+		return env, bodies, func(res *sched.Result) error {
+			run := checkedRun{schedule: append([]sched.Choice(nil), res.Schedule...)}
+			run.fp, run.fpOK = env.Fingerprint()
+			run.err = check(res)
+			runs = append(runs, run)
+			return run.err
+		}, reset
+	}, cfg)
+	var ce *engine.CheckError
+	if failed := errors.As(err, &ce); failed != sc.Params.ExpectFail || (err != nil && !failed) {
+		t.Fatalf("walk returned %v, ExpectFail=%v", err, sc.Params.ExpectFail)
+	}
+	for _, want := range runs {
+		env, bodies, check, _ := h()
+		res := sched.Run(env, sched.NewReplay(want.schedule), bodies)
+		if !reflect.DeepEqual(res.Schedule, want.schedule) {
+			t.Fatalf("fresh instance ran %v, reused instance %v", res.Schedule, want.schedule)
+		}
+		if fp, ok := env.Fingerprint(); fp != want.fp || ok != want.fpOK {
+			t.Fatalf("schedule %v: fresh fingerprint %v (ok=%v), reused %v (ok=%v)", want.schedule, fp, ok, want.fp, want.fpOK)
+		}
+		if err := check(res); fmt.Sprint(err) != fmt.Sprint(want.err) {
+			t.Fatalf("schedule %v: fresh verdict %v, reused %v", want.schedule, err, want.err)
+		}
+	}
 }
 
-// checkErrs asserts the exploration outcome matches the scenario's
-// declaration: clean for ordinary scenarios, the same canonical check
-// failure on both execution paths for ExpectFail ones.
-func checkErrs(t *testing.T, sc Scenario, errPooled, errFallback error) {
-	t.Helper()
-	if !sc.Params.ExpectFail {
-		if errPooled != nil || errFallback != nil {
-			t.Fatalf("unexpected failure: pooled=%v fallback=%v", errPooled, errFallback)
-		}
-		return
-	}
-	var ce *explore.CheckError
-	if !errors.As(errPooled, &ce) || !errors.As(errFallback, &ce) {
-		t.Fatalf("expected the planted bug on both paths, got pooled=%v fallback=%v", errPooled, errFallback)
-	}
-	if errPooled.Error() != errFallback.Error() {
-		t.Fatalf("canonical failures differ:\npooled:   %v\nfallback: %v", errPooled, errFallback)
-	}
+// sameReport compares the deterministic counters of two reports, ignoring
+// the checkpoint frontier (a pointer, carried only by budget-cut walks).
+func sameReport(a, b engine.Report) bool {
+	return a.Executions == b.Executions && a.Pruned == b.Pruned &&
+		a.CacheHits == b.CacheHits && a.Partial == b.Partial && a.MaxDepth == b.MaxDepth
 }
 
 // TestConformanceRepeatable re-runs one pooled exploration over the same
@@ -169,12 +183,12 @@ func TestConformanceRepeatable(t *testing.T) {
 			continue
 		}
 		h, _ := sc.Build(sc.Procs(2), Options{})
-		cfg := explore.Config{Prune: explore.PruneSourceDPOR, Workers: 1, MaxExecutions: 200}
-		first, err := explore.Run(h, cfg)
+		cfg := engine.Config{Prune: engine.PruneSourceDPOR, Workers: 1, MaxExecutions: 200}
+		first, err := engine.Run(h, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}
-		second, err := explore.Run(h, cfg)
+		second, err := engine.Run(h, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}

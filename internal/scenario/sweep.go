@@ -15,7 +15,7 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/explore"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/randexp"
 )
@@ -81,11 +81,11 @@ func RunOne(sc Scenario, cfg SweepConfig) Row {
 	row := Row{Name: sc.Name, N: n, Oracle: oracle.String()}
 
 	if n <= exhaustiveN {
-		rep, err := explore.Run(h, explore.Config{
+		rep, err := engine.Run(h, engine.Config{
 			MaxExecutions: cfg.MaxExecutions,
 			Crashes:       opts.Crashes,
 			Workers:       1,
-			Prune:         explore.PruneSourceDPOR,
+			Prune:         engine.PruneSourceDPOR,
 			Metrics:       cfg.Metrics,
 		})
 		row.Mode = "exhaustive"
@@ -106,9 +106,9 @@ func RunOne(sc Scenario, cfg SweepConfig) Row {
 		Metrics: cfg.Metrics,
 	}
 	if opts.Crashes {
-		rcfg.CrashProb = explore.SampleCrashProb
+		rcfg.CrashProb = randexp.SampleCrashProb
 	}
-	rep, err := randexp.Run(randexp.Harness(h), rcfg)
+	rep, err := randexp.Run(h, rcfg)
 	row.Mode = "sampled"
 	row.Executions, row.MaxDepth = rep.Executions, rep.MaxDepth
 	// A sample (like a budget-cut walk) is never exhaustive, so an
@@ -146,7 +146,7 @@ func outcomeText(err error, expectFail, exhaustive bool) string {
 		}
 		return "ok"
 	}
-	var ce *explore.CheckError
+	var ce *engine.CheckError
 	if !errors.As(err, &ce) {
 		return "error: " + err.Error()
 	}

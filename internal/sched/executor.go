@@ -10,9 +10,9 @@ import (
 )
 
 // Executor runs controlled executions of one set of process bodies over one
-// environment. It is the package's only gate implementation: Run and
-// RunChooser construct one, run it once and close it; the engine keeps one
-// per worker and re-runs it hundreds of thousands of times.
+// environment. It is the package's only gate implementation: Run constructs
+// one, runs it once and closes it; the engine keeps one per worker and
+// re-runs it hundreds of thousands of times.
 //
 // Shape: a driver and n pull-coroutines. Every process body lives in one
 // iter.Pull coroutine created by NewExecutor, and the goroutine that calls

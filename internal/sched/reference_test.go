@@ -32,7 +32,7 @@ func (g *refGate) Enter(p *memory.Proc, a memory.Access) {
 	}
 }
 
-// RefRunChooser is the reference implementation of RunChooser.
+// RefRunChooser is the reference implementation of Executor.Run, one-shot.
 func RefRunChooser(env *memory.Env, chooser Chooser, bodies []func(p *memory.Proc)) *Result {
 	n := env.N()
 	g := &refGate{toSched: make(chan refMsg), grants: make([]chan bool, n)}

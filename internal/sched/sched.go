@@ -19,7 +19,7 @@
 //
 // There is one gate protocol, Executor — a driver goroutine, one iter.Pull
 // coroutine per process and baton-passed decisions; its doc comment has
-// the protocol and its costs. Run and RunChooser are its one-shot form.
+// the protocol and its costs. Run is its one-shot form.
 //
 // Decisions can be made at two levels. A Strategy sees only the parked
 // process ids — enough for the canned schedules (solo, round-robin,
@@ -80,9 +80,8 @@ func (a *strategyChooser) Choose(step int, parked []ProcState) Choice {
 // A Result returned by an Executor is owned by that executor and valid only
 // until its next run: the executor reuses the value and every slice in it,
 // so a caller that keeps any part of one past the next Run/RunStrategy call
-// on the same executor must copy it first. Run and RunChooser close their
-// one-shot executor before returning, so their Result is the caller's to
-// keep.
+// on the same executor must copy it first. Run closes its one-shot
+// executor before returning, so its Result is the caller's to keep.
 type Result struct {
 	// Schedule is the sequence of choices actually taken.
 	Schedule []Choice
@@ -116,12 +115,4 @@ func Run(env *memory.Env, strategy Strategy, bodies []func(p *memory.Proc)) *Res
 	x := NewExecutor(env, bodies)
 	defer x.Close()
 	return x.RunStrategy(strategy)
-}
-
-// RunChooser is Run for access-aware deciders: at every decision point the
-// chooser sees the pending access of each parked process alongside its id.
-func RunChooser(env *memory.Env, chooser Chooser, bodies []func(p *memory.Proc)) *Result {
-	x := NewExecutor(env, bodies)
-	defer x.Close()
-	return x.Run(chooser)
 }

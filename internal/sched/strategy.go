@@ -70,7 +70,7 @@ func (r *Random) Next(_ int, parked []int) Choice {
 // RandomCrash is Random with seeded crash injection: at each decision it
 // crashes a uniformly chosen parked process with probability p, and
 // otherwise grants a uniformly chosen parked process a step. It samples the
-// same branch space that explore.Run covers with Crashes set (every
+// same branch space that engine.Run covers with Crashes set (every
 // decision point offers one step branch and one crash branch per parked
 // process). p is a knob rather than the uniform 1/2 over branch kinds
 // because uniform sampling would crash half the decisions and drown the
@@ -121,7 +121,7 @@ func (s *Solo) Next(_ int, parked []int) Choice {
 }
 
 // Replay replays a recorded choice sequence, then falls back to the first
-// parked process. It is how the explore package revisits a prefix.
+// parked process. It is how a reported failing schedule is reproduced.
 type Replay struct {
 	choices []Choice
 }

@@ -5,7 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/explore"
+	"repro/internal/engine"
 	"repro/internal/memory"
 	"repro/internal/sched"
 )
@@ -81,7 +81,7 @@ func TestExhaustiveScanMonotone(t *testing.T) {
 		}
 		return env, bodies, check, reset
 	}
-	rep, err := explore.Run(h, explore.Config{Prune: explore.PruneSourceDPOR, Workers: 8})
+	rep, err := engine.Run(h, engine.Config{Prune: engine.PruneSourceDPOR, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestExhaustiveScanSeesCompletedUpdates(t *testing.T) {
 		}
 		return env, bodies, check, reset
 	}
-	rep, err := explore.Run(h, explore.Config{Prune: explore.PruneSourceDPOR, Workers: 8})
+	rep, err := engine.Run(h, engine.Config{Prune: engine.PruneSourceDPOR, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

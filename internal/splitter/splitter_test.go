@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/explore"
+	"repro/internal/engine"
 	"repro/internal/memory"
 	"repro/internal/sched"
 )
@@ -77,7 +77,7 @@ func TestExhaustiveAtMostOneStop(t *testing.T) {
 		}
 		return env, bodies, check, reset
 	}
-	rep, err := explore.Run(h, explore.Config{})
+	rep, err := engine.Run(h, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestThreeWayAtMostOneStop(t *testing.T) {
 		}
 		return env, bodies, check, reset
 	}
-	rep, err := explore.Run(h, explore.Config{Prune: explore.PruneSourceDPOR, Workers: 8})
+	rep, err := engine.Run(h, engine.Config{Prune: engine.PruneSourceDPOR, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

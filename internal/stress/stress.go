@@ -34,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/linearize"
 	"repro/internal/memory"
 	"repro/internal/obs"
@@ -198,13 +199,6 @@ func foldLatency(shards []latShard) stats.LatencyHist {
 	return out
 }
 
-// roundMsg hands a worker its body and process handle for one round (both
-// can change between rounds when a no-reset harness is reconstructed).
-type roundMsg struct {
-	body func(p *memory.Proc)
-	proc *memory.Proc
-}
-
 // Run executes one stress run. It returns an error only for configuration
 // or harness contract problems; spot-check failures are reported in the
 // Result (planted-bug scenarios are expected to fail — the caller decides
@@ -278,21 +272,15 @@ func Run(cfg Config) (Result, error) {
 		defer removeG()
 	}
 
-	var oracle scenario.Oracle
-	build := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func(), error) {
-		h, orc := sc.Build(n, scenario.Options{})
-		oracle = orc
-		env, bodies, check, reset := h()
-		if len(bodies) != n {
-			return nil, nil, nil, nil, fmt.Errorf("stress: harness returned %d bodies for n=%d", len(bodies), n)
-		}
-		env.SetInstr(in)
-		return env, bodies, check, reset, nil
+	h, oracle := sc.Build(n, scenario.Options{})
+	env, bodies, check, reset := h()
+	if len(bodies) != n {
+		return Result{}, fmt.Errorf("stress: harness returned %d bodies for n=%d", len(bodies), n)
 	}
-	env, bodies, check, reset, err := build()
-	if err != nil {
-		return Result{}, err
+	if reset == nil {
+		return Result{}, fmt.Errorf("stress: scenario %q: %w (rounds re-run one instance)", sc.Name, engine.ErrNilReset)
 	}
+	env.SetInstr(in)
 
 	// Full-history verification: drain each round's recorded operations
 	// from the scenario's trace source into per-object JIT streams —
@@ -305,6 +293,7 @@ func Run(cfg Config) (Result, error) {
 	var recordedOps int64
 	if cfg.LinMode == LinOnline || cfg.LinMode == LinPost {
 		jcfg := linearize.JITConfig{Window: cfg.LinWindow, MaxConfigs: cfg.LinMaxConfigs}
+		var err error
 		if lc, err = newLinChecker(oracle, jcfg, cfg.LinMaxOps, m); err != nil {
 			return Result{}, err
 		}
@@ -327,22 +316,23 @@ func Run(cfg Config) (Result, error) {
 	// Persistent workers: one per process, round-driven over a channel.
 	// Arrival gaps use per-worker deterministic generators; latency is
 	// measured around the body only, not the arrival delay.
-	chans := make([]chan roundMsg, n)
+	chans := make([]chan struct{}, n)
 	var wg sync.WaitGroup          // per-round barrier
 	var workersDone sync.WaitGroup // shutdown barrier
 	for i := 0; i < n; i++ {
-		chans[i] = make(chan roundMsg, 1)
+		chans[i] = make(chan struct{}, 1)
 		workersDone.Add(1)
-		go func(w int, ch <-chan roundMsg) {
+		go func(w int, ch <-chan struct{}) {
 			defer workersDone.Done()
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*0x9e3779b9))
-			for msg := range ch {
+			body, proc := bodies[w], env.Proc(w)
+			for range ch {
 				if cfg.Arrival > 0 {
 					gap := time.Duration(rng.ExpFloat64() / cfg.Arrival * float64(time.Second))
 					time.Sleep(gap)
 				}
 				t0 := time.Now()
-				msg.body(msg.proc)
+				body(proc)
 				lats[w].add(time.Since(t0).Nanoseconds())
 				opsC.Add(w, 1)
 				wg.Done()
@@ -362,7 +352,7 @@ func Run(cfg Config) (Result, error) {
 	for {
 		wg.Add(n)
 		for i := 0; i < n; i++ {
-			chans[i] <- roundMsg{body: bodies[i], proc: env.Proc(i)}
+			chans[i] <- struct{}{}
 		}
 		wg.Wait()
 		rounds++
@@ -398,22 +388,8 @@ func Run(cfg Config) (Result, error) {
 		}
 
 		// Recycle the environment for the next round.
-		if reset != nil {
-			env.Reset()
-			reset()
-		} else {
-			env, bodies, check, reset, err = build()
-			if err != nil {
-				break
-			}
-			if lc != nil {
-				var ok bool
-				if src, ok = env.HistorySource().(trace.Source); !ok {
-					err = fmt.Errorf("stress: rebuilt scenario %q lost its trace source", sc.Name)
-					break
-				}
-			}
-		}
+		env.Reset()
+		reset()
 	}
 	wall := time.Since(start)
 	for i := 0; i < n; i++ {
@@ -430,9 +406,6 @@ func Run(cfg Config) (Result, error) {
 			}
 		}
 		lc.finish()
-	}
-	if err != nil {
-		return Result{}, err
 	}
 
 	merged := foldLatency(lats)

@@ -113,34 +113,6 @@ func TestRunComposedLinearizeSpotCheck(t *testing.T) {
 	}
 }
 
-// TestRunNoResetScenario exercises the rebuild-per-round path.
-func TestRunNoResetScenario(t *testing.T) {
-	var noReset scenario.Scenario
-	for _, sc := range scenario.Registered() {
-		if sc.Params.NoReset {
-			noReset = sc
-			break
-		}
-	}
-	if noReset.Build == nil {
-		t.Skip("no NoReset scenario registered")
-	}
-	r, err := Run(Config{
-		Scenario:   noReset,
-		G:          2,
-		Duration:   time.Minute,
-		MaxRounds:  20,
-		CheckEvery: 5,
-		Seed:       3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Rounds != 20 || r.CheckFailures != 0 {
-		t.Fatalf("rounds=%d failures=%d (%s)", r.Rounds, r.CheckFailures, r.FirstCheckErr)
-	}
-}
-
 // TestRunArrivalPacing: open-loop arrivals still complete rounds and
 // record latencies that exclude the arrival gaps (a 1ms mean gap must not
 // inflate per-op latency to milliseconds).

@@ -5,8 +5,9 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/explore"
+	"repro/internal/engine"
 	"repro/internal/memory"
+	"repro/internal/randexp"
 	"repro/internal/sched"
 	"repro/internal/spec"
 )
@@ -101,7 +102,7 @@ func TestExhaustiveSpecFetchIncUnique(t *testing.T) {
 		}
 		return env, bodies, check, reset
 	}
-	rep, err := explore.Run(h, engineCfg)
+	rep, err := engine.Run(h, engineCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestRandomizedSpecFetchIncThreeProcs(t *testing.T) {
 		}
 		return env, bodies, check, reset
 	}
-	if _, err := explore.Sample(h, 3000, 23, false); err != nil {
+	if _, err := randexp.Sample(h, 3000, 23, false); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,9 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/explore"
+	"repro/internal/engine"
 	"repro/internal/linearize"
 	"repro/internal/memory"
+	"repro/internal/randexp"
 	"repro/internal/sched"
 	"repro/internal/spec"
 	"repro/internal/trace"
@@ -205,7 +206,7 @@ func checkLemma4Invariants(outs []a1Outcome, ops []trace.Op, res *sched.Result) 
 // a1Harness builds an exploration harness running one A1 TAS per process,
 // checking Lemma 4's invariants (and optionally Definition 2) on every
 // interleaving.
-func a1Harness(n int, withDef2 bool, crashes bool) explore.Harness {
+func a1Harness(n int, withDef2 bool, crashes bool) engine.Harness {
 	return func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
 		env := memory.NewEnv(n)
 		a1 := NewA1()
@@ -262,15 +263,15 @@ func a1Harness(n int, withDef2 bool, crashes bool) explore.Harness {
 // sleep-set pruning plus a worker pool. Pruning skips only re-orderings of
 // commuting steps, so the universally quantified checks still cover every
 // distinct behaviour.
-var engineCfg = explore.Config{Prune: explore.PruneSourceDPOR, Workers: 8}
+var engineCfg = engine.Config{Prune: engine.PruneSourceDPOR, Workers: 8}
 
-func withCrashes(cfg explore.Config) explore.Config {
+func withCrashes(cfg engine.Config) engine.Config {
 	cfg.Crashes = true
 	return cfg
 }
 
 func TestExhaustiveA1Invariants(t *testing.T) {
-	rep, err := explore.Run(a1Harness(2, false, false), engineCfg)
+	rep, err := engine.Run(a1Harness(2, false, false), engineCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestExhaustiveA1Invariants(t *testing.T) {
 func TestExhaustiveA1InvariantsThreeProcs(t *testing.T) {
 	// Previously only sampled: pruning makes the n=3 tree exhaustively
 	// checkable in well under a second.
-	rep, err := explore.Run(a1Harness(3, false, false), engineCfg)
+	rep, err := engine.Run(a1Harness(3, false, false), engineCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestExhaustiveA1InvariantsThreeProcs(t *testing.T) {
 func TestExhaustiveA1Definition2(t *testing.T) {
 	// Lemma 4 checked mechanically: every interleaving's trace admits a
 	// valid interpretation for every abort-candidate equivalence class.
-	rep, err := explore.Run(a1Harness(2, true, false), engineCfg)
+	rep, err := engine.Run(a1Harness(2, true, false), engineCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +305,7 @@ func TestExhaustiveA1Definition2(t *testing.T) {
 }
 
 func TestExhaustiveA1WithCrashes(t *testing.T) {
-	rep, err := explore.Run(a1Harness(2, false, true), withCrashes(engineCfg))
+	rep, err := engine.Run(a1Harness(2, false, true), withCrashes(engineCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +318,7 @@ func TestExhaustiveA1WithCrashes(t *testing.T) {
 func TestExhaustiveA1ThreeProcsWithCrashes(t *testing.T) {
 	// Crash branches commute with other processes' steps, so pruning tames
 	// the 2^depth crash blow-up that made this configuration infeasible.
-	rep, err := explore.Run(a1Harness(3, false, true), withCrashes(engineCfg))
+	rep, err := engine.Run(a1Harness(3, false, true), withCrashes(engineCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,7 @@ func TestExhaustiveA1ThreeProcsWithCrashes(t *testing.T) {
 }
 
 func TestRandomizedA1ThreeProcs(t *testing.T) {
-	if _, err := explore.Sample(a1Harness(3, true, false), 2500, 5, false); err != nil {
+	if _, err := randexp.Sample(a1Harness(3, true, false), 2500, 5, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -336,7 +337,7 @@ func TestRandomizedA1ThreeProcs(t *testing.T) {
 // composedHarness runs the A1→A2 composition per process with per-module
 // trace recording, checking wait-freedom, unique winner, linearizability,
 // and Definition 2 for each module's trace.
-func composedHarness(n int, withDef2 bool) explore.Harness {
+func composedHarness(n int, withDef2 bool) engine.Harness {
 	return func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
 		env := memory.NewEnv(n)
 		recA1 := stamped(env, trace.NewRecorder(n))
@@ -400,7 +401,7 @@ func composedHarness(n int, withDef2 bool) explore.Harness {
 }
 
 func TestExhaustiveComposedOneShot(t *testing.T) {
-	rep, err := explore.Run(composedHarness(2, true), engineCfg)
+	rep, err := engine.Run(composedHarness(2, true), engineCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +414,7 @@ func TestExhaustiveComposedOneShot(t *testing.T) {
 func TestExhaustiveComposedThreeProcs(t *testing.T) {
 	// Previously capped at 25000 interleavings for n=2 and sampled for
 	// n=3; the pruned engine checks every three-process behaviour.
-	rep, err := explore.Run(composedHarness(3, true), engineCfg)
+	rep, err := engine.Run(composedHarness(3, true), engineCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +428,7 @@ func TestExhaustiveComposedThreeProcs(t *testing.T) {
 // counted over committed operations only (a crashed process's operation
 // stays pending, which CheckTAS accounts for), and survivors must finish
 // (wait-freedom of the A2 tail).
-func crashComposedHarness(n int) explore.Harness {
+func crashComposedHarness(n int) engine.Harness {
 	return func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
 		env := memory.NewEnv(n)
 		o := NewOneShot()
@@ -478,7 +479,7 @@ func TestExhaustiveComposedThreeProcsWithCrashes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: ~2s unraced, longer under -race")
 	}
-	rep, err := explore.Run(crashComposedHarness(3), withCrashes(engineCfg))
+	rep, err := engine.Run(crashComposedHarness(3), withCrashes(engineCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +504,7 @@ func TestExhaustiveComposedFourProcs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: ~15s exhaustive walk")
 	}
-	rep, err := explore.Run(composedHarness(4, false), engineCfg)
+	rep, err := engine.Run(composedHarness(4, false), engineCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +519,7 @@ func TestExhaustiveComposedFourProcs(t *testing.T) {
 }
 
 func TestRandomizedComposedThreeProcs(t *testing.T) {
-	if _, err := explore.Sample(composedHarness(3, true), 1500, 17, false); err != nil {
+	if _, err := randexp.Sample(composedHarness(3, true), 1500, 17, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -531,11 +532,11 @@ func TestRandomizedComposedThreeProcs(t *testing.T) {
 // count. How much wall-clock that buys is a benchmark's question
 // (BENCH_E10.json, benchmark/), not a unit test's.
 func TestEngineSpeedupOverSeedBaseline(t *testing.T) {
-	seedRep, err := explore.Run(a1Harness(2, false, false), explore.Config{}) // seed mode: 1 worker, no pruning
+	seedRep, err := engine.Run(a1Harness(2, false, false), engine.Config{}) // seed mode: 1 worker, no pruning
 	if err != nil {
 		t.Fatal(err)
 	}
-	newRep, err := explore.Run(a1Harness(2, false, false), engineCfg)
+	newRep, err := engine.Run(a1Harness(2, false, false), engineCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,18 +564,18 @@ func TestSourceDPORStrictReduction(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		h    explore.Harness
+		h    engine.Harness
 		want want
 	}{
 		{"a1-n3", a1Harness(3, false, false), want{1092, 1127, 4037}},
 		{"composed-n3", composedHarness(3, false), want{1956, 1991, 7165}},
 	}
 	for _, c := range cases {
-		dpor, err := explore.Run(c.h, explore.Config{Prune: explore.PruneSourceDPOR, Workers: 1})
+		dpor, err := engine.Run(c.h, engine.Config{Prune: engine.PruneSourceDPOR, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sleep, err := explore.Run(c.h, explore.Config{Prune: explore.PruneSleep, Workers: 1})
+		sleep, err := engine.Run(c.h, engine.Config{Prune: engine.PruneSleep, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -599,15 +600,15 @@ func TestSourceDPORStrictReduction(t *testing.T) {
 // distinct states still do not, so the deterministic 1-worker counts must
 // be exactly the ledger's (A1 n=3: 1092 -> 273; composed n=3: 1956 -> 421).
 func TestLegacyCachedCountsReproduce(t *testing.T) {
-	cfg := explore.Config{Prune: explore.PruneSleep, Workers: 1, CacheStates: true}
-	rep, err := explore.Run(a1Harness(3, false, false), cfg)
+	cfg := engine.Config{Prune: engine.PruneSleep, Workers: 1, CacheStates: true}
+	rep, err := engine.Run(a1Harness(3, false, false), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Executions != 273 {
 		t.Fatalf("cached A1 n=3 = %d executions, want 273", rep.Executions)
 	}
-	rep, err = explore.Run(composedHarness(3, false), cfg)
+	rep, err = engine.Run(composedHarness(3, false), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,7 +626,7 @@ type countingHarness struct {
 	env        *memory.Env
 }
 
-func (c *countingHarness) wrap(h explore.Harness) explore.Harness {
+func (c *countingHarness) wrap(h engine.Harness) engine.Harness {
 	return func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
 		env, bodies, check, reset := h()
 		c.constructs++
@@ -645,10 +646,10 @@ func (c *countingHarness) steps() int64 {
 // executes less than half the gated shared-memory steps (prefix replay
 // included), which is what wall-clock tracks. The wall-clock itself lives in BENCH_E14.json.
 func TestSourceDPORSpeedupOverSleepSets(t *testing.T) {
-	measure := func(mode explore.PruneMode) (attempts int, steps int64) {
+	measure := func(mode engine.PruneMode) (attempts int, steps int64) {
 		var c countingHarness
-		cfg := explore.Config{Prune: mode, Workers: 1}
-		rep, err := explore.Run(c.wrap(composedHarness(3, false)), cfg)
+		cfg := engine.Config{Prune: mode, Workers: 1}
+		rep, err := engine.Run(c.wrap(composedHarness(3, false)), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -657,8 +658,8 @@ func TestSourceDPORSpeedupOverSleepSets(t *testing.T) {
 		}
 		return rep.Attempts, c.steps()
 	}
-	sleepAttempts, sleepSteps := measure(explore.PruneSleep)
-	dporAttempts, dporSteps := measure(explore.PruneSourceDPOR)
+	sleepAttempts, sleepSteps := measure(engine.PruneSleep)
+	dporAttempts, dporSteps := measure(engine.PruneSourceDPOR)
 	if sleepAttempts != 7165 || dporAttempts != 1991 {
 		t.Fatalf("attempts sleep=%d dpor=%d, want 7165 / 1991", sleepAttempts, dporAttempts)
 	}
@@ -720,7 +721,7 @@ func TestTheorem2A1ComposedWithItself(t *testing.T) {
 		}
 		return env, bodies, check, reset
 	}
-	rep, err := explore.Run(h, engineCfg)
+	rep, err := engine.Run(h, engineCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -963,7 +964,7 @@ func TestSoloFastComposedStillCorrect(t *testing.T) {
 		}
 		return env, bodies, check, reset
 	}
-	rep, err := explore.Run(h, engineCfg)
+	rep, err := engine.Run(h, engineCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1050,73 +1051,22 @@ func TestCompositionOutcomeString(t *testing.T) {
 // TestSeedExecutionCountA1TwoProcs pins the compatibility anchor of the
 // execution core: in unpruned, uncached, 1-worker mode the pooled engine
 // visits exactly the seed engine's 9662 interleavings of the two-process
-// A1 harness, re-entering each of its 9661 branches by prefix replay, and
-// the reconstruction fallback agrees.
+// A1 harness, re-entering each of its 9661 branches by prefix replay.
 func TestSeedExecutionCountA1TwoProcs(t *testing.T) {
-	rep, err := explore.Run(a1Harness(2, false, false), explore.Config{})
+	rep, err := engine.Run(a1Harness(2, false, false), engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Executions != 9662 || rep.Replays != 9661 || rep.Pruned != 0 || rep.CacheHits != 0 {
 		t.Fatalf("pooled seed-mode walk: %+v, want exactly 9662 executions and 9661 replays", rep)
 	}
-	if testing.Short() {
-		return
-	}
-	rep, err = explore.Run(explore.NoReset(a1Harness(2, false, false)), explore.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Executions != 9662 || rep.Replays != 9661 {
-		t.Fatalf("spawn-path seed-mode walk: %+v, want exactly 9662 executions and 9661 replays", rep)
-	}
 }
 
-// TestPooledExecutorSpeedup pins experiment E11's headline in its
-// load-independent form: on the three-process A1 walk the pooled engine
-// constructs the harness once for its one worker, where PR 1's
-// reconstruct-and-spawn path constructs it once per attempt (4037 of them)
-// — and pooling is otherwise invisible: the same executions, attempts,
-// pruning and terminal states. The wall-clock that construction costs is
-// BENCH_E11.json's row.
-func TestPooledExecutorSpeedup(t *testing.T) {
-	cfg := explore.Config{Prune: explore.PruneSleep, Workers: 1}
-	measure := func(h explore.Harness) (explore.Report, int) {
-		var c countingHarness
-		rep, err := explore.Run(c.wrap(h), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep, c.constructs
-	}
-	spawn, spawnBuilt := measure(explore.NoReset(a1Harness(3, false, false)))
-	pooled, pooledBuilt := measure(a1Harness(3, false, false))
-	if pooled.Executions != 1092 || pooled.Attempts != 4037 {
-		t.Fatalf("pooled A1 n=3 walk: %d executions in %d attempts, want 1092 in 4037", pooled.Executions, pooled.Attempts)
-	}
-	if spawn.Executions != pooled.Executions || spawn.Attempts != pooled.Attempts || spawn.Pruned != pooled.Pruned ||
-		!reflect.DeepEqual(spawn.TerminalStates, pooled.TerminalStates) {
-		t.Fatalf("pooling changed the walk:\npooled %+v\nspawn  %+v", pooled, spawn)
-	}
-	if pooledBuilt != 1 || spawnBuilt != spawn.Attempts {
-		t.Fatalf("harness constructions: pooled %d (want 1), spawn %d (want one per attempt, %d)", pooledBuilt, spawnBuilt, spawn.Attempts)
-	}
-}
-
-// Wall-clock benchmarks of the execution core on the A1 n=3 walk (the E11
-// configuration): pooled executors versus PR 1's reconstruct-and-spawn
-// path. One iteration is one full pruned exploration.
+// Wall-clock benchmark of the execution core on the A1 n=3 walk. One
+// iteration is one full pruned exploration.
 func BenchmarkExploreA1n3Pooled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := explore.Run(a1Harness(3, false, false), explore.Config{Prune: explore.PruneSleep, Workers: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExploreA1n3Spawn(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := explore.Run(explore.NoReset(a1Harness(3, false, false)), explore.Config{Prune: explore.PruneSleep, Workers: 1}); err != nil {
+		if _, err := engine.Run(a1Harness(3, false, false), engine.Config{Prune: engine.PruneSleep, Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

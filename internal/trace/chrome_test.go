@@ -13,7 +13,7 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/explore"
+	"repro/internal/engine"
 	"repro/internal/memory"
 	"repro/internal/scenario"
 	"repro/internal/sched"
@@ -34,8 +34,8 @@ func TestChromeRoundTripHandoffBug(t *testing.T) {
 	}
 	n := sc.Procs(2)
 	h, _ := sc.Build(n, scenario.Options{})
-	_, runErr := explore.Run(h, explore.Config{Prune: explore.PruneSourceDPOR, Workers: 1})
-	var ce *explore.CheckError
+	_, runErr := engine.Run(h, engine.Config{Prune: engine.PruneSourceDPOR, Workers: 1})
+	var ce *engine.CheckError
 	if !errors.As(runErr, &ce) || len(ce.Schedule) == 0 {
 		t.Fatalf("handoffbug did not produce a canonical failing schedule: %v", runErr)
 	}
