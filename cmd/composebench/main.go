@@ -21,7 +21,7 @@
 // a JSON array of one object per row ({experiment, table, title, row,
 // cells}), the machine-readable form the bench trajectory (BENCH_*.json)
 // records; the markdown output is unchanged.
-// With -bench-dir, the timed experiments (E10–E12, E14, E16, E17)
+// With -bench-dir, the timed experiments (E10–E12, E14, E16)
 // additionally write one BENCH_<id>.json perf-trajectory file each — the
 // committed files CI's bench-regression smoke compares fresh runs against
 // via benchdiff (see EXPERIMENTS.md, "Perf-trajectory files").
@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/bench"
@@ -62,18 +63,25 @@ func main() {
 
 	want := map[string]bool{}
 	if *expFlag != "" {
+		valid := make([]string, len(experiments))
+		for i, e := range experiments {
+			valid[i] = e.ID
+		}
 		for _, id := range strings.Split(*expFlag, ",") {
-			want[strings.TrimSpace(strings.ToUpper(id))] = true
+			id = strings.TrimSpace(strings.ToUpper(id))
+			if !slices.Contains(valid, id) {
+				fmt.Fprintf(os.Stderr, "composebench: unknown experiment %q (valid: %s)\n", id, strings.Join(valid, ", "))
+				os.Exit(2)
+			}
+			want[id] = true
 		}
 	}
 
-	ran := 0
 	var rows []bench.RowJSON
 	for _, e := range experiments {
 		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
-		ran++
 		fmt.Printf("== %s: %s ==\n\n", e.ID, e.Desc)
 		tables := e.Run()
 		for _, t := range tables {
@@ -88,10 +96,6 @@ func main() {
 				os.Exit(1)
 			}
 		}
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "composebench: no experiment matches %q (try -list)\n", *expFlag)
-		os.Exit(1)
 	}
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(rows, "", " ")

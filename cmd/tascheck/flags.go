@@ -25,7 +25,6 @@ const (
 	defSampler  = "random"
 	defWorkers  = 8
 	defPrune    = "dpor"
-	defLincheck = "auto"
 )
 
 // runPath classifies an invocation by what it runs.
@@ -73,7 +72,6 @@ type cliFlags struct {
 	samples    int
 	seed       int64
 	prune      engine.PruneMode
-	lincheck   string
 	cache      bool
 	ckptOut    string
 	ckptIn     string
@@ -124,11 +122,6 @@ func flagRules() []flagRule {
 			Allowed: on(pathList, pathSweep, pathSampled)},
 		{Name: "-prune", Set: func(f *cliFlags) bool { return f.prune != engine.PruneSourceDPOR },
 			Allowed: on(pathList, pathExhaustive, pathExhaustiveDPOR)},
-		// The checker dispatch applies wherever an oracle actually runs —
-		// every path, with -list carrying the usual silently-valid
-		// tradition of the workload knobs.
-		{Name: "-lincheck", Set: func(f *cliFlags) bool { return f.lincheck != defLincheck },
-			Allowed: on(pathList, pathSweep, pathSampled, pathExhaustive, pathExhaustiveDPOR)},
 		{Name: "-cache", Set: func(f *cliFlags) bool { return f.cache },
 			Allowed: on(pathList, pathExhaustive), Context: dporHint},
 		{Name: "-checkpoint-out", Set: func(f *cliFlags) bool { return f.ckptOut != "" },

@@ -25,7 +25,6 @@ func defaultFlags() *cliFlags {
 		samples:  defSamples,
 		seed:     defSeed,
 		prune:    engine.PruneSourceDPOR,
-		lincheck: defLincheck,
 	}
 }
 
@@ -39,7 +38,6 @@ var setters = map[string]func(f *cliFlags){
 	"-samples":        func(f *cliFlags) { f.samples = defSamples + 1 },
 	"-seed":           func(f *cliFlags) { f.seed = defSeed + 1 },
 	"-prune":          func(f *cliFlags) { f.prune = engine.PruneSleep },
-	"-lincheck":       func(f *cliFlags) { f.lincheck = "jit" },
 	"-cache":          func(f *cliFlags) { f.cache = true },
 	"-checkpoint-out": func(f *cliFlags) { f.ckptOut = "ckpt.json" },
 	"-checkpoint-in":  func(f *cliFlags) { f.ckptIn = "ckpt.json" },

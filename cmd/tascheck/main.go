@@ -80,7 +80,6 @@ func main() {
 	saturation := flag.Int("saturation", 0, "stop sampling after this many consecutive batches with no new coverage (0 = off)")
 	workers := flag.Int("workers", defWorkers, "parallel exploration workers (parallel scenarios in a sweep)")
 	prune := flag.String("prune", defPrune, "partial-order reduction: dpor (source-DPOR) | sleep (legacy sleep sets) | none")
-	lincheck := flag.String("lincheck", defLincheck, "linearizability checker dispatch: auto (TAS fast path, brute ≤64 ops, JIT beyond) | brute | jit")
 	cache := flag.Bool("cache", false, "state-fingerprint caching, shared across workers (requires -prune sleep or none; see DESIGN.md caveats)")
 	crashes := flag.Bool("crashes", false, "explore crash branches at every decision point")
 	failFast := flag.Bool("failfast", false, "stop at the first failing schedule instead of the canonical one")
@@ -100,16 +99,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tascheck: %v\n", err)
 		os.Exit(2)
 	}
-	if *lincheck == "online" || *lincheck == "post" {
-		fmt.Fprintf(os.Stderr, "tascheck: -lincheck %s is a stress-tier streaming mode; use stresscheck -lincheck %s (tascheck dispatches auto, brute or jit)\n", *lincheck, *lincheck)
-		os.Exit(2)
-	}
-	linDispatch, err := scenario.ParseLinDispatch(*lincheck)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tascheck: %v\n", err)
-		os.Exit(2)
-	}
-	scenario.SetLinDispatch(linDispatch)
 	cf := &cliFlags{
 		sampler:    *sampler,
 		pctDepth:   *pctDepth,
@@ -119,7 +108,6 @@ func main() {
 		samples:    *samples,
 		seed:       *seed,
 		prune:      pruneMode,
-		lincheck:   *lincheck,
 		cache:      *cache,
 		ckptOut:    *ckptOut,
 		ckptIn:     *ckptIn,

@@ -135,7 +135,7 @@ func TestIntegrationFullStackSoak(t *testing.T) {
 					committed = append(committed, op)
 				}
 			}
-			if lr, lerr := linearize.Check(spec.QueueType{}, committed); lerr != nil {
+			if lr, _, lerr := linearize.CheckJIT(spec.QueueType{}, committed, linearize.JITConfig{}); lerr != nil {
 				return fmt.Errorf("queue projection: %w", lerr)
 			} else if !lr.Ok {
 				return fmt.Errorf("queue projection not linearizable: %s", lr.Reason)
@@ -143,7 +143,7 @@ func TestIntegrationFullStackSoak(t *testing.T) {
 			// The long-lived object with resets linearizes against the
 			// resettable TAS type (Theorem 4), checked with the generic
 			// checker since CheckTAS models only one-shot instances.
-			if lr, lerr := linearize.Check(spec.TASType{}, tasRec.Ops()); lerr != nil {
+			if lr, _, lerr := linearize.CheckJIT(spec.TASType{}, tasRec.Ops(), linearize.JITConfig{}); lerr != nil {
 				return fmt.Errorf("TAS round: %w", lerr)
 			} else if !lr.Ok {
 				return fmt.Errorf("TAS round not linearizable: %s", lr.Reason)

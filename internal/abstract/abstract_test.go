@@ -198,7 +198,7 @@ func abstractHarness(nproc, opsPer int, specs func(n int) []StageSpec) engine.Ha
 					committed = append(committed, op)
 				}
 			}
-			if lr, lerr := linearize.Check(spec.FetchIncType{}, committed); lerr != nil {
+			if lr, _, lerr := linearize.CheckJIT(spec.FetchIncType{}, committed, linearize.JITConfig{}); lerr != nil {
 				return fmt.Errorf("committed projection: %w", lerr)
 			} else if !lr.Ok {
 				return fmt.Errorf("committed projection not linearizable: %s", lr.Reason)

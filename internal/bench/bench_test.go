@@ -473,57 +473,3 @@ func TestE16Shapes(t *testing.T) {
 		}
 	}
 }
-
-func TestE17Shapes(t *testing.T) {
-	tables := RunE17()
-	if len(tables) != 1 {
-		t.Fatalf("E17 tables = %d", len(tables))
-	}
-	tab := tables[0]
-	wantRows := 2*len(e17Widths) + len(e17Sizes)
-	if len(tab.Rows) != wantRows {
-		t.Fatalf("E17 rows = %d, want %d:\n%s", len(tab.Rows), wantRows, tab.Markdown())
-	}
-	// Crossover pairs: both checkers must reject the 2-winner windows, and
-	// the stutter rule keeps the JIT memo flat while the brute checker's
-	// subset enumeration grows with c.
-	for i, c := range e17Widths {
-		brute, jit := 2*i, 2*i+1
-		if tab.Rows[brute][3] != "false" || tab.Rows[jit][3] != "false" {
-			t.Fatalf("E17 c=%d: verdicts brute=%q jit=%q, want both false (2 winners)",
-				c, tab.Rows[brute][3], tab.Rows[jit][3])
-		}
-		if tab.Rows[jit][2] != "jit" {
-			t.Fatalf("E17 row %d: checker = %q, want jit", jit, tab.Rows[jit][2])
-		}
-		if got := cellInt(t, tab, jit, 6); got > 1024 {
-			t.Fatalf("E17 c=%d: jit peak-configs = %d, want flat (stutter rule not firing)", c, got)
-		}
-	}
-	// Streaming points: ops as declared, window bounded while ops grow 100x.
-	for i, total := range e17Sizes {
-		r := 2*len(e17Widths) + i
-		if tab.Rows[r][3] != "true" {
-			t.Fatalf("E17 scaling row %d: ok = %q (synthetic linearizable history rejected)",
-				r, tab.Rows[r][3])
-		}
-		if got := cellInt(t, tab, r, 1); got != total {
-			t.Fatalf("E17 scaling row %d: ops = %d, want %d", r, got, total)
-		}
-		if got := cellInt(t, tab, r, 5); got > 2048 {
-			t.Fatalf("E17 scaling row %d: peak-window = %d, memory not bounded", r, got)
-		}
-		if got := cellInt(t, tab, r, 4); got < total/1000 {
-			t.Fatalf("E17 scaling row %d: windows = %d, stream not segmenting", r, got)
-		}
-	}
-	perf := TakePerf("E17")
-	if len(perf) != wantRows {
-		t.Fatalf("E17 perf rows = %d, want %d", len(perf), wantRows)
-	}
-	for _, p := range perf {
-		if p.WallMS <= 0 {
-			t.Fatalf("E17 perf row %q: wall=%.3fms", p.Label, p.WallMS)
-		}
-	}
-}

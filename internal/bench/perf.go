@@ -1,6 +1,6 @@
 package bench
 
-// Perf-trajectory capture: the timed experiments (E10–E12, E14, E16, E17)
+// Perf-trajectory capture: the timed experiments (E10–E12, E14, E16)
 // record one PerfRow per timed run — executions, attempts, wall-clock and the
 // derived attempts/sec — alongside the markdown cells. composebench
 // -bench-dir writes them to BENCH_<id>.json files, committed so the

@@ -106,7 +106,6 @@ func All() []Experiment {
 		{"E12", RunE12, "randomized exploration: PCT vs uniform bug finding, sampler coverage growth"},
 		{"E14", RunE14, "unified engine core: source-DPOR vs legacy sleep sets, attempts and wall-clock"},
 		{"E16", RunE16, "native stress: throughput scaling, latency tails and the RMW census"},
-		{"E17", RunE17, "linearizability checker scaling: brute-force DFS vs JIT streaming"},
 	}
 }
 

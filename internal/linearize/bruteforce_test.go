@@ -2,6 +2,7 @@ package linearize
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/spec"
@@ -11,7 +12,8 @@ import (
 // bruteForce decides linearizability by enumerating every permutation of
 // every subset of pending ops appended to the completed ops, checking
 // real-time order and responses directly. It is exponential without
-// memoization and serves as an independent oracle for Check.
+// memoization and serves as the independent oracle for histories of up to
+// 7 operations; memoSearch takes over beyond that.
 func bruteForce(t spec.Type, ops []trace.Op) bool {
 	var completed, pending []trace.Op
 	for _, o := range ops {
@@ -80,6 +82,89 @@ func validLinearization(t spec.Type, h spec.History, ops []trace.Op) bool {
 	return true
 }
 
+// memoSearch is the second reference, for the 8–64-operation histories
+// bruteForce cannot afford: a Wing–Gong-style memoized depth-first search
+// over linearization prefixes, with states interned so memo keys are
+// (bitmask, state-id) integer pairs. It shares the interner with the JIT
+// checker and nothing else — no window, no cuts, no stutter rule, no
+// frontier. ops must already be projected (no aborted operation).
+func memoSearch(t spec.Type, ops []trace.Op) bool {
+	if len(ops) > 64 {
+		panic("memoSearch: more than 64 operations")
+	}
+	ops = append([]trace.Op(nil), ops...)
+	sort.Slice(ops, func(i, j int) bool { return ops[i].Inv < ops[j].Inv })
+
+	in := newInterner(t)
+	type key struct {
+		mask  uint64
+		state stateID
+	}
+	visited := map[key]bool{}
+	full := uint64(1)<<uint(len(ops)) - 1 // all ones at 64: the shift yields 0
+
+	var dfs func(mask uint64, state stateID) bool
+	dfs = func(mask uint64, state stateID) bool {
+		if mask == full {
+			return true
+		}
+		k := key{mask, state}
+		if visited[k] {
+			return false
+		}
+		visited[k] = true
+
+		// A remaining op may linearize next only if no other remaining op
+		// returned before it was invoked (real-time order preservation).
+		minRet := int64(1<<62 - 1)
+		for i, o := range ops {
+			if mask&(1<<uint(i)) != 0 || o.Pending {
+				continue
+			}
+			if o.Ret < minRet {
+				minRet = o.Ret
+			}
+		}
+		for i, o := range ops {
+			bit := uint64(1) << uint(i)
+			if mask&bit != 0 {
+				continue
+			}
+			if o.Inv > minRet {
+				continue // some remaining completed op really precedes o
+			}
+			next, resp := in.apply(state, in.opIndex(o.Req.Op), &o.Req)
+			if o.Pending {
+				// The pending op takes effect here (any response), or never.
+				if dfs(mask|bit, next) || dfs(mask|bit, state) {
+					return true
+				}
+				continue
+			}
+			if resp == o.Resp && dfs(mask|bit, next) {
+				return true
+			}
+		}
+		return false
+	}
+	return dfs(0, 0)
+}
+
+// mustCheck is the small-history entry point of the behavioural tests:
+// CheckJIT's result, after holding its verdict to memoSearch's. A contract
+// error fails the test, so verdict tests can keep reading .Ok directly.
+func mustCheck(t *testing.T, ty spec.Type, ops []trace.Op) Result {
+	t.Helper()
+	res, _, err := CheckJIT(ty, ops, JITConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := memoSearch(ty, ops); res.Ok != want {
+		t.Fatalf("disagreement on %s %+v: CheckJIT=%v memoSearch=%v", ty.Name(), ops, res.Ok, want)
+	}
+	return res
+}
+
 // randomOps generates a small random execution over the given op set.
 func randomOps(rng *rand.Rand, mkOp func(i int, rng *rand.Rand) (string, int64, int64)) []trace.Op {
 	k := 1 + rng.Intn(4)
@@ -117,7 +202,7 @@ func TestCrossValidateGenericCheckerQueue(t *testing.T) {
 		got := mustCheck(t, spec.QueueType{}, ops).Ok
 		want := bruteForce(spec.QueueType{}, ops)
 		if got != want {
-			t.Fatalf("checker disagreement on %+v: Check=%v brute=%v", ops, got, want)
+			t.Fatalf("checker disagreement on %+v: CheckJIT=%v brute=%v", ops, got, want)
 		}
 		if got {
 			okCount++
@@ -143,7 +228,7 @@ func TestCrossValidateGenericCheckerStack(t *testing.T) {
 		got := mustCheck(t, spec.StackType{}, ops).Ok
 		want := bruteForce(spec.StackType{}, ops)
 		if got != want {
-			t.Fatalf("checker disagreement on %+v: Check=%v brute=%v", ops, got, want)
+			t.Fatalf("checker disagreement on %+v: CheckJIT=%v brute=%v", ops, got, want)
 		}
 	}
 }
@@ -160,7 +245,7 @@ func TestCrossValidateGenericCheckerMaxRegister(t *testing.T) {
 		got := mustCheck(t, spec.MaxRegisterType{}, ops).Ok
 		want := bruteForce(spec.MaxRegisterType{}, ops)
 		if got != want {
-			t.Fatalf("checker disagreement on %+v: Check=%v brute=%v", ops, got, want)
+			t.Fatalf("checker disagreement on %+v: CheckJIT=%v brute=%v", ops, got, want)
 		}
 	}
 }

@@ -55,8 +55,8 @@ func fuzzHistory(data []byte) (spec.Type, []trace.Op) {
 }
 
 // FuzzStreamMatchesBruteForce: on any small history of any registered
-// type, the JIT checker's verdict equals the memoized baseline's and — up
-// to 7 operations, where enumerating every order is affordable — the
+// type, the JIT checker's verdict equals memoSearch's and — up to 7
+// operations, where enumerating every order is affordable — the
 // brute-force oracle's, and an accepting witness replays through the spec.
 // It is the safety net under the solver's hand-rolled memo, event list and
 // interner. The seed corpus is testdata/fuzz/FuzzStreamMatchesBruteForce,
@@ -75,8 +75,8 @@ func FuzzStreamMatchesBruteForce(f *testing.F) {
 			}
 			t.Fatalf("CheckJIT error on %s %+v: %v", ty.Name(), ops, err)
 		}
-		if base := mustCheck(t, ty, ops); res.Ok != base.Ok {
-			t.Fatalf("disagreement on %s %+v: CheckJIT=%v Check=%v", ty.Name(), ops, res.Ok, base.Ok)
+		if want := memoSearch(ty, ops); res.Ok != want {
+			t.Fatalf("disagreement on %s %+v: CheckJIT=%v memoSearch=%v", ty.Name(), ops, res.Ok, want)
 		}
 		if len(ops) <= 7 {
 			if want := bruteForce(ty, ops); res.Ok != want {

@@ -1,8 +1,7 @@
 package linearize
 
-// The Wing–Gong/Lowe just-in-time linearizability checker: the scalable
-// tier of this package. Where Check memoizes one global DFS over a ≤64-op
-// bitmask, the JIT checker streams an arbitrarily long history through a
+// The Wing–Gong/Lowe just-in-time linearizability checker: the general
+// checker of this package. It streams an arbitrarily long history through a
 // bounded window:
 //
 //   - The history is cut at *quiescent points* — stamps where every
@@ -824,9 +823,8 @@ func checkProjection(t spec.Type, ops []trace.Op, idx []int32, sorted bool, cfg 
 }
 
 // CheckJIT decides linearizability of ops against t with the streaming
-// JIT checker — the scalable counterpart of Check, sharing its contract
-// (committed responses must match, pending ops may take effect or not,
-// aborted ops are a caller error). Witness tracking is enabled
+// JIT checker (committed responses must match, pending ops may take effect
+// or not, aborted ops are a caller error). Witness tracking is enabled
 // automatically for histories small enough to afford it. ops is neither
 // copied nor reordered: a history already in invocation order (a
 // recorder's output is) is pushed as it stands, any other through a sorted

@@ -200,6 +200,27 @@ func TestJITStutterRuleScales(t *testing.T) {
 	if len(res.Witness) != 64 || res.Witness[0].ID != 1 {
 		t.Fatalf("witness should lead with the winner: %v", res.Witness[:min(4, len(res.Witness))])
 	}
+
+	// The rejecting side, where an accepting search's early exit cannot hide
+	// the search-space size: two winners and c−2 losers, all pairwise
+	// concurrent. A subset-enumerating search visits 2^c configurations to
+	// prove the second winner never fits (memoSearch needs 0.8 s at c=20, so
+	// the closed form is the second opinion here); the stutter rule chains
+	// the losers greedily, so the memo stays linear in c.
+	ops[1].Resp = spec.Winner
+	for _, c := range []int{8, 12, 16, 20} {
+		ops := ops[:c]
+		res, st, err := CheckJIT(spec.TASType{}, ops, JITConfig{MaxConfigs: 1 << 12})
+		if err != nil {
+			t.Fatalf("c=%d: %v", c, err)
+		}
+		if res.Ok || mustCheckTAS(t, ops).Ok {
+			t.Fatalf("c=%d: two concurrent winners accepted", c)
+		}
+		if st.PeakConfigs > 2*c {
+			t.Fatalf("c=%d: PeakConfigs = %d, want at most 2c (stutter rule not firing?)", c, st.PeakConfigs)
+		}
+	}
 }
 
 // TestJITStutterRuleGatedOnReset is the regression test for the rule's
@@ -241,7 +262,7 @@ func TestJITStutterRuleGatedOnWrite(t *testing.T) {
 	}
 }
 
-// --- cross-validation against brute force and the memoized baseline --------
+// --- cross-validation against the two test-side references -----------------
 
 // jitGens builds a random-op generator per registered type, deliberately
 // including the operations whose responses match in states they change
@@ -336,11 +357,11 @@ func replayable(t *testing.T, ty spec.Type, w spec.History, ops []trace.Op) {
 	}
 }
 
-// TestCrossValidateJITAllTypes compares the JIT checker against both the
-// brute-force oracle and the memoized baseline on randomized histories of
-// every registered type, and replays every accepting witness through the
-// spec. The registry iteration means a newly registered type without a
-// generator here fails loudly instead of going untested.
+// TestCrossValidateJITAllTypes compares the JIT checker against both
+// references (bruteForce here, memoSearch in mustCheck) on randomized
+// histories of every registered type, and replays every accepting witness
+// through the spec. The registry iteration means a newly registered type
+// without a generator here fails loudly instead of going untested.
 func TestCrossValidateJITAllTypes(t *testing.T) {
 	gens := jitGens()
 	for _, ty := range spec.Types() {
@@ -355,14 +376,7 @@ func TestCrossValidateJITAllTypes(t *testing.T) {
 			for iter := 0; iter < 1200; iter++ {
 				ops := randomJITOps(rng, gen)
 				want := bruteForce(ty, ops)
-				base := mustCheck(t, ty, ops)
-				res, _, err := CheckJIT(ty, ops, JITConfig{})
-				if err != nil {
-					t.Fatalf("CheckJIT error on %+v: %v", ops, err)
-				}
-				if base.Ok != want {
-					t.Fatalf("baseline disagreement on %+v: Check=%v brute=%v", ops, base.Ok, want)
-				}
+				res := mustCheck(t, ty, ops)
 				if res.Ok != want {
 					t.Fatalf("JIT disagreement on %+v: CheckJIT=%v brute=%v", ops, res.Ok, want)
 				}

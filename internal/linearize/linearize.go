@@ -1,17 +1,24 @@
 // Package linearize checks linearizability [15] of recorded concurrent
-// executions. It provides three checkers, cross-validated against each
-// other by property tests:
+// executions: committed operations must appear in the linearization with
+// their observed responses; pending operations (no response recorded:
+// crashed or cut off) may take effect with any response, or not at all;
+// aborted operations must be projected out by the caller. It provides two
+// production checkers:
 //
-//   - Check: the general Wing–Gong-style memoized search, exponential but
-//     fine for the small-scope executions the engine package produces.
-//     Kept as the baseline the scalable checker is validated against.
-//   - CheckTAS: a specialized O(k log k) decision procedure for one-shot
-//     test-and-set histories.
-//   - the JIT checker (jit.go): a Wing–Gong/Lowe just-in-time search over
-//     an entry-linked history with interned-state configuration
-//     memoization, a streaming window mode, and per-object projection
-//     (P-compositionality) — the one that scales to the stress tier's
+//   - CheckTAS / CheckTASVerdict: the closed form for one-shot
+//     test-and-set histories, an O(k log k) decision procedure.
+//   - the JIT family (jit.go) — CheckJIT, CheckObjects, Stream: a
+//     Wing–Gong/Lowe just-in-time search over an entry-linked history with
+//     interned-state configuration memoization, a streaming window mode,
+//     and per-object projection (P-compositionality). It is the general
+//     checker for every sequential type at every history size, from the
+//     dozen operations of a model-checked execution to the stress tier's
 //     million-operation histories.
+//
+// Both are differentially tested against two references that live only in
+// the tests (bruteforce_test.go): a permutation-enumerating brute force,
+// affordable up to 7 operations, and a Wing–Gong-style memoized search over
+// a ≤64-operation bitmask for the sizes beyond it.
 //
 // Theorem 3 of the paper reduces correctness of a safely composable object
 // with no init requests to linearizability of its invoke/commit projection;
@@ -36,113 +43,11 @@ type Result struct {
 	Reason string
 }
 
-// Check decides whether ops — the invoke/commit projection of an execution
-// on an object of type t — is linearizable. Committed operations must
-// appear in the linearization with their observed responses; pending
-// operations (no response recorded: crashed or cut off) may take effect
-// with any response, or not at all. Aborted operations must be filtered
-// out by the caller (per Theorem 3 the projection is onto invoke and
-// commit events).
-//
-// Check runs a memoized depth-first search over linearization prefixes,
-// with states interned so memo keys are (bitmask, state-id) integer pairs.
-// It returns an error — not a verdict — on inputs outside its contract:
-// more than 64 operations (use CheckJIT or CheckTAS for large histories),
-// or an aborted operation the caller failed to project out. Errors mean
-// the harness or oracle is miswired, never that the history failed to
-// linearize.
-func Check(t spec.Type, ops []trace.Op) (Result, error) {
-	for _, o := range ops {
-		if o.Aborted {
-			return Result{}, fmt.Errorf("linearize: aborted operation (id %d) must be projected out before Check", o.Req.ID)
-		}
-	}
-	if len(ops) > 64 {
-		return Result{}, fmt.Errorf("linearize: Check limited to 64 operations, got %d (use CheckJIT for large histories)", len(ops))
-	}
-	ops = append([]trace.Op(nil), ops...)
-	sort.Slice(ops, func(i, j int) bool { return ops[i].Inv < ops[j].Inv })
-
-	in := newInterner(t)
-	type key struct {
-		mask  uint64
-		state stateID
-	}
-	visited := map[key]bool{}
-	var full uint64
-	if len(ops) > 0 {
-		full = uint64(1)<<uint(len(ops)) - 1
-	}
-
-	var witness spec.History
-	var dfs func(mask uint64, state stateID) bool
-	dfs = func(mask uint64, state stateID) bool {
-		if mask == full {
-			return true
-		}
-		k := key{mask, state}
-		if visited[k] {
-			return false
-		}
-		visited[k] = true
-
-		// A remaining op may linearize next only if no other remaining op
-		// returned before it was invoked (real-time order preservation).
-		minRet := int64(1<<62 - 1)
-		for i, o := range ops {
-			if mask&(1<<uint(i)) != 0 || o.Pending {
-				continue
-			}
-			if o.Ret < minRet {
-				minRet = o.Ret
-			}
-		}
-		for i, o := range ops {
-			bit := uint64(1) << uint(i)
-			if mask&bit != 0 {
-				continue
-			}
-			if o.Inv > minRet {
-				continue // some remaining completed op really precedes o
-			}
-			if o.Pending {
-				// Branch 1: the pending op takes effect here (any response).
-				next, _ := in.apply(state, in.opIndex(o.Req.Op), &o.Req)
-				witness = append(witness, o.Req)
-				if dfs(mask|bit, next) {
-					return true
-				}
-				witness = witness[:len(witness)-1]
-				// Branch 2: the pending op never takes effect.
-				if dfs(mask|bit, state) {
-					return true
-				}
-				continue
-			}
-			next, resp := in.apply(state, in.opIndex(o.Req.Op), &o.Req)
-			if resp != o.Resp {
-				continue // cannot linearize here; maybe later in another order
-			}
-			witness = append(witness, o.Req)
-			if dfs(mask|bit, next) {
-				return true
-			}
-			witness = witness[:len(witness)-1]
-		}
-		return false
-	}
-
-	if dfs(0, 0) {
-		return Result{Ok: true, Witness: witness}, nil
-	}
-	return Result{Ok: false, Reason: "no linearization matches observed responses"}, nil
-}
-
 // CheckTAS decides linearizability of a (possibly large) one-shot
 // test-and-set execution in O(k log k): committed operations respond Winner
-// or Loser; pending operations may or may not have taken effect. Like
-// Check, it returns an error — never a verdict — on an aborted operation
-// the caller failed to project out.
+// or Loser; pending operations may or may not have taken effect. It returns
+// an error — never a verdict — on an aborted operation the caller failed to
+// project out: the harness or oracle is miswired, not the history wrong.
 //
 // A TAS execution is linearizable iff
 //  1. at most one committed operation won;
@@ -153,8 +58,8 @@ func Check(t spec.Type, ops []trace.Op) (Result, error) {
 //
 // The comparisons are non-strict because real-time precedence is strict:
 // an operation invoked exactly when another returns is concurrent with it
-// and may still linearize first (the same tie convention as Check and the
-// JIT checker, whose cross-validation suite exercises tied stamps).
+// and may still linearize first (the same tie convention as the JIT
+// checker, whose cross-validation suite exercises tied stamps).
 func CheckTAS(ops []trace.Op) (Result, error) {
 	res, w, err := checkTAS(ops)
 	if w != nil {

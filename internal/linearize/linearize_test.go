@@ -189,35 +189,16 @@ func TestCheckRejectsContractViolations(t *testing.T) {
 	// An unprojected aborted operation is a miswired caller, reported as
 	// an error rather than a panic (or, worse, a verdict).
 	aborted := trace.Op{Req: spec.Request{ID: 1, Op: spec.OpTAS}, Aborted: true}
-	if _, err := Check(spec.TASType{}, []trace.Op{aborted}); err == nil {
+	if _, _, err := CheckJIT(spec.TASType{}, []trace.Op{aborted}, JITConfig{}); err == nil {
 		t.Fatal("expected an error on an unprojected aborted op")
 	}
-	// So is a history beyond the 64-operation search bound.
-	big := make([]trace.Op, 65)
-	for i := range big {
-		big[i] = op(int64(i+1), spec.OpTAS, 0, spec.Loser, int64(2*i+1), int64(2*i+2))
-	}
-	if _, err := Check(spec.TASType{}, big); err == nil {
-		t.Fatal("expected an error on a >64-operation history")
-	}
-	// CheckTAS, the large-history path, shares the error contract.
+	// CheckTAS, the closed form, shares the error contract.
 	if _, err := CheckTAS([]trace.Op{aborted}); err == nil {
 		t.Fatal("expected CheckTAS to error on an unprojected aborted op")
 	}
 }
 
-// mustCheck runs Check and fails the test on a contract error, so verdict
-// tests can keep reading .Ok directly.
-func mustCheck(t *testing.T, ty spec.Type, ops []trace.Op) Result {
-	t.Helper()
-	res, err := Check(ty, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// mustCheckTAS is the same convenience for the specialized TAS checker. It
+// mustCheckTAS is mustCheck's counterpart for the specialized TAS checker. It
 // also holds the witness-free form to the same verdict, so every history
 // the suite feeds CheckTAS cross-checks CheckTASVerdict too.
 func mustCheckTAS(t *testing.T, ops []trace.Op) Result {

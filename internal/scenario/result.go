@@ -58,40 +58,11 @@ type RunResult struct {
 	// both (the equivalence tests normalize them away).
 	WallMS float64 `json:"wall_ms,omitempty"`
 	CutBy  string  `json:"cut_by,omitempty"`
-	// LinCheck names a non-default linearizability dispatch policy
-	// (-lincheck brute | jit); the counters after it are the accumulated
-	// JIT checker telemetry, present only when the JIT path actually ran.
-	// All advisory.
-	LinCheck        string `json:"lincheck,omitempty"`
-	LinOps          int64  `json:"lincheck_ops,omitempty"`
-	LinWindows      int64  `json:"lincheck_windows,omitempty"`
-	LinPeakWindow   int    `json:"lincheck_peak_window,omitempty"`
-	LinPeakConfigs  int    `json:"lincheck_peak_configs,omitempty"`
-	LinPeakStates   int    `json:"lincheck_peak_states,omitempty"`
-	LinPeakFrontier int    `json:"lincheck_peak_frontier,omitempty"`
 	// Verdict is "ok", "fail" (a check failure, detailed in Failure) or
 	// "error" (an engine error: nondeterministic harness, bad config).
 	Verdict string      `json:"verdict"`
 	Error   string      `json:"engine_error,omitempty"`
 	Failure *RunFailure `json:"failure,omitempty"`
-}
-
-// attachLin records a non-default dispatch policy and its accumulated JIT
-// telemetry on the result. Under the default auto policy every field stays
-// zero, so pre-existing reports are byte-identical.
-func (r *RunResult) attachLin() {
-	d := CurrentLinDispatch()
-	if d == LinAuto {
-		return
-	}
-	r.LinCheck = d.String()
-	st := LinStats()
-	r.LinOps = st.Ops
-	r.LinWindows = st.Windows
-	r.LinPeakWindow = st.PeakWindow
-	r.LinPeakConfigs = st.PeakConfigs
-	r.LinPeakStates = st.PeakStates
-	r.LinPeakFrontier = st.PeakFrontier
 }
 
 // failureOf folds a run error into the verdict/failure fields.
@@ -132,7 +103,6 @@ func ExhaustiveResult(name string, n int, oracle Oracle, prune engine.PruneMode,
 		WallMS:         float64(rep.WallTime.Microseconds()) / 1000,
 		CutBy:          rep.CutBy,
 	}
-	r.attachLin()
 	r.failureOf(err)
 	return r
 }
@@ -151,7 +121,6 @@ func SampledResult(name string, n int, oracle Oracle, sampler string, rep randex
 		DistinctShapes: rep.DistinctShapes,
 		WallMS:         float64(rep.WallTime.Microseconds()) / 1000,
 	}
-	r.attachLin()
 	r.failureOf(err)
 	return r
 }

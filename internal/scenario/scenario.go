@@ -34,12 +34,12 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/linearize"
@@ -98,96 +98,19 @@ func (o Oracle) String() string {
 	return "linearize:" + strings.Join(parts, "+")
 }
 
-// LinDispatch selects which linearizability checker Oracle.Check routes
-// trace checks through.
-type LinDispatch int32
-
-// The dispatch policies. The zero value (LinAuto) is the historical
-// behavior: the O(k log k) decision procedure for one-shot TAS, the
-// brute-force memoized search up to its 64-op contract boundary, and the
-// scalable JIT checker beyond it (and for every compositional oracle).
-const (
-	LinAuto LinDispatch = iota
-	// LinBrute forces the general memoized search everywhere — including
-	// TAS histories — for cross-validation. Histories beyond its 64-op
-	// contract surface as contract errors.
-	LinBrute
-	// LinJIT forces the streaming JIT checker everywhere.
-	LinJIT
-)
-
-// ParseLinDispatch parses a -lincheck dispatch name.
-func ParseLinDispatch(s string) (LinDispatch, error) {
-	switch s {
-	case "auto":
-		return LinAuto, nil
-	case "brute":
-		return LinBrute, nil
-	case "jit":
-		return LinJIT, nil
-	}
-	return LinAuto, fmt.Errorf("scenario: unknown lincheck dispatch %q (want auto, brute or jit)", s)
-}
-
-// String renders the dispatch name.
-func (d LinDispatch) String() string {
-	switch d {
-	case LinBrute:
-		return "brute"
-	case LinJIT:
-		return "jit"
-	default:
-		return "auto"
-	}
-}
-
-var linDispatch atomic.Int32
-
-// SetLinDispatch selects the checker policy for every subsequent
-// Oracle.Check in the process (the tascheck -lincheck flag).
-func SetLinDispatch(d LinDispatch) { linDispatch.Store(int32(d)) }
-
-// CurrentLinDispatch returns the policy set by SetLinDispatch.
-func CurrentLinDispatch() LinDispatch { return LinDispatch(linDispatch.Load()) }
-
-var (
-	linStatsMu  sync.Mutex
-	linStatsAcc linearize.Stats
-)
-
-// foldLinStats accumulates JIT checker telemetry across Oracle.Check calls.
-func foldLinStats(st linearize.Stats) {
-	linStatsMu.Lock()
-	linStatsAcc.Fold(st)
-	linStatsMu.Unlock()
-}
-
-// LinStats returns the accumulated JIT checker telemetry (zero when every
-// check so far dispatched to the non-streaming checkers).
-func LinStats() linearize.Stats {
-	linStatsMu.Lock()
-	defer linStatsMu.Unlock()
-	return linStatsAcc
-}
-
-// ResetLinStats zeroes the accumulated checker telemetry.
-func ResetLinStats() {
-	linStatsMu.Lock()
-	linStatsAcc = linearize.Stats{}
-	linStatsMu.Unlock()
-}
-
 // Check runs a linearize oracle on the invoke/commit projection of ops
 // (aborted operations become pending invocations, exactly Theorem 3's
-// projection), routed per the process-wide LinDispatch policy. The
-// projection is applied to ops in place: the slice is the caller's scratch
-// (a check closure's reused Recorder.AppendOps buffer), and the check runs
-// once per explored execution, so it copies nothing. Only the verdict is
-// computed — no witness linearization is built. Invariant oracles have no generic check; the
+// projection). The projection is applied to ops in place: the slice is the
+// caller's scratch (a check closure's reused Recorder.AppendOps buffer), and
+// the check runs once per explored execution, so it copies nothing. Only
+// the verdict is read. Invariant oracles have no generic check; the
 // harness's check closure carries them.
 func (o Oracle) Check(ops []trace.Op) error {
 	if o.Kind != OracleLinearize {
 		return fmt.Errorf("scenario: oracle %s has no trace check", o)
+	}
+	if o.Type == nil && o.Objects == nil {
+		return errors.New("scenario: oracle has neither Type nor Objects")
 	}
 	for i := range ops {
 		if op := &ops[i]; op.Aborted {
@@ -198,9 +121,8 @@ func (o Oracle) Check(ops []trace.Op) error {
 	}
 	lr, err := o.dispatch(ops)
 	if err != nil {
-		// A contract error (unprojected aborts, budget overruns, a brute
-		// check past its 64-op boundary) means the scenario or the
-		// dispatch policy is miswired, not that the execution is wrong;
+		// A contract error (an unknown module label, a budget overrun)
+		// means the scenario is miswired, not that the execution is wrong;
 		// surface it as its own failure cause.
 		return fmt.Errorf("scenario: oracle %s cannot check this trace: %w", o, err)
 	}
@@ -214,59 +136,19 @@ func (o Oracle) Check(ops []trace.Op) error {
 	return nil
 }
 
-// dispatch routes the projection to a checker per the process policy. Check
-// reads only the verdict, so the TAS fast path skips the witness.
+// dispatch picks the checker from the oracle alone: per-object projections
+// for a compositional oracle, the allocation-free closed form for one-shot
+// test-and-set, the JIT checker for every other type at every history size.
 func (o Oracle) dispatch(proj []trace.Op) (linearize.Result, error) {
-	mode := CurrentLinDispatch()
 	if o.Objects != nil {
-		if mode == LinBrute {
-			return o.bruteObjects(proj)
-		}
-		lr, st, err := linearize.CheckObjects(o.Objects, proj, linearize.JITConfig{})
-		foldLinStats(st)
+		lr, _, err := linearize.CheckObjects(o.Objects, proj, linearize.JITConfig{})
 		return lr, err
 	}
-	_, isTAS := o.Type.(spec.TASType)
-	switch {
-	case mode == LinAuto && isTAS:
+	if _, isTAS := o.Type.(spec.TASType); isTAS {
 		return linearize.CheckTASVerdict(proj)
-	case mode == LinBrute || (mode == LinAuto && len(proj) <= 64):
-		return linearize.Check(o.Type, proj)
-	default:
-		lr, st, err := linearize.CheckJIT(o.Type, proj, linearize.JITConfig{})
-		foldLinStats(st)
-		return lr, err
 	}
-}
-
-// bruteObjects checks a compositional oracle with the brute-force search:
-// each per-module projection independently (P-compositionality again, just
-// with the baseline checker).
-func (o Oracle) bruteObjects(proj []trace.Op) (linearize.Result, error) {
-	mods := make([]string, 0, len(o.Objects))
-	for m := range o.Objects {
-		mods = append(mods, m)
-	}
-	sort.Strings(mods)
-	byMod := make(map[string][]trace.Op, len(o.Objects))
-	for _, op := range proj {
-		if _, ok := o.Objects[op.Module]; !ok {
-			return linearize.Result{}, fmt.Errorf("operation %v labeled with unknown module %q", op.Req, op.Module)
-		}
-		byMod[op.Module] = append(byMod[op.Module], op)
-	}
-	for _, m := range mods {
-		lr, err := linearize.Check(o.Objects[m], byMod[m])
-		if err != nil {
-			return linearize.Result{}, fmt.Errorf("object %q: %w", m, err)
-		}
-		if !lr.Ok {
-			lr.Reason = fmt.Sprintf("object %q (%s): %s", m, o.Objects[m].Name(), lr.Reason)
-			lr.Witness = nil
-			return lr, nil
-		}
-	}
-	return linearize.Result{Ok: true}, nil
+	lr, _, err := linearize.CheckJIT(o.Type, proj, linearize.JITConfig{})
+	return lr, err
 }
 
 // Params carries a scenario's static properties: what process counts make

@@ -1071,3 +1071,68 @@ func BenchmarkExploreA1n3Pooled(b *testing.B) {
 		}
 	}
 }
+
+// TestLateArrivalCounterexample pins the finding of ROADMAP open item 1: the
+// composed one-shot TAS is not linearizable once a process may be *invoked*
+// after another has returned. p2 takes one private gated step before its
+// invocation is recorded, and stamps come from the recorder's own counter
+// (registered scenarios stamp every invocation at schedule position 0, so
+// no explored execution exercises this). In the replay p1 commits loser on
+// A1's register path; p0 then aborts with W; p2 arrives, aborts with W too
+// and wins A2's hardware TAS — after p1's loser response. When a repair of
+// A1.Invoke lands (item 1(c)) the rejections below flip, deliberately.
+func TestLateArrivalCounterexample(t *testing.T) {
+	const n = 3
+	env := memory.NewEnv(n)
+	o := NewOneShot()
+	arrive := memory.NewIntReg(0)
+	rec := trace.NewRecorder(n)
+	bodies := make([]func(p *memory.Proc), n)
+	for i := 0; i < n; i++ {
+		i := i
+		bodies[i] = func(p *memory.Proc) {
+			if i == 2 {
+				arrive.Read(p)
+			}
+			m := spec.Request{ID: int64(i + 1), Proc: i, Op: spec.OpTAS}
+			rec.RecordInvoke(i, m)
+			rec.RecordCommit(i, m, o.TestAndSet(p), "")
+		}
+	}
+	var schedule []sched.Choice
+	for _, run := range [][2]int{{1, 3}, {0, 6}, {1, 2}, {0, 3}, {2, 4}, {0, 1}} {
+		for k := 0; k < run[1]; k++ {
+			schedule = append(schedule, sched.Choice{Proc: run[0]})
+		}
+	}
+	res := sched.Run(env, sched.NewReplay(schedule), bodies)
+	if len(res.Schedule) != len(schedule) || !res.Finished[0] || !res.Finished[1] || !res.Finished[2] {
+		t.Fatalf("replay took %d decisions (want %d), finished %v", len(res.Schedule), len(schedule), res.Finished)
+	}
+
+	ops := rec.Ops()
+	want := []trace.Op{
+		{Proc: 0, Inv: 1, Ret: 6, Resp: spec.Loser},
+		{Proc: 1, Inv: 2, Ret: 3, Resp: spec.Loser},
+		{Proc: 2, Inv: 4, Ret: 5, Resp: spec.Winner},
+	}
+	if len(ops) != n {
+		t.Fatalf("recorded %d operations, want %d: %+v", len(ops), n, ops)
+	}
+	for _, got := range ops {
+		w := want[got.Proc]
+		if got.Inv != w.Inv || got.Ret != w.Ret || got.Resp != w.Resp || !got.Committed() {
+			t.Fatalf("p%d: Inv %d Ret %d Resp %d (committed %v), want Inv %d Ret %d Resp %d",
+				w.Proc, got.Inv, got.Ret, got.Resp, got.Committed(), w.Inv, w.Ret, w.Resp)
+		}
+	}
+
+	lr, err := linearize.CheckTAS(ops)
+	if err != nil || lr.Ok || lr.Reason != "a loser completed before the winner was invoked" {
+		t.Fatalf("CheckTAS = %+v, %v; want the loser-before-winner rejection", lr, err)
+	}
+	jr, st, err := linearize.CheckJIT(spec.TASType{}, ops, linearize.JITConfig{})
+	if err != nil || jr.Ok || st.Windows != 1 || st.PeakWindow != 3 {
+		t.Fatalf("CheckJIT = %+v, %+v, %v; want a rejection in one 3-op window", jr, st, err)
+	}
+}
