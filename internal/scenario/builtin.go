@@ -299,7 +299,7 @@ func buildTASFAI(n int, opts Options) (engine.Harness, Oracle) {
 		env.Register(o, c)
 		rec := trace.NewRecorder(n)
 		stampFromSchedule(rec, env)
-		env.SetHistorySource(trace.Source(rec.Ops))
+		env.SetHistorySource(trace.Source(rec.AppendOps))
 		bodies := make([]func(p *memory.Proc), n)
 		for i := 0; i < n; i++ {
 			i := i

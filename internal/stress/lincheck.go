@@ -7,8 +7,16 @@ package stress
 // the workload (online) or after it (post). Rounds are object-instance
 // resets, so each round is fed as a stream segment closed by a Barrier;
 // within a round the checker still cuts at quiescent points, so G-goroutine
-// rounds far beyond the brute-force 64-op boundary verify in bounded
-// memory.
+// rounds of any size verify in bounded memory.
+//
+// Both modes record the same way: after each round the coordinator appends
+// the round's history to a linBatch and hands the batch off once it holds
+// linBatchRounds rounds, and the last, partial one after the run. Online, a
+// batch goes to the checker goroutine over a channel that holds
+// linBatchesInFlight batches and comes back through a free list for reuse,
+// so a warmed run allocates nothing per round and pays the hand-off, the
+// clock reads and the counter updates once per batch. Post keeps the batches
+// and feeds them after the run.
 
 import (
 	"fmt"
@@ -128,21 +136,61 @@ func newLinChecker(o scenario.Oracle, cfg linearize.JITConfig, maxOps int64, m *
 	return lc, nil
 }
 
+// linBatchRounds is how many rounds the online checker receives at once.
+// Handing over a round of a dozen operations (tasfai, G=4) costs a channel
+// send, a checker wake-up, two clock reads and three counter updates; paid
+// per round, with a fresh slice each, that hand-off and the garbage
+// collector took about two thirds of an online run, the checker one third.
+// A batch of 64 pays it once per 64 rounds while its buffer (768
+// operations, ≈100 KB at G=4) stays cache-sized, and the live counters lag
+// the workload by at most 64 rounds.
+const linBatchRounds = 64
+
+// linBatchesInFlight is how many full batches (256 rounds) may wait for the
+// online checker before the coordinator blocks, so a checker that falls
+// behind slows the workload instead of growing memory. With one batch being
+// filled and one being checked, at most linBatchesInFlight+2 batches exist.
+const linBatchesInFlight = 4
+
+// linBatch holds consecutive rounds' histories in one reused buffer: round
+// i's operations are ops[ends[i-1]:ends[i]] (from 0 for the first).
+type linBatch struct {
+	ops  []trace.Op
+	ends []int
+}
+
+// add appends the round src records to the batch and returns the round's
+// operation count.
+func (b *linBatch) add(src trace.Source) int64 {
+	n := len(b.ops)
+	b.ops = src(b.ops)
+	b.ends = append(b.ends, len(b.ops))
+	return int64(len(b.ops) - n)
+}
+
+// feedBatch feeds a batch round by round. The clock and the verified-ops
+// and rounds counters move once per batch, by the batch's totals.
+func (lc *linChecker) feedBatch(b *linBatch) {
+	t0, fed0, rounds := time.Now(), lc.fed, int64(0)
+	start := 0
+	for _, end := range b.ends {
+		if lc.err != nil {
+			break
+		}
+		lc.feedRound(b.ops[start:end])
+		start = end
+		rounds++
+	}
+	lc.opsC.Add(0, lc.fed-fed0)
+	lc.roundsC.Add(0, rounds)
+	lc.wall += time.Since(t0)
+}
+
 // feedRound streams one round's recorded operations and closes the round.
 // Aborted operations are projected to pending invocations (Theorem 3's
-// projection), exactly as Oracle.Check does. The verified-operations
-// counter moves once per round, by the round's count, and a stream is
-// looked up once per run of operations on the same module.
+// projection), exactly as Oracle.Check does. A stream is looked up once per
+// run of operations on the same module.
 func (lc *linChecker) feedRound(ops []trace.Op) {
-	if lc.err != nil {
-		return
-	}
-	t0, fed0 := time.Now(), lc.fed
-	defer func() {
-		lc.opsC.Add(0, lc.fed-fed0)
-		lc.wall += time.Since(t0)
-	}()
-	lc.roundsC.Add(0, 1)
 	var s *linearize.Stream // the stream of module mod
 	var mod string
 	for _, op := range ops {

@@ -282,15 +282,30 @@ func Run(cfg Config) (Result, error) {
 	}
 	env.SetInstr(in)
 
-	// Full-history verification: drain each round's recorded operations
-	// from the scenario's trace source into per-object JIT streams —
-	// concurrently via a bounded channel (online) or after the run (post).
+	// Full-history verification: append each round's recorded operations
+	// from the scenario's trace source to a batch for the per-object JIT
+	// streams, and hand each full batch off — to the checker goroutine over
+	// a bounded channel (online), or to a list fed after the run (post).
 	var lc *linChecker
 	var src trace.Source
-	var linCh chan []trace.Op
-	var linDone chan struct{}
-	var recorded [][]trace.Op
+	var batch *linBatch
 	var recordedOps int64
+	var linCh, free chan *linBatch
+	var linDone chan struct{}
+	var kept []*linBatch
+	handOff := func() {
+		if cfg.LinMode == LinOnline {
+			linCh <- batch
+			select {
+			case batch = <-free:
+			default:
+				batch = new(linBatch)
+			}
+		} else {
+			kept = append(kept, batch)
+			batch = new(linBatch)
+		}
+	}
 	if cfg.LinMode == LinOnline || cfg.LinMode == LinPost {
 		jcfg := linearize.JITConfig{Window: cfg.LinWindow, MaxConfigs: cfg.LinMaxConfigs}
 		var err error
@@ -301,13 +316,23 @@ func Run(cfg Config) (Result, error) {
 		if src, ok = env.HistorySource().(trace.Source); !ok {
 			return Result{}, fmt.Errorf("stress: scenario %q does not expose a recorded history; -lincheck %s needs a trace source", sc.Name, cfg.LinMode)
 		}
+		batch = new(linBatch)
 		if cfg.LinMode == LinOnline {
-			linCh = make(chan []trace.Op, 256)
+			linCh = make(chan *linBatch, linBatchesInFlight)
+			// Room for every batch that can exist, and the return below
+			// never blocks on it anyway: a checker stuck returning a batch
+			// while the coordinator is stuck sending one would deadlock.
+			free = make(chan *linBatch, linBatchesInFlight+2)
 			linDone = make(chan struct{})
 			go func() {
 				defer close(linDone)
-				for ops := range linCh {
-					lc.feedRound(ops)
+				for b := range linCh {
+					lc.feedBatch(b)
+					b.ops, b.ends = b.ops[:0], b.ends[:0]
+					select {
+					case free <- b:
+					default:
+					}
 				}
 			}()
 		}
@@ -359,14 +384,13 @@ func Run(cfg Config) (Result, error) {
 		roundsC.Add(0, 1)
 
 		if lc != nil {
-			ops := src()
-			if cfg.LinMode == LinOnline {
-				linCh <- ops
-			} else if cfg.LinMaxOps <= 0 || recordedOps < cfg.LinMaxOps {
-				recorded = append(recorded, ops)
-				recordedOps += int64(len(ops))
-			} else {
+			if cfg.LinMode == LinPost && cfg.LinMaxOps > 0 && recordedOps >= cfg.LinMaxOps {
 				lc.truncated = true // cap reached: later rounds go unverified
+			} else {
+				recordedOps += batch.add(src)
+			}
+			if len(batch.ends) == linBatchRounds {
+				handOff()
 			}
 		}
 
@@ -397,12 +421,15 @@ func Run(cfg Config) (Result, error) {
 	}
 	workersDone.Wait()
 	if lc != nil {
+		if len(batch.ends) > 0 {
+			handOff() // the last, partial batch
+		}
 		if cfg.LinMode == LinOnline {
 			close(linCh)
 			<-linDone
 		} else {
-			for _, ops := range recorded {
-				lc.feedRound(ops)
+			for _, b := range kept {
+				lc.feedBatch(b)
 			}
 		}
 		lc.finish()

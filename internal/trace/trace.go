@@ -196,52 +196,14 @@ func (o Op) PrecededBy(other Op) bool {
 // Ops matches invocations with responses per process (each process is
 // sequential: it invokes a new request only after the previous one
 // returned) and returns operations sorted by invocation stamp.
-//
-// Ops is also the stress tier's per-round history drain (a Source), and that
-// tier's latency tail is sensitive to what the driver allocates between
-// rounds — so Ops keeps its own body rather than calling AppendOps(nil).
-// Code that extracts a history once per explored execution uses AppendOps.
-func (r *Recorder) Ops() []Op {
-	var out []Op
-	for pi := range r.procs {
-		var cur *Op
-		for _, e := range r.procs[pi].events {
-			switch e.Kind {
-			case Invoke, Init:
-				if cur != nil {
-					out = append(out, *cur)
-				}
-				cur = &Op{Proc: pi, Req: e.Req, Inv: e.Seq, Pending: true, IsInit: e.Kind == Init, InitSV: e.SV}
-			case Commit:
-				if cur == nil || cur.Req.ID != e.Req.ID {
-					panic(fmt.Sprintf("trace: commit of %v without matching invocation", e.Req))
-				}
-				cur.Ret, cur.Resp, cur.Pending, cur.Module = e.Seq, e.Resp, false, e.Module
-				out = append(out, *cur)
-				cur = nil
-			case Abort:
-				if cur == nil || cur.Req.ID != e.Req.ID {
-					panic(fmt.Sprintf("trace: abort of %v without matching invocation", e.Req))
-				}
-				cur.Ret, cur.SV, cur.Pending, cur.Aborted, cur.Module = e.Seq, e.SV, false, true, e.Module
-				out = append(out, *cur)
-				cur = nil
-			}
-		}
-		if cur != nil {
-			out = append(out, *cur)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Inv < out[j].Inv })
-	return out
-}
+func (r *Recorder) Ops() []Op { return r.AppendOps(nil) }
 
 // AppendOps is Ops into a caller-owned buffer: the operations are appended
 // to dst (sorted by invocation stamp among themselves) and the extended
-// slice is returned. A check closure that runs once per explored execution
-// passes its previous result re-sliced to length zero, so extracting the
-// history allocates nothing once the buffer has grown to the harness's
-// operation count.
+// slice is returned. A caller that extracts a history once per execution or
+// round passes its previous buffer re-sliced, so extracting the history
+// allocates nothing once the buffer has grown to the harness's operation
+// count.
 func (r *Recorder) AppendOps(dst []Op) []Op {
 	base := len(dst)
 	for pi := range r.procs {
@@ -272,9 +234,10 @@ func (r *Recorder) AppendOps(dst []Op) []Op {
 	return dst
 }
 
-// Source yields the operations recorded since it was last drained.
-// Scenarios that keep a recorder expose one (through their environment) so
-// harnesses layered above — the stress driver's streaming linearizability
-// sidecar, notably — can drain history round by round without knowing how
-// the scenario records.
-type Source func() []Op
+// Source appends to dst every operation recorded since the recorder's last
+// Reset, as AppendOps does, and returns the extended slice. Scenarios that
+// keep a recorder expose one (through their environment) so harnesses
+// layered above — the stress driver's streaming linearizability sidecar,
+// notably — can collect each round's history into a buffer they reuse,
+// without knowing how the scenario records.
+type Source func(dst []Op) []Op
