@@ -285,10 +285,15 @@ func (s *Stream) push(op *trace.Op) error {
 
 // advance solves buffered segments. Without force it batches up to
 // segTarget operations per segment and enforces the window bound; with
-// force (Finish/Barrier) it drains the buffer completely.
+// force (Finish/Barrier) it drains the buffer completely, as one segment
+// once what is left fits the target — so a stress round, closed by a
+// Barrier, is one window per object whatever quiescent cuts it holds.
 func (s *Stream) advance(force bool) error {
 	for s.failed == nil {
-		c := s.pickCut(force)
+		if force && len(s.buf) <= min(segTarget, s.cfg.Window) {
+			break
+		}
+		c := s.pickCut()
 		if c < 0 {
 			break
 		}
@@ -323,12 +328,9 @@ func (s *Stream) advance(force bool) error {
 // the target batch size (coalescing runs of tiny quiescent segments), or
 // the earliest cut when even it exceeds the target. -1 means wait for
 // more operations (or, under force, drain the remainder as one segment).
-func (s *Stream) pickCut(force bool) int {
-	if len(s.cuts) == 0 {
-		return -1
-	}
+func (s *Stream) pickCut() int {
 	target := min(segTarget, s.cfg.Window)
-	if !force && len(s.buf) < target {
+	if len(s.cuts) == 0 || len(s.buf) < target {
 		return -1
 	}
 	c := s.cuts[0]
@@ -496,17 +498,18 @@ type retKey struct {
 // returns — an op invoked exactly when another returns is concurrent with
 // it (real-time precedence is strict), so it must still be a candidate —
 // completed calls before pending ones, and equal kinds in push order.
+// Entries are written in list order, so entry i links to i-1 and i+1.
 func (s *Stream) link(n int, segEnd int64) {
 	ops := s.buf[:n]
 	s.seg = ops
 
-	rets, sorted := slices.Grow(s.rets[:0], n), true
-	s.anyStutter = false
+	rets, sorted, anyStutter := slices.Grow(s.rets[:0], n)[:n], true, false
 	for i := range ops {
-		rets = append(rets, retKey{ops[i].ret, int32(i)})
+		rets[i] = retKey{ops[i].ret, int32(i)}
 		sorted = sorted && (i == 0 || ops[i-1].ret <= ops[i].ret)
-		s.anyStutter = s.anyStutter || ops[i].stutter
+		anyStutter = anyStutter || ops[i].stutter
 	}
+	s.anyStutter = anyStutter
 	if !sorted {
 		slices.SortFunc(rets, func(a, b retKey) int {
 			if c := cmp.Compare(a.ret, b.ret); c != 0 {
@@ -521,49 +524,39 @@ func (s *Stream) link(n int, segEnd int64) {
 	for np < len(s.pend) && s.pend[np].inv < segEnd {
 		np++
 	}
-	s.callAt = slices.Grow(s.callAt[:0], n)[:n]
-	ents := append(slices.Grow(s.ents[:0], 2+2*n+np), segEntry{}, segEntry{})
-	last := int32(entHead)
-	const (
-		none = iota
-		call
-		pendingCall
-		ret
-	)
-	for ci, pi, ri := 0, 0, 0; ; {
-		// The strict comparisons give call < pending call < return on ties.
-		kind, stamp := none, int64(0)
-		if ci < n {
-			kind, stamp = call, ops[ci].inv
-		}
-		if pi < np && (kind == none || s.pend[pi].inv < stamp) {
-			kind, stamp = pendingCall, s.pend[pi].inv
-		}
-		if ri < n && (kind == none || rets[ri].ret < stamp) {
-			kind = ret
-		}
-		if kind == none {
-			break
-		}
-		at := int32(len(ents))
-		switch kind {
-		case call:
-			ents = append(ents, segEntry{prev: last, op: int32(ci), call: true, stutter: ops[ci].stutter})
-			s.callAt[ci] = at
-			ci++
-		case pendingCall:
-			ents = append(ents, segEntry{prev: last, op: int32(pi), call: true, pending: true})
+	callAt := slices.Grow(s.callAt[:0], n)[:n]
+	ents := slices.Grow(s.ents[:0], 2+2*n+np)[:2+2*n+np]
+	at, pi := int32(2), 0
+	// Every op returns no earlier than it is invoked, so the last entry of
+	// the completed runs is a return: the loop ends when the returns do.
+	for ci, ri := 0, 0; ri < n; at++ {
+		call := ci < n && ops[ci].inv <= rets[ri].ret
+		switch {
+		case pi < np && (call && s.pend[pi].inv < ops[ci].inv || !call && s.pend[pi].inv <= rets[ri].ret):
+			ents[at] = segEntry{op: int32(pi), call: true, pending: true}
 			pi++
-		case ret:
-			ents = append(ents, segEntry{prev: last, op: rets[ri].op})
-			ents[s.callAt[rets[ri].op]].match = at
+		case call:
+			ents[at] = segEntry{op: int32(ci), call: true, stutter: ops[ci].stutter}
+			callAt[ci] = at
+			ci++
+		default:
+			op := rets[ri].op
+			ents[at] = segEntry{op: op}
+			ents[callAt[op]].match = at
 			ri++
 		}
-		ents[last].next = at
-		last = at
 	}
-	ents[last].next, ents[entTail].prev = entTail, last
-	s.ents = ents
+	for ; pi < np; at++ {
+		ents[at] = segEntry{op: int32(pi), call: true, pending: true}
+		pi++
+	}
+	for i := int32(2); i < at; i++ {
+		ents[i].prev, ents[i].next = i-1, i+1
+	}
+	ents[0] = segEntry{next: 2}
+	ents[1] = segEntry{prev: at - 1}
+	ents[2].prev, ents[at-1].next = entHead, entTail
+	s.callAt, s.ents = callAt, ents
 
 	words := (n + 63) / 64
 	s.mask = slices.Grow(s.mask[:0], words)[:words]

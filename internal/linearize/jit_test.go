@@ -2,6 +2,7 @@ package linearize
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -528,4 +529,87 @@ func TestJITMillionOpComposed(t *testing.T) {
 		t.Fatalf("mutated run pushed %d ops: failure did not stop the stream early", st2.Ops)
 	}
 	t.Logf("mutation at op %d rejected after %d ops: %s", mutIdx, st2.Ops, res.Reason)
+}
+
+// A Barrier drains everything buffered as one segment when it fits the
+// segment target, however many quiescent cuts the round holds: K rounds of
+// two real-time-ordered halves are K windows, and a stream that restarts
+// after each failing round finds exactly the failures, and the first
+// failing round, that a fresh stream per round finds. Failing rounds are
+// planted before the cut, after it, and at the rounds where the stress
+// tier's 64-round batches meet.
+func TestBarrierSolvesRoundAsOneWindow(t *testing.T) {
+	const rounds = 256
+	failBefore := map[int]bool{0: true, 63: true, 128: true, 200: true}
+	failAfter := map[int]bool{64: true, 127: true, 129: true, 255: true}
+	round := func(r int) []trace.Op {
+		base, id := int64(100*r), int64(10*r)
+		var ops []trace.Op
+		for i := int64(0); i < 3; i++ { // three overlapping tickets
+			resp := i
+			if i == 2 && failBefore[r] {
+				resp = 0 // a ticket handed out twice
+			}
+			ops = append(ops, op(id+i, spec.OpInc, 0, resp, base+1+i, base+5+i))
+		}
+		if r%3 == 0 {
+			ops = append(ops, pend(id+3, spec.OpInc, 0, base+4)) // floats past the cut
+		}
+		// The quiescent cut: every ticket above returned before these start.
+		for i := int64(0); i < 3; i++ {
+			resp := 3 + i
+			if i == 2 && failAfter[r] {
+				resp = 7 // a ticket skipped
+			}
+			ops = append(ops, op(id+4+i, spec.OpInc, 0, resp, base+20+i, base+25+i))
+		}
+		return ops
+	}
+
+	var wantFails []int
+	for r := 0; r < rounds; r++ {
+		s := NewStream(spec.FetchIncType{}, JITConfig{})
+		for _, o := range round(r) {
+			if err := s.Push(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if res, err := s.Finish(); err != nil {
+			t.Fatal(err)
+		} else if !res.Ok {
+			wantFails = append(wantFails, r)
+		}
+	}
+	if len(wantFails) != len(failBefore)+len(failAfter) {
+		t.Fatalf("fresh streams fail rounds %v, want the %d planted ones", wantFails, len(failBefore)+len(failAfter))
+	}
+
+	var stats Stats
+	var fails []int
+	s := NewStream(spec.FetchIncType{}, JITConfig{})
+	for r := 0; r < rounds; r++ {
+		for _, o := range round(r) {
+			if err := s.Push(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Barrier(); err != nil {
+			t.Fatal(err)
+		}
+		if f := s.Failed(); f != nil {
+			fails = append(fails, r)
+			if !strings.Contains(f.Reason, "window of 6 ops") { // the pending ticket is carried, not windowed
+				t.Errorf("round %d: failure not localized to the whole round: %s", r, f.Reason)
+			}
+			stats.Fold(s.Stats())
+			s = NewStream(spec.FetchIncType{}, JITConfig{})
+		}
+	}
+	stats.Fold(s.Stats())
+	if !slices.Equal(fails, wantFails) {
+		t.Errorf("one stream with barriers fails rounds %v, fresh streams %v", fails, wantFails)
+	}
+	if stats.Windows != rounds {
+		t.Errorf("Windows = %d over %d rounds, want one per round", stats.Windows, rounds)
+	}
 }

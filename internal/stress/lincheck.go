@@ -5,9 +5,12 @@ package stress
 // modes here verify: every recorded operation of every round flows through
 // the streaming JIT checker (internal/linearize), either concurrently with
 // the workload (online) or after it (post). Rounds are object-instance
-// resets, so each round is fed as a stream segment closed by a Barrier;
-// within a round the checker still cuts at quiescent points, so G-goroutine
-// rounds of any size verify in bounded memory.
+// resets, so each round is fed to the streams and closed by a Barrier. A
+// Barrier solves what an object buffered as one window when it fits the
+// checker's segment target (512 ops), whatever quiescent cuts the round
+// holds, so a run reports one window per object per round it had
+// operations in. Only a bigger round is cut at its quiescent points, so
+// G-goroutine rounds of any size still verify in bounded memory.
 //
 // Both modes record the same way: after each round the coordinator appends
 // the round's history to a linBatch and hands the batch off once it holds
@@ -20,7 +23,7 @@ package stress
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/linearize"
@@ -83,11 +86,13 @@ func (m LinMode) String() string {
 // to linearize is counted and its stream restarted, so one bad round does
 // not mask later ones.
 type linChecker struct {
-	types   map[string]spec.Type // module -> sequential type ("" = single object)
+	// The objects, by sorted module name ("" for a single-object oracle):
+	// module order[j] has sequential type types[j] and stream streams[j].
 	order   []string
-	cfg     linearize.JITConfig
-	streams map[string]*linearize.Stream
+	types   []spec.Type
+	streams []*linearize.Stream
 	single  bool
+	cfg     linearize.JITConfig
 
 	maxOps int64
 
@@ -113,25 +118,24 @@ func newLinChecker(o scenario.Oracle, cfg linearize.JITConfig, maxOps int64, m *
 	lc := &linChecker{
 		cfg:     cfg,
 		maxOps:  maxOps,
-		types:   map[string]spec.Type{},
-		streams: map[string]*linearize.Stream{},
 		opsC:    m.Counter("stress_lincheck_ops_total", "Operations verified by the streaming linearizability checker."),
 		roundsC: m.Counter("stress_lincheck_rounds_total", "Round histories fed to the streaming linearizability checker."),
 		failC:   m.Counter("stress_lincheck_failures_total", "Round histories the streaming checker found non-linearizable."),
 	}
 	if o.Objects != nil {
-		for mod, t := range o.Objects {
+		for mod := range o.Objects {
 			lc.order = append(lc.order, mod)
-			lc.types[mod] = t
 		}
-		sort.Strings(lc.order)
+		slices.Sort(lc.order)
+		for _, mod := range lc.order {
+			lc.types = append(lc.types, o.Objects[mod])
+		}
 	} else {
 		lc.single = true
-		lc.order = []string{""}
-		lc.types[""] = o.Type
+		lc.order, lc.types = []string{""}, []spec.Type{o.Type}
 	}
-	for _, mod := range lc.order {
-		lc.streams[mod] = linearize.NewStream(lc.types[mod], cfg)
+	for _, t := range lc.types {
+		lc.streams = append(lc.streams, linearize.NewStream(t, cfg))
 	}
 	return lc, nil
 }
@@ -187,64 +191,56 @@ func (lc *linChecker) feedBatch(b *linBatch) {
 }
 
 // feedRound streams one round's recorded operations and closes the round.
-// Aborted operations are projected to pending invocations (Theorem 3's
-// projection), exactly as Oracle.Check does. A stream is looked up once per
-// run of operations on the same module.
+// Aborted operations are projected, in place, to pending invocations
+// (Theorem 3's projection), exactly as Oracle.Check does. A stream is
+// looked up once per run of operations on the same module.
 func (lc *linChecker) feedRound(ops []trace.Op) {
-	var s *linearize.Stream // the stream of module mod
-	var mod string
-	for _, op := range ops {
+	j := -1 // the object of the last operation fed
+	for i := range ops {
+		op := &ops[i]
 		if lc.maxOps > 0 && lc.fed >= lc.maxOps {
 			lc.truncated = true
 			break
 		}
 		if op.Aborted {
-			op.Aborted = false
-			op.Pending = true
-			op.Ret = 0
+			op.Aborted, op.Pending, op.Ret = false, true, 0
 		}
-		if s == nil || !lc.single && op.Module != mod {
-			key := op.Module
-			if lc.single {
-				key = ""
+		if j < 0 || !lc.single && op.Module != lc.order[j] {
+			// An oracle names a handful of objects: a scan beats a search.
+			if j = 0; !lc.single {
+				if j = slices.Index(lc.order, op.Module); j < 0 {
+					lc.err = fmt.Errorf("stress: operation %v labeled with unknown module %q", op.Req, op.Module)
+					return
+				}
 			}
-			next, ok := lc.streams[key]
-			if !ok {
-				lc.err = fmt.Errorf("stress: operation %v labeled with unknown module %q", op.Req, op.Module)
-				return
-			}
-			s, mod = next, op.Module
 		}
-		if err := s.Push(op); err != nil {
+		if err := lc.streams[j].Push(*op); err != nil {
 			lc.err = err
 			return
 		}
 		lc.fed++
 	}
-	for _, mod := range lc.order {
-		if err := lc.streams[mod].Barrier(); err != nil {
+	for j, s := range lc.streams {
+		if err := s.Barrier(); err != nil {
 			lc.err = err
 			return
 		}
-		lc.noteFailure(mod)
+		if f := s.Failed(); f != nil {
+			// Restart the stream so later rounds keep being verified.
+			lc.noteFailure(j, f.Reason)
+			lc.stats.Fold(s.Stats())
+			lc.streams[j] = linearize.NewStream(lc.types[j], lc.cfg)
+		}
 	}
 }
 
-// noteFailure counts a failed stream and restarts it so later rounds keep
-// being verified.
-func (lc *linChecker) noteFailure(mod string) {
-	s := lc.streams[mod]
-	f := s.Failed()
-	if f == nil {
-		return
-	}
+// noteFailure counts a failed history of object j.
+func (lc *linChecker) noteFailure(j int, reason string) {
 	lc.failures++
 	lc.failC.Add(0, 1)
 	if lc.firstErr == "" {
-		lc.firstErr = fmt.Sprintf("not linearizable (%s): %s", lc.types[mod].Name(), f.Reason)
+		lc.firstErr = fmt.Sprintf("not linearizable (%s): %s", lc.types[j].Name(), reason)
 	}
-	lc.stats.Fold(s.Stats())
-	lc.streams[mod] = linearize.NewStream(lc.types[mod], lc.cfg)
 }
 
 // finish closes every stream and folds the telemetry.
@@ -253,19 +249,14 @@ func (lc *linChecker) finish() {
 		return
 	}
 	t0 := time.Now()
-	for _, mod := range lc.order {
-		s := lc.streams[mod]
+	for j, s := range lc.streams {
 		r, err := s.Finish()
 		if err != nil {
 			lc.err = err
 			break
 		}
 		if !r.Ok {
-			lc.failures++
-			lc.failC.Add(0, 1)
-			if lc.firstErr == "" {
-				lc.firstErr = fmt.Sprintf("not linearizable (%s): %s", lc.types[mod].Name(), r.Reason)
-			}
+			lc.noteFailure(j, r.Reason)
 		}
 		lc.stats.Fold(s.Stats())
 	}

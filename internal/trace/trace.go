@@ -8,10 +8,7 @@
 package trace
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/spec"
@@ -32,6 +29,9 @@ const (
 	// Abort is the reply (abort, m, v): m aborted with switch value v.
 	Abort
 )
+
+// opens reports whether an event of kind k starts an operation.
+func (k EventKind) opens() bool { return k == Invoke || k == Init }
 
 // String returns the event-kind name.
 func (k EventKind) String() string {
@@ -83,6 +83,7 @@ type Recorder struct {
 	ids   atomic.Int64
 	stamp func(proc int) int64
 	procs []procLog
+	heads []head // merge scratch of AppendOps and Events
 }
 
 type procLog struct {
@@ -120,51 +121,124 @@ func (r *Recorder) Reset() {
 // with real-time order across processes. Must be set before recording.
 func (r *Recorder) SetStampSource(f func(proc int) int64) { r.stamp = f }
 
-func (r *Recorder) record(e Event) int64 {
+// record appends one event to proc's log, building it in place: an Event
+// is over a hundred bytes, and this runs inside every recorded operation.
+func (r *Recorder) record(proc int, kind EventKind, m *spec.Request, resp int64, sv any, module string) int64 {
+	var seq int64
 	if r.stamp != nil {
-		e.Seq = r.stamp(e.Proc)
+		seq = r.stamp(proc)
 	} else {
-		e.Seq = r.seq.Add(1)
+		seq = r.seq.Add(1)
 	}
-	r.procs[e.Proc].events = append(r.procs[e.Proc].events, e)
-	return e.Seq
+	l := &r.procs[proc]
+	l.events = append(l.events, Event{})
+	e := &l.events[len(l.events)-1]
+	e.Seq, e.Proc, e.Kind, e.Req, e.Resp, e.SV, e.Module = seq, proc, kind, *m, resp, sv, module
+	return seq
 }
 
 // RecordInvoke records (invoke, m) by process proc and returns the stamp.
 func (r *Recorder) RecordInvoke(proc int, m spec.Request) int64 {
-	return r.record(Event{Proc: proc, Kind: Invoke, Req: m})
+	return r.record(proc, Invoke, &m, 0, nil, "")
 }
 
 // RecordInit records (init, m, v) by process proc and returns the stamp.
 func (r *Recorder) RecordInit(proc int, m spec.Request, sv any) int64 {
-	return r.record(Event{Proc: proc, Kind: Init, Req: m, SV: sv})
+	return r.record(proc, Init, &m, 0, sv, "")
 }
 
 // RecordCommit records (commit, m, resp) and returns the stamp.
 func (r *Recorder) RecordCommit(proc int, m spec.Request, resp int64, module string) int64 {
-	return r.record(Event{Proc: proc, Kind: Commit, Req: m, Resp: resp, Module: module})
+	return r.record(proc, Commit, &m, resp, nil, module)
 }
 
 // RecordCommitSV records (commit, m, resp) additionally carrying sv — for
 // Abstract traces, the commit history attached to the response — and
 // returns the stamp.
 func (r *Recorder) RecordCommitSV(proc int, m spec.Request, resp int64, sv any, module string) int64 {
-	return r.record(Event{Proc: proc, Kind: Commit, Req: m, Resp: resp, SV: sv, Module: module})
+	return r.record(proc, Commit, &m, resp, sv, module)
 }
 
 // RecordAbort records (abort, m, sv) and returns the stamp.
 func (r *Recorder) RecordAbort(proc int, m spec.Request, sv any, module string) int64 {
-	return r.record(Event{Proc: proc, Kind: Abort, Req: m, SV: sv, Module: module})
+	return r.record(proc, Abort, &m, 0, sv, module)
 }
 
 // Events returns all recorded events merged in real-time (stamp) order.
 func (r *Recorder) Events() []Event {
 	var all []Event
-	for i := range r.procs {
-		all = append(all, r.procs[i].events...)
+	for r.startMerge(); len(r.heads) > 0; {
+		h := r.heads[0]
+		all = append(all, r.procs[h.proc].events[h.at])
+		r.advance(int(h.at) + 1)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
 	return all
+}
+
+// head is one process log's position in a merge: the index of its next
+// unmerged event and that event's stamp.
+type head struct {
+	seq      int64
+	proc, at int32
+}
+
+// startMerge loads a min-heap on (stamp, process) with the first event of
+// every non-empty process log. Each log is already in stamp order (stamps
+// strictly increase per process), so repeatedly taking heads[0] and
+// advancing past what was consumed merges them; ties go to the lower
+// process, which is exactly the order a stable sort of the logs
+// concatenated in process order gives.
+func (r *Recorder) startMerge() {
+	r.heads = r.heads[:0]
+	for pi := range r.procs {
+		if evs := r.procs[pi].events; len(evs) > 0 {
+			r.heads = append(r.heads, head{evs[0].Seq, int32(pi), 0})
+		}
+	}
+	for i := len(r.heads)/2 - 1; i >= 0; i-- {
+		r.siftDown(i)
+	}
+}
+
+// advance moves the least head to event at of its log, dropping the log
+// from the heap once it is exhausted.
+func (r *Recorder) advance(at int) {
+	h := &r.heads[0]
+	if evs := r.procs[h.proc].events; at < len(evs) {
+		h.seq, h.at = evs[at].Seq, int32(at)
+	} else {
+		last := len(r.heads) - 1
+		r.heads[0] = r.heads[last]
+		r.heads = r.heads[:last]
+	}
+	r.siftDown(0)
+}
+
+func (r *Recorder) siftDown(i int) {
+	hs := r.heads
+	less := func(a, b int) bool {
+		return hs[a].seq < hs[b].seq || hs[a].seq == hs[b].seq && hs[a].proc < hs[b].proc
+	}
+	for {
+		m := i
+		if c := 2*i + 1; c < len(hs) && less(c, m) {
+			m = c
+		}
+		if c := 2*i + 2; c < len(hs) && less(c, m) {
+			m = c
+		}
+		if m == i {
+			return
+		}
+		hs[i], hs[m] = hs[m], hs[i]
+		i = m
+	}
+}
+
+// unmatched panics on a response that no open invocation of its process
+// matches.
+func unmatched(e *Event) {
+	panic(fmt.Sprintf("trace: %v of %v without matching invocation", e.Kind, e.Req))
 }
 
 // Op is one operation extracted from a trace: an invocation (or init) event
@@ -204,33 +278,38 @@ func (r *Recorder) Ops() []Op { return r.AppendOps(nil) }
 // round passes its previous buffer re-sliced, so extracting the history
 // allocates nothing once the buffer has grown to the harness's operation
 // count.
+//
+// The per-process logs are merged, not sorted: every operation is written
+// once, in its final place, and the order is exactly that of a stable sort
+// by invocation stamp. Neither AppendOps nor Events may run concurrently
+// with recording or with each other.
 func (r *Recorder) AppendOps(dst []Op) []Op {
-	base := len(dst)
-	for pi := range r.procs {
-		cur := -1 // index in dst of the process's open operation
-		for _, e := range r.procs[pi].events {
-			switch e.Kind {
-			case Invoke, Init:
-				cur = len(dst)
-				dst = append(dst, Op{Proc: pi, Req: e.Req, Inv: e.Seq, Pending: true, IsInit: e.Kind == Init, InitSV: e.SV})
-			case Commit:
-				if cur < 0 || dst[cur].Req.ID != e.Req.ID {
-					panic(fmt.Sprintf("trace: commit of %v without matching invocation", e.Req))
-				}
-				op := &dst[cur]
-				op.Ret, op.Resp, op.Pending, op.Module = e.Seq, e.Resp, false, e.Module
-				cur = -1
-			case Abort:
-				if cur < 0 || dst[cur].Req.ID != e.Req.ID {
-					panic(fmt.Sprintf("trace: abort of %v without matching invocation", e.Req))
-				}
-				op := &dst[cur]
-				op.Ret, op.SV, op.Pending, op.Aborted, op.Module = e.Seq, e.SV, false, true, e.Module
-				cur = -1
-			}
+	for r.startMerge(); len(r.heads) > 0; {
+		h := r.heads[0]
+		evs := r.procs[h.proc].events
+		e := &evs[h.at]
+		if !e.Kind.opens() {
+			unmatched(e)
 		}
+		dst = append(dst, Op{})
+		op := &dst[len(dst)-1]
+		op.Proc, op.Req, op.Inv, op.Pending, op.IsInit, op.InitSV = int(h.proc), e.Req, e.Seq, true, e.Kind == Init, e.SV
+		next := int(h.at) + 1
+		if next < len(evs) && !evs[next].Kind.opens() {
+			re := &evs[next]
+			if re.Req.ID != e.Req.ID {
+				unmatched(re)
+			}
+			op.Ret, op.Pending, op.Module = re.Seq, false, re.Module
+			if re.Kind == Commit {
+				op.Resp = re.Resp
+			} else {
+				op.SV, op.Aborted = re.SV, true
+			}
+			next++
+		}
+		r.advance(next)
 	}
-	slices.SortFunc(dst[base:], func(a, b Op) int { return cmp.Compare(a.Inv, b.Inv) })
 	return dst
 }
 

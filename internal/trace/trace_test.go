@@ -99,16 +99,31 @@ func TestPrecededBy(t *testing.T) {
 	}
 }
 
+// Responses that no open invocation of their process matches are contract
+// violations, wherever in the log they sit.
 func TestCommitWithoutInvokePanics(t *testing.T) {
-	r := NewRecorder(1)
-	m := spec.Request{ID: 1, Proc: 0, Op: spec.OpTAS}
-	r.RecordCommit(0, m, 0, "")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Ops should panic on unmatched commit")
-		}
-	}()
-	r.Ops()
+	m1 := spec.Request{ID: 1, Proc: 0, Op: spec.OpTAS}
+	m2 := spec.Request{ID: 2, Proc: 0, Op: spec.OpTAS}
+	for name, record := range map[string]func(r *Recorder){
+		"commit first":        func(r *Recorder) { r.RecordCommit(0, m1, 0, "") },
+		"abort first":         func(r *Recorder) { r.RecordAbort(0, m1, "W", "") },
+		"commit twice":        func(r *Recorder) { r.RecordInvoke(0, m1); r.RecordCommit(0, m1, 0, ""); r.RecordCommit(0, m1, 0, "") },
+		"abort after commit":  func(r *Recorder) { r.RecordInvoke(0, m1); r.RecordCommit(0, m1, 0, ""); r.RecordAbort(0, m1, "W", "") },
+		"commit of other id":  func(r *Recorder) { r.RecordInvoke(0, m1); r.RecordCommit(0, m2, 0, "") },
+		"abort of earlier op": func(r *Recorder) { r.RecordInvoke(0, m1); r.RecordInvoke(0, m2); r.RecordAbort(0, m1, "W", "") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := NewRecorder(2)
+			r.RecordInvoke(1, spec.Request{ID: 9, Proc: 1, Op: spec.OpTAS}) // another process's run in the merge
+			record(r)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Ops accepted an unmatched response")
+				}
+			}()
+			r.Ops()
+		})
+	}
 }
 
 func TestConcurrentRecordingDistinctStamps(t *testing.T) {
