@@ -354,7 +354,9 @@ func (e *Env) Reset() {
 	}
 	for _, p := range e.procs {
 		p.ResetCounters()
-		p.crashed.Store(false)
+		if p.crashed.Load() {
+			p.crashed.Store(false)
+		}
 	}
 }
 
@@ -430,24 +432,33 @@ func (p *Proc) KindCount(k OpKind) int64 {
 // ResetCounters zeroes the process's step, RMW and per-kind counters,
 // along with the schedule position and stamp sequence. The zeroed totals
 // fold into the environment's cumulative census first (see
-// Env.CumulativeCounts), so resetting never loses accounting.
+// Env.CumulativeCounts), so resetting never loses accounting. A counter
+// already at zero is only read, so an idle process costs no atomic write.
 func (p *Proc) ResetCounters() {
-	if e := p.env; e != nil {
-		e.cumSteps.Add(p.steps.Load())
-		e.cumRMWs.Add(p.rmws.Load())
-		for i := range p.kinds {
-			if v := p.kinds[i].Load(); v != 0 {
-				e.cumKinds[i].Add(v)
-			}
-		}
+	e := p.env
+	if v := take(&p.steps); v != 0 && e != nil {
+		e.cumSteps.Add(v)
 	}
-	p.steps.Store(0)
-	p.rmws.Store(0)
+	if v := take(&p.rmws); v != 0 && e != nil {
+		e.cumRMWs.Add(v)
+	}
 	for i := range p.kinds {
-		p.kinds[i].Store(0)
+		if v := take(&p.kinds[i]); v != 0 && e != nil {
+			e.cumKinds[i].Add(v)
+		}
 	}
 	p.pos = 0
 	p.stampSeq = 0
+}
+
+// take zeroes c and returns the value it held, storing only when that
+// value is nonzero.
+func take(c *atomic.Int64) int64 {
+	v := c.Load()
+	if v != 0 {
+		c.Store(0)
+	}
+	return v
 }
 
 // SetGate installs (or removes, with nil) the scheduling gate. Must not be

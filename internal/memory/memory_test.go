@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -445,6 +446,64 @@ func TestKindCounters(t *testing.T) {
 	p.ResetCounters()
 	if p.KindCount(OpRead) != 0 {
 		t.Fatal("ResetCounters must zero kind counters")
+	}
+}
+
+// TestResetAccounting: over many Env.Resets that mix idle and busy
+// processes, zero and nonzero kinds, and crashed and live processes, the
+// cumulative census equals the total of all accesses, and every reset
+// leaves each per-process counter at zero and no process crashed.
+func TestResetAccounting(t *testing.T) {
+	const n = 4
+	e := NewEnv(n)
+	rng := rand.New(rand.NewSource(1))
+	var wantSteps, wantRMWs int64
+	var wantKinds [6]int64
+	for round := 0; round < 500; round++ {
+		for i := 0; i < n; i++ {
+			p := e.Proc(i)
+			if rng.Intn(3) == 0 {
+				continue // idle this round
+			}
+			// Each busy process draws from a random subset of the kinds.
+			kinds := rng.Intn(1 << len(wantKinds))
+			for a := rng.Intn(8); a > 0; a-- {
+				k := OpKind(rng.Intn(len(wantKinds)))
+				if kinds&(1<<k) == 0 {
+					continue
+				}
+				p.account(k)
+				wantSteps++
+				wantKinds[k]++
+				if k.IsRMW() {
+					wantRMWs++
+				}
+			}
+			if rng.Intn(4) == 0 {
+				p.MarkCrashed()
+			}
+		}
+		e.Reset()
+		steps, rmws, kinds := e.CumulativeCounts()
+		if steps != wantSteps || rmws != wantRMWs || kinds != wantKinds {
+			t.Fatalf("round %d: census steps=%d rmws=%d kinds=%v, want %d %d %v",
+				round, steps, rmws, kinds, wantSteps, wantRMWs, wantKinds)
+		}
+		for i := 0; i < n; i++ {
+			p := e.Proc(i)
+			if p.Steps() != 0 || p.RMWs() != 0 || p.Crashed() {
+				t.Fatalf("round %d: proc %d after reset: steps=%d rmws=%d crashed=%v",
+					round, i, p.Steps(), p.RMWs(), p.Crashed())
+			}
+			for k := OpRead; k <= OpSwap; k++ {
+				if c := p.KindCount(k); c != 0 {
+					t.Fatalf("round %d: proc %d kind %v = %d after reset", round, i, k, c)
+				}
+			}
+		}
+	}
+	if wantSteps == 0 || wantRMWs == 0 {
+		t.Fatal("no accesses generated")
 	}
 }
 

@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/linearize"
 	"repro/internal/spec"
 	"repro/internal/trace"
 )
@@ -97,4 +99,81 @@ func TestOracleCheckTASIsClosedForm(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("TAS oracle check allocates %.0f times per 4-op history, want 0", allocs)
 	}
+}
+
+// TestOracleCheckTASWithResets: a test-and-set history that contains a
+// reset is not one-shot, so it must reach the JIT checker. The closed form
+// would read the reset's 0 response as a second win.
+func TestOracleCheckTASWithResets(t *testing.T) {
+	tas := Oracle{Kind: OracleLinearize, Type: spec.TASType{}}
+	op := func(id int64, name string, resp, inv, ret int64) trace.Op {
+		return trace.Op{Req: spec.Request{ID: id, Op: name}, Resp: resp, Inv: inv, Ret: ret}
+	}
+	winResetWin := []trace.Op{
+		op(1, spec.OpTAS, spec.Winner, 1, 2),
+		op(2, spec.OpReset, 0, 3, 4),
+		op(3, spec.OpTAS, spec.Winner, 5, 6),
+	}
+	if err := tas.Check(winResetWin); err != nil {
+		t.Fatalf("sequential win-reset-win rejected: %v", err)
+	}
+	winWinReset := []trace.Op{
+		op(1, spec.OpTAS, spec.Winner, 1, 2),
+		op(2, spec.OpTAS, spec.Winner, 3, 4),
+		op(3, spec.OpReset, 0, 5, 6),
+	}
+	if err := tas.Check(winWinReset); err == nil {
+		t.Fatal("sequential win-win-reset accepted")
+	}
+}
+
+// TestOracleTASPathsAgree: on one-shot test-and-set histories the closed
+// form that Oracle.Check dispatches to and the JIT checker agree on every
+// verdict. Histories are random: up to six operations over distinct
+// stamps, each a winner, a loser or pending.
+func TestOracleTASPathsAgree(t *testing.T) {
+	tas := Oracle{Kind: OracleLinearize, Type: spec.TASType{}}
+	rng := rand.New(rand.NewSource(1))
+	var verdicts [2]int
+	for iter := 0; iter < 3000; iter++ {
+		k := 1 + rng.Intn(6)
+		stamps := rng.Perm(2 * k)
+		ops := make([]trace.Op, k)
+		for i := range ops {
+			inv, ret := int64(stamps[2*i]+1), int64(stamps[2*i+1]+1)
+			if inv > ret {
+				inv, ret = ret, inv
+			}
+			ops[i] = trace.Op{Proc: i, Req: spec.Request{ID: int64(i + 1), Proc: i, Op: spec.OpTAS}, Inv: inv, Ret: ret}
+			switch rng.Intn(5) {
+			case 0:
+				ops[i].Resp = spec.Winner
+			case 1:
+				ops[i].Pending, ops[i].Ret = true, 0
+			default:
+				ops[i].Resp = spec.Loser
+			}
+		}
+		closed, err := tas.dispatch(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jit, _, err := linearize.CheckJIT(spec.TASType{}, ops, linearize.JITConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if closed.Ok != jit.Ok {
+			t.Fatalf("history %d: closed form ok=%v (%s), JIT ok=%v (%s): %+v",
+				iter, closed.Ok, closed.Reason, jit.Ok, jit.Reason, ops)
+		}
+		if closed.Ok {
+			verdicts[1]++
+		} else {
+			verdicts[0]++
+		}
+	}
+	if verdicts[0] == 0 || verdicts[1] == 0 {
+		t.Fatalf("verdicts not both exercised: %d rejected, %d accepted", verdicts[0], verdicts[1])
+	}
+	t.Logf("%d histories rejected, %d accepted by both", verdicts[0], verdicts[1])
 }

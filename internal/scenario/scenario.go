@@ -136,19 +136,31 @@ func (o Oracle) Check(ops []trace.Op) error {
 	return nil
 }
 
-// dispatch picks the checker from the oracle alone: per-object projections
-// for a compositional oracle, the allocation-free closed form for one-shot
-// test-and-set, the JIT checker for every other type at every history size.
+// dispatch picks the checker: per-object projections for a compositional
+// oracle, the allocation-free closed form for a one-shot test-and-set
+// history (every operation a tas), the JIT checker for everything else —
+// other types, and test-and-set histories with resets, whose 0 response
+// the closed form would count as a win.
 func (o Oracle) dispatch(proj []trace.Op) (linearize.Result, error) {
 	if o.Objects != nil {
 		lr, _, err := linearize.CheckObjects(o.Objects, proj, linearize.JITConfig{})
 		return lr, err
 	}
-	if _, isTAS := o.Type.(spec.TASType); isTAS {
+	if _, isTAS := o.Type.(spec.TASType); isTAS && onlyTAS(proj) {
 		return linearize.CheckTASVerdict(proj)
 	}
 	lr, _, err := linearize.CheckJIT(o.Type, proj, linearize.JITConfig{})
 	return lr, err
+}
+
+// onlyTAS reports whether every operation of ops is a test-and-set.
+func onlyTAS(ops []trace.Op) bool {
+	for i := range ops {
+		if ops[i].Req.Op != spec.OpTAS {
+			return false
+		}
+	}
+	return true
 }
 
 // Params carries a scenario's static properties: what process counts make
@@ -338,23 +350,31 @@ func survivorsFinished(res *sched.Result) error {
 }
 
 // hold is one acquire/release interval of a long-lived mutual-exclusion
-// scenario, stamped by a harness-local logical clock (stamps are taken in
-// the ungated window after the winning/releasing shared-memory step, which
-// the gate contract orders consistently with the execution).
+// scenario, stamped by a harness-local logical clock: acq after the winning
+// shared-memory step, pre just before the reset that releases the lock,
+// and rel once that reset has returned (0 while the hold is open).
 type hold struct {
-	acq, rel int64
+	acq, pre, rel int64
 }
 
 // holdsDisjoint enforces mutual exclusion: no two holds by different
 // processes overlap. A hold with rel == 0 is still open (its holder crashed
-// before releasing) and conflicts with every later acquisition.
-func holdsDisjoint(holds [][]hold) error {
+// before releasing) and conflicts with every later acquisition. Under the
+// gate (scheduled) stamps are schedule positions and no other process
+// steps between the reset's releasing write and rel, so rel closes a hold
+// exactly. The native clock is a shared counter, not ordered with the
+// steps: another process can acquire after the releasing write and stamp
+// before rel, so there a hold is closed at pre, which lies inside it.
+func holdsDisjoint(holds [][]hold, scheduled bool) error {
 	var all []struct {
 		proc int
 		h    hold
 	}
 	for p, hs := range holds {
 		for _, h := range hs {
+			if !scheduled && h.rel != 0 {
+				h.rel = h.pre
+			}
 			all = append(all, struct {
 				proc int
 				h    hold

@@ -197,3 +197,40 @@ func TestConformanceRepeatable(t *testing.T) {
 		}
 	}
 }
+
+// TestHoldsDisjointClocks pins which stamp closes a hold on which clock.
+// Process 1 acquires after process 0's pre stamp but before its rel stamp:
+// under the gate that is a real overlap (rel is exact there), on the native
+// clock it is the benign race of an acquire after the releasing write.
+// An acquire before pre overlaps on both clocks, and an open hold
+// conflicts with every later acquisition on both.
+func TestHoldsDisjointClocks(t *testing.T) {
+	a := hold{acq: 10, pre: 11, rel: 20}
+	cases := []struct {
+		name          string
+		b             hold
+		gated, native bool // want a violation on each clock
+	}{
+		{"after rel", hold{acq: 21, pre: 22, rel: 30}, false, false},
+		{"between pre and rel", hold{acq: 15, pre: 16, rel: 30}, true, false},
+		{"before pre", hold{acq: 9, pre: 12, rel: 30}, true, true},
+	}
+	for _, c := range cases {
+		for _, scheduled := range []bool{true, false} {
+			want := c.native
+			if scheduled {
+				want = c.gated
+			}
+			err := holdsDisjoint([][]hold{{a}, {c.b}}, scheduled)
+			if (err != nil) != want {
+				t.Errorf("%s, scheduled=%v: err = %v, want violation %v", c.name, scheduled, err, want)
+			}
+		}
+	}
+	open := hold{acq: 10, pre: 11}
+	for _, scheduled := range []bool{true, false} {
+		if holdsDisjoint([][]hold{{open}, {{acq: 40, pre: 41, rel: 50}}}, scheduled) == nil {
+			t.Errorf("scheduled=%v: an open hold must conflict with a later acquisition", scheduled)
+		}
+	}
+}

@@ -12,7 +12,7 @@ package stress
 // operations in. Only a bigger round is cut at its quiescent points, so
 // G-goroutine rounds of any size still verify in bounded memory.
 //
-// Both modes record the same way: after each round the coordinator appends
+// Both modes record the same way: after each round its closing worker appends
 // the round's history to a linBatch and hands the batch off once it holds
 // linBatchRounds rounds, and the last, partial one after the run. Online, a
 // batch goes to the checker goroutine over a channel that holds
@@ -151,7 +151,7 @@ func newLinChecker(o scenario.Oracle, cfg linearize.JITConfig, maxOps int64, m *
 const linBatchRounds = 64
 
 // linBatchesInFlight is how many full batches (256 rounds) may wait for the
-// online checker before the coordinator blocks, so a checker that falls
+// online checker before the closing worker blocks, so a checker that falls
 // behind slows the workload instead of growing memory. With one batch being
 // filled and one being checked, at most linBatchesInFlight+2 batches exist.
 const linBatchesInFlight = 4

@@ -14,12 +14,14 @@
 //
 // Mechanically the driver runs rounds: each round is one native concurrent
 // execution of the scenario's G process bodies (the same bodies the model
-// checker explores — one high-level operation per process), a barrier, an
-// optional correctness spot-check of the recorded history through the
-// scenario's own check function, and a reset. Per-operation latencies go
-// to per-worker log-bucketed stats.LatencyHist shards; per-access and
-// RMW-failure counts flow through a memory.Instr backend into per-worker
-// sharded obs counters, so everything is live-scrapable mid-run.
+// checker explores — one high-level operation per process) on G persistent
+// workers. The worker whose body returns last closes the round — an
+// optional spot-check of the recorded history through the scenario's own
+// check function, the stop test (the deadline is read after the first
+// round and then every 64th), a reset — then wakes the others and runs its
+// own next body. Latencies go to per-worker log-bucketed stats.LatencyHist
+// shards; access and RMW-failure counts flow through a memory.Instr backend
+// into per-worker sharded obs counters, live-scrapable mid-run.
 //
 // Correctness coverage here is sampling, not verification: a spot-check
 // only judges the histories that actually happened. The exhaustive tiers
@@ -31,7 +33,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -65,8 +69,8 @@ type Config struct {
 	Arrival float64
 	// CheckEvery spot-checks the recorded history of every k-th round
 	// through the scenario's check function (default 64; negative
-	// disables). Checking every round roughly halves throughput on small
-	// scenarios; the default keeps the sampled coverage at ~2% overhead.
+	// disables). Checking every round costs composed (G=4, two cores)
+	// about a fifth of its throughput; the default costs about 1%.
 	CheckEvery int
 	// Seed seeds the arrival-gap generators (deterministic per worker).
 	Seed int64
@@ -249,28 +253,23 @@ func Run(cfg Config) (Result, error) {
 	chk0, chkFail0 := checksC.Value(), checkFailC.Value()
 
 	lats := make([]latShard, n)
-	{
-		quant := func(q float64) func() int64 {
-			return func() int64 {
-				h := foldLatency(lats)
-				return int64(h.Quantile(q))
-			}
-		}
-		for _, g := range []struct {
-			name string
-			q    float64
-		}{
-			{"stress_latency_p50_ns", 0.50},
-			{"stress_latency_p90_ns", 0.90},
-			{"stress_latency_p99_ns", 0.99},
-			{"stress_latency_p999_ns", 0.999},
-		} {
-			remove := m.AddSource(g.name, fmt.Sprintf("Per-op latency quantile q=%v in nanoseconds (this run).", g.q), true, quant(g.q))
-			defer remove()
-		}
-		removeG := m.AddSource("stress_goroutines", "Stress worker goroutines in flight.", true, func() int64 { return int64(n) })
-		defer removeG()
+	for _, g := range []struct {
+		name string
+		q    float64
+	}{
+		{"stress_latency_p50_ns", 0.50},
+		{"stress_latency_p90_ns", 0.90},
+		{"stress_latency_p99_ns", 0.99},
+		{"stress_latency_p999_ns", 0.999},
+	} {
+		remove := m.AddSource(g.name, fmt.Sprintf("Per-op latency quantile q=%v in nanoseconds (this run).", g.q), true, func() int64 {
+			h := foldLatency(lats)
+			return int64(h.Quantile(g.q))
+		})
+		defer remove()
 	}
+	removeG := m.AddSource("stress_goroutines", "Stress worker goroutines in flight.", true, func() int64 { return int64(n) })
+	defer removeG()
 
 	h, oracle := sc.Build(n, scenario.Options{})
 	env, bodies, check, reset := h()
@@ -321,7 +320,7 @@ func Run(cfg Config) (Result, error) {
 			linCh = make(chan *linBatch, linBatchesInFlight)
 			// Room for every batch that can exist, and the return below
 			// never blocks on it anyway: a checker stuck returning a batch
-			// while the coordinator is stuck sending one would deadlock.
+			// while the closing worker is stuck sending one would deadlock.
 			free = make(chan *linBatch, linBatchesInFlight+2)
 			linDone = make(chan struct{})
 			go func() {
@@ -338,51 +337,25 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 
-	// Persistent workers: one per process, round-driven over a channel.
-	// Arrival gaps use per-worker deterministic generators; latency is
-	// measured around the body only, not the arrival delay.
+	res := &sched.Result{Finished: slices.Repeat([]bool{true}, n), Crashed: make([]bool, n)}
+
+	// Persistent workers, one per process, and no coordinator: the worker
+	// whose body returns last closes the round. The chain of decrements on
+	// pending orders every body of a round before its close, and the close's
+	// wake-ups order it before the next round. Arrival gaps use per-worker
+	// deterministic generators; latency is measured around the body only.
 	chans := make([]chan struct{}, n)
-	var wg sync.WaitGroup          // per-round barrier
-	var workersDone sync.WaitGroup // shutdown barrier
-	for i := 0; i < n; i++ {
-		chans[i] = make(chan struct{}, 1)
-		workersDone.Add(1)
-		go func(w int, ch <-chan struct{}) {
-			defer workersDone.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*0x9e3779b9))
-			body, proc := bodies[w], env.Proc(w)
-			for range ch {
-				if cfg.Arrival > 0 {
-					gap := time.Duration(rng.ExpFloat64() / cfg.Arrival * float64(time.Second))
-					time.Sleep(gap)
-				}
-				t0 := time.Now()
-				body(proc)
-				lats[w].add(time.Since(t0).Nanoseconds())
-				opsC.Add(w, 1)
-				wg.Done()
-			}
-		}(i, chans[i])
-	}
-
-	res := &sched.Result{Finished: make([]bool, n), Crashed: make([]bool, n)}
-	for i := range res.Finished {
-		res.Finished[i] = true
-	}
-
-	start := time.Now()
-	deadline := start.Add(dur)
+	var pending atomic.Int64
+	var workersDone sync.WaitGroup
 	var rounds int64
 	var firstCheckErr string
-	for {
-		wg.Add(n)
-		for i := 0; i < n; i++ {
-			chans[i] <- struct{}{}
-		}
-		wg.Wait()
+	start := time.Now()
+	deadline := start.Add(dur)
+	// closeRound is the between-round work, run by the last arriver w. It
+	// reports whether w goes straight on into its next body.
+	closeRound := func(w int) bool {
 		rounds++
-		roundsC.Add(0, 1)
-
+		roundsC.Add(w, 1)
 		if lc != nil {
 			if cfg.LinMode == LinPost && cfg.LinMaxOps > 0 && recordedOps >= cfg.LinMaxOps {
 				lc.truncated = true // cap reached: later rounds go unverified
@@ -393,33 +366,60 @@ func Run(cfg Config) (Result, error) {
 				handOff()
 			}
 		}
-
 		if check != nil && checkEvery > 0 && rounds%int64(checkEvery) == 0 {
-			checksC.Add(0, 1)
+			checksC.Add(w, 1)
 			if cerr := check(res); cerr != nil {
-				checkFailC.Add(0, 1)
+				checkFailC.Add(w, 1)
 				if firstCheckErr == "" {
 					firstCheckErr = cerr.Error()
 				}
 			}
 		}
-
-		if cfg.MaxRounds > 0 && rounds >= cfg.MaxRounds {
-			break
+		// The clock is read after the first round and then every 64th.
+		stop := cfg.MaxRounds > 0 && rounds >= cfg.MaxRounds ||
+			(rounds == 1 || rounds%64 == 0) && !time.Now().Before(deadline)
+		if !stop {
+			env.Reset() // recycle the environment for the next round
+			reset()
+			pending.Store(int64(n))
 		}
-		if !time.Now().Before(deadline) {
-			break
+		for i, ch := range chans {
+			if stop {
+				close(ch) // every worker, w included, exits on its closed channel
+			} else if i != w {
+				ch <- struct{}{}
+			}
 		}
-
-		// Recycle the environment for the next round.
-		env.Reset()
-		reset()
+		return !stop
 	}
-	wall := time.Since(start)
-	for i := 0; i < n; i++ {
-		close(chans[i])
+	pending.Store(int64(n))
+	workersDone.Add(n)
+	for w := range n {
+		chans[w] = make(chan struct{}, 1)
+		go func() {
+			defer workersDone.Done()
+			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*0x9e3779b9))
+			body, proc, ch := bodies[w], env.Proc(w), chans[w]
+			for _, ok := <-ch; ok; {
+				if cfg.Arrival > 0 {
+					gap := time.Duration(rng.ExpFloat64() / cfg.Arrival * float64(time.Second))
+					time.Sleep(gap)
+				}
+				t0 := time.Now()
+				body(proc)
+				lats[w].add(time.Since(t0).Nanoseconds())
+				opsC.Add(w, 1)
+				if pending.Add(-1) != 0 || !closeRound(w) {
+					_, ok = <-ch
+				}
+			}
+		}()
+	}
+	for _, ch := range chans {
+		ch <- struct{}{}
 	}
 	workersDone.Wait()
+	wall := time.Since(start)
 	if lc != nil {
 		if len(batch.ends) > 0 {
 			handOff() // the last, partial batch

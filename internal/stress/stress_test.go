@@ -5,12 +5,16 @@ package stress
 // fast and deterministic in everything but timing.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
+	"repro/internal/memory"
 	"repro/internal/obs"
 	"repro/internal/scenario"
+	"repro/internal/sched"
 )
 
 func mustScenario(t *testing.T, name string) scenario.Scenario {
@@ -285,5 +289,90 @@ func TestRunLincheckOff(t *testing.T) {
 	}
 	if r.LinOps != 0 || r.LinWindows != 0 {
 		t.Fatalf("LinOff recorded streaming telemetry: ops=%d windows=%d", r.LinOps, r.LinWindows)
+	}
+}
+
+// roundProbe is an unregistered scenario that checks the driver's round
+// contract: each body sets its process's flag (and counts a stale flag,
+// left over from a round that was never reset), the check fails unless
+// every flag is set, and the reset clears the flags and counts its calls.
+// The flags are plain memory, so under -race any round that is checked or
+// reset before all of its bodies returned is also a reported race.
+func roundProbe(flags []bool, stale []int, resets *int) scenario.Scenario {
+	return scenario.Scenario{
+		Name:   "round-probe",
+		Params: scenario.Params{MinProcs: 1},
+		Build: func(n int, _ scenario.Options) (engine.Harness, scenario.Oracle) {
+			h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
+				bodies := make([]func(p *memory.Proc), n)
+				for i := range bodies {
+					bodies[i] = func(*memory.Proc) {
+						if flags[i] {
+							stale[i]++
+						}
+						flags[i] = true
+					}
+				}
+				check := func(*sched.Result) error {
+					for i, f := range flags {
+						if !f {
+							return fmt.Errorf("round closed before process %d's body returned", i)
+						}
+					}
+					return nil
+				}
+				reset := func() {
+					clear(flags)
+					*resets++
+				}
+				return memory.NewEnv(n), bodies, check, reset
+			}
+			return h, scenario.Oracle{Kind: scenario.OracleInvariant, Invariant: "round-quiescent"}
+		},
+	}
+}
+
+// TestRunRoundContract: every round is quiescent when it is closed, a run
+// capped at k rounds performs exactly k rounds, G·k operations and k
+// checks with k−1 resets in between, and a run whose deadline has passed
+// stops after its first round.
+func TestRunRoundContract(t *testing.T) {
+	run := func(g, procs int, k int64, dur time.Duration) (Result, int) {
+		t.Helper()
+		flags, stale, resets := make([]bool, g), make([]int, g), 0
+		r, err := Run(Config{
+			Scenario:   roundProbe(flags, stale, &resets),
+			G:          g,
+			Duration:   dur,
+			MaxRounds:  k,
+			CheckEvery: 1,
+			Procs:      procs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.CheckFailures != 0 {
+			t.Fatalf("g=%d procs=%d: %d check failures (%s)", g, procs, r.CheckFailures, r.FirstCheckErr)
+		}
+		for i, s := range stale {
+			if s != 0 {
+				t.Fatalf("g=%d procs=%d: process %d found its flag set %d times: a round ran without a reset", g, procs, i, s)
+			}
+		}
+		return r, resets
+	}
+	const k = 300
+	for _, g := range []int{1, 3, 8} {
+		for _, procs := range []int{1, 2} {
+			r, resets := run(g, procs, k, time.Minute)
+			if r.Rounds != k || r.Ops != int64(g)*k || r.Latency.N() != r.Ops || r.CheckRounds != k || resets != k-1 {
+				t.Errorf("g=%d procs=%d: rounds=%d ops=%d latency samples=%d checks=%d resets=%d, want %d, %d, %d, %d, %d",
+					g, procs, r.Rounds, r.Ops, r.Latency.N(), r.CheckRounds, resets, k, g*k, g*k, k, k-1)
+			}
+		}
+	}
+	r, resets := run(3, 0, 0, time.Nanosecond)
+	if r.Rounds != 1 || r.Ops != 3 || r.CheckRounds != 1 || resets != 0 {
+		t.Errorf("expired deadline: rounds=%d ops=%d checks=%d resets=%d, want 1, 3, 1, 0", r.Rounds, r.Ops, r.CheckRounds, resets)
 	}
 }
