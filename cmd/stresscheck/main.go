@@ -6,8 +6,8 @@
 // measures what the paper's claims are empirically about: throughput
 // scaling over a GOMAXPROCS sweep, per-operation latency tails
 // (p50/p90/p99/p999 from a mergeable log-bucketed histogram), and the RMW
-// contention census — attempts and lost races — from the instrumented
-// atomics backend. Recorded histories are spot-checked through the
+// contention census — attempts and lost races — from the memory layer's
+// access census. Recorded histories are spot-checked through the
 // scenario's own oracle every -check-every rounds (sampling, not
 // verification: the exhaustive tiers remain the source of truth for
 // correctness).

@@ -126,7 +126,7 @@ func (a *GrowArray[T]) publish(p *Proc, i int, slot *atomic.Pointer[T], v *T) *T
 	if slot.CompareAndSwap(nil, v) {
 		return v
 	}
-	p.rmwFail(OpCAS)
+	p.rmwFail()
 	return slot.Load()
 }
 

@@ -15,9 +15,9 @@
 // A Proc may carry a Gate. When set, each shared-memory access first parks
 // at the gate, which lets the sched and engine packages serialize accesses
 // into one fully controlled, sequentially consistent interleaving. With no
-// gate, primitives compile down to raw sync/atomic operations plus two
-// uncontended counter increments, so the same algorithm code is usable in
-// wall-clock benchmarks.
+// gate, primitives compile down to raw sync/atomic operations plus one
+// uncontended counter increment (the access census, see Proc), so the same
+// algorithm code is usable in wall-clock benchmarks.
 package memory
 
 import (
@@ -111,29 +111,6 @@ type Gate interface {
 	Enter(p *Proc, a Access)
 }
 
-// Instr is an optional per-access instrumentation sink, the second
-// accounting backend next to the per-process step counters. When installed
-// on a Proc, every shared-memory access reports its kind through Access,
-// and every read-modify-write that loses its race (a CAS that found a
-// different value, a test-and-set that read 1, a PutIfEmpty that found the
-// cell taken) additionally reports through RMWFail — the direct contention
-// signal the cooperative gate cannot produce, because under the gate every
-// interleaving is serialized and "losing" is a scheduling decision rather
-// than a hardware race. The stress tier installs an Instr backed by
-// per-goroutine sharded obs counters; the model-checking paths never
-// install one, so the hook costs a nil check there.
-//
-// Implementations must be safe for concurrent use by all processes they
-// are installed on. Calls happen on the hot path of every primitive;
-// implementations should be O(1) and allocation-free.
-type Instr interface {
-	// Access reports one shared-memory access of the given kind by proc.
-	Access(proc int, kind OpKind)
-	// RMWFail reports that an RMW access (already reported via Access)
-	// lost its race and will retry or return a loser result.
-	RMWFail(proc int, kind OpKind)
-}
-
 // Resettable is implemented by base objects (and by composites built from
 // them) that can restore themselves to their construction-time state.
 // Registering a Resettable with an Env makes Env.Reset restore it, which is
@@ -223,14 +200,6 @@ type Env struct {
 	// hook (a trace.Source) up to harnesses that only hold the Env. Typed
 	// any to keep this package below the trace layer.
 	historySrc any
-
-	// Cumulative access census across executions: per-process counters are
-	// zeroed by every Reset, so their totals are folded in here first (one
-	// batch of atomic adds per execution, nothing on the per-access path).
-	// The observability layer reads these; nothing else consults them.
-	cumSteps atomic.Int64
-	cumRMWs  atomic.Int64
-	cumKinds [6]atomic.Int64
 }
 
 // NewEnv creates an environment with n processes, ids 0..n-1.
@@ -281,7 +250,8 @@ func (e *Env) TotalRMWs() int64 {
 	return t
 }
 
-// ResetCounters zeroes the step and RMW counters of every process.
+// ResetCounters restarts every process's step, RMW and per-kind counts
+// from zero (Proc.ResetCounters).
 func (e *Env) ResetCounters() {
 	for _, p := range e.procs {
 		p.ResetCounters()
@@ -290,35 +260,41 @@ func (e *Env) ResetCounters() {
 
 // CumulativeCounts returns the access census accumulated over every
 // execution on this environment: total steps, total RMWs, and totals by
-// OpKind. Per-process counters fold into the cumulative totals when they
-// are reset, so the sums here cover both completed (reset) executions and
-// the live counters of the current one. Advisory — the observability layer
-// is the only consumer.
-func (e *Env) CumulativeCounts() (steps, rmws int64, kinds [6]int64) {
-	steps = e.cumSteps.Load() + e.TotalSteps()
-	rmws = e.cumRMWs.Load() + e.TotalRMWs()
-	for i := range kinds {
-		kinds[i] = e.cumKinds[i].Load()
-		for _, p := range e.procs {
-			kinds[i] += p.kinds[i].Load()
+// OpKind. It sums the processes' live counters, which resets never zero,
+// so it is exact at any time, including while processes take steps.
+func (e *Env) CumulativeCounts() (steps, rmws int64, kinds [numKinds]int64) {
+	for _, p := range e.procs {
+		for k := range kinds {
+			kinds[k] += p.kinds[k].Load()
+		}
+	}
+	for k, c := range kinds {
+		steps += c
+		if OpKind(k).IsRMW() {
+			rmws += c
 		}
 	}
 	return steps, rmws, kinds
+}
+
+// CumulativeRMWFails returns how many RMW accesses lost their race (a CAS
+// that found a different value, a test-and-set that read 1, a PutIfEmpty
+// or GrowArray publish that found the slot taken) over every execution on
+// this environment. Like CumulativeCounts it is exact at any time. Under a
+// gate every interleaving is serialized and losing is a scheduling
+// decision; natively it is the direct signal of hardware contention.
+func (e *Env) CumulativeRMWFails() int64 {
+	var t int64
+	for _, p := range e.procs {
+		t += p.fails.Load()
+	}
+	return t
 }
 
 // SetGate installs the same gate on every process (nil removes gates).
 func (e *Env) SetGate(g Gate) {
 	for _, p := range e.procs {
 		p.SetGate(g)
-	}
-}
-
-// SetInstr installs the same instrumentation sink on every process (nil
-// removes it). Must not be called concurrently with processes taking
-// steps.
-func (e *Env) SetInstr(in Instr) {
-	for _, p := range e.procs {
-		p.SetInstr(in)
 	}
 }
 
@@ -344,10 +320,10 @@ func (e *Env) Register(objs ...Resettable) {
 // Registered returns the number of registered objects.
 func (e *Env) Registered() int { return len(e.objs) }
 
-// Reset restores every registered object to its construction-time state and
-// zeroes all per-process accounting and crash flags, so a fresh execution
-// can run over the same environment. It must not be called while any
-// process is taking steps.
+// Reset restores every registered object to its construction-time state,
+// restarts every process's counts from zero (Proc.ResetCounters) and clears
+// crash flags, so a fresh execution can run over the same environment. It
+// must not be called while any process is taking steps.
 func (e *Env) Reset() {
 	for _, o := range e.objs {
 		o.ResetState()
@@ -383,18 +359,26 @@ func (e *Env) Fingerprint() (Fingerprint, bool) {
 	return h.Sum128(), true
 }
 
+// numKinds is the number of OpKinds.
+const numKinds = int(OpSwap) + 1
+
 // Proc is the per-process handle threaded through every shared-memory
-// access. It carries the process id, the step/RMW accounting, an optional
+// access. It carries the process id, the access census, an optional
 // scheduling gate, and a crash flag (a crashed process simply stops taking
 // steps; the flag exists for reporting).
+//
+// The census is one monotonic counter per OpKind plus one of lost RMW
+// races, written only by the process itself: one uncontended atomic add
+// per access, which is what keeps live reads (Env.CumulativeCounts) exact
+// and race-free. Steps, RMWs and KindCount are read against base, the
+// snapshot ResetCounters takes, so resetting never writes a counter.
 type Proc struct {
 	id      int
 	env     *Env
 	gate    Gate
-	instr   Instr
-	steps   atomic.Int64
-	rmws    atomic.Int64
-	kinds   [6]atomic.Int64
+	kinds   [numKinds]atomic.Int64
+	fails   atomic.Int64
+	base    [numKinds]int64
 	crashed atomic.Bool
 
 	// pos is the schedule position after the process's last granted step;
@@ -413,61 +397,53 @@ func (p *Proc) ID() int { return p.id }
 // process created by NewDetachedProc.
 func (p *Proc) Env() *Env { return p.env }
 
-// Steps returns the number of shared-memory accesses performed so far.
-func (p *Proc) Steps() int64 { return p.steps.Load() }
-
-// RMWs returns the number of read-modify-write accesses performed so far.
-func (p *Proc) RMWs() int64 { return p.rmws.Load() }
-
-// KindCount returns the number of accesses of the given kind performed so
-// far. The primitive census of experiment E7 uses it to certify, e.g., that
-// the composed TAS never issues a compare-and-swap.
-func (p *Proc) KindCount(k OpKind) int64 {
-	if int(k) >= len(p.kinds) {
-		return 0
+// Steps returns the number of shared-memory accesses performed since the
+// last ResetCounters.
+func (p *Proc) Steps() int64 {
+	var t int64
+	for k := range p.kinds {
+		t += p.KindCount(OpKind(k))
 	}
-	return p.kinds[k].Load()
+	return t
 }
 
-// ResetCounters zeroes the process's step, RMW and per-kind counters,
-// along with the schedule position and stamp sequence. The zeroed totals
-// fold into the environment's cumulative census first (see
-// Env.CumulativeCounts), so resetting never loses accounting. A counter
-// already at zero is only read, so an idle process costs no atomic write.
+// RMWs returns the number of read-modify-write accesses performed since the
+// last ResetCounters.
+func (p *Proc) RMWs() int64 {
+	var t int64
+	for k := OpCAS; int(k) < numKinds; k++ {
+		t += p.KindCount(k)
+	}
+	return t
+}
+
+// KindCount returns the number of accesses of the given kind performed
+// since the last ResetCounters. The primitive census of experiment E7 uses
+// it to certify, e.g., that the composed TAS never issues a
+// compare-and-swap.
+func (p *Proc) KindCount(k OpKind) int64 {
+	if int(k) >= numKinds {
+		return 0
+	}
+	return p.kinds[k].Load() - p.base[k]
+}
+
+// ResetCounters restarts the process's step, RMW and per-kind counts from
+// zero by recording the current census as their baseline, and zeroes the
+// schedule position and stamp sequence. The census itself keeps counting
+// (see Env.CumulativeCounts), so resetting never loses accounting. Like
+// Env.Reset, it must not be called while the process is taking steps.
 func (p *Proc) ResetCounters() {
-	e := p.env
-	if v := take(&p.steps); v != 0 && e != nil {
-		e.cumSteps.Add(v)
-	}
-	if v := take(&p.rmws); v != 0 && e != nil {
-		e.cumRMWs.Add(v)
-	}
-	for i := range p.kinds {
-		if v := take(&p.kinds[i]); v != 0 && e != nil {
-			e.cumKinds[i].Add(v)
-		}
+	for k := range p.kinds {
+		p.base[k] = p.kinds[k].Load()
 	}
 	p.pos = 0
 	p.stampSeq = 0
 }
 
-// take zeroes c and returns the value it held, storing only when that
-// value is nonzero.
-func take(c *atomic.Int64) int64 {
-	v := c.Load()
-	if v != 0 {
-		c.Store(0)
-	}
-	return v
-}
-
 // SetGate installs (or removes, with nil) the scheduling gate. Must not be
 // called concurrently with the process taking steps.
 func (p *Proc) SetGate(g Gate) { p.gate = g }
-
-// SetInstr installs (or removes, with nil) the instrumentation sink. Must
-// not be called concurrently with the process taking steps.
-func (p *Proc) SetInstr(in Instr) { p.instr = in }
 
 // MarkCrashed records that the process has crashed. Accounting only; the
 // scheduler enforces the crash by never granting further steps.
@@ -480,9 +456,9 @@ func (p *Proc) Crashed() bool { return p.crashed.Load() }
 // by o, and parks at the gate if one is installed. Every primitive in this
 // package calls enter exactly once per shared-memory access, immediately
 // before performing it. A nil receiver is allowed and skips accounting, so
-// algorithm code can also be driven without instrumentation. The object id
+// algorithm code can also be driven without a process handle. The object id
 // is resolved only on the gated path, keeping the ungated benchmark path at
-// two uncontended counter increments.
+// one uncontended counter increment.
 func (p *Proc) enter(kind OpKind, o *objID) {
 	if p == nil {
 		return
@@ -505,29 +481,15 @@ func (p *Proc) enterObj(kind OpKind, obj uint64) {
 	}
 }
 
-// account charges one access of the given kind to the process's counters
-// and mirrors it into the instrumentation sink when one is installed.
-func (p *Proc) account(kind OpKind) {
-	p.steps.Add(1)
-	if kind.IsRMW() {
-		p.rmws.Add(1)
-	}
-	if int(kind) < len(p.kinds) {
-		p.kinds[kind].Add(1)
-	}
-	if p.instr != nil {
-		p.instr.Access(p.id, kind)
-	}
-}
+// account charges one access of the given kind to the process's census.
+func (p *Proc) account(kind OpKind) { p.kinds[kind].Add(1) }
 
-// rmwFail reports a lost RMW race to the instrumentation sink. Primitives
-// call it on their losing branch, after the access itself was accounted.
-// Nil receivers (uninstrumented detached driving) are allowed.
-func (p *Proc) rmwFail(kind OpKind) {
-	if p == nil || p.instr == nil {
-		return
+// rmwFail counts a lost RMW race. Primitives call it on their losing
+// branch, after the access itself was accounted. A nil receiver is allowed.
+func (p *Proc) rmwFail() {
+	if p != nil {
+		p.fails.Add(1)
 	}
-	p.instr.RMWFail(p.id, kind)
 }
 
 // SetPos records the process's current schedule position (the number of

@@ -450,15 +450,17 @@ func TestKindCounters(t *testing.T) {
 }
 
 // TestResetAccounting: over many Env.Resets that mix idle and busy
-// processes, zero and nonzero kinds, and crashed and live processes, the
-// cumulative census equals the total of all accesses, and every reset
-// leaves each per-process counter at zero and no process crashed.
+// processes, zero and nonzero kinds, lost races, and crashed and live
+// processes, the per-process reads count exactly the accesses since the
+// last reset, the cumulative census (accesses and lost races) equals the
+// total of all of them, and every reset leaves each per-process read at
+// zero and no process crashed.
 func TestResetAccounting(t *testing.T) {
 	const n = 4
 	e := NewEnv(n)
 	rng := rand.New(rand.NewSource(1))
-	var wantSteps, wantRMWs int64
-	var wantKinds [6]int64
+	var wantSteps, wantRMWs, wantFails int64
+	var wantKinds [numKinds]int64
 	for round := 0; round < 500; round++ {
 		for i := 0; i < n; i++ {
 			p := e.Proc(i)
@@ -466,17 +468,28 @@ func TestResetAccounting(t *testing.T) {
 				continue // idle this round
 			}
 			// Each busy process draws from a random subset of the kinds.
-			kinds := rng.Intn(1 << len(wantKinds))
+			var roundKinds [numKinds]int64
+			kinds := rng.Intn(1 << numKinds)
 			for a := rng.Intn(8); a > 0; a-- {
-				k := OpKind(rng.Intn(len(wantKinds)))
+				k := OpKind(rng.Intn(numKinds))
 				if kinds&(1<<k) == 0 {
 					continue
 				}
 				p.account(k)
+				roundKinds[k]++
 				wantSteps++
 				wantKinds[k]++
 				if k.IsRMW() {
 					wantRMWs++
+					if rng.Intn(2) == 0 {
+						p.rmwFail()
+						wantFails++
+					}
+				}
+			}
+			for k := OpRead; k <= OpSwap; k++ {
+				if c := p.KindCount(k); c != roundKinds[k] {
+					t.Fatalf("round %d: proc %d kind %v = %d, want %d since the last reset", round, i, k, c, roundKinds[k])
 				}
 			}
 			if rng.Intn(4) == 0 {
@@ -488,6 +501,9 @@ func TestResetAccounting(t *testing.T) {
 		if steps != wantSteps || rmws != wantRMWs || kinds != wantKinds {
 			t.Fatalf("round %d: census steps=%d rmws=%d kinds=%v, want %d %d %v",
 				round, steps, rmws, kinds, wantSteps, wantRMWs, wantKinds)
+		}
+		if fails := e.CumulativeRMWFails(); fails != wantFails {
+			t.Fatalf("round %d: census lost races = %d, want %d", round, fails, wantFails)
 		}
 		for i := 0; i < n; i++ {
 			p := e.Proc(i)
@@ -502,8 +518,8 @@ func TestResetAccounting(t *testing.T) {
 			}
 		}
 	}
-	if wantSteps == 0 || wantRMWs == 0 {
-		t.Fatal("no accesses generated")
+	if wantSteps == 0 || wantRMWs == 0 || wantFails == 0 {
+		t.Fatal("no accesses or lost races generated")
 	}
 }
 
@@ -678,118 +694,101 @@ func TestFingerprintRefusals(t *testing.T) {
 	}
 }
 
-// countingInstr is a deterministic Instr sink for tests: plain counters per
-// (proc, kind), no atomics — the tests below drive processes sequentially.
-type countingInstr struct {
-	accesses map[int]map[OpKind]int
-	fails    map[int]map[OpKind]int
-}
-
-func newCountingInstr() *countingInstr {
-	return &countingInstr{
-		accesses: map[int]map[OpKind]int{},
-		fails:    map[int]map[OpKind]int{},
-	}
-}
-
-func bump(m map[int]map[OpKind]int, proc int, kind OpKind) {
-	if m[proc] == nil {
-		m[proc] = map[OpKind]int{}
-	}
-	m[proc][kind]++
-}
-
-func (c *countingInstr) Access(proc int, kind OpKind)  { bump(c.accesses, proc, kind) }
-func (c *countingInstr) RMWFail(proc int, kind OpKind) { bump(c.fails, proc, kind) }
-
-// TestInstrAccessAndFailAccounting drives every primitive's win and lose
-// branch sequentially and checks the Instr sink saw exactly the accesses
-// the step counters saw, plus one RMWFail per losing RMW.
-func TestInstrAccessAndFailAccounting(t *testing.T) {
+// TestCensusAccessAndFailAccounting drives every primitive's win and lose
+// branch sequentially and checks the census: per process and kind, exactly
+// the accesses made, and one lost race per losing RMW, charged to the
+// loser.
+func TestCensusAccessAndFailAccounting(t *testing.T) {
 	e := NewEnv(2)
-	in := newCountingInstr()
-	e.SetInstr(in)
 	p0, p1 := e.Proc(0), e.Proc(1)
+	// lost runs f and asserts how many races it lost, by the env census
+	// and by the acting process's own counter.
+	lost := func(what string, p *Proc, want int64, f func()) {
+		t.Helper()
+		envBefore, procBefore := e.CumulativeRMWFails(), p.fails.Load()
+		f()
+		if got := e.CumulativeRMWFails() - envBefore; got != want {
+			t.Errorf("%s: env lost races = %d, want %d", what, got, want)
+		}
+		if got := p.fails.Load() - procBefore; got != want {
+			t.Errorf("%s: proc %d lost races = %d, want %d", what, p.ID(), got, want)
+		}
+	}
 
 	// CASReg: one winning CAS, one losing CAS, a read and a write.
 	r := NewCASReg(0)
-	if !r.CompareAndSwap(p0, 0, 1) {
-		t.Fatal("first CAS should win")
-	}
-	if r.CompareAndSwap(p1, 0, 2) {
-		t.Fatal("second CAS should lose")
-	}
+	lost("winning CAS", p0, 0, func() {
+		if !r.CompareAndSwap(p0, 0, 1) {
+			t.Fatal("first CAS should win")
+		}
+	})
+	lost("losing CAS", p1, 1, func() {
+		if r.CompareAndSwap(p1, 0, 2) {
+			t.Fatal("second CAS should lose")
+		}
+	})
 	r.Read(p0)
 	r.Write(p0, 7)
 
 	// HardwareTAS: winner then loser.
 	tas := NewHardwareTAS()
-	if tas.TestAndSet(p0) != 0 {
-		t.Fatal("first TAS should win")
-	}
-	if tas.TestAndSet(p1) != 1 {
-		t.Fatal("second TAS should lose")
-	}
+	lost("winning TAS", p0, 0, func() {
+		if tas.TestAndSet(p0) != 0 {
+			t.Fatal("first TAS should win")
+		}
+	})
+	lost("losing TAS", p1, 1, func() {
+		if tas.TestAndSet(p1) != 1 {
+			t.Fatal("second TAS should lose")
+		}
+	})
 
 	// CASCell: winner then loser.
 	cell := NewCASCell[int]()
 	v1, v2 := 1, 2
-	if _, won := cell.PutIfEmpty(p0, &v1); !won {
-		t.Fatal("first PutIfEmpty should win")
-	}
-	if _, won := cell.PutIfEmpty(p1, &v2); won {
-		t.Fatal("second PutIfEmpty should lose")
-	}
+	lost("winning PutIfEmpty", p0, 0, func() {
+		if _, won := cell.PutIfEmpty(p0, &v1); !won {
+			t.Fatal("first PutIfEmpty should win")
+		}
+	})
+	lost("losing PutIfEmpty", p1, 1, func() {
+		if _, won := cell.PutIfEmpty(p1, &v2); won {
+			t.Fatal("second PutIfEmpty should lose")
+		}
+	})
 
 	// FetchInc never loses.
 	ctr := NewFetchInc(0)
-	ctr.Inc(p0)
-	ctr.Inc(p1)
+	lost("FetchInc", p0, 0, func() { ctr.Inc(p0) })
+	lost("FetchInc", p1, 0, func() { ctr.Inc(p1) })
 
-	wantAccess := map[int]map[OpKind]int{
-		0: {OpCAS: 2, OpRead: 1, OpWrite: 1, OpTAS: 1, OpFetchInc: 1},
-		1: {OpCAS: 2, OpTAS: 1, OpFetchInc: 1},
+	want := map[*Proc]map[OpKind]int64{
+		p0: {OpCAS: 2, OpRead: 1, OpWrite: 1, OpTAS: 1, OpFetchInc: 1},
+		p1: {OpCAS: 2, OpTAS: 1, OpFetchInc: 1},
 	}
-	wantFail := map[int]map[OpKind]int{
-		1: {OpCAS: 2, OpTAS: 1},
-	}
-	for proc, kinds := range wantAccess {
-		for k, n := range kinds {
-			if got := in.accesses[proc][k]; got != n {
-				t.Errorf("proc %d %v accesses = %d, want %d", proc, k, got, n)
+	for p, kinds := range want {
+		for k := OpRead; k <= OpSwap; k++ {
+			if got := p.KindCount(k); got != kinds[k] {
+				t.Errorf("proc %d %v accesses = %d, want %d", p.ID(), k, got, kinds[k])
 			}
 		}
 	}
-	for proc := 0; proc < 2; proc++ {
-		for k, n := range wantFail[proc] {
-			if got := in.fails[proc][k]; got != n {
-				t.Errorf("proc %d %v fails = %d, want %d", proc, k, got, n)
-			}
-		}
+	if p0.fails.Load() != 0 || p1.fails.Load() != 3 {
+		t.Errorf("lost races p0=%d p1=%d, want 0 and 3", p0.fails.Load(), p1.fails.Load())
 	}
-	if len(in.fails[0]) != 0 {
-		t.Errorf("proc 0 lost no races but recorded fails: %v", in.fails[0])
-	}
-	// Every Access mirrored a step: totals must agree with the step counters.
-	var seen int
-	for _, kinds := range in.accesses {
-		for _, n := range kinds {
-			seen += n
-		}
-	}
-	if int64(seen) != e.TotalSteps() {
-		t.Errorf("instr saw %d accesses, step counters saw %d", seen, e.TotalSteps())
+	// Before any reset, the live census and the per-process reads agree.
+	steps, rmws, _ := e.CumulativeCounts()
+	if steps != e.TotalSteps() || rmws != e.TotalRMWs() {
+		t.Errorf("census steps=%d rmws=%d, per-process totals %d %d", steps, rmws, e.TotalSteps(), e.TotalRMWs())
 	}
 }
 
-// TestInstrGrowArray checks the GrowArray access paths mirror into the
-// sink. (Its CAS-losing branch needs a real race to trigger; the stress
-// tier exercises it, and putLive/publish share the rmwFail call pattern
-// asserted on the scalar primitives above.)
-func TestInstrGrowArray(t *testing.T) {
+// TestCensusGrowArray checks the GrowArray access paths: a creating Get is
+// a read and a publishing CAS, a lookup that finds the slot taken issues no
+// CAS, and a publish that lost its race to another process adopts the
+// winner and counts one lost race for the loser.
+func TestCensusGrowArray(t *testing.T) {
 	e := NewEnv(2)
-	in := newCountingInstr()
-	e.SetInstr(in)
 	p0, p1 := e.Proc(0), e.Proc(1)
 
 	a := NewGrowArray[int](func(i int) *int { v := i; return &v })
@@ -798,29 +797,110 @@ func TestInstrGrowArray(t *testing.T) {
 	if got := a.GetOrPut(p1, 3, &v); got == &v {
 		t.Fatal("GetOrPut on a published slot should adopt the winner")
 	}
-	if in.accesses[0][OpRead] != 1 || in.accesses[0][OpCAS] != 1 {
-		t.Errorf("p0 Get accesses = %v, want one read and one CAS", in.accesses[0])
+	if p0.KindCount(OpRead) != 1 || p0.KindCount(OpCAS) != 1 {
+		t.Errorf("p0 Get: reads=%d cas=%d, want one of each", p0.KindCount(OpRead), p0.KindCount(OpCAS))
 	}
 	// p1's GetOrPut found the slot taken on its read step: no CAS issued.
-	if in.accesses[1][OpRead] != 1 || in.accesses[1][OpCAS] != 0 {
-		t.Errorf("p1 GetOrPut accesses = %v, want one read and no CAS", in.accesses[1])
+	if p1.KindCount(OpRead) != 1 || p1.KindCount(OpCAS) != 0 {
+		t.Errorf("p1 GetOrPut: reads=%d cas=%d, want one read and no CAS", p1.KindCount(OpRead), p1.KindCount(OpCAS))
 	}
-	if len(in.fails[0]) != 0 || len(in.fails[1]) != 0 {
-		t.Errorf("sequential driving recorded fails: %v %v", in.fails[0], in.fails[1])
+	if e.CumulativeRMWFails() != 0 {
+		t.Fatalf("sequential driving lost %d races", e.CumulativeRMWFails())
+	}
+
+	// The losing publish: p1 finds slot 5 empty, p0 publishes it first.
+	slot := a.lookup(p1, 5)
+	won := a.Get(p0, 5)
+	if got := a.publish(p1, 5, slot, &v); got != won {
+		t.Fatal("a lost publish should adopt the winner")
+	}
+	if p1.KindCount(OpCAS) != 1 || p1.fails.Load() != 1 || p0.fails.Load() != 0 {
+		t.Errorf("lost publish: p1 cas=%d fails=%d, p0 fails=%d; want 1, 1, 0",
+			p1.KindCount(OpCAS), p1.fails.Load(), p0.fails.Load())
+	}
+	if e.CumulativeRMWFails() != 1 {
+		t.Errorf("env lost races = %d, want 1", e.CumulativeRMWFails())
 	}
 }
 
-// TestInstrRemoved checks SetInstr(nil) detaches the sink.
-func TestInstrRemoved(t *testing.T) {
-	e := NewEnv(1)
-	in := newCountingInstr()
-	e.SetInstr(in)
-	p := e.Proc(0)
+// TestCumulativeCountsLive reads the census while G processes hammer
+// contended primitives and reset their own counts: no total may ever
+// decrease, and once the processes stop the totals equal the exact number
+// of accesses and lost races they made.
+func TestCumulativeCountsLive(t *testing.T) {
+	const g, iters = 4, 2000
+	e := NewEnv(g)
 	r := NewCASReg(0)
-	r.Read(p)
-	e.SetInstr(nil)
-	r.Read(p)
-	if got := in.accesses[0][OpRead]; got != 1 {
-		t.Fatalf("after SetInstr(nil) the sink still saw accesses: %d", got)
+	tas := NewHardwareTAS()
+	ctr := NewFetchInc(0)
+	lostBy := make([]int64, g)
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for i := range g {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := e.Proc(i)
+			for it := range iters {
+				v := r.Read(p)
+				if !r.CompareAndSwap(p, v, v+1) {
+					lostBy[i]++
+				}
+				if tas.TestAndSet(p) != 0 {
+					lostBy[i]++
+				}
+				ctr.Inc(p)
+				if it%64 == 0 {
+					tas.Reset(p)
+					p.ResetCounters()
+				}
+			}
+		}()
 	}
+	var last [numKinds + 1]int64
+	polls := 0
+	poll := func() {
+		_, _, kinds := e.CumulativeCounts()
+		now := [numKinds + 1]int64{numKinds: e.CumulativeRMWFails()}
+		copy(now[:], kinds[:])
+		for k := range now {
+			if now[k] < last[k] {
+				t.Errorf("poll %d: census entry %d fell %d -> %d", polls, k, last[k], now[k])
+			}
+		}
+		last = now
+		polls++
+	}
+	go func() { wg.Wait(); close(done) }()
+	for live := true; live; {
+		select {
+		case <-done:
+			live = false
+		default:
+			poll()
+		}
+	}
+	poll()
+
+	const resets = (iters + 63) / 64
+	steps, rmws, kinds := e.CumulativeCounts()
+	want := [numKinds]int64{
+		OpRead:     g * iters,
+		OpWrite:    g * resets,
+		OpCAS:      g * iters,
+		OpTAS:      g * iters,
+		OpFetchInc: g * iters,
+	}
+	if kinds != want || steps != g*(4*iters+resets) || rmws != g*3*iters {
+		t.Errorf("final census steps=%d rmws=%d kinds=%v, want %d %d %v",
+			steps, rmws, kinds, g*(4*iters+resets), g*3*iters, want)
+	}
+	var wantLost int64
+	for _, l := range lostBy {
+		wantLost += l
+	}
+	if got := e.CumulativeRMWFails(); got != wantLost {
+		t.Errorf("final lost races = %d, want %d", got, wantLost)
+	}
+	t.Logf("%d polls, %d lost races", polls, wantLost)
 }

@@ -47,7 +47,7 @@ func (r *CASReg) CompareAndSwap(p *Proc, old, new int64) bool {
 	p.enter(OpCAS, &r.oid)
 	ok := r.v.CompareAndSwap(old, new)
 	if !ok {
-		p.rmwFail(OpCAS)
+		p.rmwFail()
 	}
 	return ok
 }
@@ -85,7 +85,7 @@ func (c *CASCell[T]) PutIfEmpty(p *Proc, v *T) (*T, bool) {
 	if c.v.CompareAndSwap(nil, v) {
 		return v, true
 	}
-	p.rmwFail(OpCAS)
+	p.rmwFail()
 	return c.v.Load(), false
 }
 
@@ -119,7 +119,7 @@ func (t *HardwareTAS) TestAndSet(p *Proc) int {
 	p.enter(OpTAS, &t.oid)
 	v := t.v.Swap(1)
 	if v != 0 {
-		p.rmwFail(OpTAS)
+		p.rmwFail()
 	}
 	return int(v)
 }

@@ -20,8 +20,9 @@
 // check function, the stop test (the deadline is read after the first
 // round and then every 64th), a reset — then wakes the others and runs its
 // own next body. Latencies go to per-worker log-bucketed stats.LatencyHist
-// shards; access and RMW-failure counts flow through a memory.Instr backend
-// into per-worker sharded obs counters, live-scrapable mid-run.
+// shards. Access, RMW and lost-race counts come from the memory layer's own
+// census of the environment; the closer folds them into obs counters when
+// it reads the clock, so they stay live-scrapable mid-run.
 //
 // Correctness coverage here is sampling, not verification: a spot-check
 // only judges the histories that actually happened. The exhaustive tiers
@@ -40,7 +41,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/linearize"
-	"repro/internal/memory"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/sched"
@@ -109,7 +109,7 @@ type Result struct {
 	WallMS    float64 `json:"wall_ms"`
 	OpsPerSec float64 `json:"ops_per_sec"`
 
-	// Memory-access census via the instrumented backend.
+	// Memory-access census of the run's environment.
 	Accesses int64 `json:"mem_accesses"`
 	RMWs     int64 `json:"mem_rmws"`
 	RMWFails int64 `json:"rmw_fails"`
@@ -153,26 +153,6 @@ func (r Result) FailRatio() float64 {
 		return 0
 	}
 	return float64(r.RMWFails) / float64(r.RMWs)
-}
-
-// instr is the memory.Instr backend: every access and lost RMW race lands
-// in a per-worker shard of a dynamic obs counter. Process ids double as
-// worker/shard ids — the driver runs process i on goroutine i.
-type instr struct {
-	accesses *obs.Counter
-	rmws     *obs.Counter
-	fails    *obs.Counter
-}
-
-func (in *instr) Access(proc int, kind memory.OpKind) {
-	in.accesses.Add(proc, 1)
-	if kind.IsRMW() {
-		in.rmws.Add(proc, 1)
-	}
-}
-
-func (in *instr) RMWFail(proc int, kind memory.OpKind) {
-	in.fails.Add(proc, 1)
 }
 
 // latShard is one worker's latency histogram. The mutex serializes the
@@ -239,17 +219,16 @@ func Run(cfg Config) (Result, error) {
 	}
 	opsC := m.Counter("stress_ops_total", "High-level scenario operations completed by stress workers.")
 	roundsC := m.Counter("stress_rounds_total", "Native concurrent executions (rounds) completed.")
-	in := &instr{
-		accesses: m.Counter("stress_mem_accesses_total", "Shared-memory accesses on the instrumented native path."),
-		rmws:     m.Counter("stress_mem_rmw_total", "RMW accesses (CAS/TAS/fetch-inc/swap attempts) on the native path."),
-		fails:    m.Counter("stress_rmw_fail_total", "RMW attempts that lost their race (failed CAS, lost TAS, taken cell)."),
+	memC := [3]*obs.Counter{
+		m.Counter("stress_mem_accesses_total", "Shared-memory accesses on the native path."),
+		m.Counter("stress_mem_rmw_total", "RMW accesses (CAS/TAS/fetch-inc/swap attempts) on the native path."),
+		m.Counter("stress_rmw_fail_total", "RMW attempts that lost their race (failed CAS, lost TAS, taken cell)."),
 	}
 	checksC := m.Counter("stress_check_rounds_total", "Rounds whose recorded history was spot-checked.")
 	checkFailC := m.Counter("stress_check_failures_total", "Spot-checked rounds whose history failed the scenario's check.")
 
 	// Counter start values: Result reports deltas for this run.
 	ops0 := opsC.Value()
-	acc0, rmw0, fail0 := in.accesses.Value(), in.rmws.Value(), in.fails.Value()
 	chk0, chkFail0 := checksC.Value(), checkFailC.Value()
 
 	lats := make([]latShard, n)
@@ -279,7 +258,22 @@ func Run(cfg Config) (Result, error) {
 	if reset == nil {
 		return Result{}, fmt.Errorf("stress: scenario %q: %w (rounds re-run one instance)", sc.Name, engine.ErrNilReset)
 	}
-	env.SetInstr(in)
+	// memAt is the env's memory census (accesses, RMWs, lost races) at the
+	// last fold; foldMem adds what it gained since to memC, on shard w. The
+	// census starts from whatever building the harness accessed.
+	readMem := func() [3]int64 {
+		acc, rmw, _ := env.CumulativeCounts()
+		return [3]int64{acc, rmw, env.CumulativeRMWFails()}
+	}
+	memAt := readMem()
+	mem0 := memAt
+	foldMem := func(w int) {
+		now := readMem()
+		for i, c := range memC {
+			c.Add(w, now[i]-memAt[i])
+		}
+		memAt = now
+	}
 
 	// Full-history verification: append each round's recorded operations
 	// from the scenario's trace source to a batch for the per-object JIT
@@ -343,7 +337,8 @@ func Run(cfg Config) (Result, error) {
 	// whose body returns last closes the round. The chain of decrements on
 	// pending orders every body of a round before its close, and the close's
 	// wake-ups order it before the next round. Arrival gaps use per-worker
-	// deterministic generators; latency is measured around the body only.
+	// deterministic generators; latency is measured around the body only,
+	// from two monotonic clock reads.
 	chans := make([]chan struct{}, n)
 	var pending atomic.Int64
 	var workersDone sync.WaitGroup
@@ -375,9 +370,15 @@ func Run(cfg Config) (Result, error) {
 				}
 			}
 		}
-		// The clock is read after the first round and then every 64th.
-		stop := cfg.MaxRounds > 0 && rounds >= cfg.MaxRounds ||
-			(rounds == 1 || rounds%64 == 0) && !time.Now().Before(deadline)
+		// The clock is read after the first round and then every 64th, and
+		// the memory census is folded into its counters on the same rounds.
+		stop := cfg.MaxRounds > 0 && rounds >= cfg.MaxRounds
+		if rounds == 1 || rounds%64 == 0 {
+			foldMem(w)
+			stop = stop || !time.Now().Before(deadline)
+		}
+		// After the fold, so a live scrape that sees ops sees their accesses.
+		opsC.Add(w, int64(n))
 		if !stop {
 			env.Reset() // recycle the environment for the next round
 			reset()
@@ -405,10 +406,9 @@ func Run(cfg Config) (Result, error) {
 					gap := time.Duration(rng.ExpFloat64() / cfg.Arrival * float64(time.Second))
 					time.Sleep(gap)
 				}
-				t0 := time.Now()
+				t0 := time.Since(start)
 				body(proc)
-				lats[w].add(time.Since(t0).Nanoseconds())
-				opsC.Add(w, 1)
+				lats[w].add((time.Since(start) - t0).Nanoseconds())
 				if pending.Add(-1) != 0 || !closeRound(w) {
 					_, ok = <-ch
 				}
@@ -420,6 +420,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	workersDone.Wait()
 	wall := time.Since(start)
+	foldMem(0)
 	if lc != nil {
 		if len(batch.ends) > 0 {
 			handOff() // the last, partial batch
@@ -443,9 +444,9 @@ func Run(cfg Config) (Result, error) {
 		Rounds:        rounds,
 		Ops:           opsC.Value() - ops0,
 		WallMS:        float64(wall.Nanoseconds()) / 1e6,
-		Accesses:      in.accesses.Value() - acc0,
-		RMWs:          in.rmws.Value() - rmw0,
-		RMWFails:      in.fails.Value() - fail0,
+		Accesses:      memAt[0] - mem0[0],
+		RMWs:          memAt[1] - mem0[1],
+		RMWFails:      memAt[2] - mem0[2],
 		P50:           merged.Quantile(0.50),
 		P90:           merged.Quantile(0.90),
 		P99:           merged.Quantile(0.99),

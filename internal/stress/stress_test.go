@@ -74,17 +74,48 @@ func TestRunA1(t *testing.T) {
 	if r.OpsPerSec <= 0 || r.WallMS <= 0 {
 		t.Errorf("throughput accounting missing: ops/sec=%v wall=%vms", r.OpsPerSec, r.WallMS)
 	}
-	// The live counters carry the same totals.
-	s := m.Snapshot()
-	if got := s.Counters["stress_ops_total"]; got != r.Ops {
-		t.Errorf("stress_ops_total = %d, want %d", got, r.Ops)
+	// The live counters carry the same totals, and a second run on the
+	// same Metrics adds its own.
+	wantCounters := func(rs ...Result) {
+		t.Helper()
+		var want Result
+		for _, r := range rs {
+			want.Ops += r.Ops
+			want.Accesses += r.Accesses
+			want.RMWs += r.RMWs
+			want.RMWFails += r.RMWFails
+		}
+		s := m.Snapshot()
+		for name, w := range map[string]int64{
+			"stress_ops_total":          want.Ops,
+			"stress_mem_accesses_total": want.Accesses,
+			"stress_mem_rmw_total":      want.RMWs,
+			"stress_rmw_fail_total":     want.RMWFails,
+		} {
+			if got := s.Counters[name]; got != w {
+				t.Errorf("after %d runs: %s = %d, want %d", len(rs), name, got, w)
+			}
+		}
+		if !strings.Contains(s.Prometheus(), "repro_stress_ops_total") {
+			t.Error("stress counters missing from Prometheus rendering")
+		}
 	}
-	if got := s.Counters["stress_rmw_fail_total"]; got != r.RMWFails {
-		t.Errorf("stress_rmw_fail_total = %d, want %d", got, r.RMWFails)
+	wantCounters(r)
+	r2, err := Run(Config{
+		Scenario:  mustScenario(t, "composed"),
+		G:         4,
+		Duration:  time.Minute,
+		MaxRounds: 100,
+		Seed:      2,
+		Metrics:   m,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(s.Prometheus(), "repro_stress_ops_total") {
-		t.Error("stress counters missing from Prometheus rendering")
+	if r2.Accesses < r2.Ops {
+		t.Errorf("second run: accesses = %d < ops = %d", r2.Accesses, r2.Ops)
 	}
+	wantCounters(r, r2)
 }
 
 // TestRunComposedLinearizeSpotCheck runs the composed TAS (linearize
@@ -296,7 +327,9 @@ func TestRunLincheckOff(t *testing.T) {
 // contract: each body sets its process's flag (and counts a stale flag,
 // left over from a round that was never reset), the check fails unless
 // every flag is set, and the reset clears the flags and counts its calls.
-// The flags are plain memory, so under -race any round that is checked or
+// Each body also takes exactly one shared-memory access, an RMW that never
+// loses, so the run's memory census is known exactly. The flags are plain
+// memory, so under -race any round that is checked or
 // reset before all of its bodies returned is also a reported race.
 func roundProbe(flags []bool, stale []int, resets *int) scenario.Scenario {
 	return scenario.Scenario{
@@ -304,9 +337,11 @@ func roundProbe(flags []bool, stale []int, resets *int) scenario.Scenario {
 		Params: scenario.Params{MinProcs: 1},
 		Build: func(n int, _ scenario.Options) (engine.Harness, scenario.Oracle) {
 			h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
+				ctr := memory.NewFetchInc(0)
 				bodies := make([]func(p *memory.Proc), n)
 				for i := range bodies {
-					bodies[i] = func(*memory.Proc) {
+					bodies[i] = func(p *memory.Proc) {
+						ctr.Inc(p)
 						if flags[i] {
 							stale[i]++
 						}
@@ -333,9 +368,9 @@ func roundProbe(flags []bool, stale []int, resets *int) scenario.Scenario {
 }
 
 // TestRunRoundContract: every round is quiescent when it is closed, a run
-// capped at k rounds performs exactly k rounds, G·k operations and k
-// checks with k−1 resets in between, and a run whose deadline has passed
-// stops after its first round.
+// capped at k rounds performs exactly k rounds, G·k operations, G·k memory
+// accesses and k checks with k−1 resets in between, and a run whose
+// deadline has passed stops after its first round.
 func TestRunRoundContract(t *testing.T) {
 	run := func(g, procs int, k int64, dur time.Duration) (Result, int) {
 		t.Helper()
@@ -365,6 +400,10 @@ func TestRunRoundContract(t *testing.T) {
 	for _, g := range []int{1, 3, 8} {
 		for _, procs := range []int{1, 2} {
 			r, resets := run(g, procs, k, time.Minute)
+			if r.Accesses != r.Ops || r.RMWs != r.Ops || r.RMWFails != 0 {
+				t.Errorf("g=%d procs=%d: census accesses=%d rmws=%d fails=%d, want %d, %d, 0",
+					g, procs, r.Accesses, r.RMWs, r.RMWFails, r.Ops, r.Ops)
+			}
 			if r.Rounds != k || r.Ops != int64(g)*k || r.Latency.N() != r.Ops || r.CheckRounds != k || resets != k-1 {
 				t.Errorf("g=%d procs=%d: rounds=%d ops=%d latency samples=%d checks=%d resets=%d, want %d, %d, %d, %d, %d",
 					g, procs, r.Rounds, r.Ops, r.Latency.N(), r.CheckRounds, resets, k, g*k, g*k, k, k-1)
