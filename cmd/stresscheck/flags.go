@@ -122,13 +122,12 @@ func pathContexts() map[runPath]string {
 
 // validateFlags checks every table rule against the resolved path, then
 // the cross-flag dependencies the per-flag table cannot express: the JIT
-// checker budget knobs only mean something when a streaming lincheck mode
-// is selected.
+// checker budget knobs only mean something under -lincheck online.
 func validateFlags(f *cliFlags, path runPath, contexts map[runPath]string) error {
 	if err := cliflags.Validate(f, path, flagRules(), contexts); err != nil {
 		return err
 	}
-	if f.lincheck != "online" && f.lincheck != "post" {
+	if f.lincheck != "online" {
 		for _, dep := range []struct {
 			name string
 			set  bool
@@ -138,7 +137,7 @@ func validateFlags(f *cliFlags, path runPath, contexts map[runPath]string) error
 			{"-lin-max-ops", f.linMaxOps != 0},
 		} {
 			if dep.set {
-				return fmt.Errorf("%s requires -lincheck online or post (got -lincheck %s)", dep.name, f.lincheck)
+				return fmt.Errorf("%s requires -lincheck online (got -lincheck %s)", dep.name, f.lincheck)
 			}
 		}
 	}

@@ -35,12 +35,12 @@ var setters = map[string]func(f *cliFlags){
 	"-max-rounds":  func(f *cliFlags) { f.maxRounds = 100 },
 	"-seed":        func(f *cliFlags) { f.seed = defSeed + 1 },
 	"-lincheck":    func(f *cliFlags) { f.lincheck = "online" },
-	// The budget knobs are only coherent alongside a streaming mode, so
-	// their setters select one too (both flags are allowed on every path,
+	// The budget knobs are only coherent alongside -lincheck online, so
+	// their setters select it too (both flags are allowed on every path,
 	// so the extra firing rule cannot change any verdict).
 	"-lin-window":      func(f *cliFlags) { f.linWindow = 4096; f.lincheck = "online" },
-	"-lin-max-configs": func(f *cliFlags) { f.linMaxConfigs = 1 << 20; f.lincheck = "post" },
-	"-lin-max-ops":     func(f *cliFlags) { f.linMaxOps = 1 << 20; f.lincheck = "post" },
+	"-lin-max-configs": func(f *cliFlags) { f.linMaxConfigs = 1 << 20; f.lincheck = "online" },
+	"-lin-max-ops":     func(f *cliFlags) { f.linMaxOps = 1 << 20; f.lincheck = "online" },
 	"-json":            func(f *cliFlags) { f.jsonOut = true },
 	"-events":          func(f *cliFlags) { f.events = "events.jsonl" },
 	"-debug-addr":      func(f *cliFlags) { f.debugAddr = "localhost:0" },
@@ -127,7 +127,7 @@ func TestFlagContextWording(t *testing.T) {
 }
 
 // TestLincheckCrossFlagDeps pins the cross-flag dependency the per-flag
-// table cannot express: the JIT budget knobs demand a streaming mode.
+// table cannot express: the JIT budget knobs demand -lincheck online.
 func TestLincheckCrossFlagDeps(t *testing.T) {
 	contexts := pathContexts()
 	knobs := map[string]func(f *cliFlags){
@@ -145,17 +145,15 @@ func TestLincheckCrossFlagDeps(t *testing.T) {
 				t.Errorf("%s with -lincheck %s: silently accepted", name, mode)
 				continue
 			}
-			if !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "online or post") {
+			if !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "requires -lincheck online") {
 				t.Errorf("%s with -lincheck %s: rejection lost its hint: %v", name, mode, err)
 			}
 		}
-		for _, mode := range []string{"online", "post"} {
-			f := defaultFlags()
-			f.lincheck = mode
-			set(f)
-			if err := validateFlags(f, pathStress, contexts); err != nil {
-				t.Errorf("%s with -lincheck %s: unexpectedly rejected: %v", name, mode, err)
-			}
+		f := defaultFlags()
+		f.lincheck = "online"
+		set(f)
+		if err := validateFlags(f, pathStress, contexts); err != nil {
+			t.Errorf("%s with -lincheck online: unexpectedly rejected: %v", name, err)
 		}
 	}
 }

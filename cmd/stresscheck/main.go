@@ -54,10 +54,10 @@ func main() {
 	checkEvery := flag.Int("check-every", defCheckEvery, "spot-check the recorded history every Nth round (-1 = never)")
 	maxRounds := flag.Int64("max-rounds", 0, "additionally cap rounds per point (0 = duration only; the deterministic-workload knob)")
 	seed := flag.Int64("seed", defSeed, "seed for the arrival-gap generators")
-	lincheck := flag.String("lincheck", defLincheck, "linearizability tier: spot (sampled spot-checks), off, online (stream every round's history through the JIT checker during the run), post (record and verify after the run)")
-	linWindow := flag.Int("lin-window", 0, "JIT checker window: max resident ops between quiescent cuts (0 = checker default; needs -lincheck online/post)")
-	linMaxConfigs := flag.Int("lin-max-configs", 0, "JIT checker per-segment configuration budget (0 = checker default; needs -lincheck online/post)")
-	linMaxOps := flag.Int64("lin-max-ops", 0, "cap the operations fed to the checker, later rounds run unverified (0 = unlimited; needs -lincheck online/post)")
+	lincheck := flag.String("lincheck", defLincheck, "linearizability tier: spot (sampled spot-checks), off, online (stream every round's history through the JIT checker during the run)")
+	linWindow := flag.Int("lin-window", 0, "JIT checker window: max resident ops between quiescent cuts (0 = checker default; needs -lincheck online)")
+	linMaxConfigs := flag.Int("lin-max-configs", 0, "JIT checker per-segment configuration budget (0 = checker default; needs -lincheck online)")
+	linMaxOps := flag.Int64("lin-max-ops", 0, "cap the operations fed to the checker, later rounds run unverified (0 = unlimited; needs -lincheck online)")
 	jsonOut := flag.Bool("json", false, "print the sweep results as one JSON array instead of the scaling table")
 	events := flag.String("events", "", "write sweep lifecycle events to this file as JSON lines")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics (Prometheus), /statusz (JSON) and /debug/pprof on this address for the run's duration")
@@ -182,8 +182,8 @@ func main() {
 	os.Exit(verdict(sc, results))
 }
 
-// verdict maps the correctness tally — spot-checks and, in the streaming
-// lincheck modes, full-history verification — to the exit code: a normal
+// verdict maps the correctness tally — spot-checks and, under -lincheck
+// online, full-history verification — to the exit code: a normal
 // scenario must never fail either; a planted-bug scenario is expected to
 // be caught (though native scheduling may not hit the buggy window in a
 // short run — only an actual observed failure counts either way). A

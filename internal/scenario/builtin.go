@@ -41,7 +41,7 @@ func init() {
 		Name:        "composed",
 		Description: "the composed one-shot TAS (A1 backed by A2, Figure 1): wait-free, unique winner, linearizable (Lemma 7)",
 		Params:      Params{Crashes: true, Fingerprints: true},
-		Build:       buildComposed,
+		Build:       buildOneShot(false),
 	})
 	Register(Scenario{
 		Name:        "fai",
@@ -89,7 +89,7 @@ func init() {
 		Name:        "quickstart",
 		Description: "the examples/quickstart workload: n processes race the composed one-shot TAS, module usage recorded",
 		Params:      Params{Crashes: true, Fingerprints: true, DefaultProcs: 3},
-		Build:       buildQuickstart,
+		Build:       buildOneShot(true),
 	})
 	Register(Scenario{
 		Name:        "biasedlock",
@@ -120,14 +120,6 @@ func init() {
 // tasOracle is the linearize oracle shared by the TAS-shaped scenarios.
 var tasOracle = Oracle{Kind: OracleLinearize, Type: spec.TASType{}}
 
-// stampFromSchedule wires a recorder's event stamps to the environment's
-// schedule-derived per-process clocks (memory.Proc.EventStamp) instead of
-// the recorder's wall-order counter. The resulting traces depend only on
-// the scheduler's choice sequence.
-func stampFromSchedule(rec *trace.Recorder, env *memory.Env) {
-	rec.SetStampSource(func(proc int) int64 { return env.Proc(proc).EventStamp() })
-}
-
 // buildA1 builds the A1-only harness: one TAS invocation per process,
 // Lemma 4's safety (at most one winner), crash-mode liveness, and
 // linearizability of the invoke/commit projection; withDef2 additionally
@@ -138,87 +130,35 @@ func buildA1(withDef2 bool) func(n int, opts Options) (engine.Harness, Oracle) {
 		if withDef2 {
 			oracle = Oracle{Kind: OracleInvariant, Invariant: "definition-2"}
 		}
-		h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
-			env := memory.NewEnv(n)
+		return harness(n, opts, func(env *memory.Env) instance {
 			a1 := tas.NewA1()
 			env.Register(a1)
-			rec := trace.NewRecorder(n)
-			stampFromSchedule(rec, env)
-			bodies := make([]func(p *memory.Proc), n)
-			for i := 0; i < n; i++ {
-				i := i
-				bodies[i] = func(p *memory.Proc) {
-					m := spec.Request{ID: int64(i + 1), Proc: i, Op: spec.OpTAS}
-					rec.RecordInvoke(i, m)
-					out, resp, sv := a1.Invoke(p, m, nil)
-					if out == core.Committed {
-						rec.RecordCommit(i, m, resp, "A1")
-					} else {
-						rec.RecordAbort(i, m, sv, "A1")
-					}
+			log := newOpLog(env, 1)
+			body := func(p *memory.Proc) {
+				m := log.invoke(p.ID(), 0, spec.OpTAS, 0)
+				out, resp, sv := a1.Invoke(p, *m, nil)
+				if out == core.Committed {
+					log.commit(m, resp, nil, "A1")
+				} else {
+					log.abort(m, sv, "A1")
 				}
 			}
-			var ops []trace.Op // the check's history buffer, reused across executions
 			check := func(res *sched.Result) error {
-				ops = rec.AppendOps(ops[:0])
+				ops := log.history()
 				if err := uniqueWinner(ops, false); err != nil {
 					return err
-				}
-				if opts.Crashes {
-					if err := survivorsFinished(res); err != nil {
-						return err
-					}
 				}
 				if err := tasOracle.Check(ops); err != nil {
 					return err
 				}
 				if withDef2 {
-					return core.CheckDefinition2(spec.TASType{}, tas.MConstraint{}, rec.Events())
+					return core.CheckDefinition2(spec.TASType{}, tas.MConstraint{}, log.events())
 				}
 				return nil
 			}
-			return env, bodies, check, rec.Reset
-		}
-		return h, oracle
+			return instance{body, check, log.reset}
+		}), oracle
 	}
-}
-
-// buildComposed builds the composed one-shot TAS harness: the A1→A2
-// composition is wait-free, so without crashes exactly one process must
-// win; the recorded trace must linearize as a test-and-set.
-func buildComposed(n int, opts Options) (engine.Harness, Oracle) {
-	h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
-		env := memory.NewEnv(n)
-		o := tas.NewOneShot()
-		env.Register(o)
-		rec := trace.NewRecorder(n)
-		stampFromSchedule(rec, env)
-		bodies := make([]func(p *memory.Proc), n)
-		for i := 0; i < n; i++ {
-			i := i
-			bodies[i] = func(p *memory.Proc) {
-				m := spec.Request{ID: int64(i + 1), Proc: i, Op: spec.OpTAS}
-				rec.RecordInvoke(i, m)
-				v := o.TestAndSet(p)
-				rec.RecordCommit(i, m, v, "")
-			}
-		}
-		var ops []trace.Op // the check's history buffer, reused across executions
-		check := func(res *sched.Result) error {
-			ops = rec.AppendOps(ops[:0])
-			if err := uniqueWinner(ops, !opts.Crashes); err != nil {
-				return err
-			}
-			if opts.Crashes {
-				if err := survivorsFinished(res); err != nil {
-					return err
-				}
-			}
-			return tasOracle.Check(ops)
-		}
-		return env, bodies, check, rec.Reset
-	}
-	return h, tasOracle
 }
 
 // moduleLabels are the trace labels of the two modules of the one-shot
@@ -226,57 +166,51 @@ func buildComposed(n int, opts Options) (engine.Harness, Oracle) {
 // commit formats nothing.
 var moduleLabels = [2]string{"module0", "module1"}
 
-// buildQuickstart is the examples/quickstart workload as a checkable
-// scenario: the composed race with per-module accounting — every completed
-// operation must have been served by one of the two modules, and the
-// composition's TAS semantics must hold.
-func buildQuickstart(n int, opts Options) (engine.Harness, Oracle) {
-	h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
-		env := memory.NewEnv(n)
-		o := tas.NewOneShot()
-		env.Register(o)
-		rec := trace.NewRecorder(n)
-		stampFromSchedule(rec, env)
-		modules := make([]int, n)
-		bodies := make([]func(p *memory.Proc), n)
-		for i := 0; i < n; i++ {
-			i := i
-			bodies[i] = func(p *memory.Proc) {
-				m := spec.Request{ID: int64(i + 1), Proc: i, Op: spec.OpTAS}
-				rec.RecordInvoke(i, m)
+// moduleLabel is the trace label of module; only an impossible module,
+// which the quickstart check rejects, gets a formatted one.
+func moduleLabel(module int) string {
+	if module == 0 || module == 1 {
+		return moduleLabels[module]
+	}
+	return fmt.Sprintf("module%d", module)
+}
+
+// buildOneShot builds the composed one-shot TAS harness: the A1→A2
+// composition is wait-free, so without crashes exactly one process must
+// win; the recorded trace must linearize as a test-and-set. withModules
+// makes it the examples/quickstart workload: each commit is labeled with
+// the module that served it, and every committed operation must have been
+// served by one of the two.
+func buildOneShot(withModules bool) func(n int, opts Options) (engine.Harness, Oracle) {
+	return func(n int, opts Options) (engine.Harness, Oracle) {
+		return harness(n, opts, func(env *memory.Env) instance {
+			o := tas.NewOneShot()
+			env.Register(o)
+			log := newOpLog(env, 1)
+			body := func(p *memory.Proc) {
+				m := log.invoke(p.ID(), 0, spec.OpTAS, 0)
 				v, module := o.TestAndSetTraced(p)
-				modules[i] = module
-				rec.RecordCommit(i, m, v, moduleLabels[module])
-			}
-		}
-		var ops []trace.Op // the check's history buffer, reused across executions
-		check := func(res *sched.Result) error {
-			for i := range modules {
-				if !res.Finished[i] {
-					continue
+				label := ""
+				if withModules {
+					label = moduleLabel(module)
 				}
-				if modules[i] != 0 && modules[i] != 1 {
-					return fmt.Errorf("proc %d served by impossible module %d", i, modules[i])
+				log.commit(m, v, nil, label)
+			}
+			check := func(res *sched.Result) error {
+				ops := log.history()
+				for _, op := range ops {
+					if withModules && op.Committed() && op.Module != moduleLabels[0] && op.Module != moduleLabels[1] {
+						return fmt.Errorf("proc %d served by impossible module %s", op.Proc, op.Module)
+					}
 				}
-			}
-			ops = rec.AppendOps(ops[:0])
-			if err := uniqueWinner(ops, !opts.Crashes); err != nil {
-				return err
-			}
-			if opts.Crashes {
-				if err := survivorsFinished(res); err != nil {
+				if err := uniqueWinner(ops, !opts.Crashes); err != nil {
 					return err
 				}
+				return tasOracle.Check(ops)
 			}
-			return tasOracle.Check(ops)
-		}
-		reset := func() {
-			rec.Reset()
-			clear(modules)
-		}
-		return env, bodies, check, reset
+			return instance{body, check, log.reset}
+		}), tasOracle
 	}
-	return h, tasOracle
 }
 
 // buildTASFAI builds the two-object composition the compositional
@@ -284,43 +218,31 @@ func buildQuickstart(n int, opts Options) (engine.Harness, Oracle) {
 // one-shot TAS once (module "tas") and then takes two tickets from a
 // hardware fetch-and-increment counter (module "fai"). Each per-module
 // projection must linearize against its own sequential type — the
-// P-compositionality form of Theorem 3 — and the harness exposes its
-// recorder through the environment so streaming harnesses (the stress
-// driver's -lincheck sidecar) can drain history round by round.
+// P-compositionality form of Theorem 3.
 func buildTASFAI(n int, opts Options) (engine.Harness, Oracle) {
 	oracle := Oracle{Kind: OracleLinearize, Objects: map[string]spec.Type{
 		"tas": spec.TASType{},
 		"fai": spec.FetchIncType{},
 	}}
-	h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
-		env := memory.NewEnv(n)
+	return harness(n, opts, func(env *memory.Env) instance {
 		o := tas.NewOneShot()
 		c := memory.NewFetchInc(0)
 		env.Register(o, c)
-		rec := trace.NewRecorder(n)
-		stampFromSchedule(rec, env)
-		env.SetHistorySource(trace.Source(rec.AppendOps))
-		bodies := make([]func(p *memory.Proc), n)
-		for i := 0; i < n; i++ {
-			i := i
-			bodies[i] = func(p *memory.Proc) {
-				m := spec.Request{ID: int64(3*i + 1), Proc: i, Op: spec.OpTAS}
-				rec.RecordInvoke(i, m)
-				v := o.TestAndSet(p)
-				rec.RecordCommit(i, m, v, "tas")
-				for k := int64(2); k <= 3; k++ {
-					m := spec.Request{ID: int64(3*i) + k, Proc: i, Op: spec.OpInc}
-					rec.RecordInvoke(i, m)
-					// Inc returns the post-increment value; the sequential
-					// fetch-and-increment spec responds with the value fetched.
-					t := c.Inc(p) - 1
-					rec.RecordCommit(i, m, t, "fai")
-				}
+		log := newOpLog(env, 3)
+		body := func(p *memory.Proc) {
+			i := p.ID()
+			m := log.invoke(i, 0, spec.OpTAS, 0)
+			log.commit(m, o.TestAndSet(p), nil, "tas")
+			for k := 1; k <= 2; k++ {
+				m := log.invoke(i, k, spec.OpInc, 0)
+				// Inc returns the post-increment value; the sequential
+				// fetch-and-increment spec responds with the value fetched.
+				log.commit(m, c.Inc(p)-1, nil, "fai")
 			}
 		}
-		var ops, tasOps []trace.Op // the check's history buffers, reused across executions
+		var tasOps []trace.Op // the TAS projection's buffer, reused across executions
 		check := func(res *sched.Result) error {
-			ops = rec.AppendOps(ops[:0])
+			ops := log.history()
 			// The winner invariant is about the TAS object alone: the fai
 			// ticket 0 is a legitimate zero response, not a win.
 			tasOps = tasOps[:0]
@@ -334,9 +256,8 @@ func buildTASFAI(n int, opts Options) (engine.Harness, Oracle) {
 			}
 			return oracle.Check(ops)
 		}
-		return env, bodies, check, rec.Reset
-	}
-	return h, oracle
+		return instance{body, check, log.reset}
+	}), oracle
 }
 
 // buildFAI builds the speculative fetch-and-increment harness: two tickets
@@ -344,28 +265,18 @@ func buildTASFAI(n int, opts Options) (engine.Harness, Oracle) {
 // be globally unique and strictly increasing per process (crashed
 // processes simply record fewer tickets).
 func buildFAI(n int, opts Options) (engine.Harness, Oracle) {
-	oracle := Oracle{Kind: OracleInvariant, Invariant: "unique-tickets"}
-	h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
-		env := memory.NewEnv(n)
+	return harness(n, opts, func(env *memory.Env) instance {
 		s := tas.NewSpecFetchInc()
 		env.Register(s)
 		tickets := make([][]int64, n)
-		bodies := make([]func(p *memory.Proc), n)
-		for i := 0; i < n; i++ {
-			i := i
-			bodies[i] = func(p *memory.Proc) {
-				for k := 0; k < 2; k++ {
-					tk, _ := s.Inc(p)
-					tickets[i] = append(tickets[i], tk)
-				}
+		body := func(p *memory.Proc) {
+			i := p.ID()
+			for range 2 {
+				tk, _ := s.Inc(p)
+				tickets[i] = append(tickets[i], tk)
 			}
 		}
 		check := func(res *sched.Result) error {
-			if opts.Crashes {
-				if err := survivorsFinished(res); err != nil {
-					return err
-				}
-			}
 			seen := map[int64]bool{}
 			for i := range tickets {
 				prev := int64(-1)
@@ -387,38 +298,33 @@ func buildFAI(n int, opts Options) (engine.Harness, Oracle) {
 				tickets[i] = tickets[i][:0]
 			}
 		}
-		return env, bodies, check, reset
-	}
-	return h, oracle
+		return instance{body, check, reset}
+	}), Oracle{Kind: OracleInvariant, Invariant: "unique-tickets"}
 }
 
 // mutexOracle is the invariant shared by the long-lived lock-shaped
 // scenarios: acquire/release intervals of different processes are disjoint.
 var mutexOracle = Oracle{Kind: OracleInvariant, Invariant: "mutual-exclusion"}
 
-// lockBodies builds bodies where process i performs cycles[i]
-// acquire/release attempts on the long-lived TAS, stamping each successful
-// hold with the process's schedule-derived logical clock (stamps are taken
-// in the holder's ungated window, so they are consistent with the
-// controlled interleaving and a function of the schedule alone). A hold is
-// stamped on both sides of its reset; holdsDisjoint says which stamp closes
-// it on which clock.
-func lockBodies(ll *tas.LongLived, cycles []int, holds [][]hold) []func(p *memory.Proc) {
-	bodies := make([]func(p *memory.Proc), len(cycles))
-	for i := range cycles {
-		i := i
-		bodies[i] = func(p *memory.Proc) {
-			for k := 0; k < cycles[i]; k++ {
-				if ll.TestAndSet(p) == spec.Winner {
-					acq, pre := p.EventStamp(), p.EventStamp()
-					holds[i] = append(holds[i], hold{acq: acq, pre: pre})
-					ll.Reset(p)
-					holds[i][len(holds[i])-1].rel = p.EventStamp()
-				}
+// lockBody is the body of process i performing cycles[i] acquire/release
+// attempts on the long-lived TAS, stamping each successful hold with the
+// process's schedule-derived logical clock (stamps are taken in the
+// holder's ungated window, so they are consistent with the controlled
+// interleaving and a function of the schedule alone). A hold is stamped on
+// both sides of its reset; holdsDisjoint says which stamp closes it on
+// which clock.
+func lockBody(ll *tas.LongLived, cycles []int, holds [][]hold) func(p *memory.Proc) {
+	return func(p *memory.Proc) {
+		i := p.ID()
+		for range cycles[i] {
+			if ll.TestAndSet(p) == spec.Winner {
+				acq, pre := p.EventStamp(), p.EventStamp()
+				holds[i] = append(holds[i], hold{acq: acq, pre: pre})
+				ll.Reset(p)
+				holds[i][len(holds[i])-1].rel = p.EventStamp()
 			}
 		}
 	}
-	return bodies
 }
 
 // symmetricCycles gives every process the same number of acquire/release
@@ -489,18 +395,11 @@ func buildLeaderElection(n int, opts Options) (engine.Harness, Oracle) {
 // invariant evaluated after the hold-disjointness check.
 func buildLockScenario(n int, opts Options, oracle Oracle, mkCycles func(n int) []int,
 	extra func(ll *tas.LongLived, env *memory.Env, holds [][]hold) error) (engine.Harness, Oracle) {
-	h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
-		env := memory.NewEnv(n)
+	return harness(n, opts, func(env *memory.Env) instance {
 		ll := tas.NewLongLived(n)
 		env.Register(ll)
 		holds := make([][]hold, n)
-		bodies := lockBodies(ll, mkCycles(n), holds)
 		check := func(res *sched.Result) error {
-			if opts.Crashes {
-				if err := survivorsFinished(res); err != nil {
-					return err
-				}
-			}
 			// Only a gated execution has a schedule; the stress tier's
 			// synthetic result carries none.
 			if err := holdsDisjoint(holds, res.Schedule != nil); err != nil {
@@ -516,29 +415,23 @@ func buildLockScenario(n int, opts Options, oracle Oracle, mkCycles func(n int) 
 				holds[i] = holds[i][:0]
 			}
 		}
-		return env, bodies, check, reset
-	}
-	return h, oracle
+		return instance{lockBody(ll, mkCycles(n), holds), check, reset}
+	}), oracle
 }
 
 // buildConsensus builds the SplitConsensus harness: every process proposes
 // a distinct value; committed values must agree, be someone's proposal, and
 // never coexist with a ⊥-abort (an abort with ⊥ certifies the instance
 // never commits).
-func buildConsensus(n int, _ Options) (engine.Harness, Oracle) {
-	oracle := Oracle{Kind: OracleInvariant, Invariant: "agreement"}
-	h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
-		env := memory.NewEnv(n)
+func buildConsensus(n int, opts Options) (engine.Harness, Oracle) {
+	return harness(n, opts, func(env *memory.Env) instance {
 		c := consensus.NewSplitConsensus()
 		env.Register(c)
 		outs := make([]consensus.Outcome, n)
 		vals := make([]int64, n)
-		bodies := make([]func(p *memory.Proc), n)
-		for i := 0; i < n; i++ {
-			i := i
-			bodies[i] = func(p *memory.Proc) {
-				outs[i], vals[i] = c.Propose(p, consensus.Bottom, int64(10*(i+1)))
-			}
+		body := func(p *memory.Proc) {
+			i := p.ID()
+			outs[i], vals[i] = c.Propose(p, consensus.Bottom, int64(10*(i+1)))
 		}
 		check := func(res *sched.Result) error {
 			var committed []int64
@@ -572,9 +465,8 @@ func buildConsensus(n int, _ Options) (engine.Harness, Oracle) {
 			clear(outs)
 			clear(vals)
 		}
-		return env, bodies, check, reset
-	}
-	return h, oracle
+		return instance{body, check, reset}
+	}), Oracle{Kind: OracleInvariant, Invariant: "agreement"}
 }
 
 // buildSnapshot builds the atomic-snapshot harness: process 0 updates its
@@ -582,31 +474,23 @@ func buildConsensus(n int, _ Options) (engine.Harness, Oracle) {
 // monotone), remaining processes update their components once; every
 // observed value must be in its component's written domain.
 func buildSnapshot(n int, opts Options) (engine.Harness, Oracle) {
-	oracle := Oracle{Kind: OracleInvariant, Invariant: "monotone-scans"}
-	h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
-		env := memory.NewEnv(n)
+	return harness(n, opts, func(env *memory.Env) instance {
 		s := snapshot.New(n, int64(0))
 		env.Register(s)
 		var v1, v2 []int64
-		bodies := make([]func(p *memory.Proc), n)
-		bodies[0] = func(p *memory.Proc) {
-			s.Update(p, 0, 1)
-			s.Update(p, 0, 2)
-		}
-		bodies[1] = func(p *memory.Proc) {
-			v1 = s.Scan(p)
-			v2 = s.Scan(p)
-		}
-		for i := 2; i < n; i++ {
-			i := i
-			bodies[i] = func(p *memory.Proc) { s.Update(p, i, 1) }
+		body := func(p *memory.Proc) {
+			switch i := p.ID(); i {
+			case 0:
+				s.Update(p, 0, 1)
+				s.Update(p, 0, 2)
+			case 1:
+				v1 = s.Scan(p)
+				v2 = s.Scan(p)
+			default:
+				s.Update(p, i, 1)
+			}
 		}
 		check := func(res *sched.Result) error {
-			if opts.Crashes {
-				if err := survivorsFinished(res); err != nil {
-					return err
-				}
-			}
 			for _, view := range [][]int64{v1, v2} {
 				if view == nil {
 					continue // scanner crashed before completing this scan
@@ -633,32 +517,19 @@ func buildSnapshot(n int, opts Options) (engine.Harness, Oracle) {
 			}
 			return nil
 		}
-		reset := func() { v1, v2 = nil, nil }
-		return env, bodies, check, reset
-	}
-	return h, oracle
+		return instance{body, check, func() { v1, v2 = nil, nil }}
+	}), Oracle{Kind: OracleInvariant, Invariant: "monotone-scans"}
 }
 
 // buildSplitter builds the splitter harness: every process acquires once;
 // among processes that completed, at most one may obtain Stop.
 func buildSplitter(n int, opts Options) (engine.Harness, Oracle) {
-	oracle := Oracle{Kind: OracleInvariant, Invariant: "at-most-one-stop"}
-	h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
-		env := memory.NewEnv(n)
+	return harness(n, opts, func(env *memory.Env) instance {
 		s := splitter.New()
 		env.Register(s)
 		got := make([]splitter.Outcome, n)
-		bodies := make([]func(p *memory.Proc), n)
-		for i := 0; i < n; i++ {
-			i := i
-			bodies[i] = func(p *memory.Proc) { got[i] = s.Get(p) }
-		}
+		body := func(p *memory.Proc) { got[p.ID()] = s.Get(p) }
 		check := func(res *sched.Result) error {
-			if opts.Crashes {
-				if err := survivorsFinished(res); err != nil {
-					return err
-				}
-			}
 			stops := 0
 			for i := range got {
 				if res.Finished[i] && got[i] == splitter.Stop {
@@ -670,24 +541,21 @@ func buildSplitter(n int, opts Options) (engine.Harness, Oracle) {
 			}
 			return nil
 		}
-		reset := func() { clear(got) }
-		return env, bodies, check, reset
-	}
-	return h, oracle
+		return instance{body, check, func() { clear(got) }}
+	}), Oracle{Kind: OracleInvariant, Invariant: "at-most-one-stop"}
 }
 
 // buildUniversal is the shared universal-construction harness: opsPer
-// requests per process (the k-th chosen by mkReq) through a
-// contention-free stage ordered by SplitConsensus backed by a CAS-ordered
-// wait-free stage. The recorded Abstract trace must satisfy Definition 1
-// and the committed projection must linearize against the oracle's type.
-// The construction materializes consensus instances and registry slots at
-// schedule-dependent times; Object.ResetState discards them, so a reset
-// instance re-creates them exactly as a fresh one would.
-func buildUniversal(oracle Oracle, opsPer int, mkReq func(i, k, n int) spec.Request) func(n int, _ Options) (engine.Harness, Oracle) {
-	return func(n int, _ Options) (engine.Harness, Oracle) {
-		h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
-			env := memory.NewEnv(n)
+// requests per process (the k-th's operation and argument chosen by mkReq)
+// through a contention-free stage ordered by SplitConsensus backed by a
+// CAS-ordered wait-free stage. The recorded Abstract trace must satisfy
+// Definition 1 and its invoke/commit projection must linearize against the
+// oracle's type. The construction materializes consensus instances and
+// registry slots at schedule-dependent times; Object.ResetState discards
+// them, so a reset instance re-creates them exactly as a fresh one would.
+func buildUniversal(oracle Oracle, opsPer int, mkReq func(i, k, n int) (op string, arg int64)) func(n int, opts Options) (engine.Harness, Oracle) {
+	return func(n int, opts Options) (engine.Harness, Oracle) {
+		return harness(n, opts, func(env *memory.Env) instance {
 			o := abstract.NewObject(oracle.Type, n,
 				abstract.StageSpec{Name: "contention-free", MkCons: func(int) consensus.Abortable {
 					return consensus.NewSplitConsensus()
@@ -697,40 +565,29 @@ func buildUniversal(oracle Oracle, opsPer int, mkReq func(i, k, n int) spec.Requ
 				}},
 			)
 			env.Register(o)
-			rec := trace.NewRecorder(n)
-			stampFromSchedule(rec, env)
-			bodies := make([]func(p *memory.Proc), n)
-			for i := 0; i < n; i++ {
-				i := i
-				bodies[i] = func(p *memory.Proc) {
-					for k := 0; k < opsPer; k++ {
-						m := mkReq(i, k, n)
-						rec.RecordInvoke(i, m)
-						out, resp, hist, stage := o.Invoke(p, m)
-						mod := fmt.Sprintf("stage%d", stage)
-						if out == abstract.Commit {
-							rec.RecordCommitSV(i, m, resp, hist, mod)
-						} else {
-							rec.RecordAbort(i, m, hist, mod)
-						}
+			log := newOpLog(env, opsPer)
+			body := func(p *memory.Proc) {
+				i := p.ID()
+				for k := range opsPer {
+					op, arg := mkReq(i, k, n)
+					m := log.invoke(i, k, op, arg)
+					out, resp, hist, stage := o.Invoke(p, *m)
+					mod := fmt.Sprintf("stage%d", stage)
+					if out == abstract.Commit {
+						log.commit(m, resp, hist, mod)
+					} else {
+						log.abort(m, hist, mod)
 					}
 				}
 			}
 			check := func(res *sched.Result) error {
-				if err := abstract.CheckTrace(rec.Events()); err != nil {
+				if err := abstract.CheckTrace(log.events()); err != nil {
 					return err
 				}
-				var committed []trace.Op
-				for _, op := range rec.Ops() {
-					if op.Committed() {
-						committed = append(committed, op)
-					}
-				}
-				return oracle.Check(committed)
+				return oracle.Check(log.history())
 			}
-			return env, bodies, check, rec.Reset
-		}
-		return h, oracle
+			return instance{body, check, log.reset}
+		}), oracle
 	}
 }
 
@@ -738,9 +595,7 @@ func buildUniversal(oracle Oracle, opsPer int, mkReq func(i, k, n int) spec.Requ
 // increment per process.
 var buildAbstract = buildUniversal(
 	Oracle{Kind: OracleLinearize, Type: spec.FetchIncType{}}, 1,
-	func(i, _, _ int) spec.Request {
-		return spec.Request{ID: int64(i + 1), Proc: i, Op: spec.OpInc}
-	})
+	func(_, _, _ int) (string, int64) { return spec.OpInc, 0 })
 
 // universalQueueOps is the per-process operation count of the queue
 // scenario: two, so producers issue *sequences* of enqueues and the
@@ -755,12 +610,11 @@ const universalQueueOps = 2
 // queue linearizability (Theorem 3 projection).
 var buildUniversalQueue = buildUniversal(
 	Oracle{Kind: OracleLinearize, Type: spec.QueueType{}}, universalQueueOps,
-	func(i, k, n int) spec.Request {
-		id := int64(i*universalQueueOps + k + 1)
+	func(i, k, n int) (string, int64) {
 		if i < (n+1)/2 {
-			return spec.Request{ID: id, Proc: i, Op: spec.OpEnq, Arg: int64(100 + i*10 + k)}
+			return spec.OpEnq, int64(100 + i*10 + k)
 		}
-		return spec.Request{ID: id, Proc: i, Op: spec.OpDeq}
+		return spec.OpDeq, 0
 	})
 
 // handoffBugWarmup and handoffBugGap size the registered planted-bug

@@ -54,9 +54,7 @@ func genTASTree(name string, seed int64, arity, depth int) Scenario {
 		nodes += width
 	}
 	build := func(n int, opts Options) (engine.Harness, Oracle) {
-		oracle := Oracle{Kind: OracleInvariant, Invariant: "unique-root-winner"}
-		h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
-			env := memory.NewEnv(n)
+		return harness(n, opts, func(env *memory.Env) instance {
 			// levels[0] is the root; levels[d] the leaves.
 			levels := make([][]*tas.OneShot, depth+1)
 			for level, width := 0, 1; level <= depth; level, width = level+1, width*arity {
@@ -67,26 +65,18 @@ func genTASTree(name string, seed int64, arity, depth int) Scenario {
 				}
 			}
 			rootWin := make([]bool, n)
-			bodies := make([]func(p *memory.Proc), n)
-			for i := 0; i < n; i++ {
-				i := i
-				bodies[i] = func(p *memory.Proc) {
-					slot := i % len(levels[depth])
-					for level := depth; level >= 0; level-- {
-						if levels[level][slot].TestAndSet(p) != spec.Winner {
-							return
-						}
-						slot /= arity
+			body := func(p *memory.Proc) {
+				i := p.ID()
+				slot := i % len(levels[depth])
+				for level := depth; level >= 0; level-- {
+					if levels[level][slot].TestAndSet(p) != spec.Winner {
+						return
 					}
-					rootWin[i] = true
+					slot /= arity
 				}
+				rootWin[i] = true
 			}
 			check := func(res *sched.Result) error {
-				if opts.Crashes {
-					if err := survivorsFinished(res); err != nil {
-						return err
-					}
-				}
 				winners := 0
 				for _, w := range rootWin {
 					if w {
@@ -98,10 +88,8 @@ func genTASTree(name string, seed int64, arity, depth int) Scenario {
 				}
 				return nil
 			}
-			reset := func() { clear(rootWin) }
-			return env, bodies, check, reset
-		}
-		return h, oracle
+			return instance{body, check, func() { clear(rootWin) }}
+		}), Oracle{Kind: OracleInvariant, Invariant: "unique-root-winner"}
 	}
 	return Scenario{
 		Name: name,
@@ -117,9 +105,7 @@ func genTASTree(name string, seed int64, arity, depth int) Scenario {
 // within a level, recorded tickets must be unique and non-negative.
 func genFAIStack(name string, seed int64, levels int) Scenario {
 	build := func(n int, opts Options) (engine.Harness, Oracle) {
-		oracle := Oracle{Kind: OracleInvariant, Invariant: "unique-tickets"}
-		h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
-			env := memory.NewEnv(n)
+		return harness(n, opts, func(env *memory.Env) instance {
 			stack := make([]*tas.SpecFetchInc, levels)
 			for j := range stack {
 				stack[j] = tas.NewSpecFetchInc()
@@ -138,22 +124,14 @@ func genFAIStack(name string, seed int64, levels int) Scenario {
 				}
 			}
 			resetTickets()
-			bodies := make([]func(p *memory.Proc), n)
-			for i := 0; i < n; i++ {
-				i := i
-				bodies[i] = func(p *memory.Proc) {
-					for j := range stack {
-						tk, _ := stack[j].Inc(p)
-						tickets[j][i] = tk
-					}
+			body := func(p *memory.Proc) {
+				i := p.ID()
+				for j := range stack {
+					tk, _ := stack[j].Inc(p)
+					tickets[j][i] = tk
 				}
 			}
 			check := func(res *sched.Result) error {
-				if opts.Crashes {
-					if err := survivorsFinished(res); err != nil {
-						return err
-					}
-				}
 				for j := range tickets {
 					seen := map[int64]bool{}
 					for i, tk := range tickets[j] {
@@ -171,9 +149,8 @@ func genFAIStack(name string, seed int64, levels int) Scenario {
 				}
 				return nil
 			}
-			return env, bodies, check, resetTickets
-		}
-		return h, oracle
+			return instance{body, check, resetTickets}
+		}), Oracle{Kind: OracleInvariant, Invariant: "unique-tickets"}
 	}
 	return Scenario{
 		Name: name,
@@ -191,10 +168,8 @@ func genFAIStack(name string, seed int64, levels int) Scenario {
 // the grid.
 func genSplitterNet(name string, seed int64, margin int) Scenario {
 	build := func(n int, opts Options) (engine.Harness, Oracle) {
-		oracle := Oracle{Kind: OracleInvariant, Invariant: "unique-names"}
 		size := n + margin
-		h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
-			env := memory.NewEnv(n)
+		return harness(n, opts, func(env *memory.Env) instance {
 			grid := make([][]*splitter.Splitter, size)
 			for r := range grid {
 				grid[r] = make([]*splitter.Splitter, size)
@@ -210,30 +185,21 @@ func genSplitterNet(name string, seed int64, margin int) Scenario {
 				}
 			}
 			resetNames()
-			bodies := make([]func(p *memory.Proc), n)
-			for i := 0; i < n; i++ {
-				i := i
-				bodies[i] = func(p *memory.Proc) {
-					r, c := 0, 0
-					for r < size && c < size {
-						switch grid[r][c].Get(p) {
-						case splitter.Stop:
-							names[i] = r*size + c
-							return
-						case splitter.Down:
-							r++
-						default:
-							c++
-						}
+			body := func(p *memory.Proc) {
+				r, c := 0, 0
+				for r < size && c < size {
+					switch grid[r][c].Get(p) {
+					case splitter.Stop:
+						names[p.ID()] = r*size + c
+						return
+					case splitter.Down:
+						r++
+					default:
+						c++
 					}
 				}
 			}
 			check := func(res *sched.Result) error {
-				if opts.Crashes {
-					if err := survivorsFinished(res); err != nil {
-						return err
-					}
-				}
 				seen := map[int]bool{}
 				for i, nm := range names {
 					if nm == -1 {
@@ -249,9 +215,8 @@ func genSplitterNet(name string, seed int64, margin int) Scenario {
 				}
 				return nil
 			}
-			return env, bodies, check, resetNames
-		}
-		return h, oracle
+			return instance{body, check, resetNames}
+		}), Oracle{Kind: OracleInvariant, Invariant: "unique-names"}
 	}
 	return Scenario{
 		Name: name,

@@ -1,25 +1,24 @@
 package stress
 
-// The stress tier's history-recording linearizability modes. The spot-check
+// The stress tier's history-recording linearizability mode. The spot-check
 // (Config.CheckEvery) samples: it judges only the rounds it looks at. The
-// modes here verify: every recorded operation of every round flows through
-// the streaming JIT checker (internal/linearize), either concurrently with
-// the workload (online) or after it (post). Rounds are object-instance
-// resets, so each round is fed to the streams and closed by a Barrier. A
-// Barrier solves what an object buffered as one window when it fits the
-// checker's segment target (512 ops), whatever quiescent cuts the round
-// holds, so a run reports one window per object per round it had
-// operations in. Only a bigger round is cut at its quiescent points, so
-// G-goroutine rounds of any size still verify in bounded memory.
+// online mode verifies: every recorded operation of every round flows
+// through the streaming JIT checker (internal/linearize) concurrently with
+// the workload. Rounds are object-instance resets, so each round is fed to
+// the streams and closed by a Barrier. A Barrier solves what an object
+// buffered as one window when it fits the checker's segment target (512
+// ops), whatever quiescent cuts the round holds, so a run reports one
+// window per object per round it had operations in. Only a bigger round is
+// cut at its quiescent points, so G-goroutine rounds of any size still
+// verify in bounded memory.
 //
-// Both modes record the same way: after each round its closing worker appends
-// the round's history to a linBatch and hands the batch off once it holds
-// linBatchRounds rounds, and the last, partial one after the run. Online, a
-// batch goes to the checker goroutine over a channel that holds
-// linBatchesInFlight batches and comes back through a free list for reuse,
-// so a warmed run allocates nothing per round and pays the hand-off, the
-// clock reads and the counter updates once per batch. Post keeps the batches
-// and feeds them after the run.
+// After each round its closing worker appends the round's history to a
+// linBatch and hands the batch off once it holds linBatchRounds rounds, and
+// the last, partial one after the run. A batch goes to the checker
+// goroutine over a channel that holds linBatchesInFlight batches and comes
+// back through a free list for reuse, so a warmed run allocates nothing per
+// round and pays the hand-off, the clock reads and the counter updates once
+// per batch.
 
 import (
 	"fmt"
@@ -46,9 +45,6 @@ const (
 	// LinOnline streams every round's recorded history through the JIT
 	// checker concurrently with the workload.
 	LinOnline
-	// LinPost records every round's history compactly and verifies it all
-	// after the run completes.
-	LinPost
 )
 
 // ParseLinMode parses a -lincheck mode name.
@@ -60,10 +56,8 @@ func ParseLinMode(s string) (LinMode, error) {
 		return LinOff, nil
 	case "online":
 		return LinOnline, nil
-	case "post":
-		return LinPost, nil
 	}
-	return LinSpot, fmt.Errorf("stress: unknown lincheck mode %q (want off, spot, online or post)", s)
+	return LinSpot, fmt.Errorf("stress: unknown lincheck mode %q (want off, spot or online)", s)
 }
 
 // String renders the mode name.
@@ -73,8 +67,6 @@ func (m LinMode) String() string {
 		return "off"
 	case LinOnline:
 		return "online"
-	case LinPost:
-		return "post"
 	default:
 		return "spot"
 	}
@@ -113,7 +105,7 @@ type linChecker struct {
 // builds the per-object streams.
 func newLinChecker(o scenario.Oracle, cfg linearize.JITConfig, maxOps int64, m *obs.Metrics) (*linChecker, error) {
 	if o.Kind != scenario.OracleLinearize {
-		return nil, fmt.Errorf("stress: -lincheck online/post needs a linearize oracle, scenario has %s", o)
+		return nil, fmt.Errorf("stress: -lincheck online needs a linearize oracle, scenario has %s", o)
 	}
 	lc := &linChecker{
 		cfg:     cfg,
@@ -163,13 +155,10 @@ type linBatch struct {
 	ends []int
 }
 
-// add appends the round src records to the batch and returns the round's
-// operation count.
-func (b *linBatch) add(src trace.Source) int64 {
-	n := len(b.ops)
+// add appends the round src records to the batch.
+func (b *linBatch) add(src trace.Source) {
 	b.ops = src(b.ops)
 	b.ends = append(b.ends, len(b.ops))
-	return int64(len(b.ops) - n)
 }
 
 // feedBatch feeds a batch round by round. The clock and the verified-ops

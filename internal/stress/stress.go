@@ -75,11 +75,10 @@ type Config struct {
 	// Seed seeds the arrival-gap generators (deterministic per worker).
 	Seed int64
 	// LinMode selects the linearizability tier: the default sampled
-	// spot-check, off, or full history verification through the streaming
-	// JIT checker — online (concurrent with the workload) or post (after
-	// it). online and post need a linearize-oracle scenario that exposes
-	// its recorder (memory.Env.SetHistorySource); they replace the
-	// sampled spot-check.
+	// spot-check, off, or online — every round's history verified by the
+	// streaming JIT checker concurrently with the workload. online needs a
+	// linearize-oracle scenario, whose op log is its Env's history source
+	// (memory.Env.HistorySource); it replaces the sampled spot-check.
 	LinMode LinMode
 	// LinWindow and LinMaxConfigs override the streaming checker's
 	// budgets (linearize.JITConfig defaults when zero).
@@ -202,8 +201,8 @@ func Run(cfg Config) (Result, error) {
 		checkEvery = 64
 	}
 	if cfg.LinMode != LinSpot {
-		// off turns correctness checking off entirely; online/post replace
-		// the sampled spot-check with full history verification.
+		// off turns correctness checking off entirely; online replaces the
+		// sampled spot-check with full history verification.
 		checkEvery = -1
 	}
 	if cfg.Procs > 0 {
@@ -277,29 +276,22 @@ func Run(cfg Config) (Result, error) {
 
 	// Full-history verification: append each round's recorded operations
 	// from the scenario's trace source to a batch for the per-object JIT
-	// streams, and hand each full batch off — to the checker goroutine over
-	// a bounded channel (online), or to a list fed after the run (post).
+	// streams, and hand each full batch off to the checker goroutine over a
+	// bounded channel.
 	var lc *linChecker
 	var src trace.Source
 	var batch *linBatch
-	var recordedOps int64
 	var linCh, free chan *linBatch
 	var linDone chan struct{}
-	var kept []*linBatch
 	handOff := func() {
-		if cfg.LinMode == LinOnline {
-			linCh <- batch
-			select {
-			case batch = <-free:
-			default:
-				batch = new(linBatch)
-			}
-		} else {
-			kept = append(kept, batch)
+		linCh <- batch
+		select {
+		case batch = <-free:
+		default:
 			batch = new(linBatch)
 		}
 	}
-	if cfg.LinMode == LinOnline || cfg.LinMode == LinPost {
+	if cfg.LinMode == LinOnline {
 		jcfg := linearize.JITConfig{Window: cfg.LinWindow, MaxConfigs: cfg.LinMaxConfigs}
 		var err error
 		if lc, err = newLinChecker(oracle, jcfg, cfg.LinMaxOps, m); err != nil {
@@ -310,25 +302,23 @@ func Run(cfg Config) (Result, error) {
 			return Result{}, fmt.Errorf("stress: scenario %q does not expose a recorded history; -lincheck %s needs a trace source", sc.Name, cfg.LinMode)
 		}
 		batch = new(linBatch)
-		if cfg.LinMode == LinOnline {
-			linCh = make(chan *linBatch, linBatchesInFlight)
-			// Room for every batch that can exist, and the return below
-			// never blocks on it anyway: a checker stuck returning a batch
-			// while the closing worker is stuck sending one would deadlock.
-			free = make(chan *linBatch, linBatchesInFlight+2)
-			linDone = make(chan struct{})
-			go func() {
-				defer close(linDone)
-				for b := range linCh {
-					lc.feedBatch(b)
-					b.ops, b.ends = b.ops[:0], b.ends[:0]
-					select {
-					case free <- b:
-					default:
-					}
+		linCh = make(chan *linBatch, linBatchesInFlight)
+		// Room for every batch that can exist, and the return below never
+		// blocks on it anyway: a checker stuck returning a batch while the
+		// closing worker is stuck sending one would deadlock.
+		free = make(chan *linBatch, linBatchesInFlight+2)
+		linDone = make(chan struct{})
+		go func() {
+			defer close(linDone)
+			for b := range linCh {
+				lc.feedBatch(b)
+				b.ops, b.ends = b.ops[:0], b.ends[:0]
+				select {
+				case free <- b:
+				default:
 				}
-			}()
-		}
+			}
+		}()
 	}
 
 	res := &sched.Result{Finished: slices.Repeat([]bool{true}, n), Crashed: make([]bool, n)}
@@ -352,11 +342,7 @@ func Run(cfg Config) (Result, error) {
 		rounds++
 		roundsC.Add(w, 1)
 		if lc != nil {
-			if cfg.LinMode == LinPost && cfg.LinMaxOps > 0 && recordedOps >= cfg.LinMaxOps {
-				lc.truncated = true // cap reached: later rounds go unverified
-			} else {
-				recordedOps += batch.add(src)
-			}
+			batch.add(src)
 			if len(batch.ends) == linBatchRounds {
 				handOff()
 			}
@@ -425,14 +411,8 @@ func Run(cfg Config) (Result, error) {
 		if len(batch.ends) > 0 {
 			handOff() // the last, partial batch
 		}
-		if cfg.LinMode == LinOnline {
-			close(linCh)
-			<-linDone
-		} else {
-			for _, b := range kept {
-				lc.feedBatch(b)
-			}
-		}
+		close(linCh)
+		<-linDone
 		lc.finish()
 	}
 

@@ -6,6 +6,8 @@ package stress
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -256,15 +258,57 @@ func TestRunLincheckOnline(t *testing.T) {
 	}
 }
 
-// TestRunLincheckPost verifies the record-then-check mode, including the
-// LinMaxOps truncation guard.
-func TestRunLincheckPost(t *testing.T) {
+// TestEveryLinearizeScenarioVerifiesOnline streams every registered
+// linearize-oracle scenario through the online checker. The table gives
+// each one's recorded operations per body and must name exactly those
+// scenarios, so a new one cannot skip online verification.
+func TestEveryLinearizeScenarioVerifiesOnline(t *testing.T) {
+	opsPerBody := map[string]int64{"composed": 1, "quickstart": 1, "abstract": 1, "universalqueue": 2, "tasfai": 3}
+	var names []string
+	for _, sc := range scenario.Registered() {
+		if _, o := sc.Build(sc.Procs(0), scenario.Options{}); o.Kind == scenario.OracleLinearize {
+			names = append(names, sc.Name)
+		}
+	}
+	if got := slices.Sorted(maps.Keys(opsPerBody)); !slices.Equal(got, names) {
+		t.Fatalf("table names %v, linearize-oracle scenarios are %v", got, names)
+	}
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			r, err := Run(Config{
+				Scenario:  mustScenario(t, name),
+				G:         3,
+				Duration:  time.Minute,
+				MaxRounds: 200,
+				LinMode:   LinOnline,
+				Seed:      10,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.LinErr != "" {
+				t.Fatalf("lincheck contract error: %s", r.LinErr)
+			}
+			if want := opsPerBody[name] * int64(r.G) * r.Rounds; r.LinOps != want {
+				t.Fatalf("LinOps = %d, want %d", r.LinOps, want)
+			}
+			if r.LinFailures != 0 {
+				t.Fatalf("lincheck failures = %d (%s)", r.LinFailures, r.FirstLinErr)
+			}
+		})
+	}
+}
+
+// TestRunLincheckOnlineCap: LinMaxOps stops the online checker at exactly
+// that operation, mid-round, and the result reports the truncation.
+func TestRunLincheckOnlineCap(t *testing.T) {
 	r, err := Run(Config{
 		Scenario:  mustScenario(t, "tasfai"),
 		G:         4,
 		Duration:  time.Minute,
 		MaxRounds: 100,
-		LinMode:   LinPost,
+		LinMode:   LinOnline,
+		LinMaxOps: 59,
 		Seed:      7,
 	})
 	if err != nil {
@@ -273,30 +317,11 @@ func TestRunLincheckPost(t *testing.T) {
 	if r.LinErr != "" {
 		t.Fatalf("lincheck contract error: %s", r.LinErr)
 	}
-	if want := 3 * int64(r.G) * r.Rounds; r.LinOps != want || r.LinFailures != 0 {
-		t.Fatalf("LinOps=%d (want %d) failures=%d (%s)", r.LinOps, want, r.LinFailures, r.FirstLinErr)
+	if r.LinOps != 59 || !r.LinTruncated {
+		t.Fatalf("LinOps = %d, truncated = %v over %d recorded ops: want exactly 59, truncated", r.LinOps, r.LinTruncated, 3*int64(r.G)*r.Rounds)
 	}
-	if r.LinTruncated {
-		t.Fatal("full post-hoc check reported truncation")
-	}
-
-	capped, err := Run(Config{
-		Scenario:  mustScenario(t, "tasfai"),
-		G:         4,
-		Duration:  time.Minute,
-		MaxRounds: 100,
-		LinMode:   LinPost,
-		LinMaxOps: 60,
-		Seed:      7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !capped.LinTruncated {
-		t.Fatal("LinMaxOps=60 over 1200 recorded ops did not report truncation")
-	}
-	if capped.LinOps > 72 {
-		t.Fatalf("LinOps = %d: cap not enforced (round granularity allows one overshoot)", capped.LinOps)
+	if r.LinFailures != 0 {
+		t.Fatalf("lincheck failures = %d (%s)", r.LinFailures, r.FirstLinErr)
 	}
 }
 

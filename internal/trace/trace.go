@@ -80,7 +80,6 @@ func (e Event) String() string {
 // Recorder collects events from concurrently running processes.
 type Recorder struct {
 	seq   atomic.Int64
-	ids   atomic.Int64
 	stamp func(proc int) int64
 	procs []procLog
 	heads []head // merge scratch of AppendOps and Events
@@ -96,18 +95,13 @@ func NewRecorder(n int) *Recorder {
 	return &Recorder{procs: make([]procLog, n)}
 }
 
-// NextID issues a fresh unique request id (the paper assumes all requests
-// are uniquely identified).
-func (r *Recorder) NextID() int64 { return r.ids.Add(1) }
-
-// Reset discards all recorded events and restarts the stamp and id
-// counters, retaining the per-process buffers. It is the recorder's part of
+// Reset discards all recorded events and restarts the stamp counter,
+// retaining the per-process buffers. It is the recorder's part of
 // a pooled harness's reset path: after Reset the recorder is
 // indistinguishable from a freshly constructed one, without the
 // allocations. Must not be called while processes are recording.
 func (r *Recorder) Reset() {
 	r.seq.Store(0)
-	r.ids.Store(0)
 	for i := range r.procs {
 		r.procs[i].events = r.procs[i].events[:0]
 	}

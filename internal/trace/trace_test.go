@@ -9,8 +9,8 @@ import (
 
 func TestRecorderStampsMonotone(t *testing.T) {
 	r := NewRecorder(2)
-	m1 := spec.Request{ID: r.NextID(), Proc: 0, Op: spec.OpTAS}
-	m2 := spec.Request{ID: r.NextID(), Proc: 1, Op: spec.OpTAS}
+	m1 := spec.Request{ID: 1, Proc: 0, Op: spec.OpTAS}
+	m2 := spec.Request{ID: 2, Proc: 1, Op: spec.OpTAS}
 	s1 := r.RecordInvoke(0, m1)
 	s2 := r.RecordInvoke(1, m2)
 	s3 := r.RecordCommit(0, m1, spec.Winner, "A1")
@@ -135,7 +135,7 @@ func TestConcurrentRecordingDistinctStamps(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < per; j++ {
-				m := spec.Request{ID: r.NextID(), Proc: i, Op: spec.OpInc}
+				m := spec.Request{ID: int64(i*per + j + 1), Proc: i, Op: spec.OpInc}
 				r.RecordInvoke(i, m)
 				r.RecordCommit(i, m, int64(j), "")
 			}
@@ -190,8 +190,8 @@ func TestResetWithPendingOps(t *testing.T) {
 	// pending halves too, so the next execution cannot mismatch a stale
 	// invocation with a fresh response.
 	r := NewRecorder(2)
-	m1 := spec.Request{ID: r.NextID(), Proc: 0, Op: spec.OpTAS}
-	m2 := spec.Request{ID: r.NextID(), Proc: 1, Op: spec.OpTAS}
+	m1 := spec.Request{ID: 1, Proc: 0, Op: spec.OpTAS}
+	m2 := spec.Request{ID: 2, Proc: 1, Op: spec.OpTAS}
 	r.RecordInvoke(0, m1)
 	r.RecordInvoke(1, m2)
 	r.RecordCommit(1, m2, spec.Loser, "A1")
@@ -208,12 +208,8 @@ func TestResetWithPendingOps(t *testing.T) {
 		t.Fatalf("ops survive Reset: %+v", ops)
 	}
 
-	// The recorder must be indistinguishable from a fresh one: ids restart
-	// at 1 and stamps at 1, so replayed executions reproduce identical
-	// traces.
-	if id := r.NextID(); id != 1 {
-		t.Fatalf("NextID after Reset = %d, want 1", id)
-	}
+	// The recorder must be indistinguishable from a fresh one: stamps
+	// restart at 1, so replayed executions reproduce identical traces.
 	m := spec.Request{ID: 1, Proc: 0, Op: spec.OpTAS}
 	if s := r.RecordInvoke(0, m); s != 1 {
 		t.Fatalf("first stamp after Reset = %d, want 1", s)
