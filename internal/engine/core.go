@@ -60,14 +60,16 @@ func NewCore(h Harness, workers int) *Core {
 // instanceFor returns worker w's instance, constructing it — and its pooled
 // executor — on first use (serialized with checks, so harness closures may
 // share state). A harness without a reset closure is rejected here: there is
-// no second way to run one.
+// no second way to run one. A constructor that panics is reported as an
+// error, like any other harness closure.
 func (c *Core) instanceFor(w int) (*instance, error) {
 	if inst := c.insts[w].Load(); inst != nil {
 		return inst, nil
 	}
-	c.checkMu.Lock()
-	env, bodies, check, reset := c.h()
-	c.checkMu.Unlock()
+	env, bodies, check, reset, err := c.construct()
+	if err != nil {
+		return nil, err
+	}
 	if reset == nil {
 		return nil, fmt.Errorf("%w: %s must register its shared objects with the Env and return a reset restoring its own state",
 			ErrNilReset, runtime.FuncForPC(reflect.ValueOf(c.h).Pointer()).Name())
@@ -75,6 +77,23 @@ func (c *Core) instanceFor(w int) (*instance, error) {
 	inst := &instance{env: env, check: check, reset: reset, exec: sched.NewExecutor(env, bodies)}
 	c.insts[w].Store(inst)
 	return inst, nil
+}
+
+// construct calls the harness under the check lock. A panic comes back as
+// an error that wraps the panic value when it is one.
+func (c *Core) construct() (env *memory.Env, bodies []func(p *memory.Proc), check func(res *sched.Result) error, reset func(), err error) {
+	c.checkMu.Lock()
+	defer c.checkMu.Unlock()
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("engine: harness constructor panicked: %v", r)
+			if e, ok := r.(error); ok {
+				err = fmt.Errorf("engine: harness constructor panicked: %w", e)
+			}
+		}
+	}()
+	env, bodies, check, reset = c.h()
+	return env, bodies, check, reset, nil
 }
 
 // Close releases every pooled executor the core constructed.

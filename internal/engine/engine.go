@@ -99,10 +99,10 @@ import (
 // state is detected by the engine's nondeterminism check (a recorded
 // transition fails to replay) rather than silently corrupting the walk; the
 // sampling path replays nothing and has no such net, so it relies on the
-// reset being complete (scenario.TestConformance replays every registered
-// scenario's checked executions on fresh instances to certify it). reset
-// must touch only instance-local state; the engine calls it under the same
-// lock as check.
+// reset being complete (the replay relation of TestRegistryDifferential
+// re-runs every registered scenario's checked executions on fresh instances
+// to certify it). reset must touch only instance-local state; the engine
+// calls it under the same lock as check.
 //
 // With Workers > 1, process bodies from different executions run
 // concurrently, but harness construction and check calls are serialized by
@@ -110,10 +110,10 @@ import (
 // outside the closure (outcome histograms and the like) from its
 // constructor and its check function.
 //
-// A body, check or reset that panics does not take the process down: the
-// worker that ran it recovers, the walk (or sampling loop) stops, and Run
-// returns an error naming the closure, the panic value, the process for a
-// body, and the schedule that led there.
+// A constructor, body, check or reset that panics does not take the process
+// down: the worker that ran it recovers, the walk (or sampling loop) stops,
+// and Run returns an error naming the closure, the panic value, the process
+// for a body, and the schedule that led there (none for a constructor).
 type Harness func() (env *memory.Env, bodies []func(p *memory.Proc), check func(res *sched.Result) error, reset func())
 
 // PruneMode selects the partial-order reduction of an exhaustive walk.

@@ -4,9 +4,10 @@ package engine_test
 // back from engine.Run / randexp.Run as a named error — cause, process,
 // schedule — on every path and at any worker count, with no worker left
 // waiting and no coroutine left behind; so must a harness that returns no
-// reset, from stress.Run as well. The panics are planted on
-// interleaving-dependent conditions, so they fire some attempts into the walk
-// (seeds 11 and 15 of the first sampled batch), with the other workers busy.
+// reset, or whose constructor panics, from stress.Run as well. The body and
+// check panics are planted on interleaving-dependent conditions, so they
+// fire some attempts into the walk (seeds 11 and 15 of the first sampled
+// batch), with the other workers busy.
 
 import (
 	"errors"
@@ -128,7 +129,7 @@ func TestCheckPanicIsNamedError(t *testing.T) {
 // harness that returns no reset, with an error that wraps engine.ErrNilReset
 // and names the harness function (stress.Run: the scenario).
 func TestNilResetIsNamedError(t *testing.T) {
-	build := func(n int, _ scenario.Options) (engine.Harness, scenario.Oracle) {
+	assertEveryEntryRejects(t, func(n int, _ scenario.Options) (engine.Harness, scenario.Oracle) {
 		return func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
 			bodies := make([]func(p *memory.Proc), n)
 			for i := range bodies {
@@ -136,7 +137,27 @@ func TestNilResetIsNamedError(t *testing.T) {
 			}
 			return memory.NewEnv(n), bodies, func(*sched.Result) error { return nil }, nil
 		}, scenario.Oracle{}
-	}
+	}, engine.ErrNilReset, "TestNilResetIsNamedError", `scenario "bad"`)
+}
+
+// TestConstructPanicIsNamedError: a harness constructor that panics comes
+// back from every entry point as a named error wrapping the panic value,
+// not as a crashed test binary.
+func TestConstructPanicIsNamedError(t *testing.T) {
+	assertEveryEntryRejects(t, func(int, scenario.Options) (engine.Harness, scenario.Oracle) {
+		return func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
+			panic(errBoom)
+		}, scenario.Oracle{}
+	}, errBoom, "engine: harness constructor panicked: boom", `scenario "bad": harness constructor panicked: boom`)
+}
+
+// assertEveryEntryRejects runs the harness build makes through every entry
+// point — engine.Run, randexp.Run's probe (PCT) and batch (random) paths,
+// and stress.Run as scenario "bad" — at 1 and 4 workers. Each must return an
+// error wrapping want and containing fragment (stressFragment for stress.Run),
+// with no goroutine left behind.
+func assertEveryEntryRejects(t *testing.T, build func(n int, opts scenario.Options) (engine.Harness, scenario.Oracle), want error, fragment, stressFragment string) {
+	t.Helper()
 	h, _ := build(2, scenario.Options{})
 	sampled := func(s randexp.Sampler) func(int) error {
 		return func(workers int) error {
@@ -145,26 +166,26 @@ func TestNilResetIsNamedError(t *testing.T) {
 		}
 	}
 	for _, c := range []struct {
-		entry string
-		names string
-		run   func(workers int) error
+		entry    string
+		fragment string
+		run      func(workers int) error
 	}{
-		{"engine.Run", "TestNilResetIsNamedError", func(workers int) error {
+		{"engine.Run", fragment, func(workers int) error {
 			_, err := engine.Run(h, engine.Config{Prune: engine.PruneSourceDPOR, Workers: workers})
 			return err
 		}},
-		{"randexp.Run probe", "TestNilResetIsNamedError", sampled(randexp.SamplerPCT)},
-		{"randexp.Run batch", "TestNilResetIsNamedError", sampled(randexp.SamplerRandom)},
-		{"stress.Run", `scenario "noreset"`, func(workers int) error {
-			_, err := stress.Run(stress.Config{Scenario: scenario.Scenario{Name: "noreset", Build: build}, G: workers, MaxRounds: 1})
+		{"randexp.Run probe", fragment, sampled(randexp.SamplerPCT)},
+		{"randexp.Run batch", fragment, sampled(randexp.SamplerRandom)},
+		{"stress.Run", stressFragment, func(workers int) error {
+			_, err := stress.Run(stress.Config{Scenario: scenario.Scenario{Name: "bad", Build: build}, G: workers, MaxRounds: 1})
 			return err
 		}},
 	} {
 		for _, workers := range []int{1, 4} {
 			base := runtime.NumGoroutine()
 			err := c.run(workers)
-			if !errors.Is(err, engine.ErrNilReset) || !strings.Contains(err.Error(), c.names) {
-				t.Fatalf("%s, %d workers: error %v, want engine.ErrNilReset naming %s", c.entry, workers, err, c.names)
+			if !errors.Is(err, want) || !strings.Contains(err.Error(), c.fragment) {
+				t.Fatalf("%s, %d workers: error %v, want one wrapping %v and containing %q", c.entry, workers, err, want, c.fragment)
 			}
 			if got := settledGoroutines(base); got > base {
 				t.Fatalf("%s, %d workers: %d goroutines after the rejection, baseline %d", c.entry, workers, got, base)

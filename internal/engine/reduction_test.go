@@ -1,12 +1,11 @@
 package engine_test
 
-// Registry-wide reduction soundness: source-DPOR must visit exactly the
-// behaviours the unpruned walk visits — the same set of distinct terminal
-// fingerprints where the harness fingerprints, the same number of
-// completed trace classes as the legacy sleep sets everywhere, and the
-// same verdict. These are the engine's external test-package properties
-// because they drive the real scenario registry (a package an engine-
-// internal test could not import without a cycle).
+// Reduction soundness at three processes: source-DPOR must visit exactly
+// the behaviours the unpruned walk visits — the same set of distinct
+// terminal fingerprints where the harness fingerprints, the same number of
+// completed trace classes as the legacy sleep sets, and the same verdict.
+// TestRegistryDifferential checks the same relation over the registry at
+// n=2.
 
 import (
 	"errors"
@@ -17,10 +16,9 @@ import (
 	"repro/internal/scenario"
 )
 
-// reductionBudget bounds each walk of the property tests: scenarios whose
-// trees exceed it in some mode are compared only in the modes that
-// complete (and at least the dpor-vs-sleep pair must complete somewhere,
-// enforced below, so the test cannot silently skip everything).
+// reductionBudget bounds each walk: a scenario whose tree exceeds it in
+// some mode is compared only in the modes that complete (a1's dpor-vs-sleep
+// pair must complete, enforced below, so the test cannot skip everything).
 const reductionBudget = 30000
 
 func runMode(t *testing.T, sc scenario.Scenario, n int, mode engine.PruneMode) (engine.Report, error) {
@@ -79,26 +77,6 @@ func compareReductions(t *testing.T, sc scenario.Scenario, n int) bool {
 		}
 	}
 	return true
-}
-
-// TestReductionEquivalenceRegistryN2 drives every registered scenario at
-// two processes through all three prune modes and checks the equivalences
-// above. Scenarios too large for the budget in a pruned mode are reported
-// and skipped, but most of the registry must participate.
-func TestReductionEquivalenceRegistryN2(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: walks the whole registry in three modes")
-	}
-	scs := scenario.Registered()
-	compared := 0
-	for _, sc := range scs {
-		if compareReductions(t, sc, sc.Procs(2)) {
-			compared++
-		}
-	}
-	if compared < len(scs)*2/3 {
-		t.Fatalf("only %d of %d scenarios fit the reduction budget — raise it", compared, len(scs))
-	}
 }
 
 // TestReductionEquivalenceDeeper extends the property to three processes

@@ -1,17 +1,15 @@
 package obs_test
 
-// The observability contract: attaching obs to a run never changes it.
-// Every deterministic Report field, every canonical failure, every sweep
-// row and every -json byte must be identical with a Metrics domain
-// attached or absent, for every worker count — and the counters the layer
-// does collect must agree with the Report the engine returns. An external
-// test package so it can drive the real scenario registry (obs cannot
-// import scenario: scenario imports obs).
+// The observability contract: attaching obs to a run never changes it,
+// and the counters the layer collects agree with the Report the engine
+// returns. engine.TestRegistryDifferential checks it over the whole
+// registry and the sweep; these tests pin single runs (a1 n=2, the -json
+// object, the composed n=3 walk) from an external test package, because
+// obs cannot import scenario (scenario imports obs).
 
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"reflect"
 	"testing"
 
@@ -21,95 +19,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sched"
 )
-
-// obsBudget is the equivalence budget: scenario trees beyond it are skipped
-// (budget-cut multi-worker walks are not deterministic).
-const obsBudget = 30000
-
-func runObsArm(t *testing.T, sc scenario.Scenario, n, workers int, m *obs.Metrics) (engine.Report, error) {
-	t.Helper()
-	h, _ := sc.Build(n, scenario.Options{})
-	rep, err := engine.Run(h, engine.Config{
-		Prune:         engine.PruneSourceDPOR,
-		Workers:       workers,
-		MaxExecutions: obsBudget,
-		Metrics:       m,
-	})
-	var ce *engine.CheckError
-	if err != nil && !errors.As(err, &ce) {
-		t.Fatalf("%s n=%d workers=%d: engine error: %v", sc.Name, n, workers, err)
-	}
-	return rep, err
-}
-
-// assertObsEquivalent pins the instrumented arm to the bare baseline:
-// identical deterministic Report fields and an identical canonical
-// lex-least failure.
-func assertObsEquivalent(t *testing.T, label string, base engine.Report, baseErr error, got engine.Report, gotErr error) {
-	t.Helper()
-	if (baseErr != nil) != (gotErr != nil) {
-		t.Fatalf("%s: verdicts diverged: bare=%v obs=%v", label, baseErr, gotErr)
-	}
-	if baseErr != nil {
-		var bce, gce *engine.CheckError
-		errors.As(baseErr, &bce)
-		errors.As(gotErr, &gce)
-		if bce.Err.Error() != gce.Err.Error() || !reflect.DeepEqual(bce.Schedule, gce.Schedule) {
-			t.Fatalf("%s: canonical failure diverged:\n%v %v\nvs\n%v %v", label, bce.Schedule, bce.Err, gce.Schedule, gce.Err)
-		}
-	}
-	if base.Executions != got.Executions || base.MaxDepth != got.MaxDepth ||
-		base.FingerprintOK != got.FingerprintOK || base.DistinctStates != got.DistinctStates {
-		t.Fatalf("%s: deterministic fields diverged:\nbare %+v\nobs  %+v", label, base, got)
-	}
-	if !reflect.DeepEqual(base.TerminalStates, got.TerminalStates) {
-		t.Fatalf("%s: terminal-state sets diverged", label)
-	}
-}
-
-// TestObsEquivalenceRegistry drives every registered scenario with the
-// full observability stack attached — metrics, an event log, fold-on-read
-// layer sources — at 1, 4 and 8 workers, and holds each run to the bare
-// baseline. This is the tentpole's advisory-only guarantee over the real
-// registry.
-func TestObsEquivalenceRegistry(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: walks the whole registry four ways")
-	}
-	compared := 0
-	for _, sc := range scenario.Registered() {
-		n := sc.Procs(2)
-		base, baseErr := runObsArm(t, sc, n, 1, nil)
-		if base.Partial {
-			t.Logf("%s n=%d: tree exceeds %d attempts — skipped", sc.Name, n, obsBudget)
-			continue
-		}
-		compared++
-		for _, workers := range []int{1, 4, 8} {
-			m := obs.New(workers)
-			var events bytes.Buffer
-			el := obs.NewEventLog(&events)
-			m.SetEvents(el)
-			got, gotErr := runObsArm(t, sc, n, workers, m)
-			label := sc.Name + " workers=" + itoa(workers)
-			assertObsEquivalent(t, label, base, baseErr, got, gotErr)
-			if err := el.Close(); err != nil {
-				t.Fatalf("%s: event log: %v", label, err)
-			}
-			// The layer must have actually observed the run it did not
-			// perturb.
-			if got := m.Executions.Value(); got != int64(base.Executions) {
-				t.Fatalf("%s: obs counted %d executions, engine reported %d", label, got, base.Executions)
-			}
-			if events.Len() == 0 {
-				t.Fatalf("%s: no lifecycle events emitted", label)
-			}
-		}
-	}
-	if compared == 0 {
-		t.Fatal("no scenario fit the equivalence budget — nothing compared")
-	}
-}
 
 // TestObsCountersMatchReport pins each advisory counter to its Report
 // twin on a single-worker run, where both are exact.
@@ -154,42 +63,6 @@ func TestObsCountersMatchReport(t *testing.T) {
 	}
 	if s.Depths.Max != rep.MaxDepth {
 		t.Errorf("depth histogram max %d, report max depth %d", s.Depths.Max, rep.MaxDepth)
-	}
-}
-
-// TestObsSweepByteIdentity pins the sweep rendering: the full registry
-// sweep renders byte-identically with a shared Metrics domain attached or
-// absent, across worker counts.
-func TestObsSweepByteIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: sweeps the registry four times")
-	}
-	scs := scenario.Registered()
-	cfg := scenario.SweepConfig{MaxExecutions: obsBudget, Samples: 200, Seed: 1, Workers: 1}
-	baseRows, baseErr := scenario.Sweep(scs, cfg)
-	base := scenario.Render(baseRows)
-	for _, workers := range []int{1, 4, 8} {
-		mcfg := cfg
-		mcfg.Workers = workers
-		mcfg.Metrics = obs.New(workers)
-		var events bytes.Buffer
-		el := obs.NewEventLog(&events)
-		mcfg.Metrics.SetEvents(el)
-		rows, err := scenario.Sweep(scs, mcfg)
-		if (err != nil) != (baseErr != nil) {
-			t.Fatalf("workers=%d: sweep error diverged: %v vs %v", workers, err, baseErr)
-		}
-		if got := scenario.Render(rows); got != base {
-			t.Fatalf("workers=%d: sweep report not byte-identical with obs attached:\n%s\nvs\n%s", workers, got, base)
-		}
-		if err := el.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// One scenario_done event per row.
-		done := bytes.Count(events.Bytes(), []byte(`"type":"scenario_done"`))
-		if done != len(scs) {
-			t.Fatalf("workers=%d: %d scenario_done events for %d rows", workers, done, len(scs))
-		}
 	}
 }
 
@@ -312,18 +185,4 @@ func TestSchedCensusComposed(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, last[name], want)
 		}
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }

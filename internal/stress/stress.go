@@ -41,6 +41,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/linearize"
+	"repro/internal/memory"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/sched"
@@ -182,6 +183,21 @@ func foldLatency(shards []latShard) stats.LatencyHist {
 	return out
 }
 
+// construct calls the harness constructor, reporting a panic as an error
+// that wraps the panic value when it is one.
+func construct(h engine.Harness) (env *memory.Env, bodies []func(p *memory.Proc), check func(res *sched.Result) error, reset func(), err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("harness constructor panicked: %v", r)
+			if e, ok := r.(error); ok {
+				err = fmt.Errorf("harness constructor panicked: %w", e)
+			}
+		}
+	}()
+	env, bodies, check, reset = h()
+	return env, bodies, check, reset, nil
+}
+
 // Run executes one stress run. It returns an error only for configuration
 // or harness contract problems; spot-check failures are reported in the
 // Result (planted-bug scenarios are expected to fail — the caller decides
@@ -250,7 +266,10 @@ func Run(cfg Config) (Result, error) {
 	defer removeG()
 
 	h, oracle := sc.Build(n, scenario.Options{})
-	env, bodies, check, reset := h()
+	env, bodies, check, reset, err := construct(h)
+	if err != nil {
+		return Result{}, fmt.Errorf("stress: scenario %q: %w", sc.Name, err)
+	}
 	if len(bodies) != n {
 		return Result{}, fmt.Errorf("stress: harness returned %d bodies for n=%d", len(bodies), n)
 	}
