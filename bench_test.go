@@ -309,55 +309,62 @@ func BenchmarkE9_HardwareFetchInc(b *testing.B) {
 // --- Gate protocol --------------------------------------------------------
 
 // BenchmarkExecutorDecision prices one scheduler decision on a bare
-// sched.Executor (four processes, 64 private reads each, no engine around
-// it) under three schedules, so the protocol's separate costs are visible:
-// self — lowest parked id first, so all but four decisions of a run grant
-// the decider itself and switch nothing; handoff — round-robin, so every
-// decision resumes another process (two coroutine switches); crash — every
-// decision a crash grant, the drain an abandoned attempt performs (a handoff
-// plus a panic/recover unwind; a run is only four decisions, so the per-run
-// start-up is in the figure too). The memory step itself (≈ 40 ns gated) is
-// part of each granted decision.
+// sched.Executor (64 private reads per process, no engine around it) under
+// four schedules, so the protocol's separate costs are visible, all but the
+// last over four processes: self — lowest parked id first, so all but four
+// decisions of a run grant the decider itself and switch nothing; handoff —
+// round-robin, so every decision resumes another process (two coroutine
+// switches); crash — every decision a crash grant, the drain an abandoned
+// attempt performs (a handoff plus a panic/recover unwind; a run is only
+// four decisions, so the per-run start-up is in the figure too); pct-n8 —
+// PCT d=3 over eight processes, re-armed per run, the sampled tier's
+// decision: mostly self-grants of the top-priority process, a handoff where
+// it retires or a change point demotes it. The memory step itself (≈ 40 ns
+// gated) is part of each granted decision.
 func BenchmarkExecutorDecision(b *testing.B) {
-	const n, reads = 4, 64
-	env := memory.NewEnv(n)
-	bodies := make([]func(p *memory.Proc), n)
-	for i := range bodies {
-		r := memory.NewIntReg(0)
-		bodies[i] = func(p *memory.Proc) {
-			for k := 0; k < reads; k++ {
-				r.Read(p)
-			}
-		}
-	}
-	last := 0
-	for _, c := range []struct {
-		name string
-		next sched.Func
-	}{
-		{"self", func(_ int, parked []int) sched.Choice { return sched.Choice{Proc: parked[0]} }},
-		{"handoff", func(_ int, parked []int) sched.Choice {
-			next := parked[0]
-			for _, id := range parked {
-				if id > last {
-					next = id
-					break
+	const reads = 64
+	system := func(n int) (*memory.Env, []func(p *memory.Proc)) {
+		env := memory.NewEnv(n)
+		bodies := make([]func(p *memory.Proc), n)
+		for i := range bodies {
+			r := memory.NewIntReg(0)
+			bodies[i] = func(p *memory.Proc) {
+				for k := 0; k < reads; k++ {
+					r.Read(p)
 				}
 			}
-			last = next
-			return sched.Choice{Proc: next}
+		}
+		return env, bodies
+	}
+	rr := sched.NewRoundRobin()
+	var pct sched.PCT
+	for _, c := range []struct {
+		name    string
+		n       int
+		chooser func(run int) sched.Chooser
+	}{
+		{"self", 4, func(int) sched.Chooser {
+			return sched.Func(func(_ int, parked sched.ProcSet, _ []memory.Access) sched.Choice {
+				return sched.Choice{Proc: parked.Min()}
+			})
 		}},
-		{"crash", func(_ int, parked []int) sched.Choice { return sched.Choice{Proc: parked[0], Crash: true} }},
+		{"handoff", 4, func(int) sched.Chooser { return rr }},
+		{"crash", 4, func(int) sched.Chooser {
+			return sched.Func(func(_ int, parked sched.ProcSet, _ []memory.Access) sched.Choice {
+				return sched.Choice{Proc: parked.Min(), Crash: true}
+			})
+		}},
+		{"pct-n8", 8, func(run int) sched.Chooser { return pct.Reset(int64(run), 8, 8*reads, 3) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
+			env, bodies := system(c.n)
 			x := sched.NewExecutor(env, bodies)
 			defer x.Close()
-			var s sched.Strategy = c.next
 			b.ReportAllocs()
 			decisions := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				decisions += len(x.RunStrategy(s).Schedule)
+				decisions += len(x.Run(c.chooser(i)).Schedule)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(decisions), "ns/decision")
 		})
@@ -429,7 +436,7 @@ func BenchmarkEngineAttempt(b *testing.B) {
 // work — eager 607-word seeding, then 2000 Intn — to show the lazy fill
 // costs no more than the warm-up it replaces even when nothing is saved.
 func BenchmarkReseed(b *testing.B) {
-	parked := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	const parked = sched.ProcSet(1<<8 - 1)
 	perReset := func(b *testing.B, reset func(seed int64)) {
 		for i := 0; i < b.N; i++ {
 			reset(int64(i))
@@ -438,20 +445,20 @@ func BenchmarkReseed(b *testing.B) {
 	}
 	b.Run("pct-n8-d3", func(b *testing.B) {
 		var pct sched.PCT
-		perReset(b, func(seed int64) { reseedSink += pct.Reset(seed, 8, 73, 3).Next(0, parked).Proc })
+		perReset(b, func(seed int64) { reseedSink += pct.Reset(seed, 8, 73, 3).Choose(0, parked, nil).Proc })
 	})
 	b.Run("walk-100", func(b *testing.B) {
 		var w sched.Walk
 		perReset(b, func(seed int64) {
 			w.Reset(seed)
 			for d := 0; d < 100; d++ {
-				reseedSink += w.Next(d, parked).Proc
+				reseedSink += w.Choose(d, parked, nil).Proc
 			}
 		})
 	})
-	draw2000 := func(s sched.Strategy) {
+	draw2000 := func(s sched.Chooser) {
 		for d := 0; d < 2000; d++ {
-			reseedSink += s.Next(d, parked).Proc
+			reseedSink += s.Choose(d, parked, nil).Proc
 		}
 	}
 	b.Run("random-2000", func(b *testing.B) {
@@ -460,8 +467,8 @@ func BenchmarkReseed(b *testing.B) {
 	})
 	b.Run("mathrand-eager-2000", func(b *testing.B) {
 		r := rand.New(rand.NewSource(0))
-		uniform := sched.Func(func(_ int, parked []int) sched.Choice {
-			return sched.Choice{Proc: parked[r.Intn(len(parked))]}
+		uniform := sched.Func(func(_ int, parked sched.ProcSet, _ []memory.Access) sched.Choice {
+			return sched.Choice{Proc: parked.Nth(r.Intn(parked.Len()))}
 		})
 		perReset(b, func(seed int64) {
 			r.Seed(seed)

@@ -65,12 +65,13 @@ import (
 	"repro/internal/engine"
 	"repro/internal/randexp"
 	"repro/internal/scenario"
+	"repro/internal/sched"
 )
 
 func main() {
 	scenarioName := flag.String("scenario", defScenario, "scenario to check: a registered name, gen:<seed>, or 'all' for the sweep (see -list)")
 	list := flag.Bool("list", false, "print every registered and generator scenario with its oracle, then exit")
-	n := flag.Int("n", 0, "number of processes (0 = the scenario's default)")
+	n := flag.Int("n", 0, "number of processes (0 = the scenario's default; at most 64)")
 	maxExecs := flag.Int("max", defMax, "max execution attempts for exhaustive exploration (per scenario in a sweep)")
 	samples := flag.Int("samples", defSamples, "sampled schedules when n > -exhaustive-n (per scenario in a sweep)")
 	seed := flag.Int64("seed", defSeed, "base seed for sampled schedules")
@@ -134,6 +135,7 @@ func main() {
 
 	if *scenarioName == "all" {
 		validate(pathSweep, 0)
+		checkProcs(*n)
 		runSweep(cf, *n, *exhaustiveN, *maxExecs, *samples, *seed, *workers, *crashes)
 		return
 	}
@@ -143,6 +145,7 @@ func main() {
 		exitWithListing("%v", err)
 	}
 	procs := sc.Procs(*n)
+	checkProcs(procs)
 	if *crashes && !sc.Params.Crashes {
 		fmt.Fprintf(os.Stderr, "tascheck: scenario %s does not support -crashes (its checks assume every process completes)\n", sc.Name)
 		os.Exit(2)
@@ -242,6 +245,15 @@ func main() {
 	}
 	fmt.Printf("tascheck %s (n=%d, oracle %s, prune %s): OK — %d interleavings (%s), %d pruned as redundant, %d backtracks, %d state-cache hits, %d prefix replays, max depth %d\n",
 		sc.Name, procs, oracle, pruneMode, rep.Executions, how, rep.Pruned, rep.Backtracks, rep.CacheHits, rep.Replays, rep.MaxDepth)
+}
+
+// checkProcs rejects, as a usage error, a process count no gated execution
+// can hold (sched.MaxProcs).
+func checkProcs(n int) {
+	if err := sched.CheckProcs(n); err != nil {
+		fmt.Fprintf(os.Stderr, "tascheck: %v\n", err)
+		os.Exit(2)
+	}
 }
 
 // verdictOf folds a run error into the run_end event's verdict field.

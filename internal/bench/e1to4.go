@@ -94,7 +94,7 @@ func RunE2() []*Table {
 					rmwSamples = append(rmwSamples, float64(p.RMWs()-beforeR))
 				}
 			}
-			var strat sched.Strategy = sched.NewSolo(0, 1, 2, 3)
+			var strat sched.Chooser = sched.NewSolo(0, 1, 2, 3)
 			if contended {
 				strat = sched.NewRoundRobin()
 			}
@@ -224,7 +224,7 @@ func RunE4() []*Table {
 		steps           []float64
 		rmws            int64
 	}
-	run := func(strat func() sched.Strategy, seeds int) agg {
+	run := func(strat func() sched.Chooser, seeds int) agg {
 		var a agg
 		for s := 0; s < seeds; s++ {
 			env := memory.NewEnv(2)
@@ -253,12 +253,12 @@ func RunE4() []*Table {
 	rng := rand.New(rand.NewSource(seedFor(1)))
 	rows := []struct {
 		name  string
-		strat func() sched.Strategy
+		strat func() sched.Chooser
 		seeds int
 	}{
-		{"solo (run-to-completion)", func() sched.Strategy { return sched.NewSolo(0, 1) }, 1},
-		{"round-robin (interleaved)", func() sched.Strategy { return sched.NewRoundRobin() }, 1},
-		{"random (200 seeds)", func() sched.Strategy { return sched.NewRandom(rng.Int63()) }, 200},
+		{"solo (run-to-completion)", func() sched.Chooser { return sched.NewSolo(0, 1) }, 1},
+		{"round-robin (interleaved)", func() sched.Chooser { return sched.NewRoundRobin() }, 1},
+		{"random (200 seeds)", func() sched.Chooser { return sched.NewRandom(rng.Int63()) }, 200},
 	}
 	for _, r := range rows {
 		a := run(r.strat, r.seeds)

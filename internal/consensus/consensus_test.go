@@ -308,10 +308,6 @@ func TestChainFallsBackUnderContention(t *testing.T) {
 	// running it under a scheduler for a few steps only.
 	done := make(chan struct{})
 	stall := make(chan struct{})
-	gate := sched.Func(func(step int, parked []int) sched.Choice {
-		return sched.Choice{Proc: parked[0]}
-	})
-	_ = gate
 	go func() {
 		defer close(done)
 		// Run p1's propose fully; concurrently p0 proposes. Outcomes must

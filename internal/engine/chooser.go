@@ -65,6 +65,7 @@ type itemChooser struct {
 	env       *memory.Env
 	prefix    []Transition // the item's choice prefix, root to spawn transition
 	itemSleep []Transition // the item's sleep set, in effect once the prefix is replayed
+	resumed   int          // the item's WorkItem.resumed
 	crashed   uint64       // bitmask of processes crashed so far
 	pruned    int
 	bad       error
@@ -102,7 +103,7 @@ type itemChooser struct {
 // the trans and nodes scratch.
 func (c *itemChooser) begin(item WorkItem, env *memory.Env) {
 	c.env = env
-	c.itemSleep = item.Sleep
+	c.itemSleep, c.resumed = item.Sleep, item.resumed
 	c.crashed, c.pruned, c.bad, c.aborted, c.cacheHit = 0, 0, nil, false, false
 	c.lastNode = nil
 	if n := env.N(); len(c.steps) != n {
@@ -140,6 +141,19 @@ func (c *itemChooser) begin(item WorkItem, env *memory.Env) {
 		copy(c.prefix[nd.depth-len(nd.seg):], nd.seg)
 	}
 	c.nodes, c.accs = c.nodes[:0], c.accs[:0]
+}
+
+// diverged is the error of a run that cannot replay its item's prefix from
+// step on. The tree is deterministic, so a recorded transition is always
+// re-enabled on replay: a failing prefix read from a checkpoint makes the
+// checkpoint corrupt, and any other means the harness is nondeterministic
+// (e.g. shared state escaping the closure).
+func (c *itemChooser) diverged(step int) error {
+	what := fmt.Sprintf("step %d cannot replay %+v", step, c.prefix[step])
+	if c.resumed > 0 {
+		return fmt.Errorf("engine: corrupt checkpoint: item %d: %s", c.resumed-1, what)
+	}
+	return fmt.Errorf("engine: nondeterministic harness: %s", what)
 }
 
 // newItem builds the frontier item that branches off with transition t
@@ -198,37 +212,27 @@ func (c *itemChooser) stateKey(fp memory.Fingerprint) cacheKey {
 	return cacheKey{fp[0], fp[1], h.Sum()}
 }
 
-func (c *itemChooser) Choose(step int, parked []sched.ProcState) sched.Choice {
+func (c *itemChooser) Choose(step int, parked sched.ProcSet, next []memory.Access) sched.Choice {
 	if c.aborted {
 		// Unwind the remaining processes; this run is abandoned.
-		return sched.Choice{Proc: parked[0].ID, Crash: true}
+		return sched.Choice{Proc: parked.Min(), Crash: true}
 	}
 
 	if step < len(c.prefix) {
 		// Replay zone: ancestors already expanded these decision points, so
-		// the canonical branch index is computed directly from the sorted
-		// parked set (steps by process id, then crashes by process id)
-		// without materializing the candidate list.
+		// the canonical branch index — steps by process id, then crashes by
+		// process id — is the number of parked processes below the
+		// recorded one, without materializing the candidate list.
 		want := c.prefix[step]
-		idx := -1
-		var acc memory.Access
-		for i, ps := range parked {
-			if ps.ID == want.Proc {
-				idx = i
-				acc = ps.Next
-				break
-			}
-		}
-		if idx < 0 || (want.Crash && !c.e.cfg.Crashes) {
-			// The tree is deterministic, so a recorded transition is always
-			// re-enabled on replay. Seeing otherwise means the harness is
-			// nondeterministic (e.g. shared state escaping the closure).
-			c.bad = fmt.Errorf("engine: nondeterministic harness: step %d cannot replay %+v", step, want)
+		if !parked.Has(want.Proc) || (want.Crash && !c.e.cfg.Crashes) {
+			c.bad = c.diverged(step)
 			c.aborted = true
-			return sched.Choice{Proc: parked[0].ID, Crash: true}
+			return sched.Choice{Proc: parked.Min(), Crash: true}
 		}
+		idx := (parked & (1<<uint(want.Proc) - 1)).Len()
+		acc := next[want.Proc]
 		if want.Crash {
-			idx += len(parked)
+			idx += parked.Len()
 			acc = memory.Access{}
 		}
 		c.path = append(c.path, idx)
@@ -255,12 +259,14 @@ func (c *itemChooser) Choose(step int, parked []sched.ProcState) sched.Choice {
 	// process id, then (with Crashes) crashes by process id — built into a
 	// buffer reused across decisions.
 	cands := c.cands[:0]
-	for _, ps := range parked {
-		cands = append(cands, candidate{t: Transition{Proc: ps.ID}, acc: ps.Next})
+	for m := parked; m != 0; m &= m - 1 {
+		p := m.Min()
+		cands = append(cands, candidate{t: Transition{Proc: p}, acc: next[p]})
 	}
 	if c.e.cfg.Crashes {
-		for _, ps := range parked {
-			cands = append(cands, candidate{t: Transition{Proc: ps.ID, Crash: true}, acc: ps.Next})
+		for m := parked; m != 0; m &= m - 1 {
+			p := m.Min()
+			cands = append(cands, candidate{t: Transition{Proc: p, Crash: true}, acc: next[p]})
 		}
 	}
 	c.cands = cands
@@ -284,7 +290,7 @@ func (c *itemChooser) Choose(step int, parked []sched.ProcState) sched.Choice {
 		c.pruned += len(cands) - len(awake)
 		if len(awake) == 0 {
 			c.aborted = true
-			return sched.Choice{Proc: parked[0].ID, Crash: true}
+			return sched.Choice{Proc: parked.Min(), Crash: true}
 		}
 	}
 
@@ -304,14 +310,14 @@ func (c *itemChooser) Choose(step int, parked []sched.ProcState) sched.Choice {
 				}
 				c.cacheHit = true
 				c.aborted = true
-				return sched.Choice{Proc: parked[0].ID, Crash: true}
+				return sched.Choice{Proc: parked.Min(), Crash: true}
 			}
 		}
 	}
 
 	chosen := awake[0]
 	if c.e.cfg.Prune == PruneSourceDPOR {
-		return c.chooseDPOR(step, parked, cands, awake, chosen)
+		return c.chooseDPOR(step, parked.Len(), cands, awake, chosen)
 	}
 
 	if len(awake) > 1 {

@@ -59,8 +59,9 @@ func NewCore(h Harness, workers int) *Core {
 
 // instanceFor returns worker w's instance, constructing it — and its pooled
 // executor — on first use (serialized with checks, so harness closures may
-// share state). A harness without a reset closure is rejected here: there is
-// no second way to run one. A constructor that panics is reported as an
+// share state). A harness without a reset closure is rejected here — there
+// is no second way to run one — and so is one over more than
+// sched.MaxProcs processes. A constructor that panics is reported as an
 // error, like any other harness closure.
 func (c *Core) instanceFor(w int) (*instance, error) {
 	if inst := c.insts[w].Load(); inst != nil {
@@ -68,6 +69,9 @@ func (c *Core) instanceFor(w int) (*instance, error) {
 	}
 	env, bodies, check, reset, err := c.construct()
 	if err != nil {
+		return nil, err
+	}
+	if err := sched.CheckProcs(env.N()); err != nil {
 		return nil, err
 	}
 	if reset == nil {
@@ -203,7 +207,7 @@ func harnessPanic(stage string, r any, res *sched.Result) error {
 // (minimum 1). The sampling frontends use it to measure deterministic
 // schedule-length bounds (the PCT k parameter) before sampling starts. A
 // panicking harness is reported as in SampleBatches.
-func (c *Core) Probe(s sched.Strategy) (depth int, err error) {
+func (c *Core) Probe(s sched.Chooser) (depth int, err error) {
 	inst, err := c.instanceFor(0)
 	if err != nil {
 		return 0, err
@@ -214,7 +218,7 @@ func (c *Core) Probe(s sched.Strategy) (depth int, err error) {
 			err = harnessPanic(stage, r, nil)
 		}
 	}()
-	res := inst.exec.RunStrategy(s)
+	res := inst.exec.Run(s)
 	c.checkMu.Lock()
 	defer c.checkMu.Unlock()
 	stage = stageReset
@@ -253,7 +257,7 @@ type SeedOutcome struct {
 // strategy instance. Each sampling worker owns one SeedStrategy and calls it
 // for one run at a time, so it may hand back the same re-armed strategy
 // value every call.
-type SeedStrategy func(seed int64, n int) (sched.Strategy, func(out *SeedOutcome))
+type SeedStrategy func(seed int64, n int) (sched.Chooser, func(out *SeedOutcome))
 
 // SampleConfig bounds a batched sampling loop.
 type SampleConfig struct {
@@ -380,7 +384,7 @@ func (c *Core) runSeed(w int, seed int64, strat SeedStrategy) (out SeedOutcome, 
 		}
 	}()
 	s, finish := strat(seed, inst.env.N())
-	res = inst.exec.RunStrategy(s)
+	res = inst.exec.Run(s)
 	out = SeedOutcome{Seed: seed, Depth: len(res.Schedule), Shape: ShapeHash(res.Schedule)}
 	out.Fingerprint, out.FingerprintOK = inst.env.Fingerprint()
 	if finish != nil {

@@ -160,8 +160,9 @@ func (n *dnode) tracked(t Transition) bool {
 // chooseDPOR is the enumeration-zone decision of the source-DPOR mode:
 // take the first awake branch, materialize a decision node when the point
 // is branching, eagerly enqueue awake crash siblings, and leave step
-// siblings to the race analysis of completed traces.
-func (c *itemChooser) chooseDPOR(step int, parked []sched.ProcState, cands, awake []candidate, chosen candidate) sched.Choice {
+// siblings to the race analysis of completed traces. parked is the number
+// of processes parked at the point.
+func (c *itemChooser) chooseDPOR(step, parked int, cands, awake []candidate, chosen candidate) sched.Choice {
 	e := c.e
 	if e.cfg.MaxDepth > 0 && step >= e.cfg.MaxDepth {
 		// Below the depth bound nothing backtracks: no node, no siblings.
@@ -174,7 +175,7 @@ func (c *itemChooser) chooseDPOR(step int, parked []sched.ProcState, cands, awak
 	}
 
 	var node *dnode
-	if len(parked) >= 2 {
+	if parked >= 2 {
 		node = c.newNode(cands, chosen.t)
 		c.lastNode = node
 	}

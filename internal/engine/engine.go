@@ -319,6 +319,9 @@ type WorkItem struct {
 	// an item shares its prefix with the tree instead of copying it. Never
 	// serialized — which is why source-DPOR walks are not checkpointable.
 	node *dnode
+	// resumed is 1 + the item's index in Config.Resume for an item read
+	// from a checkpoint, and 0 for one this walk discovered.
+	resumed int
 }
 
 // Checkpoint is a resumable frontier: the set of work items an interrupted
@@ -433,6 +436,19 @@ func Run(h Harness, cfg Config) (Report, error) {
 	}
 	e := &engine{core: NewCore(h, workers), cfg: cfg, terminal: map[memory.Fingerprint]struct{}{}, obs: cfg.Metrics}
 	defer e.core.Close()
+	if cfg.Resume != nil {
+		// Worker 0's instance is built ahead of the walk: it tells how many
+		// processes the checkpoint's transitions may name.
+		inst, err := e.core.instanceFor(0)
+		if err == nil {
+			e.queue, err = resumeQueue(cfg.Resume, inst.env.N(), cfg.Crashes)
+		}
+		if err != nil {
+			return Report{}, err
+		}
+	} else {
+		e.queue = []WorkItem{{}}
+	}
 	e.cond = sync.NewCond(&e.mu)
 	if e.obs != nil {
 		removeFrontier := e.obs.AddSource("engine_frontier", "Unexplored frontier items queued.", true, func() int64 {
@@ -464,12 +480,6 @@ func Run(h Harness, cfg Config) (Report, error) {
 	if cfg.CacheStates {
 		e.cache = newStateCache()
 	}
-	if cfg.Resume != nil {
-		e.queue = append(e.queue, cfg.Resume.Items...)
-	} else {
-		e.queue = []WorkItem{{}}
-	}
-
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -540,6 +550,29 @@ func Run(h Harness, cfg Config) (Report, error) {
 		return rep, &CheckError{Schedule: e.best.schedule, Err: e.best.err}
 	}
 	return rep, nil
+}
+
+// resumeQueue validates a checkpoint before the walk starts and returns its
+// items, tagged as resumed, as the initial work queue. Every transition of
+// every item must name a process in [0, n), and crash transitions belong
+// only to a walk with crashes; anything else is a corrupt checkpoint.
+func resumeQueue(ck *Checkpoint, n int, crashes bool) ([]WorkItem, error) {
+	queue := make([]WorkItem, len(ck.Items))
+	for i, item := range ck.Items {
+		for _, ts := range [2][]Transition{item.Prefix, item.Sleep} {
+			for _, t := range ts {
+				if t.Proc < 0 || t.Proc >= n {
+					return nil, fmt.Errorf("engine: corrupt checkpoint: item %d: process %d is not in [0, %d)", i, t.Proc, n)
+				}
+				if t.Crash && !crashes {
+					return nil, fmt.Errorf("engine: corrupt checkpoint: item %d: crash of process %d in a walk without crashes", i, t.Proc)
+				}
+			}
+		}
+		item.resumed = i + 1
+		queue[i] = item
+	}
+	return queue, nil
 }
 
 // next blocks until a work item is available or the exploration is over.
@@ -641,6 +674,9 @@ func (e *engine) runItem(ch *itemChooser, inst *instance, item WorkItem) {
 	}()
 	ch.begin(item, inst.env)
 	res = inst.exec.Run(ch)
+	if ch.bad == nil && len(res.Schedule) < len(ch.prefix) {
+		ch.bad = ch.diverged(len(res.Schedule)) // the run ended inside its prefix
+	}
 
 	if ch.bad == nil && e.cfg.Prune == PruneSourceDPOR {
 		// Race analysis mutates only per-node state (under node locks) and

@@ -209,8 +209,8 @@ func (r *runner) workerStrategy() engine.SeedStrategy {
 		d = DefaultPCTDepth
 	}
 	p := r.cfg.CrashProb
-	return func(seed int64, n int) (sched.Strategy, func(out *engine.SeedOutcome)) {
-		var s sched.Strategy
+	return func(seed int64, n int) (sched.Chooser, func(out *engine.SeedOutcome)) {
+		var s sched.Chooser
 		var finish func(out *engine.SeedOutcome)
 		switch r.cfg.Sampler {
 		case SamplerPCT:

@@ -453,3 +453,67 @@ func TestSampleReportsFailingSeed(t *testing.T) {
 		t.Fatal("replaying the failing schedule did not reproduce the failure")
 	}
 }
+
+// TestProcessLimit: every gated entry point holds at most sched.MaxProcs
+// processes — the parked set is one word — and rejects one more with an
+// error that wraps sched.ErrTooManyProcs and names the limit, rather than
+// losing the processes a 64-bit mask cannot hold.
+func TestProcessLimit(t *testing.T) {
+	// n processes, each reading its own register once: one trace class.
+	system := func(n int) (*memory.Env, []func(p *memory.Proc), func()) {
+		env := memory.NewEnv(n)
+		regs := memory.NewRegArray(n, 0)
+		env.Register(regs)
+		bodies := make([]func(p *memory.Proc), n)
+		for i := range bodies {
+			bodies[i] = func(p *memory.Proc) { regs.Read(p, i) }
+		}
+		return env, bodies, func() {}
+	}
+	harness := func(n int) engine.Harness {
+		return func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
+			env, bodies, reset := system(n)
+			return env, bodies, func(*sched.Result) error { return nil }, reset
+		}
+	}
+	entries := []struct {
+		name string
+		run  func(n int) error
+	}{
+		{"sched.NewExecutor", func(n int) (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err, _ = r.(error)
+				}
+			}()
+			env, bodies, _ := system(n)
+			x := sched.NewExecutor(env, bodies)
+			defer x.Close()
+			if res := x.Run(sched.NewRoundRobin()); len(res.Schedule) != n {
+				return fmt.Errorf("%d decisions for %d one-step processes", len(res.Schedule), n)
+			}
+			return nil
+		}},
+		{"engine.Run", func(n int) error {
+			_, err := engine.Run(harness(n), engine.Config{MaxExecutions: 10, Workers: 2})
+			return err
+		}},
+		{"randexp.Run pct", func(n int) error {
+			_, err := Run(harness(n), Config{Sampler: SamplerPCT, Samples: 4, Workers: 2})
+			return err
+		}},
+		{"randexp.Run random", func(n int) error {
+			_, err := Run(harness(n), Config{Samples: 4, Workers: 2})
+			return err
+		}},
+	}
+	for _, e := range entries {
+		if err := e.run(sched.MaxProcs); err != nil {
+			t.Errorf("%s at n=%d: %v", e.name, sched.MaxProcs, err)
+		}
+		err := e.run(sched.MaxProcs + 1)
+		if !errors.Is(err, sched.ErrTooManyProcs) || !strings.Contains(err.Error(), "at most 64 processes") {
+			t.Errorf("%s at n=%d: got %v, want the named limit", e.name, sched.MaxProcs+1, err)
+		}
+	}
+}

@@ -27,8 +27,9 @@ import (
 // No channel, mutex or atomic sits on the step path.
 //
 // Baton discipline: the process that parks or retires last runs the
-// decision on its own stack — builds the parked set, asks the chooser,
-// records the choice. If it granted itself it simply returns from Enter: a
+// decision on its own stack — asks the chooser, records the choice. The
+// parked set is one word that Enter sets a bit in and a grant clears, so a
+// decision builds nothing. If it granted itself it simply returns from Enter: a
 // self-grant costs no switch at all, which is what makes solo tails and
 // replayed prefixes cheap. Otherwise it yields the chosen id to the driver,
 // which resumes that process: a handoff is two coroutine switches (decider
@@ -75,14 +76,12 @@ type Executor struct {
 	// — and is nil otherwise.
 	chooser   Chooser
 	res       *Result
-	result    Result          // the one Result every run refills
-	strat     strategyChooser // RunStrategy's adapter, reused across runs
-	executing int             // processes that have yet to park or retire
-	inChooser bool            // a chooser call is on the stack (panic attribution)
-	parkedAcc []memory.Access
-	isParked  []bool
-	crashNow  []bool // crash grant pending for a parked process
-	states    []ProcState
+	result    Result // the one Result every run refills
+	executing int    // processes that have yet to park or retire
+	inChooser bool   // a chooser call is on the stack (panic attribution)
+	parked    ProcSet
+	parkedAcc []memory.Access // pending access per process, valid while parked
+	crashNow  []bool          // crash grant pending for a parked process
 
 	// Per-run census, folded into stats when the run completes.
 	decisions, selfGrants, crashes int64
@@ -147,10 +146,14 @@ type ExecStats struct {
 }
 
 // NewExecutor creates an executor for the environment and bodies.
-// len(bodies) must equal env.N(). The executor owns n coroutines until Close
-// is called.
+// len(bodies) must equal env.N(), and env.N() must not exceed MaxProcs: a
+// larger environment panics with the CheckProcs error. The executor owns n
+// coroutines until Close is called.
 func NewExecutor(env *memory.Env, bodies []func(p *memory.Proc)) *Executor {
 	n := env.N()
+	if err := CheckProcs(n); err != nil {
+		panic(err)
+	}
 	if len(bodies) != n {
 		panic(fmt.Sprintf("sched: %d bodies for %d processes", len(bodies), n))
 	}
@@ -162,9 +165,7 @@ func NewExecutor(env *memory.Env, bodies []func(p *memory.Proc)) *Executor {
 		stop:      make([]func(), n),
 		yield:     make([]func(int) bool, n),
 		parkedAcc: make([]memory.Access, n),
-		isParked:  make([]bool, n),
 		crashNow:  make([]bool, n),
-		states:    make([]ProcState, 0, n),
 		result: Result{
 			Finished: make([]bool, n),
 			Crashed:  make([]bool, n),
@@ -225,7 +226,7 @@ func (x *Executor) runBody(i int, p *memory.Proc) (live bool) {
 func (x *Executor) Enter(p *memory.Proc, a memory.Access) {
 	i := p.ID()
 	x.parkedAcc[i] = a
-	x.isParked[i] = true
+	x.parked |= 1 << uint(i)
 	to := idle
 	if x.executing--; x.executing == 0 {
 		to = x.decide(i)
@@ -253,25 +254,19 @@ func (x *Executor) retire() int {
 // parked. from is the deciding process (the one that just parked), or -1
 // when the baton fell from a retiring process.
 func (x *Executor) decide(from int) int {
-	res := x.res
-	states := x.states[:0]
-	for i := 0; i < x.n; i++ {
-		if x.isParked[i] {
-			states = append(states, ProcState{ID: i, Next: x.parkedAcc[i]})
-		}
-	}
-	if len(states) == 0 {
+	if x.parked == 0 {
 		return done
 	}
+	res := x.res
 	x.inChooser = true
-	c := x.chooser.Choose(len(res.Schedule), states)
-	if c.Proc < 0 || c.Proc >= x.n || !x.isParked[c.Proc] {
-		panic(fmt.Sprintf("sched: chooser chose non-parked process %d from %v", c.Proc, states))
+	c := x.chooser.Choose(len(res.Schedule), x.parked, x.parkedAcc)
+	if !x.parked.Has(c.Proc) {
+		panic(fmt.Sprintf("sched: chooser chose non-parked process %d from parked set %b", c.Proc, x.parked))
 	}
 	x.inChooser = false
 	res.Schedule = append(res.Schedule, c)
 	res.Accesses = append(res.Accesses, x.parkedAcc[c.Proc])
-	x.isParked[c.Proc] = false
+	x.parked &^= 1 << uint(c.Proc)
 	x.executing = 1
 	x.decisions++
 	if c.Proc == from {
@@ -299,9 +294,7 @@ func (x *Executor) resume(i int) int {
 }
 
 // Run performs one controlled execution under the chooser and returns its
-// summary, valid until the executor's next run. The ProcState slice passed
-// to the chooser is scratch reused across decisions; choosers must not
-// retain it past the call.
+// summary, valid until the executor's next run.
 func (x *Executor) Run(chooser Chooser) *Result {
 	if x.closed {
 		panic("sched: Run on closed Executor")
@@ -318,7 +311,7 @@ func (x *Executor) Run(chooser Chooser) *Result {
 	clear(res.Steps)
 	x.res = res
 	x.chooser = chooser
-	clear(x.isParked)
+	x.parked = 0
 	x.executing = n
 	x.decisions, x.selfGrants, x.crashes = 0, 0, 0
 	x.env.SetGate(x)
@@ -351,13 +344,8 @@ func (x *Executor) release() {
 	x.chooser = nil
 }
 
-// RunStrategy is Run for id-only deciders.
-func (x *Executor) RunStrategy(s Strategy) *Result {
-	x.strat.s = s
-	res := x.Run(&x.strat)
-	x.strat.s = nil
-	return res
-}
+// RunStrategy is Run, kept for callers that still use the name.
+func (x *Executor) RunStrategy(c Chooser) *Result { return x.Run(c) }
 
 // Close ends the executor's coroutines, unwinding any body an aborted run
 // left parked, and detaches an aborted run from the environment. No run may

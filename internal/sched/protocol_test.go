@@ -50,7 +50,7 @@ func TestExecutorMatchesReferenceRegistry(t *testing.T) {
 			n = sc.Procs(n)
 			crashes := sc.Params.Crashes
 			h, _ := sc.Build(n, scenario.Options{Crashes: crashes})
-			strategy := func(seed int64) sched.Strategy {
+			strategy := func(seed int64) sched.Chooser {
 				if crashes {
 					return sched.NewRandomCrash(seed, 0.1)
 				}
@@ -64,7 +64,7 @@ func TestExecutorMatchesReferenceRegistry(t *testing.T) {
 			for seed := int64(0); seed < seeds; seed++ {
 				var got *sched.Result
 				if x != nil {
-					got = x.RunStrategy(strategy(seed))
+					got = x.Run(strategy(seed))
 				} else {
 					env, bodies, _, _ = h()
 					got = sched.Run(env, strategy(seed), bodies)
@@ -122,18 +122,18 @@ func TestExecutorRunAllocFree(t *testing.T) {
 	x := sched.NewExecutor(env, bodies)
 	defer x.Close()
 	rr := sched.NewRoundRobin()
-	strategies := map[string]sched.Strategy{
+	strategies := map[string]sched.Chooser{
 		"solo":        sched.NewSolo(0, 1, 2),
-		"round-robin": sched.Func(func(step int, parked []int) sched.Choice { return rr.Next(step, parked) }),
-		"crash": sched.Func(func(step int, parked []int) sched.Choice {
-			return sched.Choice{Proc: parked[len(parked)-1], Crash: step%3 == 2}
+		"round-robin": sched.Func(rr.Choose),
+		"crash": sched.Func(func(step int, parked sched.ProcSet, _ []memory.Access) sched.Choice {
+			return sched.Choice{Proc: parked.Nth(parked.Len() - 1), Crash: step%3 == 2}
 		}),
 	}
 	for name, s := range strategies {
-		x.RunStrategy(s) // grow the Result buffers
+		x.Run(s) // grow the Result buffers
 		env.Reset()
 		if avg := testing.AllocsPerRun(50, func() {
-			x.RunStrategy(s)
+			x.Run(s)
 			env.Reset()
 		}); avg != 0 {
 			t.Errorf("%s: a run allocated %.1f objects, want 0", name, avg)
@@ -177,7 +177,7 @@ func TestExecutorCloseLeavesNoGoroutine(t *testing.T) {
 		if got := runtime.NumGoroutine(); got > base {
 			t.Fatalf("%s: %d goroutines after Close, want the baseline %d", state, got, base)
 		}
-		if r := runPanics(func() { x.RunStrategy(sched.NewRoundRobin()) }); r == nil || !strings.Contains(r.(string), "closed Executor") {
+		if r := runPanics(func() { x.Run(sched.NewRoundRobin()) }); r == nil || !strings.Contains(r.(string), "closed Executor") {
 			t.Fatalf("%s: Run on a closed executor panicked with %v, want the closed-Executor panic", state, r)
 		}
 	}
@@ -187,17 +187,17 @@ func TestExecutorCloseLeavesNoGoroutine(t *testing.T) {
 
 	env, bodies = counters()
 	x := sched.NewExecutor(env, bodies)
-	x.RunStrategy(sched.NewRoundRobin())
+	x.Run(sched.NewRoundRobin())
 	check("after a completed run", x)
 
 	env, bodies = panicAt(errors.New("boom"))
 	x = sched.NewExecutor(env, bodies)
-	if r := runPanics(func() { x.RunStrategy(sched.NewRoundRobin()) }); r == nil {
+	if r := runPanics(func() { x.Run(sched.NewRoundRobin()) }); r == nil {
 		t.Fatal("the body's panic did not propagate out of the run")
 	}
 	check("after an aborted run", x)
 	// Close detached the aborted run: the environment is usable again.
-	if x2 := sched.NewExecutor(env, bodies); runPanics(func() { x2.RunStrategy(sched.NewSolo(0, 2, 1)) }) == nil {
+	if x2 := sched.NewExecutor(env, bodies); runPanics(func() { x2.Run(sched.NewSolo(0, 2, 1)) }) == nil {
 		t.Fatal("rerun on the same environment did not reach the panicking body")
 	} else {
 		x2.Close()
@@ -216,7 +216,7 @@ func TestExecutorBodyPanicIsNamed(t *testing.T) {
 	env, bodies := panicAt(boom)
 	x := sched.NewExecutor(env, bodies)
 	defer x.Close()
-	r := runPanics(func() { x.RunStrategy(sched.NewRoundRobin()) })
+	r := runPanics(func() { x.Run(sched.NewRoundRobin()) })
 	pe, ok := r.(*sched.PanicError)
 	if !ok {
 		t.Fatalf("run panicked with %T %v, want *sched.PanicError", r, r)
@@ -233,7 +233,7 @@ func TestExecutorBodyPanicIsNamed(t *testing.T) {
 	if !strings.Contains(string(pe.Stack), "panicAt") {
 		t.Fatalf("stack does not reach the panicking body:\n%s", pe.Stack)
 	}
-	if r := runPanics(func() { x.RunStrategy(sched.NewRoundRobin()) }); r == nil || !strings.Contains(r.(string), "aborted") {
+	if r := runPanics(func() { x.Run(sched.NewRoundRobin()) }); r == nil || !strings.Contains(r.(string), "aborted") {
 		t.Fatalf("run after an aborted run panicked with %v, want the aborted-run panic", r)
 	}
 
@@ -255,11 +255,11 @@ func TestExecutorChooserPanicIsNotBlamedOnABody(t *testing.T) {
 	x := sched.NewExecutor(env, bodies)
 	defer x.Close()
 	r := runPanics(func() {
-		x.RunStrategy(sched.Func(func(step int, parked []int) sched.Choice {
+		x.Run(sched.Func(func(step int, parked sched.ProcSet, _ []memory.Access) sched.Choice {
 			if step == 4 {
 				panic("chooser bug")
 			}
-			return sched.Choice{Proc: parked[0]}
+			return sched.Choice{Proc: parked.Min()}
 		}))
 	})
 	if r != "chooser bug" {

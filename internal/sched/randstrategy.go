@@ -3,6 +3,9 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"slices"
+
+	"repro/internal/memory"
 )
 
 // This file holds the randomized sampling strategies the randexp subsystem
@@ -35,27 +38,24 @@ import (
 // A PCT value is single-run state: construct a fresh one per sampled
 // execution.
 type PCT struct {
-	rng    *rand.Rand  // construction-time draws only; kept for Reset
-	perm   []int       // construction-time scratch; kept for Reset
-	prio   []int       // current priority per process id; higher runs first
-	change []pctChange // the d−1 change points, in draw order
+	rng    *rand.Rand // construction-time draws only; kept for Reset
+	prio   []int      // current priority per process id; higher runs first
+	byPrio []int      // process ids in increasing priority order
+	drop   []int      // drop[step] is the priority a change point at step lowers to, or 0
+	steps  []int      // the steps the change points marked in drop
 }
-
-// pctChange is one priority change point: at decision step the would-be
-// runner drops to prio. There are d−1 of them in draw order, so a linear
-// scan beats a map on every decision; where two collide on one step the
-// later-drawn one applies.
-type pctChange struct{ step, prio int }
 
 // NewPCT returns a PCT strategy for n processes with schedule-length bound
 // k and depth d, seeded deterministically. d < 1 is treated as 1 (pure
 // priority scheduling, no change points); k < 1 as 1. When two of the d−1
-// change points collide on the same step index only one applies, matching
-// the with-replacement sampling of the original algorithm.
+// change points collide on the same step index only the later-drawn one
+// applies, matching the with-replacement sampling of the original
+// algorithm.
 func NewPCT(seed int64, n, k, d int) *PCT { return new(PCT).Reset(seed, n, k, d) }
 
 // Reset re-arms p for a new run, as NewPCT(seed, n, k, d) would construct
-// it, reusing the generator, the priority table and the change-point list.
+// it, reusing the generator, the priority table and the change-point table
+// (whose last marks it clears, so a reset costs O(n + d), not O(k)).
 func (p *PCT) Reset(seed int64, n, k, d int) *PCT {
 	if d < 1 {
 		d = 1
@@ -65,50 +65,73 @@ func (p *PCT) Reset(seed int64, n, k, d int) *PCT {
 	}
 	p.rng = reseed(p.rng, seed)
 	if cap(p.prio) < n {
-		p.prio, p.perm = make([]int, n), make([]int, n)
+		p.prio, p.byPrio = make([]int, n), make([]int, n)
 	}
-	p.prio, p.perm = p.prio[:n], p.perm[:n]
-	p.change = p.change[:0]
+	p.prio, p.byPrio = p.prio[:n], p.byPrio[:n]
 	// rand.Perm, drawn into the reused buffer: the same generator calls in
 	// the same order, so a seed's schedule is what it always was. (Stale
 	// entries are harmless: perm[i] is only ever read after being written,
-	// except at j == i where the read value is overwritten at once.)
+	// except at j == i where the read value is overwritten at once.) The
+	// permutation ranks the processes by initial priority.
+	perm := p.byPrio
 	for i := 0; i < n; i++ {
 		j := p.rng.Intn(i + 1)
-		p.perm[i] = p.perm[j]
-		p.perm[j] = i
+		perm[i] = perm[j]
+		perm[j] = i
 	}
-	for i, proc := range p.perm {
+	for i, proc := range perm {
 		p.prio[proc] = d + i // distinct initial priorities, all >= d
 	}
+	for _, step := range p.steps {
+		p.drop[step] = 0
+	}
+	if cap(p.drop) < k {
+		p.drop = make([]int, k)
+	}
+	p.drop, p.steps = p.drop[:k], p.steps[:0]
 	for i := 1; i < d; i++ {
-		p.change = append(p.change, pctChange{step: p.rng.Intn(k), prio: d - i}) // all < d
+		step := p.rng.Intn(k)
+		p.drop[step] = d - i // all in [1, d); a later draw overwrites
+		p.steps = append(p.steps, step)
 	}
 	return p
 }
 
-// Next implements Strategy: run the highest-priority parked process,
+// Choose implements Chooser: run the highest-priority parked process,
 // lowering the would-be runner's priority first when this step is a change
 // point.
-func (p *PCT) Next(step int, parked []int) Choice {
+func (p *PCT) Choose(step int, parked ProcSet, _ []memory.Access) Choice {
 	best := p.highest(parked)
-	for i := len(p.change) - 1; i >= 0; i-- {
-		if p.change[i].step == step {
-			p.prio[best] = p.change[i].prio
-			return Choice{Proc: p.highest(parked)}
-		}
+	if step < len(p.drop) && p.drop[step] != 0 {
+		p.reprioritize(best, p.drop[step])
+		best = p.highest(parked)
 	}
 	return Choice{Proc: best}
 }
 
-func (p *PCT) highest(parked []int) int {
-	best := parked[0]
-	for _, id := range parked[1:] {
-		if p.prio[id] > p.prio[best] {
-			best = id
+// highest returns the parked process of highest priority: the first member
+// met walking the priority order down, usually the top process itself.
+func (p *PCT) highest(parked ProcSet) int {
+	for i := len(p.byPrio) - 1; ; i-- {
+		if id := p.byPrio[i]; parked.Has(id) {
+			return id
 		}
 	}
-	return best
+}
+
+// reprioritize gives process id priority prio and moves it to its place in
+// the priority order.
+func (p *PCT) reprioritize(id, prio int) {
+	p.prio[id] = prio
+	o := p.byPrio
+	i := slices.Index(o, id)
+	for ; i > 0 && p.prio[o[i-1]] > prio; i-- {
+		o[i] = o[i-1]
+	}
+	for ; i < len(o)-1 && p.prio[o[i+1]] < prio; i++ {
+		o[i] = o[i+1]
+	}
+	o[i] = id
 }
 
 // Walk samples uniformly among parked processes, like Random, but
@@ -126,7 +149,7 @@ func (p *PCT) highest(parked []int) int {
 //
 // A Walk is single-run state: construct a fresh one per sampled execution
 // and read LogWeight after the run. Crash decisions injected by a wrapper
-// bypass Next, which invalidates the estimator (crashes change which tree
+// bypass Choose, which invalidates the estimator (crashes change which tree
 // is being walked mid-path); randexp reports no estimate under crash
 // injection.
 type Walk struct {
@@ -144,10 +167,11 @@ func (w *Walk) Reset(seed int64) *Walk {
 	return w
 }
 
-// Next implements Strategy.
-func (w *Walk) Next(_ int, parked []int) Choice {
-	w.logW += math.Log(float64(len(parked)))
-	return Choice{Proc: parked[w.rng.Intn(len(parked))]}
+// Choose implements Chooser.
+func (w *Walk) Choose(_ int, parked ProcSet, _ []memory.Access) Choice {
+	k := parked.Len()
+	w.logW += math.Log(float64(k))
+	return Choice{Proc: parked.Nth(w.rng.Intn(k))}
 }
 
 // LogWeight returns the log of the walk's importance weight so far: the sum
@@ -196,20 +220,21 @@ func (r *Rates) weight(id int) float64 {
 	return w
 }
 
-// Next implements Strategy.
-func (r *Rates) Next(_ int, parked []int) Choice {
+// Choose implements Chooser.
+func (r *Rates) Choose(_ int, parked ProcSet, _ []memory.Access) Choice {
 	total := 0.0
-	for _, id := range parked {
-		total += r.weight(id)
+	for m := parked; m != 0; m &= m - 1 {
+		total += r.weight(m.Min())
 	}
 	x := r.rng.Float64() * total
-	for _, id := range parked {
-		x -= r.weight(id)
-		if x < 0 {
-			return Choice{Proc: id}
+	id := 0
+	for m := parked; m != 0; m &= m - 1 {
+		id = m.Min()
+		if x -= r.weight(id); x < 0 {
+			break
 		}
 	}
-	return Choice{Proc: parked[len(parked)-1]}
+	return Choice{Proc: id} // the last member when rounding leaves x >= 0
 }
 
 // Crashes wraps any strategy with seeded crash injection: at each
@@ -219,30 +244,30 @@ func (r *Rates) Next(_ int, parked []int) Choice {
 // structured samplers, whose own decision state must not be perturbed by
 // crash draws.
 type Crashes struct {
-	inner Strategy
+	inner Chooser
 	rng   *rand.Rand
 	p     float64
 }
 
 // WithCrashes returns inner wrapped with crash injection of probability p,
 // its crash draws seeded by seed.
-func WithCrashes(inner Strategy, seed int64, p float64) *Crashes {
+func WithCrashes(inner Chooser, seed int64, p float64) *Crashes {
 	return new(Crashes).Reset(inner, seed, p)
 }
 
 // Reset re-arms c for a new run, as WithCrashes(inner, seed, p) would
 // construct it.
-func (c *Crashes) Reset(inner Strategy, seed int64, p float64) *Crashes {
+func (c *Crashes) Reset(inner Chooser, seed int64, p float64) *Crashes {
 	c.inner = inner
 	c.rng = reseed(c.rng, seed)
 	c.p = p
 	return c
 }
 
-// Next implements Strategy.
-func (c *Crashes) Next(step int, parked []int) Choice {
+// Choose implements Chooser.
+func (c *Crashes) Choose(step int, parked ProcSet, next []memory.Access) Choice {
 	if c.p > 0 && c.rng.Float64() < c.p {
-		return Choice{Proc: parked[c.rng.Intn(len(parked))], Crash: true}
+		return Choice{Proc: parked.Nth(c.rng.Intn(parked.Len())), Crash: true}
 	}
-	return c.inner.Next(step, parked)
+	return c.inner.Choose(step, parked, next)
 }

@@ -96,7 +96,7 @@ func TestPCTBoundedPreemptions(t *testing.T) {
 func TestWalkWeightMatchesBranchingFactors(t *testing.T) {
 	env := memory.NewEnv(3)
 	w := NewWalk(11)
-	log := &parkedLog{Strategy: w}
+	log := &parkedLog{Chooser: w}
 	Run(env, log, readerBodies(env, 3, 3))
 	want := 0.0
 	for _, parked := range log.sets {
@@ -133,7 +133,7 @@ func TestRatesSkewsGrants(t *testing.T) {
 		total := 0
 		for seed := int64(0); seed < 200; seed++ {
 			env := memory.NewEnv(2)
-			log := &parkedLog{Strategy: NewRates(seed, weights)}
+			log := &parkedLog{Chooser: NewRates(seed, weights)}
 			res := Run(env, log, readerBodies(env, 2, 8))
 			// Count only decisions where both processes were parked: rate
 			// weighting is conditional on the parked set.
@@ -268,25 +268,26 @@ func TestRandomCrashNoGrantAfterCrash(t *testing.T) {
 	}
 }
 
-// The six seeded strategies as they were written against math/rand itself:
-// rand.NewSource per construction, rand.Perm and a change-point map in PCT.
+// The six seeded strategies as they were written against math/rand itself,
+// over the sorted id slice: rand.NewSource per construction, rand.Perm, a
+// change-point map and a priority scan in PCT.
 // TestResetMatchesFreshConstruction compares the real ones, which draw from
-// alfgSource, against these.
+// alfgSource and read the parked word, against these.
 
-func refRandom(seed int64) Strategy {
+func refRandom(seed int64) Chooser {
 	rng := rand.New(rand.NewSource(seed))
-	return Func(func(_ int, parked []int) Choice { return Choice{Proc: parked[rng.Intn(len(parked))]} })
+	return idFunc(func(_ int, parked []int) Choice { return Choice{Proc: parked[rng.Intn(len(parked))]} })
 }
 
-func refRandomCrash(seed int64, p float64) Strategy {
+func refRandomCrash(seed int64, p float64) Chooser {
 	rng := rand.New(rand.NewSource(seed))
-	return Func(func(_ int, parked []int) Choice {
+	return idFunc(func(_ int, parked []int) Choice {
 		crash := p > 0 && rng.Float64() < p
 		return Choice{Proc: parked[rng.Intn(len(parked))], Crash: crash}
 	})
 }
 
-func refPCT(seed int64, n, k, d int) Strategy {
+func refPCT(seed int64, n, k, d int) Chooser {
 	rng := rand.New(rand.NewSource(seed))
 	prio := make([]int, n)
 	for i, proc := range rng.Perm(n) {
@@ -305,7 +306,7 @@ func refPCT(seed int64, n, k, d int) Strategy {
 		}
 		return best
 	}
-	return Func(func(step int, parked []int) Choice {
+	return idFunc(func(step int, parked []int) Choice {
 		best := highest(parked)
 		if v, ok := change[step]; ok {
 			prio[best] = v
@@ -315,10 +316,10 @@ func refPCT(seed int64, n, k, d int) Strategy {
 	})
 }
 
-func refRates(seed int64, weights []float64) Strategy {
+func refRates(seed int64, weights []float64) Chooser {
 	rng := rand.New(rand.NewSource(seed))
 	weight := (&Rates{weights: weights}).weight
-	return Func(func(_ int, parked []int) Choice {
+	return idFunc(func(_ int, parked []int) Choice {
 		total := 0.0
 		for _, id := range parked {
 			total += weight(id)
@@ -333,13 +334,14 @@ func refRates(seed int64, weights []float64) Strategy {
 	})
 }
 
-func refCrashes(inner Strategy, seed int64, p float64) Strategy {
+func refCrashes(inner Chooser, seed int64, p float64) Chooser {
 	rng := rand.New(rand.NewSource(seed))
-	return Func(func(step int, parked []int) Choice {
+	return Func(func(step int, parked ProcSet, next []memory.Access) Choice {
 		if p > 0 && rng.Float64() < p {
-			return Choice{Proc: parked[rng.Intn(len(parked))], Crash: true}
+			list := ids(parked)
+			return Choice{Proc: list[rng.Intn(len(list))], Crash: true}
 		}
-		return inner.Next(step, parked)
+		return inner.Choose(step, parked, next)
 	})
 }
 
@@ -354,7 +356,7 @@ func refCrashes(inner Strategy, seed int64, p float64) Strategy {
 func TestResetMatchesFreshConstruction(t *testing.T) {
 	const n, steps, k, d = 4, 5, 20, 3
 	weights := []float64{4, 1, 1, 0.5}
-	schedule := func(s Strategy) []Choice {
+	schedule := func(s Chooser) []Choice {
 		env := memory.NewEnv(n)
 		return Run(env, s, readerBodies(env, n, steps)).Schedule
 	}
@@ -369,36 +371,36 @@ func TestResetMatchesFreshConstruction(t *testing.T) {
 	)
 	kinds := []struct {
 		name              string
-		fresh, reset, ref func(seed int64) Strategy
+		fresh, reset, ref func(seed int64) Chooser
 	}{
 		{"random",
-			func(s int64) Strategy { return NewRandom(s) },
-			func(s int64) Strategy { return random.Reset(s) },
+			func(s int64) Chooser { return NewRandom(s) },
+			func(s int64) Chooser { return random.Reset(s) },
 			refRandom},
 		{"random-crash",
-			func(s int64) Strategy { return NewRandomCrash(s, 0.2) },
-			func(s int64) Strategy { return crash.Reset(s, 0.2) },
-			func(s int64) Strategy { return refRandomCrash(s, 0.2) }},
+			func(s int64) Chooser { return NewRandomCrash(s, 0.2) },
+			func(s int64) Chooser { return crash.Reset(s, 0.2) },
+			func(s int64) Chooser { return refRandomCrash(s, 0.2) }},
 		{"pct",
-			func(s int64) Strategy { return NewPCT(s, n, k, d) },
-			func(s int64) Strategy { return pct.Reset(s, n, k, d) },
-			func(s int64) Strategy { return refPCT(s, n, k, d) }},
+			func(s int64) Chooser { return NewPCT(s, n, k, d) },
+			func(s int64) Chooser { return pct.Reset(s, n, k, d) },
+			func(s int64) Chooser { return refPCT(s, n, k, d) }},
 		{"pct-colliding",
-			func(s int64) Strategy { return NewPCT(s, n, 2, 4) },
-			func(s int64) Strategy { return collide.Reset(s, n, 2, 4) },
-			func(s int64) Strategy { return refPCT(s, n, 2, 4) }},
+			func(s int64) Chooser { return NewPCT(s, n, 2, 4) },
+			func(s int64) Chooser { return collide.Reset(s, n, 2, 4) },
+			func(s int64) Chooser { return refPCT(s, n, 2, 4) }},
 		{"walk",
-			func(s int64) Strategy { return NewWalk(s) },
-			func(s int64) Strategy { return walk.Reset(s) },
+			func(s int64) Chooser { return NewWalk(s) },
+			func(s int64) Chooser { return walk.Reset(s) },
 			refRandom},
 		{"rates",
-			func(s int64) Strategy { return NewRates(s, weights) },
-			func(s int64) Strategy { return rates.Reset(s, weights) },
-			func(s int64) Strategy { return refRates(s, weights) }},
+			func(s int64) Chooser { return NewRates(s, weights) },
+			func(s int64) Chooser { return rates.Reset(s, weights) },
+			func(s int64) Chooser { return refRates(s, weights) }},
 		{"crashes",
-			func(s int64) Strategy { return WithCrashes(NewRoundRobin(), s, 0.2) },
-			func(s int64) Strategy { return crashes.Reset(NewRoundRobin(), s, 0.2) },
-			func(s int64) Strategy { return refCrashes(NewRoundRobin(), s, 0.2) }},
+			func(s int64) Chooser { return WithCrashes(NewRoundRobin(), s, 0.2) },
+			func(s int64) Chooser { return crashes.Reset(NewRoundRobin(), s, 0.2) },
+			func(s int64) Chooser { return refCrashes(NewRoundRobin(), s, 0.2) }},
 	}
 	for _, kind := range kinds {
 		schedule(kind.reset(99)) // dirty the reused value with another seed's run

@@ -8,7 +8,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/memory"
 )
@@ -32,8 +31,8 @@ func (g *refGate) Enter(p *memory.Proc, a memory.Access) {
 	}
 }
 
-// RefRunChooser is the reference implementation of Executor.Run, one-shot.
-func RefRunChooser(env *memory.Env, chooser Chooser, bodies []func(p *memory.Proc)) *Result {
+// RefRun is the reference implementation of Run.
+func RefRun(env *memory.Env, chooser Chooser, bodies []func(p *memory.Proc)) *Result {
 	n := env.N()
 	g := &refGate{toSched: make(chan refMsg), grants: make([]chan bool, n)}
 	for i := range g.grants {
@@ -75,15 +74,16 @@ func RefRunChooser(env *memory.Env, chooser Chooser, bodies []func(p *memory.Pro
 		if len(parked) == 0 {
 			return res // every process finished or crashed
 		}
-		states := make([]ProcState, 0, len(parked))
+		var set ProcSet
+		next := make([]memory.Access, n)
 		for id, acc := range parked {
-			states = append(states, ProcState{ID: id, Next: acc})
+			set |= 1 << uint(id)
+			next[id] = acc
 		}
-		sort.Slice(states, func(i, j int) bool { return states[i].ID < states[j].ID })
-		c := chooser.Choose(len(res.Schedule), states)
+		c := chooser.Choose(len(res.Schedule), set, next)
 		acc, ok := parked[c.Proc]
 		if !ok {
-			panic(fmt.Sprintf("sched: chooser chose non-parked process %d from %v", c.Proc, states))
+			panic(fmt.Sprintf("sched: chooser chose non-parked process %d from %v", c.Proc, parked))
 		}
 		res.Schedule = append(res.Schedule, c)
 		res.Accesses = append(res.Accesses, acc)
@@ -98,9 +98,4 @@ func RefRunChooser(env *memory.Env, chooser Chooser, bodies []func(p *memory.Pro
 		g.grants[c.Proc] <- !c.Crash // the process executes or unwinds, then reports
 		executing = 1
 	}
-}
-
-// RefRun is the reference implementation of Run.
-func RefRun(env *memory.Env, strategy Strategy, bodies []func(p *memory.Proc)) *Result {
-	return RefRunChooser(env, &strategyChooser{s: strategy}, bodies)
 }

@@ -21,14 +21,36 @@
 // coroutine per process and baton-passed decisions; its doc comment has
 // the protocol and its costs. Run is its one-shot form.
 //
-// Decisions can be made at two levels. A Strategy sees only the parked
-// process ids — enough for the canned schedules (solo, round-robin,
-// random, replay). A Chooser additionally sees, for every parked process,
-// the memory.Access it is about to perform; the engine's partial-order
-// reduction is built on that metadata.
+// Decisions go through one interface, Chooser, which sees the parked set as
+// one word (ProcSet: bit p set means process p is parked) and every parked
+// process's pending access. The canned schedules and the samplers ignore
+// the accesses; the engine's partial-order reduction is built on them. A
+// word holds MaxProcs processes, which bounds every gated execution.
 package sched
 
-import "repro/internal/memory"
+import (
+	"fmt"
+	"math/bits"
+
+	"repro/internal/memory"
+)
+
+// MaxProcs is the most processes a gated execution can hold: the parked
+// set is one 64-bit word.
+const MaxProcs = 64
+
+// ErrTooManyProcs is wrapped by the rejection of a gated execution over
+// more than MaxProcs processes.
+var ErrTooManyProcs = fmt.Errorf("sched: a gated execution holds at most %d processes (the parked set is one 64-bit word)", MaxProcs)
+
+// CheckProcs reports whether n processes fit in a gated execution: nil, or
+// an error wrapping ErrTooManyProcs that names n.
+func CheckProcs(n int) error {
+	if n > MaxProcs {
+		return fmt.Errorf("%w: got %d", ErrTooManyProcs, n)
+	}
+	return nil
+}
 
 // Choice is one scheduler decision: which parked process to grant a step,
 // or to crash instead of granting.
@@ -37,49 +59,50 @@ type Choice struct {
 	Crash bool
 }
 
-// Strategy picks the next scheduler choice. parked is the sorted set of
-// process ids currently parked at the gate (len(parked) >= 1). step is the
-// 0-based index of this decision in the execution.
-type Strategy interface {
-	Next(step int, parked []int) Choice
-}
+// ProcSet is a set of process ids, one bit per id: bit p set means process
+// p is a member. Counting members "up" means in increasing id order.
+type ProcSet uint64
 
-// ProcState describes one parked process at a decision point: its id and
-// the shared-memory access it will perform if granted the next step.
-type ProcState struct {
-	ID   int
-	Next memory.Access
-}
+// Len returns the number of members.
+func (s ProcSet) Len() int { return bits.OnesCount64(uint64(s)) }
 
-// Chooser is the access-aware decision interface: it sees the pending
-// access of every parked process, which is what independence-based pruning
-// needs. parked is sorted by process id.
-type Chooser interface {
-	Choose(step int, parked []ProcState) Choice
-}
+// Has reports whether p is a member; ids outside [0, MaxProcs) never are.
+func (s ProcSet) Has(p int) bool { return uint(p) < MaxProcs && s&(1<<uint(p)) != 0 }
 
-// strategyChooser adapts a Strategy (ids only) to the Chooser interface.
-// The id slice handed to the strategy is scratch reused across decisions;
-// strategies must not retain it past the call.
-type strategyChooser struct {
-	s   Strategy
-	ids []int
-}
+// Min returns the smallest member of a non-empty set.
+func (s ProcSet) Min() int { return bits.TrailingZeros64(uint64(s)) }
 
-func (a *strategyChooser) Choose(step int, parked []ProcState) Choice {
-	ids := a.ids[:0]
-	for _, ps := range parked {
-		ids = append(ids, ps.ID)
+// Nth returns the k-th member counting up from 0; 0 <= k < s.Len().
+func (s ProcSet) Nth(k int) int {
+	for ; k > 0; k-- {
+		s &= s - 1
 	}
-	a.ids = ids
-	return a.s.Next(step, ids)
+	return s.Min()
+}
+
+// Chooser picks the next scheduler choice. step is the 0-based index of
+// this decision in the execution; parked is the set of processes parked at
+// the gate (never empty); next[p] is the shared-memory access parked
+// process p performs if granted (entries of unparked processes are stale).
+// next is the executor's own array: a chooser must neither modify nor
+// retain it past the call.
+type Chooser interface {
+	Choose(step int, parked ProcSet, next []memory.Access) Choice
+}
+
+// Func adapts a plain function to a Chooser.
+type Func func(step int, parked ProcSet, next []memory.Access) Choice
+
+// Choose implements Chooser.
+func (f Func) Choose(step int, parked ProcSet, next []memory.Access) Choice {
+	return f(step, parked, next)
 }
 
 // Result summarizes one controlled execution.
 //
 // A Result returned by an Executor is owned by that executor and valid only
 // until its next run: the executor reuses the value and every slice in it,
-// so a caller that keeps any part of one past the next Run/RunStrategy call
+// so a caller that keeps any part of one past the next run
 // on the same executor must copy it first. Run closes its one-shot
 // executor before returning, so its Result is the caller's to keep.
 type Result struct {
@@ -87,9 +110,9 @@ type Result struct {
 	Schedule []Choice
 	// Accesses[i] is the access associated with the i-th choice: the access
 	// performed, or, for a crash choice, the access the victim was about to
-	// perform (which never executed). Deciders that need the pending access
-	// of every parked process (not just the chosen one) implement Chooser,
-	// which sees them before each decision.
+	// perform (which never executed). The pending access of every parked
+	// process (not just the chosen one) is what a Chooser sees before each
+	// decision.
 	Accesses []memory.Access
 	// Finished[p] reports whether process p ran to completion.
 	Finished []bool
@@ -102,7 +125,7 @@ type Result struct {
 // crashSignal unwinds the body of a process the scheduler crashed.
 type crashSignal struct{ proc int }
 
-// Run executes bodies[i] as process i of env under the given strategy and
+// Run executes bodies[i] as process i of env under the given chooser and
 // returns the execution summary. len(bodies) must equal env.N(). It is a
 // one-shot Executor — constructed, run once and closed — so it installs the
 // gate for the duration of the call, leaves no goroutine behind, and
@@ -111,8 +134,8 @@ type crashSignal struct{ proc int }
 //
 // Crashed processes stop taking steps permanently (their body unwinds via a
 // recovered panic), matching the crash model of Section 3.
-func Run(env *memory.Env, strategy Strategy, bodies []func(p *memory.Proc)) *Result {
+func Run(env *memory.Env, c Chooser, bodies []func(p *memory.Proc)) *Result {
 	x := NewExecutor(env, bodies)
 	defer x.Close()
-	return x.RunStrategy(strategy)
+	return x.Run(c)
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -168,7 +169,7 @@ func TestFuncStrategy(t *testing.T) {
 	env := memory.NewEnv(2)
 	r := memory.NewIntReg(0)
 	// Always pick the highest parked id.
-	st := Func(func(_ int, parked []int) Choice {
+	st := idFunc(func(_ int, parked []int) Choice {
 		return Choice{Proc: parked[len(parked)-1]}
 	})
 	res := Run(env, st, []func(p *memory.Proc){reader(r, 2), reader(r, 2)})
@@ -177,22 +178,59 @@ func TestFuncStrategy(t *testing.T) {
 	}
 }
 
-// parkedLog wraps a strategy and records the parked set every decision was
-// made from (the slice a strategy sees is scratch, so each set is copied).
+// ids lists a parked set's members counting up, the sorted id slice the
+// reference strategies are written over.
+func ids(parked ProcSet) []int {
+	var out []int
+	for m := parked; m != 0; m &= m - 1 {
+		out = append(out, m.Min())
+	}
+	return out
+}
+
+// idFunc adapts a decision function over the sorted id slice — the form
+// the reference strategies are written in — to a Chooser.
+func idFunc(f func(step int, parked []int) Choice) Func {
+	return func(step int, parked ProcSet, _ []memory.Access) Choice { return f(step, ids(parked)) }
+}
+
+// parkedLog wraps a chooser and records the parked set every decision was
+// made from.
 type parkedLog struct {
-	Strategy
+	Chooser
 	sets [][]int
 }
 
-func (l *parkedLog) Next(step int, parked []int) Choice {
-	l.sets = append(l.sets, append([]int(nil), parked...))
-	return l.Strategy.Next(step, parked)
+func (l *parkedLog) Choose(step int, parked ProcSet, next []memory.Access) Choice {
+	l.sets = append(l.sets, ids(parked))
+	return l.Chooser.Choose(step, parked, next)
+}
+
+// TestProcSet pins the word operations every decider is built on against
+// the id slice they replace.
+func TestProcSet(t *testing.T) {
+	for _, s := range []ProcSet{1, 0b1011_0100, 1<<63 | 1<<40 | 1, ^ProcSet(0)} {
+		list := ids(s)
+		if s.Len() != len(list) || s.Min() != list[0] {
+			t.Fatalf("%b: Len %d / Min %d, members %v", s, s.Len(), s.Min(), list)
+		}
+		for k, id := range list {
+			if got := s.Nth(k); got != id {
+				t.Fatalf("%b: Nth(%d) = %d, want %d", s, k, got, id)
+			}
+		}
+		for p := -1; p <= MaxProcs; p++ {
+			if want := slices.Contains(list, p); s.Has(p) != want {
+				t.Fatalf("%b: Has(%d) = %v, want %v", s, p, s.Has(p), want)
+			}
+		}
+	}
 }
 
 func TestParkedSetsRecorded(t *testing.T) {
 	env := memory.NewEnv(2)
 	r := memory.NewIntReg(0)
-	log := &parkedLog{Strategy: NewRoundRobin()}
+	log := &parkedLog{Chooser: NewRoundRobin()}
 	Run(env, log, []func(p *memory.Proc){reader(r, 1), reader(r, 1)})
 	if want := [][]int{{0, 1}, {1}}; !reflect.DeepEqual(log.sets, want) {
 		t.Fatalf("parked sets = %v, want %v", log.sets, want)
@@ -248,7 +286,7 @@ func TestExecutorMatchesRunChooser(t *testing.T) {
 	defer x.Close()
 
 	for round := 0; round < 5; round++ {
-		got := x.RunStrategy(NewRoundRobin())
+		got := x.Run(NewRoundRobin())
 		final := r.Read(env.Proc(0))
 		env.Reset()
 
@@ -284,7 +322,7 @@ func TestExecutorCrashAndReuse(t *testing.T) {
 	x := NewExecutor(env, bodies)
 	defer x.Close()
 
-	res := x.RunStrategy(&CrashAfter{Inner: NewRoundRobin(), Victim: 0, K: 1})
+	res := x.Run(&CrashAfter{Inner: NewRoundRobin(), Victim: 0, K: 1})
 	if !res.Crashed[0] || res.Finished[0] {
 		t.Fatalf("victim not crashed: %+v", res)
 	}
@@ -293,7 +331,7 @@ func TestExecutorCrashAndReuse(t *testing.T) {
 	}
 	env.Reset()
 
-	res = x.RunStrategy(NewSolo(0, 1))
+	res = x.Run(NewSolo(0, 1))
 	if !res.Finished[0] || !res.Finished[1] || res.Crashed[0] {
 		t.Fatalf("post-crash reuse broken: %+v", res)
 	}
@@ -311,10 +349,10 @@ func TestExecutorResultLifetime(t *testing.T) {
 	x := NewExecutor(env, bodies)
 	defer x.Close()
 
-	first := x.RunStrategy(NewSolo(0, 1))
+	first := x.Run(NewSolo(0, 1))
 	kept := append([]Choice(nil), first.Schedule...)
 	env.Reset()
-	second := x.RunStrategy(NewSolo(1, 0))
+	second := x.Run(NewSolo(1, 0))
 	if second != first {
 		t.Fatal("executor returned a fresh Result; runs must refill the one it owns")
 	}
@@ -326,7 +364,7 @@ func TestExecutorResultLifetime(t *testing.T) {
 	}
 	env.Reset()
 	if avg := testing.AllocsPerRun(20, func() {
-		x.RunStrategy(NewRoundRobin())
+		x.Run(NewRoundRobin())
 		env.Reset()
 	}); avg > 1 { // the RoundRobin value itself
 		t.Fatalf("a pooled run allocated %.1f objects, want at most the strategy value", avg)
@@ -339,7 +377,7 @@ func TestExecutorLeavesNoGate(t *testing.T) {
 	env, r, bodies := pooledHarness()
 	x := NewExecutor(env, bodies)
 	defer x.Close()
-	x.RunStrategy(NewRoundRobin())
+	x.Run(NewRoundRobin())
 	done := make(chan int64, 1)
 	go func() { done <- r.Read(env.Proc(0)) }()
 	select {

@@ -1,6 +1,10 @@
 package sched
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"repro/internal/memory"
+)
 
 // RoundRobin grants steps to parked processes cyclically: at each decision
 // it picks the smallest parked id strictly greater than the last granted id
@@ -14,21 +18,17 @@ type RoundRobin struct {
 // NewRoundRobin returns a fresh round-robin strategy.
 func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
 
-// Next implements Strategy.
-func (r *RoundRobin) Next(_ int, parked []int) Choice {
-	if !r.init {
-		r.init = true
-		r.last = parked[0]
-		return Choice{Proc: parked[0]}
-	}
-	for _, id := range parked {
-		if id > r.last {
-			r.last = id
-			return Choice{Proc: id}
+// Choose implements Chooser.
+func (r *RoundRobin) Choose(_ int, parked ProcSet, _ []memory.Access) Choice {
+	id := parked.Min()
+	if r.init {
+		// 2<<63 wraps to 0, so after id 63 nothing is above: wrap around.
+		if above := parked &^ (2<<uint(r.last) - 1); above != 0 {
+			id = above.Min()
 		}
 	}
-	r.last = parked[0]
-	return Choice{Proc: parked[0]}
+	r.init, r.last = true, id
+	return Choice{Proc: id}
 }
 
 // reseed returns a generator positioned at the start of seed's stream: r
@@ -62,9 +62,9 @@ func (r *Random) Reset(seed int64) *Random {
 	return r
 }
 
-// Next implements Strategy.
-func (r *Random) Next(_ int, parked []int) Choice {
-	return Choice{Proc: parked[r.rng.Intn(len(parked))]}
+// Choose implements Chooser.
+func (r *Random) Choose(_ int, parked ProcSet, _ []memory.Access) Choice {
+	return Choice{Proc: parked.Nth(r.rng.Intn(parked.Len()))}
 }
 
 // RandomCrash is Random with seeded crash injection: at each decision it
@@ -92,10 +92,10 @@ func (r *RandomCrash) Reset(seed int64, p float64) *RandomCrash {
 	return r
 }
 
-// Next implements Strategy.
-func (r *RandomCrash) Next(_ int, parked []int) Choice {
+// Choose implements Chooser.
+func (r *RandomCrash) Choose(_ int, parked ProcSet, _ []memory.Access) Choice {
 	crash := r.p > 0 && r.rng.Float64() < r.p
-	return Choice{Proc: parked[r.rng.Intn(len(parked))], Crash: crash}
+	return Choice{Proc: parked.Nth(r.rng.Intn(parked.Len())), Crash: crash}
 }
 
 // Solo runs processes one at a time to completion, in the given id order:
@@ -108,16 +108,14 @@ type Solo struct {
 // NewSolo returns a solo strategy with the given completion order.
 func NewSolo(order ...int) *Solo { return &Solo{order: order} }
 
-// Next implements Strategy.
-func (s *Solo) Next(_ int, parked []int) Choice {
+// Choose implements Chooser.
+func (s *Solo) Choose(_ int, parked ProcSet, _ []memory.Access) Choice {
 	for _, id := range s.order {
-		for _, pid := range parked {
-			if pid == id {
-				return Choice{Proc: id}
-			}
+		if parked.Has(id) {
+			return Choice{Proc: id}
 		}
 	}
-	return Choice{Proc: parked[0]}
+	return Choice{Proc: parked.Min()}
 }
 
 // Replay replays a recorded choice sequence, then falls back to the first
@@ -129,19 +127,19 @@ type Replay struct {
 // NewReplay returns a strategy replaying the given choices.
 func NewReplay(choices []Choice) *Replay { return &Replay{choices: choices} }
 
-// Next implements Strategy.
-func (r *Replay) Next(step int, parked []int) Choice {
+// Choose implements Chooser.
+func (r *Replay) Choose(step int, parked ProcSet, _ []memory.Access) Choice {
 	if step < len(r.choices) {
 		return r.choices[step]
 	}
-	return Choice{Proc: parked[0]}
+	return Choice{Proc: parked.Min()}
 }
 
 // CrashAfter wraps a strategy and crashes process victim the first time it
 // is parked at or after the victim's k-th granted step, exercising the
 // paper's crash-failure model mid-operation.
 type CrashAfter struct {
-	Inner  Strategy
+	Inner  Chooser
 	Victim int
 	K      int64
 
@@ -149,17 +147,13 @@ type CrashAfter struct {
 	crashed bool
 }
 
-// Next implements Strategy.
-func (c *CrashAfter) Next(step int, parked []int) Choice {
-	if !c.crashed && c.granted >= c.K {
-		for _, id := range parked {
-			if id == c.Victim {
-				c.crashed = true
-				return Choice{Proc: id, Crash: true}
-			}
-		}
+// Choose implements Chooser.
+func (c *CrashAfter) Choose(step int, parked ProcSet, next []memory.Access) Choice {
+	if !c.crashed && c.granted >= c.K && parked.Has(c.Victim) {
+		c.crashed = true
+		return Choice{Proc: c.Victim, Crash: true}
 	}
-	ch := c.Inner.Next(step, parked)
+	ch := c.Inner.Choose(step, parked, next)
 	if ch.Proc == c.Victim && !ch.Crash {
 		c.granted++
 	}
@@ -170,13 +164,4 @@ func (c *CrashAfter) Next(step int, parked []int) Choice {
 // lower id, producing pairwise step contention; other processes run last.
 // With exactly two processes it is equivalent to round-robin but keeps the
 // intent explicit in tests.
-type Alternate struct{ rr RoundRobin }
-
-// Next implements Strategy.
-func (a *Alternate) Next(step int, parked []int) Choice { return a.rr.Next(step, parked) }
-
-// Func adapts a plain function to a Strategy.
-type Func func(step int, parked []int) Choice
-
-// Next implements Strategy.
-func (f Func) Next(step int, parked []int) Choice { return f(step, parked) }
+type Alternate struct{ RoundRobin }
