@@ -379,7 +379,9 @@ func BenchmarkExecutorDecision(b *testing.B) {
 // iteration is a whole fixed-size unit — the composed n=3 source-DPOR walk
 // (1991 attempts) or a 2000-seed PCT batch on composed n=8 — and the
 // per-attempt figures are reported as custom metrics alongside the
-// per-unit ns/op, B/op and allocs/op.
+// per-unit ns/op, B/op and allocs/op. The deep case is the first 2000
+// attempts of the universalqueue n=2 walk, whose traces run to 235 steps
+// against composed n=3's 30: what an attempt costs as traces deepen.
 func BenchmarkEngineAttempt(b *testing.B) {
 	sc, err := scenario.Lookup("composed")
 	if err != nil {
@@ -404,6 +406,20 @@ func BenchmarkEngineAttempt(b *testing.B) {
 		h, _ := sc.Build(3, scenario.Options{})
 		perAttempt(b, func() int {
 			rep, err := engine.Run(h, engine.Config{Prune: engine.PruneSourceDPOR, Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return rep.Attempts
+		})
+	})
+	b.Run("deep", func(b *testing.B) {
+		uq, err := scenario.Lookup("universalqueue")
+		if err != nil {
+			b.Fatal(err)
+		}
+		h, _ := uq.Build(2, scenario.Options{})
+		perAttempt(b, func() int {
+			rep, err := engine.Run(h, engine.Config{Prune: engine.PruneSourceDPOR, Workers: 1, MaxExecutions: 2000})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -119,8 +119,12 @@ func (c *itemChooser) begin(item WorkItem, env *memory.Env) {
 		base = item.node.depth
 	}
 	d := base + len(item.Prefix)
+	// The previous run's trans and nodes records stay valid up to prev
+	// unless regrown.
+	prev := min(len(c.trans), len(c.nodes))
 	if cap(c.trans) < d {
 		c.trans = make([]Transition, d, 2*d)
+		prev = 0
 	}
 	c.prefix = c.trans[:d]
 	copy(c.prefix[base:], item.Prefix)
@@ -130,16 +134,29 @@ func (c *itemChooser) begin(item WorkItem, env *memory.Env) {
 	}
 	if cap(c.nodes) < d {
 		c.nodes = make([]*dnode, d, 2*d)
+		prev = 0
 	}
 	if cap(c.accs) < d {
 		c.accs = make([]memory.Access, d, 2*d)
 	}
+	// Lay out the node chain bottom-up, clearing the depths between chain
+	// nodes. The walk stops at the first node the previous run passed
+	// through: that run's records up to it are this item's root path (a
+	// node's root path is unique), which in a depth-first walk usually
+	// spares the whole chain.
 	nodes := c.nodes[:d]
-	clear(nodes)
-	for nd := item.node; nd != nil; nd = nd.parent {
+	hi, nd := d, item.node
+	for ; nd != nil && (nd.depth >= prev || nodes[nd.depth] != nd); nd = nd.parent {
+		clear(nodes[nd.depth+1 : hi])
 		nodes[nd.depth] = nd
 		copy(c.prefix[nd.depth-len(nd.seg):], nd.seg)
+		hi = nd.depth
 	}
+	lo := 0
+	if nd != nil {
+		lo = nd.depth + 1
+	}
+	clear(nodes[lo:hi])
 	c.nodes, c.accs = c.nodes[:0], c.accs[:0]
 }
 

@@ -27,8 +27,9 @@ package engine
 //     decision node of the same path.
 //   - After each execution (including sleep-set-aborted ones: their
 //     executed prefix is real), the engine computes happens-before vector
-//     bitsets over the trace and, for every newly appended event, scans
-//     earlier conflicting events for reversible races. For a race (e, f) it
+//     bitsets over the trace from each event's immediate dependence
+//     frontier and reads every newly appended event's reversible races off
+//     that frontier (findRaces has the lemma). For a race (e, f) it
 //     computes v = (the events between them not happens-after e) followed
 //     by f, takes the initials of v — processes whose first event in v has
 //     no happens-before predecessor within v — and, unless an initial is
@@ -55,6 +56,7 @@ package engine
 // and reject Resume.
 
 import (
+	"math/bits"
 	"sync"
 
 	"repro/internal/memory"
@@ -64,36 +66,105 @@ import (
 // dporScratch holds one worker's reusable race-analysis tables (the trace
 // record they are computed from is the chooser's own scratch).
 type dporScratch struct {
-	hb       []uint64
-	v        []int
+	hb       hbRows
+	v        []uint64
 	initials []Transition
-	lastProc []int
-	objs     map[uint64]*objDep
-	objPool  []*objDep
-	objUsed  int
+	lastProc []int32
+	races    []race
+	// objs is an open-addressing table of per-object dependence frontiers,
+	// at most half full; a slot is live only while its gen equals gen, so a
+	// new trace empties the table with one increment.
+	objs     []objDep
+	objShift uint
+	gen      uint32
+	prevRead []int32 // per read: the read of its object before it since the last write (-1: none)
 }
+
+// hbRows is happens-before over one trace as per-event bitsets, words
+// uint64s per event: row j holds k iff event k strictly happens-before
+// event j.
+type hbRows struct {
+	bits  []uint64
+	words int
+}
+
+// reset sizes and clears the rows for a trace of m events, and returns
+// them.
+func (h *hbRows) reset(m int) hbRows {
+	h.words = (m + 63) >> 6
+	need := m * h.words
+	if cap(h.bits) < need {
+		h.bits = make([]uint64, need)
+	}
+	h.bits = h.bits[:need]
+	clear(h.bits)
+	return *h
+}
+
+// has reports whether event k happens-before event j.
+func (h hbRows) has(j, k int32) bool {
+	return h.bits[int(j)*h.words+int(k>>6)]&(1<<(uint(k)&63)) != 0
+}
+
+// join adds event k and everything before it to event j's row.
+func (h hbRows) join(j, k int32) {
+	jb, kb := int(j)*h.words, int(k)*h.words
+	for w := range h.words {
+		h.bits[jb+w] |= h.bits[kb+w]
+	}
+	h.bits[jb+int(k>>6)] |= 1 << (uint(k) & 63)
+}
+
+// race is a reversible race between events i < j of one trace.
+type race struct{ i, j int32 }
 
 // objDep tracks one object's immediate dependence frontier while building
-// happens-before: the last write and the reads since it.
+// happens-before: the last write and the newest read since it (-1: none).
 type objDep struct {
-	lastWrite int
-	reads     []int
+	obj       uint64
+	gen       uint32
+	lastWrite int32
+	lastRead  int32
 }
 
-// depFor returns the (cleared) tracker for an object, pooled across runs.
+// resetObjs empties the object table for a trace of m events (each touches
+// at most one object), growing it first when m events could fill it past
+// half.
+func (s *dporScratch) resetObjs(m int) {
+	if len(s.objs) < 2*m || len(s.objs) < 16 {
+		size := 16
+		for size < 2*m {
+			size <<= 1
+		}
+		s.objs = make([]objDep, size)
+		s.objShift = uint(64 - bits.TrailingZeros(uint(size)))
+		s.gen = 0
+	}
+	s.gen++
+	if s.gen == 0 { // wrapped: stale slots could look live
+		clear(s.objs)
+		s.gen = 1
+	}
+	if cap(s.prevRead) < m {
+		s.prevRead = make([]int32, m, 2*m)
+	}
+	s.prevRead = s.prevRead[:m]
+}
+
+// depFor returns the tracker for an object, claiming an empty one on its
+// first access of the trace.
 func (s *dporScratch) depFor(obj uint64) *objDep {
-	if od, ok := s.objs[obj]; ok {
-		return od
+	mask := len(s.objs) - 1
+	for i := int(obj * 0x9E3779B97F4A7C15 >> s.objShift); ; i = (i + 1) & mask {
+		od := &s.objs[i]
+		if od.gen != s.gen {
+			*od = objDep{obj: obj, gen: s.gen, lastWrite: -1, lastRead: -1}
+			return od
+		}
+		if od.obj == obj {
+			return od
+		}
 	}
-	if s.objUsed == len(s.objPool) {
-		s.objPool = append(s.objPool, &objDep{})
-	}
-	od := s.objPool[s.objUsed]
-	s.objUsed++
-	od.lastWrite = -1
-	od.reads = od.reads[:0]
-	s.objs[obj] = od
-	return od
 }
 
 // dnode is one branching decision point of a source-DPOR walk: the
@@ -239,156 +310,152 @@ func (c *itemChooser) advanceSleep(cands []candidate, chosen candidate) {
 // replay-zone pairs were analyzed by the ancestor run that first took the
 // later event, so each pair along any path is analyzed exactly once.
 func (e *engine) analyzeRaces(c *itemChooser) {
-	m := len(c.trans)
-	start := len(c.prefix) - 1
-	if start < 0 {
-		start = 0
+	races := c.findRaces()
+	if e.onRaces != nil {
+		e.onRaces(c, races)
 	}
-	if start >= m {
-		return
+	for _, r := range races {
+		if node := c.nodes[r.i]; node != nil { // a racing partner implies >= 2 parked
+			e.raceBacktrack(c, node, int(r.i), int(r.j))
+		}
 	}
+}
 
-	// Happens-before as per-event bitsets: hb(j) ∋ k iff event k strictly
-	// happens-before event j (the transitive closure of dependence along
-	// the trace order). Closure only needs each event's *immediate*
-	// dependence frontier — its program-order predecessor, the last write
-	// of its object, and (for writes) the reads since that write; every
-	// earlier dependent event is already in those rows. Buffers are
-	// per-worker scratch.
+// findRaces builds happens-before over the chooser's trace and returns the
+// reversible races of every event from the item's spawn transition on,
+// ordered by the later event, then by the earlier one descending.
+//
+// Happens-before is kept as per-event bitsets: hb(j) ∋ k iff event k
+// strictly happens-before event j (the transitive closure of dependence
+// along the trace order). Closure only needs each event's immediate
+// dependence frontier D(j) — its program-order predecessor, the last write
+// of its object, and (for writes) the reads since that write — because
+// every earlier dependent event is already in those rows: hb(j) = D(j) ∪
+// U(j), with U(j) = ∪ hb(d) over d ∈ D(j).
+//
+// The same frontier yields the races. A conflicting event e of another
+// process races j reversibly iff no g has e <hb g <hb j. Every conflicting
+// e lies in hb(j); one in U(j) has e <hb d <hb j for some d ∈ D(j), and one
+// in D(j) \ U(j) has no such g, since g would lie in D(j) ∪ U(j) and put e
+// in U(j). So j's races are its frontier's conflicting members of other
+// processes outside U(j), and no earlier event needs a look.
+func (c *itemChooser) findRaces() []race {
+	m := len(c.trans)
+	start := max(len(c.prefix)-1, 0)
 	s := &c.scratch
-	words := (m + 63) >> 6
-	if need := m * words; cap(s.hb) < need {
-		s.hb = make([]uint64, need)
-	} else {
-		clear(s.hb[:m*words])
+	races := s.races[:0]
+	if start >= m {
+		s.races = races
+		return races
 	}
-	hb := s.hb[:m*words]
-	row := func(j int) []uint64 { return hb[j*words : (j+1)*words] }
-	bit := func(r []uint64, k int) bool { return r[k>>6]&(1<<(uint(k)&63)) != 0 }
+	hb := s.hb.reset(m)
 	n := c.env.N()
 	if cap(s.lastProc) < n {
-		s.lastProc = make([]int, n)
+		s.lastProc = make([]int32, n)
 	}
 	lastProc := s.lastProc[:n]
 	for i := range lastProc {
 		lastProc[i] = -1
 	}
-	if s.objs == nil {
-		s.objs = make(map[uint64]*objDep)
-	} else {
-		clear(s.objs)
-	}
-	s.objUsed = 0
-	join := func(rj []uint64, k int) {
-		rk := row(k)
-		for w := range rj {
-			rj[w] |= rk[w]
+	s.resetObjs(m)
+	prevRead := s.prevRead
+	for j := int32(0); int(j) < m; j++ {
+		t := c.trans[j]
+		po := lastProc[t.Proc]
+		if po >= 0 {
+			hb.join(j, po)
 		}
-		rj[k>>6] |= 1 << (uint(k) & 63)
-	}
-	for j := 0; j < m; j++ {
-		rj := row(j)
-		if k := lastProc[c.trans[j].Proc]; k >= 0 {
-			join(rj, k)
-		}
-		lastProc[c.trans[j].Proc] = j
-		if c.trans[j].Crash {
+		lastProc[t.Proc] = j
+		if t.Crash {
 			continue // a crash performs no access
 		}
 		od := s.depFor(c.accs[j].Obj)
-		if c.accs[j].Kind == memory.OpRead {
-			if od.lastWrite >= 0 {
-				join(rj, od.lastWrite)
-			}
-			od.reads = append(od.reads, j)
-		} else {
-			if od.lastWrite >= 0 {
-				join(rj, od.lastWrite)
-			}
-			for _, r := range od.reads {
-				join(rj, r)
-			}
-			od.lastWrite = j
-			od.reads = od.reads[:0]
+		w, write := od.lastWrite, c.accs[j].Kind != memory.OpRead
+		if w >= 0 {
+			hb.join(j, w)
 		}
-	}
-
-	for j := start; j < m; j++ {
-		if c.trans[j].Crash {
-			continue // crash events access nothing: no races
+		if write {
+			for r := od.lastRead; r >= 0; r = prevRead[r] {
+				hb.join(j, r)
+			}
 		}
-		rj := row(j)
-		for i := j - 1; i >= 0; i-- {
-			if c.trans[i].Crash || c.trans[i].Proc == c.trans[j].Proc {
-				continue
+		if int(j) >= start {
+			// inU reports whether e happens-before some member of D(j).
+			inU := func(e int32) bool {
+				if po >= 0 && hb.has(po, e) || w >= 0 && hb.has(w, e) {
+					return true
+				}
+				for r := od.lastRead; write && r >= 0; r = prevRead[r] {
+					if hb.has(r, e) {
+						return true
+					}
+				}
+				return false
 			}
-			if !c.accs[i].Conflicts(c.accs[j]) {
-				continue
-			}
-			// Reversible iff no intermediate event g with i <hb g <hb j:
-			// then e[i] and e[j] are adjacent in some equivalent trace and
-			// their order could genuinely be flipped.
-			reversible := true
-			for g := i + 1; g < j; g++ {
-				if bit(rj, g) && bit(row(g), i) {
-					reversible = false
-					break
+			if write {
+				for r := od.lastRead; r >= 0; r = prevRead[r] {
+					if c.trans[r].Proc != t.Proc && !inU(r) {
+						races = append(races, race{r, j})
+					}
 				}
 			}
-			if !reversible {
-				continue
+			if w >= 0 && c.trans[w].Proc != t.Proc && !inU(w) {
+				races = append(races, race{w, j})
 			}
-			node := c.nodes[i]
-			if node == nil {
-				continue // defensive: a racing partner implies >= 2 parked
-			}
-			e.raceBacktrack(c, node, i, j, row, bit)
+		}
+		if write {
+			od.lastWrite, od.lastRead = j, -1
+		} else {
+			prevRead[j], od.lastRead = od.lastRead, j
 		}
 	}
+	s.races = races
+	return races
 }
 
 // raceBacktrack handles one reversible race (e[i], e[j]): compute the
 // initials of the suffix that must be reordered and, unless one is already
 // covered at the node before e[i], schedule one as a new branch there.
-func (e *engine) raceBacktrack(c *itemChooser, node *dnode, i, j int, row func(int) []uint64, bit func([]uint64, int) bool) {
+func (e *engine) raceBacktrack(c *itemChooser, node *dnode, i, j int) {
+	s := &c.scratch
+	hb := s.hb
+	if cap(s.v) < hb.words {
+		s.v = make([]uint64, hb.words)
+	}
+	v := s.v[:hb.words]
+	clear(v)
+
 	// v = the events between the racing pair that do not happen-after
 	// e[i], then e[j] itself: the subsequence that can run before e[i] in
-	// the reversed order.
-	v := c.scratch.v[:0]
-	for k := i + 1; k < j; k++ {
-		if !bit(row(k), i) {
-			v = append(v, k)
-		}
-	}
-	v = append(v, j)
-	c.scratch.v = v
-
-	// Initials of v: processes whose first event in v has no
-	// happens-before predecessor within v — each could be the first
-	// transition of the reordered suffix. (Restriction of global
-	// happens-before to v is exact: any hb-path between v-members routes
-	// only through events not happening-after e[i], which are in v.)
-	initials := c.scratch.initials[:0]
+	// the reversed order, kept as a bitset. Its initials are the processes
+	// whose first event in v has no happens-before predecessor within v —
+	// each could be the first transition of the reordered suffix.
+	// (Restriction of global happens-before to v is exact: any hb-path
+	// between v-members routes only through events not happening-after
+	// e[i], which are in v.)
+	initials := s.initials[:0]
 	var seen uint64 // by process id; Env process counts are word-small
-	for idx, k := range v {
-		p := c.trans[k].Proc
-		if seen&(1<<uint(p)) != 0 {
-			continue
+	for k := i + 1; k <= j; k++ {
+		if k < j && hb.has(int32(k), int32(i)) {
+			continue // happens after e[i]
 		}
-		seen |= 1 << uint(p)
-		rk := row(k)
-		free := true
-		for _, w := range v[:idx] {
-			if bit(rk, w) {
-				free = false
-				break
+		rk := hb.bits[k*hb.words : (k+1)*hb.words]
+		if p := c.trans[k].Proc; seen&(1<<uint(p)) == 0 {
+			seen |= 1 << uint(p)
+			free := true
+			for w := range rk {
+				if rk[w]&v[w] != 0 {
+					free = false
+					break
+				}
+			}
+			if free {
+				initials = append(initials, c.trans[k])
 			}
 		}
-		if free {
-			initials = append(initials, c.trans[k])
-		}
+		v[k>>6] |= 1 << (uint(k) & 63)
 	}
-	c.scratch.initials = initials
+	s.initials = initials
 	node.addBacktrack(c, initials, c.trans[j])
 }
 

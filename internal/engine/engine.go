@@ -396,6 +396,7 @@ type engine struct {
 	obs *obs.Metrics
 
 	backtracks atomic.Int64 // race-driven additions (source-DPOR)
+	onRaces    func(c *itemChooser, races []race)
 
 	// The result fields below are guarded by core.checkMu, which also
 	// serializes harness construction, check and reset calls.
@@ -421,6 +422,13 @@ type engine struct {
 // reset or one of its closures panicked, and otherwise the report of the
 // completed (or budget-cut) walk.
 func Run(h Harness, cfg Config) (Report, error) {
+	return run(h, cfg, nil)
+}
+
+// run is Run with onRaces, when not nil, handed every analysed trace's race
+// list before its backtracks are scheduled (the tests compare it with a
+// pair scan).
+func run(h Harness, cfg Config, onRaces func(c *itemChooser, races []race)) (Report, error) {
 	if cfg.Prune == PruneSourceDPOR {
 		if cfg.CacheStates {
 			return Report{}, fmt.Errorf("engine: CacheStates is incompatible with source-DPOR (the cache key does not capture backtracking obligations); use Prune: PruneSleep")
@@ -434,7 +442,7 @@ func Run(h Harness, cfg Config) (Report, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	e := &engine{core: NewCore(h, workers), cfg: cfg, terminal: map[memory.Fingerprint]struct{}{}, obs: cfg.Metrics}
+	e := &engine{core: NewCore(h, workers), cfg: cfg, terminal: map[memory.Fingerprint]struct{}{}, obs: cfg.Metrics, onRaces: onRaces}
 	defer e.core.Close()
 	if cfg.Resume != nil {
 		// Worker 0's instance is built ahead of the walk: it tells how many

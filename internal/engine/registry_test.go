@@ -27,6 +27,7 @@ const (
 	cellBudget    = 30000 // attempts per walk
 	replayRecords = 400   // checked executions a record keeps; the budget of known-cut cells and of -short
 	sweepBudget   = 2000  // the sweep relation's -max, the CI sweep smoke's
+	raceBudget    = 2000  // attempts per walk of the race-scan relation
 )
 
 // knownCut names the cells whose trees exceed cellBudget many times over (CI
@@ -420,6 +421,46 @@ func TestRegistryDifferential(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRaceScanMatchesPairScan walks every cell, and composed and tasfai at
+// n=3, under one-worker source-DPOR within raceBudget attempts (-short:
+// replayRecords), and holds the race analysis to the reference pair scan on
+// every analysed trace: the same races, in the same order. At least one race
+// must pair a write with an earlier read, so the walks exercise the part of
+// the frontier made of the reads since an object's last write.
+func TestRaceScanMatchesPairScan(t *testing.T) {
+	budget := raceBudget
+	if testing.Short() {
+		budget = replayRecords
+	}
+	cells := registryCells(t)
+	for _, name := range []string{"composed", "tasfai"} {
+		sc, err := scenario.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells, cell{sc, 3, false})
+	}
+	readRaces := 0
+	for _, c := range cells {
+		h, _ := c.sc.Build(c.n, scenario.Options{Crashes: c.crashes})
+		rep, rs, err := engine.RunComparingRaceScans(h, engine.Config{
+			Prune: engine.PruneSourceDPOR, MaxExecutions: budget, Crashes: c.crashes,
+		})
+		switch {
+		case err != nil && !errors.As(err, new(*engine.CheckError)):
+			t.Errorf("%v: engine error: %v", c, err)
+		case rs.Diff != nil:
+			t.Errorf("%v: race scans differ: %v", c, rs.Diff)
+		case rs.Traces != rep.Attempts:
+			t.Errorf("%v: %d traces compared in %d attempts", c, rs.Traces, rep.Attempts)
+		}
+		readRaces += rs.ReadRaces
+	}
+	if readRaces == 0 {
+		t.Error("no race paired a write with an earlier read")
+	}
 }
 
 // TestRegistryDifferentialCatchesPlantedDefects plants one defect per
