@@ -17,7 +17,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/linearize"
 	"repro/internal/memory"
-	"repro/internal/randexp"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/spec"
@@ -428,9 +427,9 @@ func BenchmarkEngineAttempt(b *testing.B) {
 	})
 	b.Run("sampled", func(b *testing.B) {
 		h, _ := sc.Build(8, scenario.Options{})
-		cfg := randexp.Config{Sampler: randexp.SamplerPCT, PCTDepth: 3, Samples: 2000, Seed: 1, Workers: 1}
+		cfg := engine.SampleConfig{Sampler: engine.SamplerPCT, PCTDepth: 3, Samples: 2000, Seed: 1, Workers: 1}
 		perAttempt(b, func() int {
-			rep, err := randexp.Run(h, cfg)
+			rep, err := engine.Sample(h, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/cliflags"
 	"repro/internal/engine"
-	"repro/internal/randexp"
 )
 
 // The flag defaults, shared by the flag declarations in main and the
@@ -108,7 +107,7 @@ func flagRules() []flagRule {
 	return []flagRule{
 		{Name: "-sampler", Set: func(f *cliFlags) bool { return f.sampler != defSampler },
 			Allowed: on(pathList, pathSampled)},
-		{Name: "-pct-depth", Set: func(f *cliFlags) bool { return f.pctDepth != randexp.DefaultPCTDepth },
+		{Name: "-pct-depth", Set: func(f *cliFlags) bool { return f.pctDepth != engine.DefaultPCTDepth },
 			Allowed: on(pathList, pathSampled)},
 		{Name: "-rates", Set: func(f *cliFlags) bool { return f.rates != "" },
 			Allowed: on(pathList, pathSampled)},

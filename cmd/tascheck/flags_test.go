@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/randexp"
 )
 
 // defaultFlags mirrors the parsed defaults of a bare invocation: every
@@ -20,7 +19,7 @@ import (
 func defaultFlags() *cliFlags {
 	return &cliFlags{
 		sampler:  defSampler,
-		pctDepth: randexp.DefaultPCTDepth,
+		pctDepth: engine.DefaultPCTDepth,
 		maxExecs: defMax,
 		samples:  defSamples,
 		seed:     defSeed,
@@ -31,7 +30,7 @@ func defaultFlags() *cliFlags {
 // setters flips each table flag to a non-default value.
 var setters = map[string]func(f *cliFlags){
 	"-sampler":        func(f *cliFlags) { f.sampler = "pct" },
-	"-pct-depth":      func(f *cliFlags) { f.pctDepth = randexp.DefaultPCTDepth + 1 },
+	"-pct-depth":      func(f *cliFlags) { f.pctDepth = engine.DefaultPCTDepth + 1 },
 	"-rates":          func(f *cliFlags) { f.rates = "1,2" },
 	"-saturation":     func(f *cliFlags) { f.saturation = 5 },
 	"-max":            func(f *cliFlags) { f.maxExecs = defMax + 1 },

@@ -21,7 +21,7 @@
 // source-DPOR backtracking state is not serializable).
 //
 // Beyond -exhaustive-n processes the checker switches to the randomized
-// frontend (internal/randexp): -sampler picks the scheduling distribution
+// entry point (engine.Sample): -sampler picks the scheduling distribution
 // (uniform random, PCT with -pct-depth change points, the bias-corrected
 // random walk, or rate-weighted stochastic scheduling with -rates),
 // sampling runs on -workers parallel pooled executors with results —
@@ -63,7 +63,6 @@ import (
 	"strings"
 
 	"repro/internal/engine"
-	"repro/internal/randexp"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 )
@@ -76,7 +75,7 @@ func main() {
 	samples := flag.Int("samples", defSamples, "sampled schedules when n > -exhaustive-n (per scenario in a sweep)")
 	seed := flag.Int64("seed", defSeed, "base seed for sampled schedules")
 	sampler := flag.String("sampler", defSampler, "sampled-mode scheduler: random | pct | walk | rates")
-	pctDepth := flag.Int("pct-depth", randexp.DefaultPCTDepth, "PCT bug-depth parameter d (d-1 priority change points)")
+	pctDepth := flag.Int("pct-depth", engine.DefaultPCTDepth, "PCT bug-depth parameter d (d-1 priority change points)")
 	rates := flag.String("rates", "", "comma-separated per-process rate weights for -sampler rates (later processes reuse the last weight)")
 	saturation := flag.Int("saturation", 0, "stop sampling after this many consecutive batches with no new coverage (0 = off)")
 	workers := flag.Int("workers", defWorkers, "parallel exploration workers (parallel scenarios in a sweep)")
@@ -314,10 +313,10 @@ func runSweep(cf *cliFlags, n, exhaustiveN, maxExecs, samples int, seed int64, w
 	}
 }
 
-// runSampled drives the randomized frontend for process counts beyond the
+// runSampled drives engine.Sample for process counts beyond the
 // exhaustive range and prints its coverage-aware summary.
 func runSampled(cf *cliFlags, h engine.Harness, sc scenario.Scenario, procs int, oracle scenario.Oracle, workers int, crashes bool, opts scenario.Options) {
-	kind, err := randexp.ParseSampler(cf.sampler)
+	kind, err := engine.ParseSampler(cf.sampler)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tascheck: %v\n", err)
 		os.Exit(2)
@@ -338,7 +337,7 @@ func runSampled(cf *cliFlags, h engine.Harness, sc scenario.Scenario, procs int,
 	// The sample count is an exact total for the ETA (saturation or a
 	// failing batch may legitimately finish sooner).
 	session.startProgress(cf.progress, float64(cf.samples), false, sc.Name)
-	cfg := randexp.Config{
+	cfg := engine.SampleConfig{
 		Sampler:    kind,
 		Samples:    cf.samples,
 		Seed:       cf.seed,
@@ -346,12 +345,10 @@ func runSampled(cf *cliFlags, h engine.Harness, sc scenario.Scenario, procs int,
 		PCTDepth:   cf.pctDepth,
 		Rates:      weights,
 		SatBatches: cf.saturation,
+		Crashes:    crashes,
 		Metrics:    session.metrics(),
 	}
-	if crashes {
-		cfg.CrashProb = randexp.SampleCrashProb
-	}
-	rep, err := randexp.Run(h, cfg)
+	rep, err := engine.Sample(h, cfg)
 	session.close(verdictOf(err))
 	var ceTrace *engine.CheckError
 	if errors.As(err, &ceTrace) && cf.traceOut != "" {
@@ -377,7 +374,7 @@ func runSampled(cf *cliFlags, h engine.Harness, sc scenario.Scenario, procs int,
 		os.Exit(1)
 	}
 	how := fmt.Sprintf("sampled, %s", kind)
-	if kind == randexp.SamplerPCT {
+	if kind == engine.SamplerPCT {
 		how = fmt.Sprintf("sampled, pct d=%d k=%d", cf.pctDepth, rep.PCTSteps)
 	}
 	if rep.Saturated {
@@ -389,7 +386,7 @@ func runSampled(cf *cliFlags, h engine.Harness, sc scenario.Scenario, procs int,
 	}
 	fmt.Printf("tascheck %s (oracle %s): OK — %d interleavings (%s), distinct terminal states %s, distinct schedule shapes %d, max depth %d\n",
 		sc.Name, oracle, rep.Executions, how, states, rep.DistinctShapes, rep.MaxDepth)
-	if kind == randexp.SamplerWalk && rep.TreeSizeEstimate > 0 {
+	if kind == engine.SamplerWalk && rep.TreeSizeEstimate > 0 {
 		fmt.Printf("tascheck: walk estimate of total interleavings: %.3g\n", rep.TreeSizeEstimate)
 	}
 }

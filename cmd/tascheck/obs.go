@@ -10,8 +10,8 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/randexp"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -116,8 +116,8 @@ func estimateTree(sc scenario.Scenario, procs int, opts scenario.Options) float6
 		return 0
 	}
 	h, _ := sc.Build(procs, opts)
-	rep, _ := randexp.Run(h, randexp.Config{
-		Sampler: randexp.SamplerWalk,
+	rep, _ := engine.Sample(h, engine.SampleConfig{
+		Sampler: engine.SamplerWalk,
 		Samples: 200,
 		Seed:    1,
 		Workers: 1,

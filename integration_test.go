@@ -5,6 +5,8 @@ package repro
 
 import (
 	"fmt"
+	"os"
+	"os/exec"
 	"testing"
 
 	"repro/internal/abstract"
@@ -14,7 +16,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/linearize"
 	"repro/internal/memory"
-	"repro/internal/randexp"
 	"repro/internal/sched"
 	"repro/internal/spec"
 	"repro/internal/tas"
@@ -152,7 +153,7 @@ func TestIntegrationFullStackSoak(t *testing.T) {
 		}
 		return env, bodies, check, func() { qRec.Reset(); tasRec.Reset() }
 	}
-	if _, err := randexp.Sample(h, 600, 31, false); err != nil {
+	if _, err := engine.Sample(h, engine.SampleConfig{Samples: 600, Seed: 31}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -201,6 +202,29 @@ func TestIntegrationExperimentsRunnable(t *testing.T) {
 			if len(tab.Rows) == 0 || tab.Markdown() == "" {
 				t.Fatalf("experiment %s produced an empty table", e.ID)
 			}
+		}
+	}
+}
+
+// TestBenchmarkModule compiles and smoke-runs benchmark/, its own module:
+// go test ./... never builds it, so a change to a symbol it imports from
+// this module would otherwise break only bash benchmark/run.sh. It runs go
+// vet and go test inside benchmark/ under run.sh's environment; the build
+// output goes to the Go cache and nothing into the checkout.
+func TestBenchmarkModule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and tests a second module")
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool on PATH")
+	}
+	for _, args := range [][]string{{"vet", "."}, {"test", "."}} {
+		cmd := exec.Command(goTool, args...)
+		cmd.Dir = "benchmark"
+		cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOPROXY=off", "GOTOOLCHAIN=local")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("go %v in benchmark/: %v\n%s", args, err, out)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/linearize"
 	"repro/internal/memory"
-	"repro/internal/randexp"
 	"repro/internal/sched"
 	"repro/internal/spec"
 	"repro/internal/trace"
@@ -277,12 +276,12 @@ func TestExhaustiveAbstractProperties(t *testing.T) {
 
 func TestRandomizedAbstractProperties(t *testing.T) {
 	specs := func(n int) []StageSpec { return []StageSpec{splitSpec(), bakerySpec(n), casSpec()} }
-	if _, err := randexp.Sample(abstractHarness(3, 2, specs), 1200, 7, false); err != nil {
+	if _, err := engine.Sample(abstractHarness(3, 2, specs), engine.SampleConfig{Samples: 1200, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
 	// Register-only composition: aborts allowed, properties must still hold.
 	specsReg := func(n int) []StageSpec { return []StageSpec{splitSpec(), bakerySpec(n)} }
-	if _, err := randexp.Sample(abstractHarness(3, 2, specsReg), 1200, 11, false); err != nil {
+	if _, err := engine.Sample(abstractHarness(3, 2, specsReg), engine.SampleConfig{Samples: 1200, Seed: 11}); err != nil {
 		t.Fatal(err)
 	}
 }

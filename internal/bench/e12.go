@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/randexp"
+	"repro/internal/engine"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 )
 
 // e12BugCfg is the planted rare-interleaving bug the sampler comparison
-// hunts: randexp.HandoffBug at n=5 — a depth-2 ordering bug (a late flag
+// hunts: scenario.HandoffBug at n=5 — a depth-2 ordering bug (a late flag
 // publish must precede an eager first-step read, then the acknowledgement
 // must land inside a narrow window), with probability about 2^-17 per run
 // under uniform sampling.
@@ -23,14 +24,14 @@ const (
 // e12Samplers are the sampler configurations both E12 tables compare.
 var e12Samplers = []struct {
 	name string
-	cfg  randexp.Config
+	cfg  engine.SampleConfig
 }{
-	{"uniform random", randexp.Config{Sampler: randexp.SamplerRandom}},
-	{"pct d=1", randexp.Config{Sampler: randexp.SamplerPCT, PCTDepth: 1}},
-	{"pct d=2", randexp.Config{Sampler: randexp.SamplerPCT, PCTDepth: 2}},
-	{"pct d=3", randexp.Config{Sampler: randexp.SamplerPCT, PCTDepth: 3}},
-	{"walk", randexp.Config{Sampler: randexp.SamplerWalk}},
-	{"rates 12:1", randexp.Config{Sampler: randexp.SamplerRates, Rates: []float64{12, 1}}},
+	{"uniform random", engine.SampleConfig{Sampler: engine.SamplerRandom}},
+	{"pct d=1", engine.SampleConfig{Sampler: engine.SamplerPCT, PCTDepth: 1}},
+	{"pct d=2", engine.SampleConfig{Sampler: engine.SamplerPCT, PCTDepth: 2}},
+	{"pct d=3", engine.SampleConfig{Sampler: engine.SamplerPCT, PCTDepth: 3}},
+	{"walk", engine.SampleConfig{Sampler: engine.SamplerWalk}},
+	{"rates 12:1", engine.SampleConfig{Sampler: engine.SamplerRates, Rates: []float64{12, 1}}},
 }
 
 // RunE12 characterizes the randomized-exploration subsystem on the regime
@@ -60,7 +61,7 @@ func RunE12() []*Table {
 		cfg.Seed = seedFor(1200)
 		cfg.KeepGoing = true
 		start := time.Now()
-		rep, err := randexp.Run(randexp.HandoffBug(e12BugN, e12BugWarmup, e12BugGap), cfg)
+		rep, err := engine.Sample(scenario.HandoffBug(e12BugN, e12BugWarmup, e12BugGap), cfg)
 		wall := time.Since(start)
 		if err == nil && rep.Failures > 0 {
 			bugTab.AddRow(s.name, "FAILED", "inconsistent report", "", "")
@@ -101,7 +102,7 @@ func RunE12() []*Table {
 			cfg.Samples = covSamples
 			cfg.Seed = seedFor(1300)
 			h, _ := harnessFor("composed", n)
-			rep, err := randexp.Run(h, cfg)
+			rep, err := engine.Sample(h, cfg)
 			if err != nil {
 				covTab.AddRow(n, s.name, "FAILED", err, "", "")
 				continue

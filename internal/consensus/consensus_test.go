@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/memory"
-	"repro/internal/randexp"
 	"repro/internal/sched"
 )
 
@@ -277,7 +276,7 @@ func TestRandomizedThreeProcs(t *testing.T) {
 			}
 			return env, bodies, check, reset
 		}
-		if _, err := randexp.Sample(h, 1500, 99, false); err != nil {
+		if _, err := engine.Sample(h, engine.SampleConfig{Samples: 1500, Seed: 99}); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("%s: stats=%v", name, stats)

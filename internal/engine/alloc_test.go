@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/randexp"
 	"repro/internal/scenario"
 )
 
@@ -80,10 +79,10 @@ func TestAllocBudgetSampled(t *testing.T) {
 		t.Fatal(err)
 	}
 	h, _ := sc.Build(8, scenario.Options{})
-	cfg := randexp.Config{Sampler: randexp.SamplerPCT, PCTDepth: 3, Samples: 2000, Seed: 1, Workers: 1, BatchSize: 2000}
-	var rep randexp.Report
+	cfg := engine.SampleConfig{Sampler: engine.SamplerPCT, PCTDepth: 3, Samples: 2000, Seed: 1, Workers: 1, BatchSize: 2000}
+	var rep engine.SampleReport
 	mallocs, bytes := measureAllocs(func() {
-		rep, err = randexp.Run(h, cfg)
+		rep, err = engine.Sample(h, cfg)
 	})
 	if err != nil {
 		t.Fatal(err)

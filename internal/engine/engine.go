@@ -1,12 +1,12 @@
-// Package engine is the model-checking engine: Run, the exhaustive frontier
-// walk, lives here, and internal/randexp (seeded batch sampling) is a thin
-// strategy layer over the machinery this package owns — the worker pool,
-// the one harness lifecycle (construct once per worker, re-run through a
-// pooled executor, reset between executions), the step/time/execution
-// budgets, the checkpoint frontier, deterministic merging (lex-least
-// canonical failures for walks, seed-order batch merges for sampling), the
-// cross-worker sharded state cache, and the single CheckError type every
-// checking path reports failures through.
+// Package engine is the model-checking engine. It has two entry points
+// over one execution core: Run, the exhaustive frontier walk, and Sample,
+// seeded sampling from a scheduler distribution (random, PCT, walk, rates)
+// past exhaustive reach. Both share the worker pool, the one harness
+// lifecycle (construct once per worker, re-run through a pooled executor,
+// reset between executions), deterministic merging (lex-least canonical
+// failures for walks, seed-order batch merges for sampling) and the single
+// CheckError type every checking path reports failures through; the
+// budgets, the checkpoint frontier and the state cache are the walk's own.
 //
 // # Exhaustive walks
 //
@@ -111,9 +111,10 @@ import (
 // constructor and its check function.
 //
 // A constructor, body, check or reset that panics does not take the process
-// down: the worker that ran it recovers, the walk (or sampling loop) stops,
-// and Run returns an error naming the closure, the panic value, the process
-// for a body, and the schedule that led there (none for a constructor).
+// down: the worker that ran it recovers, the walk (or sampling run) stops,
+// and Run (or Sample) returns an error naming the closure, the panic value,
+// the process for a body, and the schedule that led there (none for a
+// constructor).
 type Harness func() (env *memory.Env, bodies []func(p *memory.Proc), check func(res *sched.Result) error, reset func())
 
 // PruneMode selects the partial-order reduction of an exhaustive walk.
@@ -330,12 +331,12 @@ type Checkpoint struct {
 	Items []WorkItem `json:"items"`
 }
 
-// CheckError is the single failure type of both exploration frontends: a
-// check failure wrapped with the schedule that produced it, so a failing
-// interleaving can be replayed with sched.NewReplay. Failures found by the
-// sampling frontend additionally carry the seed of the failing run
-// (Sampled distinguishes them, since 0 is a legitimate seed), so they can
-// be reproduced by seed without re-running the batch.
+// CheckError is the single failure type of Run and Sample: a check failure
+// wrapped with the schedule that produced it, so a failing interleaving can
+// be replayed with sched.NewReplay. Failures found by Sample additionally
+// carry the seed of the failing run (Sampled distinguishes them, since 0 is
+// a legitimate seed), so they can be reproduced by seed without re-running
+// the batch.
 type CheckError struct {
 	Schedule []sched.Choice
 	Seed     int64
@@ -378,7 +379,7 @@ func lexLess(a, b []int) bool {
 
 // engine is the shared state of one Run call.
 type engine struct {
-	core *Core
+	core *core
 	cfg  Config
 
 	mu       sync.Mutex
@@ -442,8 +443,8 @@ func run(h Harness, cfg Config, onRaces func(c *itemChooser, races []race)) (Rep
 	if workers < 1 {
 		workers = 1
 	}
-	e := &engine{core: NewCore(h, workers), cfg: cfg, terminal: map[memory.Fingerprint]struct{}{}, obs: cfg.Metrics, onRaces: onRaces}
-	defer e.core.Close()
+	e := &engine{core: newCore(h, workers), cfg: cfg, terminal: map[memory.Fingerprint]struct{}{}, obs: cfg.Metrics, onRaces: onRaces}
+	defer e.core.close()
 	if cfg.Resume != nil {
 		// Worker 0's instance is built ahead of the walk: it tells how many
 		// processes the checkpoint's transitions may name.
@@ -471,7 +472,7 @@ func run(h Harness, cfg Config, onRaces func(c *itemChooser, races []race)) (Rep
 			e.mu.Unlock()
 			return int64(n)
 		})
-		removeLayers := e.core.RegisterObs(e.obs)
+		removeLayers := e.core.registerObs(e.obs)
 		defer func() {
 			removeFrontier()
 			removeInflight()

@@ -1,7 +1,7 @@
 package engine_test
 
 // Fault injection: a harness body or check closure that panics must come
-// back from engine.Run / randexp.Run as a named error — cause, process,
+// back from engine.Run / engine.Sample as a named error — cause, process,
 // schedule — on every path and at any worker count, with no worker left
 // waiting and no coroutine left behind; so must a harness that returns no
 // reset, or whose constructor panics, from stress.Run as well. The body and
@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/memory"
-	"repro/internal/randexp"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/stress"
@@ -59,14 +58,14 @@ func faulty(bodyPanic, checkPanic bool) engine.Harness {
 	}
 }
 
-// runners are the two frontends, each returning only its error.
+// runners are the two entry points, each returning only its error.
 var runners = map[string]func(h engine.Harness, workers int) error{
 	"exhaustive": func(h engine.Harness, workers int) error {
 		_, err := engine.Run(h, engine.Config{Prune: engine.PruneSourceDPOR, Workers: workers})
 		return err
 	},
 	"sampled": func(h engine.Harness, workers int) error {
-		_, err := randexp.Run(h, randexp.Config{Sampler: randexp.SamplerPCT, Samples: 4000, Seed: 1, Workers: workers, BatchSize: 64})
+		_, err := engine.Sample(h, engine.SampleConfig{Sampler: engine.SamplerPCT, Samples: 4000, Seed: 1, Workers: workers, BatchSize: 64})
 		return err
 	},
 }
@@ -152,16 +151,16 @@ func TestConstructPanicIsNamedError(t *testing.T) {
 }
 
 // assertEveryEntryRejects runs the harness build makes through every entry
-// point — engine.Run, randexp.Run's probe (PCT) and batch (random) paths,
+// point — engine.Run, engine.Sample's probe (PCT) and batch (random) paths,
 // and stress.Run as scenario "bad" — at 1 and 4 workers. Each must return an
 // error wrapping want and containing fragment (stressFragment for stress.Run),
 // with no goroutine left behind.
 func assertEveryEntryRejects(t *testing.T, build func(n int, opts scenario.Options) (engine.Harness, scenario.Oracle), want error, fragment, stressFragment string) {
 	t.Helper()
 	h, _ := build(2, scenario.Options{})
-	sampled := func(s randexp.Sampler) func(int) error {
+	sampled := func(s engine.Sampler) func(int) error {
 		return func(workers int) error {
-			_, err := randexp.Run(h, randexp.Config{Sampler: s, Samples: 200, Seed: 1, Workers: workers})
+			_, err := engine.Sample(h, engine.SampleConfig{Sampler: s, Samples: 200, Seed: 1, Workers: workers})
 			return err
 		}
 	}
@@ -174,8 +173,8 @@ func assertEveryEntryRejects(t *testing.T, build func(n int, opts scenario.Optio
 			_, err := engine.Run(h, engine.Config{Prune: engine.PruneSourceDPOR, Workers: workers})
 			return err
 		}},
-		{"randexp.Run probe", fragment, sampled(randexp.SamplerPCT)},
-		{"randexp.Run batch", fragment, sampled(randexp.SamplerRandom)},
+		{"engine.Sample probe", fragment, sampled(engine.SamplerPCT)},
+		{"engine.Sample batch", fragment, sampled(engine.SamplerRandom)},
 		{"stress.Run", stressFragment, func(workers int) error {
 			_, err := stress.Run(stress.Config{Scenario: scenario.Scenario{Name: "bad", Build: build}, G: workers, MaxRounds: 1})
 			return err

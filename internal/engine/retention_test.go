@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/randexp"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 )
@@ -81,11 +80,11 @@ func TestFailureSurvivesBufferReuse(t *testing.T) {
 // Result the failing schedule was copied from, and the reported schedule
 // must still replay to the failure through sched.NewReplay.
 func TestSampledFailureSurvivesBufferReuse(t *testing.T) {
-	h := randexp.HandoffBug(5, 16, 10)
+	h := scenario.HandoffBug(5, 16, 10)
 	var first []sched.Choice
 	for _, workers := range []int{1, 4} {
-		rep, err := randexp.Run(h, randexp.Config{
-			Sampler: randexp.SamplerPCT, PCTDepth: 2, Samples: 2000, Seed: 1, Workers: workers, KeepGoing: true,
+		rep, err := engine.Sample(h, engine.SampleConfig{
+			Sampler: engine.SamplerPCT, PCTDepth: 2, Samples: 2000, Seed: 1, Workers: workers, KeepGoing: true,
 		})
 		var ce *engine.CheckError
 		if !errors.As(err, &ce) {

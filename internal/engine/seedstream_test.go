@@ -3,7 +3,7 @@ package engine_test
 import (
 	"testing"
 
-	"repro/internal/randexp"
+	"repro/internal/engine"
 	"repro/internal/scenario"
 )
 
@@ -24,8 +24,8 @@ func TestSampledCoveragePinned(t *testing.T) {
 	}
 	h, _ := sc.Build(8, scenario.Options{})
 	for _, workers := range []int{1, 2} {
-		rep, err := randexp.Run(h, randexp.Config{
-			Sampler: randexp.SamplerPCT, PCTDepth: 3, Samples: 100000, Seed: 1000003, Workers: workers,
+		rep, err := engine.Sample(h, engine.SampleConfig{
+			Sampler: engine.SamplerPCT, PCTDepth: 3, Samples: 100000, Seed: 1000003, Workers: workers,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

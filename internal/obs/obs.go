@@ -156,7 +156,7 @@ type Metrics struct {
 	Samples      *Counter
 
 	// Depths is the completed-execution schedule-depth distribution
-	// (bucket width 8, matching randexp's DepthHist).
+	// (bucket width 8, matching engine.SampleReport's DepthHist).
 	Depths *Hist
 
 	mu      sync.Mutex

@@ -4,7 +4,7 @@ package obs
 // that prints one status line per interval — attempts, attempts/sec over
 // the last window, executions, frontier size, max depth — plus an ETA when
 // the caller supplied a total-attempts estimate. For exhaustive walks that
-// estimate comes from the Knuth tree-size estimator (the randexp walk
+// estimate comes from the Knuth tree-size estimator (the walk
 // sampler's importance weights); under pruning the full-tree estimate is an
 // upper bound on attempts, and the line says so.
 

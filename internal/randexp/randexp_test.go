@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/memory"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 )
 
@@ -35,7 +36,7 @@ func lostUpdateHarness(outcomes map[int64]int) engine.Harness {
 }
 
 // bugCfg is the reference planted-bug configuration: n=5, a rare depth-2
-// handoff bug (see HandoffBug).
+// handoff bug (see scenario.HandoffBug).
 const (
 	bugN      = 5
 	bugWarmup = 16
@@ -44,7 +45,7 @@ const (
 
 func TestRunBasicCoverage(t *testing.T) {
 	outcomes := map[int64]int{}
-	rep, err := Run(lostUpdateHarness(outcomes), Config{Samples: 200, Seed: 1})
+	rep, err := engine.Sample(lostUpdateHarness(outcomes), engine.SampleConfig{Samples: 200, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +70,16 @@ func TestRunBasicCoverage(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnknownSampler: an unknown sampler is an error whether or
+// not there is anything to sample.
 func TestRunRejectsUnknownSampler(t *testing.T) {
-	_, err := Run(lostUpdateHarness(nil), Config{Samples: 10, Sampler: "bogus"})
-	if err == nil {
-		t.Fatal("unknown sampler accepted")
+	for _, samples := range []int{10, 0} {
+		_, err := engine.Sample(lostUpdateHarness(nil), engine.SampleConfig{Samples: samples, Sampler: "bogus"})
+		if err == nil {
+			t.Fatalf("unknown sampler accepted with %d samples", samples)
+		}
 	}
-	if _, err := ParseSampler("pct"); err != nil {
+	if _, err := engine.ParseSampler("pct"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -84,7 +89,7 @@ func TestRunRejectsUnknownSampler(t *testing.T) {
 // run long before the sample budget while having seen every behaviour.
 func TestSaturationStopsEarly(t *testing.T) {
 	outcomes := map[int64]int{}
-	rep, err := Run(lostUpdateHarness(outcomes), Config{
+	rep, err := engine.Sample(lostUpdateHarness(outcomes), engine.SampleConfig{
 		Samples: 100000, Seed: 1, BatchSize: 16, SatBatches: 3,
 	})
 	if err != nil {
@@ -115,8 +120,8 @@ func TestSaturationStopsEarly(t *testing.T) {
 // all. Deterministic: fixed seeds, fixed batch discipline.
 func TestPCTFindsPlantedBugFasterThanRandom(t *testing.T) {
 	const samples = 2000
-	pctRep, pctErr := Run(HandoffBug(bugN, bugWarmup, bugGap), Config{
-		Sampler: SamplerPCT, PCTDepth: 2, Samples: samples, Seed: 1,
+	pctRep, pctErr := engine.Sample(scenario.HandoffBug(bugN, bugWarmup, bugGap), engine.SampleConfig{
+		Sampler: engine.SamplerPCT, PCTDepth: 2, Samples: samples, Seed: 1,
 	})
 	var ce *engine.CheckError
 	if !errors.As(pctErr, &ce) {
@@ -126,8 +131,8 @@ func TestPCTFindsPlantedBugFasterThanRandom(t *testing.T) {
 		t.Fatalf("CheckError seed %d != report FailSeed %d", ce.Seed, pctRep.FailSeed)
 	}
 	pctRuns := int(ce.Seed - 1 + 1) // seeds start at 1
-	for _, sampler := range []Sampler{SamplerRandom, SamplerWalk} {
-		rep, err := Run(HandoffBug(bugN, bugWarmup, bugGap), Config{
+	for _, sampler := range []engine.Sampler{engine.SamplerRandom, engine.SamplerWalk} {
+		rep, err := engine.Sample(scenario.HandoffBug(bugN, bugWarmup, bugGap), engine.SampleConfig{
 			Sampler: sampler, Samples: samples, Seed: 1, KeepGoing: true,
 		})
 		if err != nil || rep.Failures != 0 {
@@ -148,8 +153,8 @@ func TestPCTFindsPlantedBugFasterThanRandom(t *testing.T) {
 // 1 and reads the ack before process 1 could write it, or is outranked and
 // the flag is read too early.
 func TestPCTDepthMatters(t *testing.T) {
-	rep, err := Run(HandoffBug(bugN, bugWarmup, bugGap), Config{
-		Sampler: SamplerPCT, PCTDepth: 1, Samples: 1000, Seed: 1, KeepGoing: true,
+	rep, err := engine.Sample(scenario.HandoffBug(bugN, bugWarmup, bugGap), engine.SampleConfig{
+		Sampler: engine.SamplerPCT, PCTDepth: 1, Samples: 1000, Seed: 1, KeepGoing: true,
 	})
 	if err != nil || rep.Failures != 0 {
 		t.Fatalf("pct d=1 triggered the depth-2 bug: failures=%d err=%v", rep.Failures, err)
@@ -159,8 +164,8 @@ func TestPCTDepthMatters(t *testing.T) {
 // TestRatesFindsStragglerBug: skewed rates (fast process 0, slow everyone
 // else) reach the handoff ordering at constant probability per run.
 func TestRatesFindsStragglerBug(t *testing.T) {
-	_, err := Run(HandoffBug(bugN, bugWarmup, bugGap), Config{
-		Sampler: SamplerRates, Rates: []float64{12, 1}, Samples: 2000, Seed: 1,
+	_, err := engine.Sample(scenario.HandoffBug(bugN, bugWarmup, bugGap), engine.SampleConfig{
+		Sampler: engine.SamplerRates, Rates: []float64{12, 1}, Samples: 2000, Seed: 1,
 	})
 	var ce *engine.CheckError
 	if !errors.As(err, &ce) {
@@ -172,9 +177,9 @@ func TestRatesFindsStragglerBug(t *testing.T) {
 // must produce the identical report — canonical failing seed included — as
 // one worker.
 func TestParallelSamplingDeterministic(t *testing.T) {
-	run := func(workers int) (Report, int64) {
-		rep, err := Run(HandoffBug(bugN, bugWarmup, bugGap), Config{
-			Sampler: SamplerPCT, PCTDepth: 2, Samples: 2000, Seed: 1, Workers: workers,
+	run := func(workers int) (engine.SampleReport, int64) {
+		rep, err := engine.Sample(scenario.HandoffBug(bugN, bugWarmup, bugGap), engine.SampleConfig{
+			Sampler: engine.SamplerPCT, PCTDepth: 2, Samples: 2000, Seed: 1, Workers: workers,
 		})
 		var ce *engine.CheckError
 		if !errors.As(err, &ce) {
@@ -194,9 +199,9 @@ func TestParallelSamplingDeterministic(t *testing.T) {
 		}
 	}
 	// Coverage-only runs must be worker-independent too.
-	cov := func(workers int) Report {
-		rep, err := Run(lostUpdateHarness(nil), Config{
-			Sampler: SamplerWalk, Samples: 500, Seed: 7, Workers: workers, BatchSize: 32,
+	cov := func(workers int) engine.SampleReport {
+		rep, err := engine.Sample(lostUpdateHarness(nil), engine.SampleConfig{
+			Sampler: engine.SamplerWalk, Samples: 500, Seed: 7, Workers: workers, BatchSize: 32,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -212,8 +217,8 @@ func TestParallelSamplingDeterministic(t *testing.T) {
 // TestFailingSeedReplays: the reported seed and schedule must both
 // independently reproduce the failure.
 func TestFailingSeedReplays(t *testing.T) {
-	cfg := Config{Sampler: SamplerPCT, PCTDepth: 2, Samples: 2000, Seed: 1}
-	rep, err := Run(HandoffBug(bugN, bugWarmup, bugGap), cfg)
+	cfg := engine.SampleConfig{Sampler: engine.SamplerPCT, PCTDepth: 2, Samples: 2000, Seed: 1}
+	rep, err := engine.Sample(scenario.HandoffBug(bugN, bugWarmup, bugGap), cfg)
 	var ce *engine.CheckError
 	if !errors.As(err, &ce) {
 		t.Fatal("no failure to replay")
@@ -221,8 +226,7 @@ func TestFailingSeedReplays(t *testing.T) {
 	// (a) Re-running with the failing seed as base finds it on the first run.
 	cfg2 := cfg
 	cfg2.Seed = ce.Seed
-	cfg2.PCTSteps = rep.PCTSteps // pin the probe bound: same seed ⇒ same run
-	rep2, err2 := Run(HandoffBug(bugN, bugWarmup, bugGap), cfg2)
+	rep2, err2 := engine.Sample(scenario.HandoffBug(bugN, bugWarmup, bugGap), cfg2)
 	var ce2 *engine.CheckError
 	if !errors.As(err2, &ce2) || ce2.Seed != ce.Seed {
 		t.Fatalf("re-running seed %d did not reproduce: %v", ce.Seed, err2)
@@ -230,11 +234,14 @@ func TestFailingSeedReplays(t *testing.T) {
 	if rep2.FailSeed != ce.Seed {
 		t.Fatalf("FailSeed = %d, want %d", rep2.FailSeed, ce.Seed)
 	}
+	if rep2.PCTSteps != rep.PCTSteps {
+		t.Fatalf("the deterministic probe measured k=%d, then k=%d", rep.PCTSteps, rep2.PCTSteps)
+	}
 	if !reflect.DeepEqual(ce2.Schedule, ce.Schedule) {
 		t.Fatal("same seed produced a different failing schedule")
 	}
 	// (b) Replaying the schedule on a fresh instance reproduces the failure.
-	env, bodies, check, _ := HandoffBug(bugN, bugWarmup, bugGap)()
+	env, bodies, check, _ := scenario.HandoffBug(bugN, bugWarmup, bugGap)()
 	res := sched.Run(env, sched.NewReplay(ce.Schedule), bodies)
 	if check(res) == nil {
 		t.Fatal("replayed schedule did not reproduce the handoff bug")
@@ -245,7 +252,7 @@ func TestFailingSeedReplays(t *testing.T) {
 // interleaving count; on the 6-leaf lost-update tree the estimate must
 // land near 6.
 func TestWalkTreeEstimate(t *testing.T) {
-	rep, err := Run(lostUpdateHarness(nil), Config{Sampler: SamplerWalk, Samples: 4000, Seed: 1})
+	rep, err := engine.Sample(lostUpdateHarness(nil), engine.SampleConfig{Sampler: engine.SamplerWalk, Samples: 4000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +261,11 @@ func TestWalkTreeEstimate(t *testing.T) {
 	}
 	// Other samplers must not report an estimate, and neither must a
 	// crash-mode walk (crashes invalidate the estimator).
-	rep, err = Run(lostUpdateHarness(nil), Config{Sampler: SamplerRandom, Samples: 50, Seed: 1})
+	rep, err = engine.Sample(lostUpdateHarness(nil), engine.SampleConfig{Sampler: engine.SamplerRandom, Samples: 50, Seed: 1})
 	if err != nil || rep.TreeSizeEstimate != 0 {
 		t.Fatalf("random sampler reported a tree estimate: %v (err %v)", rep.TreeSizeEstimate, err)
 	}
-	rep, err = Run(lostUpdateHarness(nil), Config{Sampler: SamplerWalk, Samples: 50, Seed: 1, CrashProb: 0.25})
+	rep, err = engine.Sample(lostUpdateHarness(nil), engine.SampleConfig{Sampler: engine.SamplerWalk, Samples: 50, Seed: 1, Crashes: true})
 	if err != nil || rep.TreeSizeEstimate != 0 {
 		t.Fatalf("crash-mode walk reported a tree estimate: %v (err %v)", rep.TreeSizeEstimate, err)
 	}
@@ -268,7 +275,7 @@ func TestWalkTreeEstimate(t *testing.T) {
 // on every sampler, deterministically per seed, and crash-free sampling
 // never crashes anyone.
 func TestCrashInjection(t *testing.T) {
-	for _, sampler := range []Sampler{SamplerRandom, SamplerPCT, SamplerWalk, SamplerRates} {
+	for _, sampler := range []engine.Sampler{engine.SamplerRandom, engine.SamplerPCT, engine.SamplerWalk, engine.SamplerRates} {
 		crashed := 0
 		h := func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
 			env := memory.NewEnv(3)
@@ -292,7 +299,7 @@ func TestCrashInjection(t *testing.T) {
 			}
 			return env, []func(p *memory.Proc){body, body, body}, check, func() {}
 		}
-		rep, err := Run(h, Config{Sampler: sampler, Samples: 200, Seed: 1, CrashProb: 0.25})
+		rep, err := engine.Sample(h, engine.SampleConfig{Sampler: sampler, Samples: 200, Seed: 1, Crashes: true})
 		if err != nil {
 			t.Fatalf("%s: %v", sampler, err)
 		}
@@ -300,7 +307,7 @@ func TestCrashInjection(t *testing.T) {
 			t.Fatalf("%s: %d executions, %d crashes", sampler, rep.Executions, crashed)
 		}
 		crashed = 0
-		if _, err := Run(h, Config{Sampler: sampler, Samples: 100, Seed: 1}); err != nil {
+		if _, err := engine.Sample(h, engine.SampleConfig{Sampler: sampler, Samples: 100, Seed: 1}); err != nil {
 			t.Fatal(err)
 		}
 		if crashed != 0 {
@@ -320,7 +327,7 @@ func TestKeepGoingCountsAllFailures(t *testing.T) {
 		check := func(res *sched.Result) error { return fmt.Errorf("always") }
 		return env, []func(p *memory.Proc){body, body}, check, func() {}
 	}
-	rep, err := Run(alwaysFail, Config{Samples: 150, Seed: 10, KeepGoing: true})
+	rep, err := engine.Sample(alwaysFail, engine.SampleConfig{Samples: 150, Seed: 10, KeepGoing: true})
 	var ce *engine.CheckError
 	if !errors.As(err, &ce) {
 		t.Fatalf("want CheckError, got %v", err)
@@ -332,8 +339,8 @@ func TestKeepGoingCountsAllFailures(t *testing.T) {
 		t.Fatalf("canonical seed = %d / %d, want 10", ce.Seed, rep.FailSeed)
 	}
 	// Without KeepGoing the run stops after the first (failing) batch.
-	rep, err = Run(alwaysFail, Config{Samples: 150, Seed: 10})
-	if !errors.As(err, &ce) || rep.Executions != DefaultBatchSize {
+	rep, err = engine.Sample(alwaysFail, engine.SampleConfig{Samples: 150, Seed: 10})
+	if !errors.As(err, &ce) || rep.Executions != engine.DefaultBatchSize {
 		t.Fatalf("non-keepgoing rep = %+v, err %v", rep, err)
 	}
 }
@@ -361,7 +368,7 @@ func plantedBugHarness() engine.Harness {
 
 func TestSample(t *testing.T) {
 	outcomes := map[int64]int{}
-	rep, err := Sample(lostUpdateHarness(outcomes), 20, 1, false)
+	rep, err := engine.Sample(lostUpdateHarness(outcomes), engine.SampleConfig{Samples: 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +382,7 @@ func TestSample(t *testing.T) {
 
 func TestSampleReportsFailure(t *testing.T) {
 	h := plantedBugHarness()
-	_, err := Sample(h, 50, 3, false)
+	_, err := engine.Sample(h, engine.SampleConfig{Samples: 50, Seed: 3})
 	var ce *engine.CheckError
 	if !errors.As(err, &ce) {
 		t.Fatalf("expected CheckError from sampling, got %v", err)
@@ -387,7 +394,7 @@ func TestSampleReportsFailure(t *testing.T) {
 // deterministic, and crash-free sampling must not crash anyone.
 func TestSampleWithCrashes(t *testing.T) {
 	crashed := map[int64]int{}
-	rep, err := Sample(lostUpdateHarness(crashed), 300, 1, true)
+	rep, err := engine.Sample(lostUpdateHarness(crashed), engine.SampleConfig{Samples: 300, Seed: 1, Crashes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,14 +406,14 @@ func TestSampleWithCrashes(t *testing.T) {
 		t.Fatalf("crash sampling never crashed both increments: %v", crashed)
 	}
 	clean := map[int64]int{}
-	if _, err := Sample(lostUpdateHarness(clean), 300, 1, false); err != nil {
+	if _, err := engine.Sample(lostUpdateHarness(clean), engine.SampleConfig{Samples: 300, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if clean[0] != 0 {
 		t.Fatalf("crash-free sampling produced a crashed outcome: %v", clean)
 	}
 	again := map[int64]int{}
-	if _, err := Sample(lostUpdateHarness(again), 300, 1, true); err != nil {
+	if _, err := engine.Sample(lostUpdateHarness(again), engine.SampleConfig{Samples: 300, Seed: 1, Crashes: true}); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(crashed, again) {
@@ -420,7 +427,7 @@ func TestSampleWithCrashes(t *testing.T) {
 func TestSampleReportsFailingSeed(t *testing.T) {
 	h := plantedBugHarness()
 	const base = 40
-	_, err := Sample(h, 100, base, false)
+	_, err := engine.Sample(h, engine.SampleConfig{Samples: 100, Seed: base})
 	var ce *engine.CheckError
 	if !errors.As(err, &ce) {
 		t.Fatalf("want CheckError, got %v", err)
@@ -433,7 +440,7 @@ func TestSampleReportsFailingSeed(t *testing.T) {
 	}
 	// Seed 0 is a legitimate base seed: a failure there must still render
 	// its seed (Sampled, not a zero-sentinel, carries the distinction).
-	_, err = Sample(h, 100, 0, false)
+	_, err = engine.Sample(h, engine.SampleConfig{Samples: 100, Seed: 0})
 	var ce0 *engine.CheckError
 	if !errors.As(err, &ce0) || !ce0.Sampled {
 		t.Fatalf("seed-0 sampling failure not marked Sampled: %v", err)
@@ -442,7 +449,7 @@ func TestSampleReportsFailingSeed(t *testing.T) {
 		t.Fatalf("seed-0 failure message lost the seed: %q", ce0.Error())
 	}
 	// Reproduce by seed: a 1-sample batch at exactly that seed fails too.
-	_, err = Sample(h, 1, ce.Seed, false)
+	_, err = engine.Sample(h, engine.SampleConfig{Samples: 1, Seed: ce.Seed})
 	var ce2 *engine.CheckError
 	if !errors.As(err, &ce2) || ce2.Seed != ce.Seed {
 		t.Fatalf("re-running failing seed %d did not reproduce: %v", ce.Seed, err)
@@ -498,12 +505,12 @@ func TestProcessLimit(t *testing.T) {
 			_, err := engine.Run(harness(n), engine.Config{MaxExecutions: 10, Workers: 2})
 			return err
 		}},
-		{"randexp.Run pct", func(n int) error {
-			_, err := Run(harness(n), Config{Sampler: SamplerPCT, Samples: 4, Workers: 2})
+		{"engine.Sample pct", func(n int) error {
+			_, err := engine.Sample(harness(n), engine.SampleConfig{Sampler: engine.SamplerPCT, Samples: 4, Workers: 2})
 			return err
 		}},
-		{"randexp.Run random", func(n int) error {
-			_, err := Run(harness(n), Config{Samples: 4, Workers: 2})
+		{"engine.Sample random", func(n int) error {
+			_, err := engine.Sample(harness(n), engine.SampleConfig{Samples: 4, Workers: 2})
 			return err
 		}},
 	}

@@ -10,7 +10,6 @@ import (
 	"errors"
 
 	"repro/internal/engine"
-	"repro/internal/randexp"
 )
 
 // RunChoice is one schedule entry of a reported failure, encoded the way
@@ -108,7 +107,7 @@ func ExhaustiveResult(name string, n int, oracle Oracle, prune engine.PruneMode,
 }
 
 // SampledResult builds the -json object of a sampled run.
-func SampledResult(name string, n int, oracle Oracle, sampler string, rep randexp.Report, err error) RunResult {
+func SampledResult(name string, n int, oracle Oracle, sampler string, rep engine.SampleReport, err error) RunResult {
 	r := RunResult{
 		Scenario:       name,
 		N:              n,

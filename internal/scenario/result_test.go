@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/randexp"
 )
 
 // TestRunResultJSONRoundTrip pins the tascheck -json contract: the
@@ -72,7 +71,7 @@ func TestRunResultJSONRoundTrip(t *testing.T) {
 
 	// A failing sampled run: the failure must carry the reproducing seed.
 	h, oracle = hb.Build(5, Options{})
-	srep, sErr := randexp.Run(h, randexp.Config{Sampler: randexp.SamplerPCT, PCTDepth: 2, Samples: 2000, Seed: 1})
+	srep, sErr := engine.Sample(h, engine.SampleConfig{Sampler: engine.SamplerPCT, PCTDepth: 2, Samples: 2000, Seed: 1})
 	r = SampledResult(hb.Name, 5, oracle, "pct", srep, sErr)
 	if r.Verdict != "fail" || r.Failure == nil || !r.Failure.Sampled || r.Failure.Seed == 0 {
 		t.Fatalf("handoffbug sampled result: %+v", r)
@@ -116,7 +115,7 @@ func TestRunResultTimingFields(t *testing.T) {
 
 	// Sampled results carry wall-clock too; sampling has no cut cause.
 	h, oracle = sc.Build(5, Options{})
-	srep, sErr := randexp.Run(h, randexp.Config{Samples: 50, Seed: 1, Workers: 1})
+	srep, sErr := engine.Sample(h, engine.SampleConfig{Samples: 50, Seed: 1, Workers: 1})
 	sr := SampledResult("a1", 5, oracle, "random", srep, sErr)
 	if sr.WallMS <= 0 || sr.CutBy != "" {
 		t.Fatalf("sampled result timing fields: wall_ms=%v cut_by=%q", sr.WallMS, sr.CutBy)

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/randexp"
 )
 
 // SweepConfig bounds a sweep.
@@ -98,17 +97,14 @@ func RunOne(sc Scenario, cfg SweepConfig) Row {
 		return row
 	}
 
-	rcfg := randexp.Config{
-		Sampler: randexp.SamplerRandom,
+	rep, err := engine.Sample(h, engine.SampleConfig{
+		Sampler: engine.SamplerRandom,
 		Samples: samples,
 		Seed:    cfg.Seed,
 		Workers: 1,
+		Crashes: opts.Crashes,
 		Metrics: cfg.Metrics,
-	}
-	if opts.Crashes {
-		rcfg.CrashProb = randexp.SampleCrashProb
-	}
-	rep, err := randexp.Run(h, rcfg)
+	})
 	row.Mode = "sampled"
 	row.Executions, row.MaxDepth = rep.Executions, rep.MaxDepth
 	// A sample (like a budget-cut walk) is never exhaustive, so an

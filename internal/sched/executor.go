@@ -344,7 +344,7 @@ func (x *Executor) release() {
 	x.chooser = nil
 }
 
-// RunStrategy is Run, kept for callers that still use the name.
+// RunStrategy is Run under its former name; benchmark/ is its one caller.
 func (x *Executor) RunStrategy(c Chooser) *Result { return x.Run(c) }
 
 // Close ends the executor's coroutines, unwinding any body an aborted run

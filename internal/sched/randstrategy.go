@@ -8,7 +8,7 @@ import (
 	"repro/internal/memory"
 )
 
-// This file holds the randomized sampling strategies the randexp subsystem
+// This file holds the randomized sampling strategies engine.Sample
 // drives: the PCT priority scheduler, the weighted uniform random walk, and
 // the configurable stochastic (rate-weighted) scheduler, plus the generic
 // crash-injection wrapper. They complement the plain Random/RandomCrash
@@ -150,7 +150,7 @@ func (p *PCT) reprioritize(id, prio int) {
 // A Walk is single-run state: construct a fresh one per sampled execution
 // and read LogWeight after the run. Crash decisions injected by a wrapper
 // bypass Choose, which invalidates the estimator (crashes change which tree
-// is being walked mid-path); randexp reports no estimate under crash
+// is being walked mid-path); engine.Sample reports no estimate under crash
 // injection.
 type Walk struct {
 	rng  *rand.Rand

@@ -28,36 +28,36 @@ func TestStrategyStreamsPinned(t *testing.T) {
 		want    string
 	}{
 		{"random", false, func(x *sched.Executor, s int64) (*sched.Result, float64) {
-			return x.RunStrategy(sched.NewRandom(s)), 0
+			return x.Run(sched.NewRandom(s)), 0
 		}, "2aaadf6af389e7a1"},
 		{"random-crash", true, func(x *sched.Executor, s int64) (*sched.Result, float64) {
-			return x.RunStrategy(sched.NewRandomCrash(s, p)), 0
+			return x.Run(sched.NewRandomCrash(s, p)), 0
 		}, "2c3d80ded93cfb6b"},
 		{"pct", false, func(x *sched.Executor, s int64) (*sched.Result, float64) {
-			return x.RunStrategy(sched.NewPCT(s, n, k, d)), 0
+			return x.Run(sched.NewPCT(s, n, k, d)), 0
 		}, "aeeb7dfb6330ece5"},
 		{"pct-colliding", false, func(x *sched.Executor, s int64) (*sched.Result, float64) {
-			return x.RunStrategy(sched.NewPCT(s, n, 4, 5)), 0 // four change points over four steps
+			return x.Run(sched.NewPCT(s, n, 4, 5)), 0 // four change points over four steps
 		}, "3a4e2b5f546cea43"},
 		{"pct-crashes", true, func(x *sched.Executor, s int64) (*sched.Result, float64) {
-			return x.RunStrategy(sched.WithCrashes(sched.NewPCT(s, n, k, d), crashSeed(s), p)), 0
+			return x.Run(sched.WithCrashes(sched.NewPCT(s, n, k, d), crashSeed(s), p)), 0
 		}, "e37dd8df0f74458c"},
 		{"walk", false, func(x *sched.Executor, s int64) (*sched.Result, float64) {
 			w := sched.NewWalk(s)
-			return x.RunStrategy(w), w.LogWeight()
+			return x.Run(w), w.LogWeight()
 		}, "330d168d035bfc64"},
 		{"walk-crashes", true, func(x *sched.Executor, s int64) (*sched.Result, float64) {
 			w := sched.NewWalk(s)
-			return x.RunStrategy(sched.WithCrashes(w, crashSeed(s), p)), w.LogWeight()
+			return x.Run(sched.WithCrashes(w, crashSeed(s), p)), w.LogWeight()
 		}, "669fce939e146ef7"},
 		{"rates", false, func(x *sched.Executor, s int64) (*sched.Result, float64) {
-			return x.RunStrategy(sched.NewRates(s, rates)), 0
+			return x.Run(sched.NewRates(s, rates)), 0
 		}, "4622a8c96ce5f022"},
 		{"rates-crashes", true, func(x *sched.Executor, s int64) (*sched.Result, float64) {
-			return x.RunStrategy(sched.WithCrashes(sched.NewRates(s, rates), crashSeed(s), p)), 0
+			return x.Run(sched.WithCrashes(sched.NewRates(s, rates), crashSeed(s), p)), 0
 		}, "802f0f23e270756c"},
 		{"random-crashes", true, func(x *sched.Executor, s int64) (*sched.Result, float64) {
-			return x.RunStrategy(sched.WithCrashes(sched.NewRandom(s), crashSeed(s), p)), 0
+			return x.Run(sched.WithCrashes(sched.NewRandom(s), crashSeed(s), p)), 0
 		}, "2ae2d7c4cf347caf"},
 	}
 	sc, err := scenario.Lookup("composed")

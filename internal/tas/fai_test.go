@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/memory"
-	"repro/internal/randexp"
 	"repro/internal/sched"
 	"repro/internal/spec"
 )
@@ -147,7 +146,7 @@ func TestRandomizedSpecFetchIncThreeProcs(t *testing.T) {
 		}
 		return env, bodies, check, reset
 	}
-	if _, err := randexp.Sample(h, 3000, 23, false); err != nil {
+	if _, err := engine.Sample(h, engine.SampleConfig{Samples: 3000, Seed: 23}); err != nil {
 		t.Fatal(err)
 	}
 }

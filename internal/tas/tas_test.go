@@ -9,7 +9,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/linearize"
 	"repro/internal/memory"
-	"repro/internal/randexp"
 	"repro/internal/sched"
 	"repro/internal/spec"
 	"repro/internal/trace"
@@ -329,7 +328,7 @@ func TestExhaustiveA1ThreeProcsWithCrashes(t *testing.T) {
 }
 
 func TestRandomizedA1ThreeProcs(t *testing.T) {
-	if _, err := randexp.Sample(a1Harness(3, true, false), 2500, 5, false); err != nil {
+	if _, err := engine.Sample(a1Harness(3, true, false), engine.SampleConfig{Samples: 2500, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -519,7 +518,7 @@ func TestExhaustiveComposedFourProcs(t *testing.T) {
 }
 
 func TestRandomizedComposedThreeProcs(t *testing.T) {
-	if _, err := randexp.Sample(composedHarness(3, true), 1500, 17, false); err != nil {
+	if _, err := engine.Sample(composedHarness(3, true), engine.SampleConfig{Samples: 1500, Seed: 17}); err != nil {
 		t.Fatal(err)
 	}
 }
