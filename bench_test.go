@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -376,34 +377,36 @@ func BenchmarkExecutorDecision(b *testing.B) {
 // (run → race analysis → check → reset) and one sampled run of the seeded
 // sampler, the two paths the allocation budget in internal/engine pins. One
 // iteration is a whole fixed-size unit — the composed n=3 source-DPOR walk
-// (1991 attempts) or a 2000-seed PCT batch on composed n=8 — and the
-// per-attempt figures are reported as custom metrics alongside the
-// per-unit ns/op, B/op and allocs/op. The deep case is the first 2000
-// attempts of the universalqueue n=2 walk, whose traces run to 235 steps
-// against composed n=3's 30: what an attempt costs as traces deepen.
+// (1991 attempts) or 6400 PCT samples of composed n=8 at one and at two
+// workers (100 batches each) — and the per-attempt (per-sample) figures are
+// reported as custom metrics alongside the per-unit ns/op, B/op and
+// allocs/op; sampled/w1 over sampled/w2 is the sampler's two-worker
+// scaling. The deep case is the first 2000 attempts of the universalqueue
+// n=2 walk, whose traces run to 235 steps against composed n=3's 30: what
+// an attempt costs as traces deepen.
 func BenchmarkEngineAttempt(b *testing.B) {
 	sc, err := scenario.Lookup("composed")
 	if err != nil {
 		b.Fatal(err)
 	}
-	perAttempt := func(b *testing.B, unit func() int) {
+	perRun := func(b *testing.B, per string, unit func() int) {
 		b.ReportAllocs()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		attempts := 0
+		runs := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			attempts += unit()
+			runs += unit()
 		}
 		b.StopTimer()
 		runtime.ReadMemStats(&after)
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(attempts), "ns/attempt")
-		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(attempts), "allocs/attempt")
-		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(attempts), "B/attempt")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(runs), "ns/"+per)
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(runs), "allocs/"+per)
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(runs), "B/"+per)
 	}
 	b.Run("exhaustive", func(b *testing.B) {
 		h, _ := sc.Build(3, scenario.Options{})
-		perAttempt(b, func() int {
+		perRun(b, "attempt", func() int {
 			rep, err := engine.Run(h, engine.Config{Prune: engine.PruneSourceDPOR, Workers: 1})
 			if err != nil {
 				b.Fatal(err)
@@ -417,7 +420,7 @@ func BenchmarkEngineAttempt(b *testing.B) {
 			b.Fatal(err)
 		}
 		h, _ := uq.Build(2, scenario.Options{})
-		perAttempt(b, func() int {
+		perRun(b, "attempt", func() int {
 			rep, err := engine.Run(h, engine.Config{Prune: engine.PruneSourceDPOR, Workers: 1, MaxExecutions: 2000})
 			if err != nil {
 				b.Fatal(err)
@@ -425,17 +428,19 @@ func BenchmarkEngineAttempt(b *testing.B) {
 			return rep.Attempts
 		})
 	})
-	b.Run("sampled", func(b *testing.B) {
-		h, _ := sc.Build(8, scenario.Options{})
-		cfg := engine.SampleConfig{Sampler: engine.SamplerPCT, PCTDepth: 3, Samples: 2000, Seed: 1, Workers: 1}
-		perAttempt(b, func() int {
-			rep, err := engine.Sample(h, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return rep.Executions
+	h8, _ := sc.Build(8, scenario.Options{})
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("sampled/w%d", workers), func(b *testing.B) {
+			cfg := engine.SampleConfig{Sampler: engine.SamplerPCT, PCTDepth: 3, Samples: 6400, Seed: 1, Workers: workers}
+			perRun(b, "sample", func() int {
+				rep, err := engine.Sample(h8, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return rep.Executions
+			})
 		})
-	})
+	}
 }
 
 // --- Strategy reseeding ---------------------------------------------------

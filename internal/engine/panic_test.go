@@ -82,6 +82,43 @@ func settledGoroutines(base int) int {
 	}
 }
 
+// TestSampleLeavesNoGoroutine: the sampler's worker pool lives for one
+// Sample call, so no goroutine outlives it on any exit path — success, a
+// failure stop, a saturation stop, or KeepGoing through failing batches.
+func TestSampleLeavesNoGoroutine(t *testing.T) {
+	checked := func(err error) engine.Harness {
+		return func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
+			env, bodies, _, reset := faulty(false, false)()
+			return env, bodies, func(*sched.Result) error { return err }, reset
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		h       engine.Harness
+		cfg     engine.SampleConfig
+		fails   bool
+		stopped bool // stopped before the sample budget
+	}{
+		{"success", checked(nil), engine.SampleConfig{Samples: 500}, false, false},
+		{"failure stop", checked(errBoom), engine.SampleConfig{Samples: 500}, true, true},
+		{"saturation stop", checked(nil), engine.SampleConfig{Samples: 100000, SatBatches: 2}, false, true},
+		{"keep going", checked(errBoom), engine.SampleConfig{Samples: 500, KeepGoing: true}, true, false},
+	} {
+		for _, workers := range []int{1, 4} {
+			cfg := c.cfg
+			cfg.Sampler, cfg.Seed, cfg.Workers = engine.SamplerPCT, 1, workers
+			base := runtime.NumGoroutine()
+			rep, err := engine.Sample(c.h, cfg)
+			if (err != nil) != c.fails || (rep.Executions < cfg.Samples) != c.stopped {
+				t.Fatalf("%s, %d workers: %d of %d executions, err %v", c.name, workers, rep.Executions, cfg.Samples, err)
+			}
+			if got := settledGoroutines(base); got > base {
+				t.Fatalf("%s, %d workers: %d goroutines after Sample, baseline %d", c.name, workers, got, base)
+			}
+		}
+	}
+}
+
 // assertNamedPanic runs h through both frontends at 1 and 4 workers and
 // requires an error carrying every fragment, errBoom in its chain when the
 // panic value survives as an error, and no goroutine beyond the baseline.

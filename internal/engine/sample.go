@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -151,10 +152,12 @@ type SampleReport struct {
 // Sample opens the large-n regime by drawing interleavings from a scheduler
 // distribution, with a coverage signal and deterministic failure reporting.
 //
-// Sampling proceeds in batches of cfg.BatchSize consecutive seeds. Within
-// a batch, runs execute on the worker pool — each worker owning one pooled
-// instance and one re-armed strategy of the configured sampler — but
-// outcomes are merged in seed order, batch by batch. Coverage, the
+// Sampling proceeds in batches of cfg.BatchSize consecutive seeds. The
+// runs execute on one worker pool that lives for the whole call — the
+// caller is worker 0, and each worker owns one pooled instance and one
+// re-armed strategy of the configured sampler. A batch is admitted only
+// once the previous one has been merged and the stop rule has let sampling
+// go on, and its outcomes are merged in seed order. Coverage, the
 // saturation decision and the canonical failure (the lex-least failing
 // seed, always in the first batch that contains any failure) are therefore
 // identical for every worker count; only wall-clock changes.
@@ -191,7 +194,8 @@ func Sample(h Harness, cfg SampleConfig) (rep SampleReport, err error) {
 		cfg.PCTDepth = DefaultPCTDepth
 	}
 
-	c := newCore(h, cfg.Workers)
+	// Workers beyond a batch's seeds would only wait.
+	c := newCore(h, min(max(cfg.Workers, 1), batch, cfg.Samples))
 	defer c.close()
 	if cfg.Metrics != nil {
 		remove := c.registerObs(cfg.Metrics)
@@ -212,14 +216,14 @@ func Sample(h Harness, cfg SampleConfig) (rep SampleReport, err error) {
 	var firstFail *seedOutcome
 	weightSum, weightRuns := 0.0, 0
 	staleBatches := 0
-	samplers := make([]seedSampler, len(c.insts)) // slot w is touched only by worker w
-	for next, remaining := cfg.Seed, cfg.Samples; remaining > 0; {
+	p := startPool(c, &cfg, batch, rep.PCTSteps)
+	defer p.close()
+	for remaining := cfg.Samples; remaining > 0; {
 		m := min(batch, remaining)
-		outs, fatal := c.sampleBatch(&cfg, samplers, next, m, rep.PCTSteps)
+		outs, fatal := p.runBatch(m)
 		if fatal != nil {
 			return rep, fatal
 		}
-		next += int64(m)
 		remaining -= m
 
 		// Merge in seed order: coverage, depth accounting, failures.
@@ -247,7 +251,9 @@ func Sample(h Harness, cfg SampleConfig) (rep SampleReport, err error) {
 			if o.err != nil {
 				rep.Failures++
 				if firstFail == nil {
-					firstFail = o
+					// The pool reuses outs for the next batch.
+					ff := *o
+					firstFail = &ff
 					if cfg.Metrics != nil {
 						cfg.Metrics.Event("failure_found", map[string]any{
 							"seed": o.seed, "depth": o.depth, "error": o.err.Error(),
@@ -297,7 +303,7 @@ func Sample(h Harness, cfg SampleConfig) (rep SampleReport, err error) {
 // probe runs one throwaway execution under the strategy on worker 0's
 // instance — resetting it afterwards — and returns the schedule length
 // (minimum 1): the PCT bound k. A panicking harness is reported as in
-// sampleBatch.
+// runBatch.
 func (c *core) probe(s sched.Chooser) (depth int, err error) {
 	inst, err := c.instanceFor(0)
 	if err != nil {
@@ -376,49 +382,161 @@ func (s *seedSampler) arm(cfg *SampleConfig, seed int64, n, k int) sched.Chooser
 	return c
 }
 
-// sampleBatch runs seeds first..first+m-1 on the core's worker pool and
-// returns their outcomes in seed order. A harness closure that panics — or
-// a harness the core rejects at construction — stops the workers, and the
-// error names the cause on the lowest seed reached.
-func (c *core) sampleBatch(cfg *SampleConfig, samplers []seedSampler, first int64, m, k int) ([]seedOutcome, error) {
-	outs := make([]seedOutcome, m)
-	fatal := make([]*seedFatal, len(c.insts)) // slot w is touched only by worker w
-	var idx atomic.Int64
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := range min(len(c.insts), m) {
-		wg.Add(1)
+// spinYields bounds how many times a pool worker waiting for an admitted
+// seed, or worker 0 waiting for a batch's last run, yields its P before it
+// parks. The wait is normally the tail of one run plus one merge: on PCT
+// samples of composed n=8 at two workers, about 2 % of waits outlast 256
+// yields. Parking instead would re-wake an idle P once per batch, the cost
+// the pool exists to avoid.
+const spinYields = 256
+
+// samplePool is the worker pool of one Sample call. The calling goroutine
+// is worker 0; workers 1.. are goroutines started once and joined by
+// close. Seeds are numbered 0..Samples-1 from cfg.Seed. Workers claim them
+// from one counter but never past admitted, the end of the batch worker 0
+// last admitted, and each outcome lands in the slot of its seed's position
+// in that batch. Worker 0 admits the next batch only after every run of
+// the previous one has finished and been merged, so exactly the started
+// batches run, and no run overwrites a slot the merge has yet to read.
+type samplePool struct {
+	c        *core
+	cfg      *SampleConfig
+	k        int           // the PCT bound
+	samplers []seedSampler // slot w is touched only by worker w
+	fatal    []*seedFatal  // slot w is written only by worker w
+	// outs holds the admitted batch's outcomes in seed order. Its length
+	// is the batch size, or the sample count when that is smaller: either
+	// way, seed i's slot is i mod len(outs).
+	outs []seedOutcome
+
+	claimed  atomic.Int64 // seeds claimed so far
+	admitted atomic.Int64 // seeds admitted so far; claimed never passes it
+	finished atomic.Int64 // runs finished so far
+	closing  atomic.Bool  // no more claims: Sample is returning, or a run was fatal
+
+	// A waiter that has yielded spinYields times parks on wakeup; sleepers
+	// lets every state change skip the lock while nobody is parked.
+	mu       sync.Mutex
+	wakeup   sync.Cond
+	sleepers atomic.Int32
+	wg       sync.WaitGroup
+}
+
+// startPool starts workers 1.. of c for batches of the given size; k is
+// the PCT bound.
+func startPool(c *core, cfg *SampleConfig, batch, k int) *samplePool {
+	workers := len(c.insts)
+	p := &samplePool{
+		c: c, cfg: cfg, k: k,
+		samplers: make([]seedSampler, workers),
+		fatal:    make([]*seedFatal, workers),
+		outs:     make([]seedOutcome, min(batch, cfg.Samples)),
+	}
+	p.wakeup.L = &p.mu
+	for w := 1; w < workers; w++ {
+		p.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				i := int(idx.Add(1)) - 1
-				if i >= m {
-					return
-				}
-				outs[i], fatal[w] = c.runSeed(w, cfg, &samplers[w], first+int64(i), k)
-				if fatal[w] != nil {
-					stop.Store(true)
-					return
-				}
-				if cfg.Metrics != nil {
-					cfg.Metrics.Samples.Inc(w)
-				}
+			defer p.wg.Done()
+			for p.work(w) {
+				p.await(func() bool { return p.closing.Load() || p.claimed.Load() < p.admitted.Load() })
 			}
 		}()
 	}
-	wg.Wait()
-	if !stop.Load() {
-		return outs, nil
+	return p
+}
+
+// runBatch admits the next m seeds, runs them as worker 0 alongside the
+// others, and returns once all of them have finished: their outcomes in
+// seed order, valid until the next runBatch. A harness closure that
+// panics — or a harness the core rejects at construction — closes the
+// pool, and the error names the cause on the lowest seed reached.
+func (p *samplePool) runBatch(m int) ([]seedOutcome, error) {
+	end := p.admitted.Load() + int64(m)
+	p.admitted.Store(end)
+	p.wake()
+	p.work(0)
+	p.await(func() bool { return p.closing.Load() || p.finished.Load() >= end })
+	if !p.closing.Load() {
+		return p.outs[:m], nil
 	}
+	p.close()
 	// Seeds are claimed in order and each worker stops at its first fatal
 	// run, so the lowest such seed is among the recorded ones.
 	var low *seedFatal
-	for _, f := range fatal {
+	for _, f := range p.fatal {
 		if f != nil && (low == nil || f.seed < low.seed) {
 			low = f
 		}
 	}
 	return nil, low
+}
+
+// work runs admitted seeds on worker w until none is left to claim, and
+// reports whether the pool is still open.
+func (p *samplePool) work(w int) bool {
+	for {
+		i := p.claimed.Load()
+		if p.closing.Load() {
+			return false
+		}
+		if i >= p.admitted.Load() {
+			return true
+		}
+		if !p.claimed.CompareAndSwap(i, i+1) {
+			continue
+		}
+		out, fatal := p.c.runSeed(w, p.cfg, &p.samplers[w], p.cfg.Seed+i, p.k)
+		if fatal != nil {
+			p.fatal[w] = fatal
+			p.closing.Store(true)
+			p.wake()
+			return false
+		}
+		p.outs[i%int64(len(p.outs))] = out
+		if p.cfg.Metrics != nil {
+			p.cfg.Metrics.Samples.Inc(w)
+		}
+		p.finished.Add(1)
+		p.wake()
+	}
+}
+
+// await returns once ready holds: it yields up to spinYields times, then
+// parks until a wake finds it true. Every change that can make a waiter's
+// condition true is stored before its wake loads sleepers, and a parker
+// counts itself before it re-reads the condition under mu, so no wake-up
+// is lost.
+func (p *samplePool) await(ready func() bool) {
+	for range spinYields {
+		if ready() {
+			return
+		}
+		runtime.Gosched()
+	}
+	p.mu.Lock()
+	p.sleepers.Add(1)
+	for !ready() {
+		p.wakeup.Wait()
+	}
+	p.sleepers.Add(-1)
+	p.mu.Unlock()
+}
+
+// wake unparks every parked waiter to re-read its condition.
+func (p *samplePool) wake() {
+	if p.sleepers.Load() > 0 {
+		p.mu.Lock()
+		p.wakeup.Broadcast()
+		p.mu.Unlock()
+	}
+}
+
+// close stops every worker and returns once workers 1.. have exited: no
+// goroutine of the pool outlives Sample, on any exit path.
+func (p *samplePool) close() {
+	p.closing.Store(true)
+	p.wake()
+	p.wg.Wait()
 }
 
 // seedFatal is what ends a sampling run — a harness panic, or a harness

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/engine"
@@ -211,6 +212,60 @@ func TestParallelSamplingDeterministic(t *testing.T) {
 	}
 	if a, b := cov(1), cov(6); !reflect.DeepEqual(a, b) {
 		t.Fatalf("walk coverage reports diverged across workers:\n%+v\nvs\n%+v", a, b)
+	}
+	// Exactly the started batches run, at every worker count: each executed
+	// seed is checked and reset once, and no seed of a batch the stop rule
+	// did not start is run at all. From seed 238 the rates sampler first
+	// fails at seed 285, the last seed of the third 16-seed batch.
+	for _, c := range []struct {
+		name       string
+		h          engine.Harness
+		cfg        engine.SampleConfig
+		executions int
+		failSeed   int64
+	}{
+		{"failure stop", scenario.HandoffBug(bugN, bugWarmup, bugGap), engine.SampleConfig{
+			Sampler: engine.SamplerRates, Rates: []float64{12, 1}, Samples: 2000, Seed: 238, BatchSize: 16,
+		}, 48, 285},
+		{"saturation stop", lostUpdateHarness(nil), engine.SampleConfig{
+			Samples: 2000, Seed: 1, BatchSize: 16, SatBatches: 2,
+		}, 48, 0},
+	} {
+		var base engine.SampleReport
+		for _, workers := range []int{1, 2, 8} {
+			var checks, resets atomic.Int64
+			cfg := c.cfg
+			cfg.Workers = workers
+			rep, err := engine.Sample(counting(c.h, &checks, &resets), cfg)
+			var ce *engine.CheckError
+			if c.failSeed != 0 && (!errors.As(err, &ce) || ce.Seed != c.failSeed) {
+				t.Fatalf("%s, workers=%d: want the failure at seed %d, got %v", c.name, workers, c.failSeed, err)
+			}
+			if c.failSeed == 0 && (err != nil || !rep.Saturated) {
+				t.Fatalf("%s, workers=%d: saturated=%v, err %v", c.name, workers, rep.Saturated, err)
+			}
+			if rep.Executions != c.executions || checks.Load() != int64(rep.Executions) || resets.Load() != int64(rep.Executions) {
+				t.Fatalf("%s, workers=%d: %d checks and %d resets for %d executions, want %d",
+					c.name, workers, checks.Load(), resets.Load(), rep.Executions, c.executions)
+			}
+			rep.WallTime = 0
+			if workers == 1 {
+				base = rep
+			} else if !reflect.DeepEqual(rep, base) {
+				t.Fatalf("%s, workers=%d: report diverged:\n%+v\nvs\n%+v", c.name, workers, rep, base)
+			}
+		}
+	}
+}
+
+// counting wraps h so that every check and every reset of every instance
+// it builds is counted.
+func counting(h engine.Harness, checks, resets *atomic.Int64) engine.Harness {
+	return func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
+		env, bodies, check, reset := h()
+		return env, bodies,
+			func(res *sched.Result) error { checks.Add(1); return check(res) },
+			func() { resets.Add(1); reset() }
 	}
 }
 
