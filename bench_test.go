@@ -157,15 +157,6 @@ func BenchmarkE4_SplitConsensusSolo(b *testing.B) {
 	}
 }
 
-func BenchmarkE5_ChainSolo(b *testing.B) {
-	env := memory.NewEnv(1)
-	p := env.Proc(0)
-	for i := 0; i < b.N; i++ {
-		c := consensus.NewChain(consensus.NewSplitConsensus(), consensus.NewCASConsensus())
-		c.Propose(p, consensus.Bottom, 5)
-	}
-}
-
 // --- E6: lock flavours, uncontended reacquisition ------------------------
 
 func BenchmarkE6_SpeculativeTASLock(b *testing.B) {

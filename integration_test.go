@@ -160,14 +160,13 @@ func TestIntegrationFullStackSoak(t *testing.T) {
 
 // TestIntegrationDefinition2OnLongLivedRound checks safe composability of
 // the per-module traces produced by one contended round of the long-lived
-// object, rebuilt through core.Composition (the checker needs per-module
-// events, which the packaged OneShot does not record).
+// object: the packaged OneShot, with per-module recorders attached.
 func TestIntegrationDefinition2OnLongLivedRound(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		env := memory.NewEnv(2)
 		recA1 := trace.NewRecorder(2)
 		recA2 := trace.NewRecorder(2)
-		comp := core.NewComposition(tas.NewA1(), tas.NewA2()).WithRecorders(recA1, recA2)
+		comp := tas.NewOneShot().WithRecorders(recA1, recA2)
 		bodies := make([]func(p *memory.Proc), 2)
 		for i := 0; i < 2; i++ {
 			i := i

@@ -4,7 +4,7 @@ import "repro/internal/memory"
 
 // CASConsensus is wait-free consensus from a single compare-and-swap
 // object: the first process to install its value decides for everyone.
-// It never aborts, so composing it as the final stage of a Chain yields a
+// It never aborts, so composing it as the final stage of a chain yields a
 // wait-free consensus whose fast path never touches the CAS (Section 4.2's
 // "reverting to stronger compare-and-swap primitives otherwise").
 type CASConsensus struct {

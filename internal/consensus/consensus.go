@@ -3,10 +3,13 @@
 // contention using only registers and a splitter; AbortableBakery, which
 // commits in the absence of step contention using only registers; and a
 // wait-free compare-and-swap consensus used as the final, never-aborting
-// stage. Chain composes instances in increasing order of progress-condition
-// strength, threading each abort value into the next instance's
-// initialization, exactly as the SplitConsensus/AbortableBakery wrappers of
-// Algorithms 3 and 4 prescribe.
+// stage. Instances chain in increasing order of progress-condition
+// strength, each abort value becoming the next instance's old argument,
+// exactly as the SplitConsensus/AbortableBakery wrappers of Algorithms 3
+// and 4 prescribe. Agreement across stages holds because a stage that
+// committed x carries x in every one of its aborts (the stages' contention
+// flags order commits before abort reads), so every later-stage proposal
+// equals x. The package tests run such chains as core.Composition modules.
 //
 // An abortable consensus instance returns either a commit or an abort
 // indication together with a value; it guarantees agreement on committed

@@ -1,26 +1,102 @@
-package consensus
+package consensus_test
 
 import (
 	"fmt"
 	"testing"
 
+	"repro/internal/consensus"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/memory"
 	"repro/internal/sched"
+	"repro/internal/spec"
 )
 
-func mk(name string, n int) Abortable {
+// chain runs abortable consensus instances as core.Composition modules, in
+// increasing order of progress-condition strength: when stage k aborts with
+// x, stage k+1 proposes with old = x. A chain whose last stage never aborts
+// (CASConsensus) is a wait-free consensus.
+type chain struct {
+	*core.Composition
+	stages []instance
+}
+
+// stage adapts one instance to core.Module. The request carries the
+// proposal in Arg and, for the first stage, the value inherited from
+// outside the chain in ID; later stages inherit the previous abort value as
+// their int64 switch value.
+type stage struct {
+	instance
+}
+
+// instance is an abortable consensus instance that the composition can
+// reset; every instance in package consensus is.
+type instance interface {
+	consensus.Abortable
+	memory.Resettable
+}
+
+func (s stage) Invoke(p *memory.Proc, m spec.Request, sv core.SwitchValue) (core.Outcome, int64, core.SwitchValue) {
+	old := m.ID
+	if x, ok := sv.(int64); ok {
+		old = x
+	}
+	out, res := s.Propose(p, old, m.Arg)
+	if out == consensus.Commit {
+		return core.Committed, res, nil
+	}
+	return core.Aborted, 0, res
+}
+
+func newChain(stages ...instance) *chain {
+	mods := make([]core.Module, len(stages))
+	for i, st := range stages {
+		mods[i] = stage{st}
+	}
+	return &chain{core.NewComposition(mods...), stages}
+}
+
+func (c *chain) Name() string { return "chain" }
+
+func (c *chain) Propose(p *memory.Proc, old, v int64) (consensus.Outcome, int64) {
+	out, res, _ := c.ProposeTraced(p, old, v)
+	return out, res
+}
+
+// ProposeTraced also reports the index of the stage that committed
+// (len(stages) if every stage aborted).
+func (c *chain) ProposeTraced(p *memory.Proc, old, v int64) (consensus.Outcome, int64, int) {
+	out, res, sv, k := c.Invoke(p, spec.Request{ID: old, Arg: v})
+	if out == core.Committed {
+		return consensus.Commit, res, k
+	}
+	return consensus.Abort, sv.(int64), len(c.stages)
+}
+
+// Query scans the stages from last to first: a value committed at stage k
+// forces every proposal at later stages to equal it, so the latest non-⊥
+// estimate is consistent with any commit.
+func (c *chain) Query(p *memory.Proc) int64 {
+	for i := len(c.stages) - 1; i >= 0; i-- {
+		if v := c.stages[i].Query(p); v != consensus.Bottom {
+			return v
+		}
+	}
+	return consensus.Bottom
+}
+
+func mk(name string, n int) consensus.Abortable {
 	switch name {
 	case "split":
-		return NewSplitConsensus()
+		return consensus.NewSplitConsensus()
 	case "bakery":
-		return NewBakery(n)
+		return consensus.NewBakery(n)
 	case "cas":
-		return NewCASConsensus()
+		return consensus.NewCASConsensus()
 	case "chain":
-		return NewChain(NewSplitConsensus(), NewBakery(n), NewCASConsensus())
+		return newChain(consensus.NewSplitConsensus(), consensus.NewBakery(n), consensus.NewCASConsensus())
 	case "chain-registers":
-		return NewChain(NewSplitConsensus(), NewBakery(n))
+		return newChain(consensus.NewSplitConsensus(), consensus.NewBakery(n))
 	}
 	panic(name)
 }
@@ -29,8 +105,8 @@ func TestSoloCommitsOwnValue(t *testing.T) {
 	for _, name := range []string{"split", "bakery", "cas", "chain", "chain-registers"} {
 		env := memory.NewEnv(1)
 		c := mk(name, 1)
-		out, v := c.Propose(env.Proc(0), Bottom, 42)
-		if out != Commit || v != 42 {
+		out, v := c.Propose(env.Proc(0), consensus.Bottom, 42)
+		if out != consensus.Commit || v != 42 {
 			t.Fatalf("%s: solo propose = (%v, %d), want commit 42", name, out, v)
 		}
 		if q := c.Query(env.Proc(0)); q != 42 {
@@ -44,7 +120,7 @@ func TestSoloInheritedValueWins(t *testing.T) {
 		env := memory.NewEnv(1)
 		c := mk(name, 1)
 		out, v := c.Propose(env.Proc(0), 7, 42)
-		if out != Commit || v != 7 {
+		if out != consensus.Commit || v != 7 {
 			t.Fatalf("%s: propose(old=7, v=42) = (%v, %d), want commit 7", name, out, v)
 		}
 	}
@@ -54,9 +130,9 @@ func TestSequentialAgreement(t *testing.T) {
 	for _, name := range []string{"split", "bakery", "cas", "chain"} {
 		env := memory.NewEnv(2)
 		c := mk(name, 2)
-		out0, v0 := c.Propose(env.Proc(0), Bottom, 10)
-		out1, v1 := c.Propose(env.Proc(1), Bottom, 20)
-		if out0 != Commit || out1 != Commit {
+		out0, v0 := c.Propose(env.Proc(0), consensus.Bottom, 10)
+		out1, v1 := c.Propose(env.Proc(1), consensus.Bottom, 20)
+		if out0 != consensus.Commit || out1 != consensus.Commit {
 			t.Fatalf("%s: sequential proposals must commit", name)
 		}
 		if v0 != v1 || v0 != 10 {
@@ -70,11 +146,11 @@ func TestSplitSoloStepComplexityConstant(t *testing.T) {
 	// independent of n (experiment E4's flat line).
 	for _, n := range []int{1, 8, 64} {
 		env := memory.NewEnv(n)
-		c := NewSplitConsensus()
+		c := consensus.NewSplitConsensus()
 		p := env.Proc(0)
 		p.ResetCounters()
-		out, _ := c.Propose(p, Bottom, 5)
-		if out != Commit {
+		out, _ := c.Propose(p, consensus.Bottom, 5)
+		if out != consensus.Commit {
 			t.Fatal("solo propose must commit")
 		}
 		if p.Steps() > 10 {
@@ -91,11 +167,11 @@ func TestBakerySoloStepComplexityLinear(t *testing.T) {
 	steps := map[int]int64{}
 	for _, n := range []int{2, 4, 8, 16, 32} {
 		env := memory.NewEnv(n)
-		c := NewBakery(n)
+		c := consensus.NewBakery(n)
 		p := env.Proc(0)
 		p.ResetCounters()
-		out, _ := c.Propose(p, Bottom, 5)
-		if out != Commit {
+		out, _ := c.Propose(p, consensus.Bottom, 5)
+		if out != consensus.Commit {
 			t.Fatal("solo propose must commit")
 		}
 		if p.RMWs() != 0 {
@@ -114,11 +190,11 @@ func TestBakerySoloStepComplexityLinear(t *testing.T) {
 
 func TestCASConsensusAlwaysCommits(t *testing.T) {
 	env := memory.NewEnv(4)
-	c := NewCASConsensus()
+	c := consensus.NewCASConsensus()
 	var vals [4]int64
 	for i := 0; i < 4; i++ {
-		out, v := c.Propose(env.Proc(i), Bottom, int64(100+i))
-		if out != Commit {
+		out, v := c.Propose(env.Proc(i), consensus.Bottom, int64(100+i))
+		if out != consensus.Commit {
 			t.Fatal("CAS consensus must always commit")
 		}
 		vals[i] = v
@@ -139,28 +215,28 @@ func consensusHarness(t *testing.T, name string, stats *map[string]int) engine.H
 		env := memory.NewEnv(2)
 		c := mk(name, 2)
 		env.Register(c.(memory.Resettable))
-		outs := make([]Outcome, 2)
+		outs := make([]consensus.Outcome, 2)
 		vals := make([]int64, 2)
 		props := []int64{10, 20}
 		bodies := make([]func(p *memory.Proc), 2)
 		for i := 0; i < 2; i++ {
 			i := i
 			bodies[i] = func(p *memory.Proc) {
-				outs[i], vals[i] = c.Propose(p, Bottom, props[i])
+				outs[i], vals[i] = c.Propose(p, consensus.Bottom, props[i])
 			}
 		}
 		check := func(res *sched.Result) error {
 			committed := []int64{}
 			bottomAbort := false
 			for i := 0; i < 2; i++ {
-				if outs[i] == Commit {
+				if outs[i] == consensus.Commit {
 					committed = append(committed, vals[i])
 					if vals[i] != 10 && vals[i] != 20 {
 						return fmt.Errorf("validity: committed %d not proposed", vals[i])
 					}
 				} else {
 					(*stats)["abort"]++
-					if vals[i] == Bottom {
+					if vals[i] == consensus.Bottom {
 						bottomAbort = true
 					}
 				}
@@ -244,19 +320,19 @@ func TestRandomizedThreeProcs(t *testing.T) {
 			env := memory.NewEnv(3)
 			c := mk(name, 3)
 			env.Register(c.(memory.Resettable))
-			outs := make([]Outcome, 3)
+			outs := make([]consensus.Outcome, 3)
 			vals := make([]int64, 3)
 			bodies := make([]func(p *memory.Proc), 3)
 			for i := 0; i < 3; i++ {
 				i := i
 				bodies[i] = func(p *memory.Proc) {
-					outs[i], vals[i] = c.Propose(p, Bottom, int64(10*(i+1)))
+					outs[i], vals[i] = c.Propose(p, consensus.Bottom, int64(10*(i+1)))
 				}
 			}
 			check := func(res *sched.Result) error {
 				var committed []int64
 				for i := 0; i < 3; i++ {
-					if outs[i] == Commit {
+					if outs[i] == consensus.Commit {
 						committed = append(committed, vals[i])
 					} else {
 						stats["abort"]++
@@ -285,13 +361,10 @@ func TestRandomizedThreeProcs(t *testing.T) {
 
 func TestChainProposeTraced(t *testing.T) {
 	env := memory.NewEnv(1)
-	c := NewChain(NewSplitConsensus(), NewCASConsensus())
-	out, v, stage := c.ProposeTraced(env.Proc(0), Bottom, 9)
-	if out != Commit || v != 9 || stage != 0 {
+	c := newChain(consensus.NewSplitConsensus(), consensus.NewCASConsensus())
+	out, v, stage := c.ProposeTraced(env.Proc(0), consensus.Bottom, 9)
+	if out != consensus.Commit || v != 9 || stage != 0 {
 		t.Fatalf("solo traced propose = (%v, %d, stage %d), want commit 9 at stage 0", out, v, stage)
-	}
-	if c.Stages() != 2 {
-		t.Fatalf("Stages = %d", c.Stages())
 	}
 }
 
@@ -300,8 +373,8 @@ func TestChainFallsBackUnderContention(t *testing.T) {
 	// half-finished access from another process, then verify the chain
 	// still commits via the CAS stage.
 	env := memory.NewEnv(2)
-	split := NewSplitConsensus()
-	chain := NewChain(split, NewCASConsensus())
+	split := consensus.NewSplitConsensus()
+	chain := newChain(split, consensus.NewCASConsensus())
 
 	// Process 1 starts a propose and stalls mid-splitter. Emulate by
 	// running it under a scheduler for a few steps only.
@@ -312,16 +385,16 @@ func TestChainFallsBackUnderContention(t *testing.T) {
 		// Run p1's propose fully; concurrently p0 proposes. Outcomes must
 		// agree whichever stage serves them.
 		<-stall
-		out, v := chain.Propose(env.Proc(1), Bottom, 21)
-		if out != Commit {
+		out, v := chain.Propose(env.Proc(1), consensus.Bottom, 21)
+		if out != consensus.Commit {
 			t.Errorf("chain propose p1 = %v", out)
 		}
 		_ = v
 	}()
 	close(stall)
-	out, _ := chain.Propose(env.Proc(0), Bottom, 12)
+	out, _ := chain.Propose(env.Proc(0), consensus.Bottom, 12)
 	<-done
-	if out != Commit {
+	if out != consensus.Commit {
 		t.Fatalf("chain propose p0 = %v, want commit (wait-free)", out)
 	}
 	q0 := chain.Query(env.Proc(0))
@@ -334,33 +407,29 @@ func TestQueryVacant(t *testing.T) {
 	env := memory.NewEnv(2)
 	for _, name := range []string{"split", "bakery", "cas", "chain"} {
 		c := mk(name, 2)
-		if q := c.Query(env.Proc(0)); q != Bottom {
+		if q := c.Query(env.Proc(0)); q != consensus.Bottom {
 			t.Fatalf("%s: query of vacant instance = %d, want ⊥", name, q)
 		}
 	}
 }
 
-func TestNewChainPanicsEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewChain()
-}
-
 func TestOutcomeString(t *testing.T) {
-	if Commit.String() != "commit" || Abort.String() != "abort" {
+	if consensus.Commit.String() != "commit" || consensus.Abort.String() != "abort" {
 		t.Fatal("bad outcome strings")
 	}
 }
 
 func TestNames(t *testing.T) {
-	if NewSplitConsensus().Name() == "" || NewBakery(2).Name() == "" || NewCASConsensus().Name() == "" {
+	if consensus.NewSplitConsensus().Name() == "" || consensus.NewBakery(2).Name() == "" || consensus.NewCASConsensus().Name() == "" {
 		t.Fatal("empty names")
 	}
-	ch := NewChain(NewSplitConsensus(), NewCASConsensus())
-	if ch.Name() != "chain(split-consensus→cas-consensus)" {
-		t.Fatalf("chain name = %q", ch.Name())
+}
+
+func BenchmarkE5_ChainSolo(b *testing.B) {
+	env := memory.NewEnv(1)
+	p := env.Proc(0)
+	for i := 0; i < b.N; i++ {
+		c := newChain(consensus.NewSplitConsensus(), consensus.NewCASConsensus())
+		c.Propose(p, consensus.Bottom, 5)
 	}
 }

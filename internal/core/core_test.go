@@ -178,9 +178,6 @@ func TestCompositionThreadsSwitchValues(t *testing.T) {
 	m1 := &fakeModule{name: "m1", commit: false, sv: "W"}
 	m2 := &fakeModule{name: "m2", commit: true, resp: 7}
 	comp := NewComposition(m1, m2)
-	if comp.Modules() != 2 {
-		t.Fatal("Modules() wrong")
-	}
 	out, resp, _, k := comp.Invoke(env.Proc(0), req(1, 0))
 	if out != Committed || resp != 7 || k != 1 {
 		t.Fatalf("composition = (%v, %d, module %d)", out, resp, k)
@@ -191,7 +188,45 @@ func TestCompositionThreadsSwitchValues(t *testing.T) {
 	if m2.gotSV[0] != "W" {
 		t.Fatalf("second module saw %v, want W", m2.gotSV[0])
 	}
+
+	// ResetState and HashState walk the modules in chain order.
+	p := env.Proc(0)
+	r1 := &regModule{fakeModule{name: "r1"}, memory.NewIntReg(0)}
+	r2 := &regModule{fakeModule{name: "r2"}, memory.NewIntReg(0)}
+	regs := NewComposition(r1, r2)
+	r1.r.Write(p, 3)
+	r2.r.Write(p, 4)
+	var got, want memory.StateHash
+	r1.HashState(&want)
+	r2.HashState(&want)
+	if !regs.HashState(&got) || got.Sum128() != want.Sum128() {
+		t.Fatalf("composition hash %v, want %v (r1 then r2)", got.Sum128(), want.Sum128())
+	}
+	if NewComposition(r1, &fakeModule{name: "plain"}).HashState(&got) {
+		t.Fatal("HashState over a module that cannot fingerprint must report false")
+	}
+	regs.ResetState()
+	if r1.r.Read(p) != 0 || r2.r.Read(p) != 0 {
+		t.Fatalf("ResetState left registers at %d, %d", r1.r.Read(p), r2.r.Read(p))
+	}
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "plain") {
+				t.Fatalf("ResetState over a non-resettable module: panic %q, want one naming the module", msg)
+			}
+		}()
+		NewComposition(r1, &fakeModule{name: "plain"}).ResetState()
+	}()
 }
+
+// regModule is a fakeModule with one register of resettable, hashable state.
+type regModule struct {
+	fakeModule
+	r *memory.IntReg
+}
+
+func (m *regModule) ResetState()                        { m.r.ResetState() }
+func (m *regModule) HashState(h *memory.StateHash) bool { return m.r.HashState(h) }
 
 func TestCompositionAllAbort(t *testing.T) {
 	env := memory.NewEnv(1)

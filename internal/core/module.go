@@ -68,9 +68,6 @@ func (c *Composition) WithRecorders(recs ...*trace.Recorder) *Composition {
 	return c
 }
 
-// Modules returns the number of chained modules.
-func (c *Composition) Modules() int { return len(c.modules) }
-
 // Invoke runs m through the chain. It returns the final outcome (Aborted
 // only if the last module aborted), the committed response, the final
 // switch value on abort, and the index of the module that produced the
@@ -102,4 +99,29 @@ func (c *Composition) Invoke(p *memory.Proc, m spec.Request) (Outcome, int64, Sw
 		sv = next
 	}
 	return Aborted, 0, sv, len(c.modules) - 1
+}
+
+// ResetState implements memory.Resettable by resetting every module in
+// order. Every module must be resettable: a composition over one that is
+// not fails loudly rather than resetting partially.
+func (c *Composition) ResetState() {
+	for _, mod := range c.modules {
+		r, ok := mod.(memory.Resettable)
+		if !ok {
+			panic("core: Composition.ResetState over a non-resettable module " + mod.Name())
+		}
+		r.ResetState()
+	}
+}
+
+// HashState implements memory.Fingerprinter by hashing the modules in chain
+// order; it reports false if any module cannot fingerprint its state.
+func (c *Composition) HashState(h *memory.StateHash) bool {
+	for _, mod := range c.modules {
+		f, ok := mod.(memory.Fingerprinter)
+		if !ok || !f.HashState(h) {
+			return false
+		}
+	}
+	return true
 }

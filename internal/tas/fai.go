@@ -119,29 +119,22 @@ func (f *F2) Invoke(p *memory.Proc, _ spec.Request, sv core.SwitchValue) (core.O
 // is designed to expose (Sections 5 and 7). The exhaustive tests check
 // uniqueness, per-process monotonicity, the no-reissue property across the
 // switch, and gap-freedom of solo executions.
-type SpecFetchInc struct {
-	f1 *F1
-	f2 *F2
-}
+//
+// Like OneShot it is a core.Composition. F2's base cell holds a pointer, so
+// the composition reports its state unfingerprintable.
+type SpecFetchInc struct{ *core.Composition }
 
 // NewSpecFetchInc returns a fresh speculative fetch-and-increment.
 func NewSpecFetchInc() *SpecFetchInc {
-	return &SpecFetchInc{f1: NewF1(), f2: NewF2()}
+	return &SpecFetchInc{core.NewComposition(NewF1(), NewF2())}
 }
 
 // Inc returns a fresh ticket, and reports which module served it
 // (0 = registers, 1 = hardware).
 func (s *SpecFetchInc) Inc(p *memory.Proc) (int64, int) {
-	out, t, sv := s.f1.Invoke(p, spec.Request{}, nil)
-	if out == core.Committed {
-		return t, 0
-	}
-	_, t, _ = s.f2.Invoke(p, spec.Request{}, sv)
-	return t, 1
+	_, t, _, k := s.Invoke(p, spec.Request{})
+	return t, k
 }
-
-// Modules exposes the two modules for composition-level tests.
-func (s *SpecFetchInc) Modules() (*F1, *F2) { return s.f1, s.f2 }
 
 // ResetState implements memory.Resettable.
 func (f *F1) ResetState() {
@@ -164,10 +157,4 @@ func (f *F1) HashState(h *memory.StateHash) bool {
 func (f *F2) ResetState() {
 	f.base.ResetState()
 	f.hw.ResetState()
-}
-
-// ResetState implements memory.Resettable.
-func (s *SpecFetchInc) ResetState() {
-	s.f1.ResetState()
-	s.f2.ResetState()
 }

@@ -15,8 +15,6 @@
 package tas
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/memory"
 	"repro/internal/spec"
@@ -190,32 +188,19 @@ func (a *A2) Invoke(p *memory.Proc, _ spec.Request, sv core.SwitchValue) (core.O
 
 // OneShot is the composition of A1 and A2 (Figure 1): a wait-free
 // linearizable one-shot test-and-set that uses only registers in the
-// absence of step contention (Lemma 7).
-type OneShot struct {
-	a1 *A1
-	a2 *A2
-}
+// absence of step contention (Lemma 7). It is a core.Composition, so
+// Theorem 2 — a chain of safely composable modules is safely composable —
+// is the code that runs; resetting and fingerprinting walk A1 then A2.
+type OneShot struct{ *core.Composition }
 
 // NewOneShot returns a fresh composed one-shot TAS.
-func NewOneShot() *OneShot { return &OneShot{a1: NewA1(), a2: NewA2()} }
+func NewOneShot() *OneShot { return &OneShot{core.NewComposition(NewA1(), NewA2())} }
 
 // NewSoloFastOneShot returns the Appendix B composition: A1 without the
 // entry abort check, so only processes that themselves experience step
 // contention touch the hardware object.
-func NewSoloFastOneShot() *OneShot { return &OneShot{a1: NewSoloFastA1(), a2: NewA2()} }
-
-// Modules exposes the two modules for composition-level tests.
-func (o *OneShot) Modules() (*A1, *A2) { return o.a1, o.a2 }
-
-// ResetState implements memory.Resettable.
-func (o *OneShot) ResetState() {
-	o.a1.ResetState()
-	o.a2.ResetState()
-}
-
-// HashState implements memory.Fingerprinter.
-func (o *OneShot) HashState(h *memory.StateHash) bool {
-	return o.a1.HashState(h) && o.a2.HashState(h)
+func NewSoloFastOneShot() *OneShot {
+	return &OneShot{core.NewComposition(NewSoloFastA1(), NewA2())}
 }
 
 // TestAndSet runs the composed object: A1 first, switching to A2 with A1's
@@ -229,12 +214,8 @@ func (o *OneShot) TestAndSet(p *memory.Proc) int64 {
 // response (0 = A1's speculative register path, 1 = A2's hardware path),
 // for the module-usage experiments.
 func (o *OneShot) TestAndSetTraced(p *memory.Proc) (int64, int) {
-	out, resp, sv := o.a1.Invoke(p, spec.Request{}, nil)
-	if out == core.Committed {
-		return resp, 0
-	}
-	_, resp, _ = o.a2.Invoke(p, spec.Request{}, sv)
-	return resp, 1
+	_, resp, _, k := o.Invoke(p, spec.Request{})
+	return resp, k
 }
 
 // MConstraint is the constraint function M of Definition 3. For a token
@@ -306,15 +287,4 @@ func (m MConstraint) Candidates(tokens []core.Token, available []spec.Request) [
 		out = enumerate(append(append([]spec.Request(nil), available...), ph))
 	}
 	return out
-}
-
-// String renders a switch value for diagnostics.
-func Render(sv core.SwitchValue) string {
-	if sv == nil {
-		return "⊥"
-	}
-	if v, ok := sv.(SV); ok {
-		return v.String()
-	}
-	return fmt.Sprintf("%v", sv)
 }

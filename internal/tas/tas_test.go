@@ -333,18 +333,18 @@ func TestRandomizedA1ThreeProcs(t *testing.T) {
 	}
 }
 
-// composedHarness runs the A1→A2 composition per process with per-module
-// trace recording, checking wait-freedom, unique winner, linearizability,
-// and Definition 2 for each module's trace.
+// composedHarness runs the packaged OneShot (the A1→A2 composition) per
+// process with per-module trace recording, checking wait-freedom, unique
+// winner, linearizability, and Definition 2 for each module's trace.
 func composedHarness(n int, withDef2 bool) engine.Harness {
 	return func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
 		env := memory.NewEnv(n)
 		recA1 := stamped(env, trace.NewRecorder(n))
 		recA2 := stamped(env, trace.NewRecorder(n))
 		recAll := stamped(env, trace.NewRecorder(n))
-		m1, m2 := NewA1(), NewA2()
-		env.Register(m1, m2)
-		comp := core.NewComposition(m1, m2).WithRecorders(recA1, recA2)
+		o := NewOneShot()
+		env.Register(o)
+		comp := o.WithRecorders(recA1, recA2)
 		resps := make([]int64, n)
 		modules := make([]int, n)
 		bodies := make([]func(p *memory.Proc), n)
@@ -1026,9 +1026,6 @@ func TestMConstraintCandidatesPhantom(t *testing.T) {
 func TestSVAndRender(t *testing.T) {
 	if W.String() != "W" || L.String() != "L" {
 		t.Fatal("bad SV strings")
-	}
-	if Render(nil) != "⊥" || Render(W) != "W" || Render(42) == "" {
-		t.Fatal("bad Render")
 	}
 }
 
