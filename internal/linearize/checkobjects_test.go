@@ -1,6 +1,7 @@
 package linearize
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -142,7 +143,8 @@ func firstOf(ops []trace.Op, m string, n int) int {
 // parallelMinOps threshold, 1, 2 and 5 objects (more objects than
 // processors), linearizable and not, pending operations, an unknown module,
 // two failing objects, and a failing object on either side of an erroring
-// one.
+// one. Rounds with aborted operations then go through a Checker's two
+// sides (sameRoundsBothSides).
 func TestCheckObjectsMatchesSequentialFold(t *testing.T) {
 	// Small random histories of every registered type: below the threshold.
 	gens := jitGens()
@@ -245,6 +247,94 @@ func TestCheckObjectsMatchesSequentialFold(t *testing.T) {
 				t.Fatalf("%s: accepted = %v, want %v", name, ok, c.wantOk)
 			}
 		}
+	}
+
+	sameRoundsBothSides(t)
+}
+
+// sameRoundsBothSides feeds rounds of a three-object history, a sixth of
+// their operations aborted and one round planted with two test-and-set
+// winners, through a Checker two ways: the streaming side, Push per
+// operation and a Barrier per round on one Checker for the whole run, and
+// the batch side, Check per round. Per round both must reach the verdict
+// of the sequential fold over the round's projection (aborted operations
+// made pending by hand), with the same failure text naming the same first
+// failing object, and project the round in place; the batch side's Stats
+// must equal the fold's, and the streaming side must have counted every
+// operation fed, across the restarts that follow failed rounds.
+func sameRoundsBothSides(t *testing.T) {
+	gens := jitGens()
+	objects := map[string]spec.Type{"o0": spec.TASType{}, "o1": spec.FetchIncType{}, "o2": spec.QueueType{}}
+	names := objectNames(3)
+	stream := NewChecker(nil, objects, JITConfig{})
+	batch := NewChecker(nil, objects, JITConfig{})
+	rng := rand.New(rand.NewSource(5501))
+	const planted = 7
+	fed, aborted, failedRounds := 0, 0, 0
+	for r := 0; r < 400; r++ {
+		var round []trace.Op
+		if r == planted {
+			round = []trace.Op{op(1, spec.OpTAS, 0, spec.Winner, 1, 2), op(2, spec.OpTAS, 0, spec.Winner, 3, 4), op(3, spec.OpInc, 0, 0, 1, 4)}
+			round[0].Module, round[1].Module, round[2].Module = "o0", "o0", "o1"
+			round[2].Aborted = true
+		}
+		for j := 0; j < len(names) && r != planted; j++ {
+			for _, o := range randomJITOps(rng, gens[objects[names[j]].Name()]) {
+				o.Module = names[j]
+				o.Req.ID += int64(100 * j)
+				o.Aborted = !o.Pending && rng.Intn(6) == 0
+				round = append(round, o)
+			}
+		}
+		slices.SortStableFunc(round, func(a, b trace.Op) int { return cmp.Compare(a.Inv, b.Inv) })
+		projected := slices.Clone(round)
+		for i := range projected {
+			if o := &projected[i]; o.Aborted {
+				o.Aborted, o.Pending, o.Ret = false, true, 0
+				aborted++
+			}
+		}
+		want, wantSt, wantErr := sequentialFold(objects, slices.Clone(projected), JITConfig{})
+		if wantErr != nil {
+			t.Fatalf("round %d: sequential fold: %v", r, wantErr)
+		}
+		wantText := ""
+		if !want.Ok {
+			wantText = "not linearizable (composed): " + want.Reason
+			failedRounds++
+		}
+
+		pushed := slices.Clone(round)
+		for i := range pushed {
+			if err := stream.Push(&pushed[i]); err != nil {
+				t.Fatalf("round %d: Push: %v", r, err)
+			}
+		}
+		fed += len(pushed)
+		failed, first, err := stream.Barrier()
+		if err != nil || (failed > 0) != !want.Ok || first != wantText {
+			t.Fatalf("round %d: streaming side: %d failed, first %q, err %v; sequential fold: ok=%v %q",
+				r, failed, first, err, want.Ok, wantText)
+		}
+
+		checked := slices.Clone(round)
+		got, gotSt, err := batch.Check(checked)
+		if err != nil || got.Ok != want.Ok || !want.Ok && got.Reason != wantText || gotSt != wantSt {
+			t.Fatalf("round %d: batch side: ok=%v %q stats %+v, err %v; sequential fold: ok=%v %q stats %+v",
+				r, got.Ok, got.Reason, gotSt, err, want.Ok, wantText, wantSt)
+		}
+		if got.Ok && gotSt.Ops != int64(len(round)) {
+			t.Fatalf("round %d: batch side checked %d of %d ops", r, gotSt.Ops, len(round))
+		}
+		if !slices.Equal(pushed, projected) || !slices.Equal(checked, projected) {
+			t.Fatalf("round %d: a side did not project the round in place", r)
+		}
+	}
+	if st := stream.Stats(); st.Ops != int64(fed) {
+		t.Fatalf("streaming side counted %d ops, %d fed", st.Ops, fed)
+	}
+	if aborted == 0 || failedRounds < 2 || failedRounds > 390 {
+		t.Fatalf("degenerate rounds: %d aborted ops, %d of 400 rounds failed", aborted, failedRounds)
 	}
 }
 

@@ -29,13 +29,13 @@ package linearize
 //     frontier's live states whenever it grows past a threshold — memory
 //     in proportion to the widest window and the largest memo solved, not
 //     to the operations seen.
-//   - A history is never copied and never reordered: CheckJIT and
-//     CheckObjects push operations straight from the caller's slice,
-//     through a per-object int32 index that is sorted only when the
-//     operations are not already in invocation order. By Herlihy–Wing
-//     locality the per-object projections of a composed history are
-//     independent, so CheckObjects checks them concurrently and assembles
-//     the answer afterwards in module order.
+//   - A history is never copied and never reordered: CheckJIT and a
+//     Checker's batch side (checker.go) push operations straight from the
+//     caller's slice, through a per-object int32 index that is sorted only
+//     when the operations are not already in invocation order. By
+//     Herlihy–Wing locality the per-object projections of a composed
+//     history are independent, so they are checked concurrently and the
+//     answer assembled afterwards in module order.
 //
 // Pending operations (crashed or cut off mid-flight) float forward: with
 // no response event they real-time-precede nothing, so they may take
@@ -47,12 +47,8 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/spec"
 	"repro/internal/trace"
@@ -232,9 +228,9 @@ func NewStream(t spec.Type, cfg JITConfig) *Stream {
 // reported by Finish.
 func (s *Stream) Push(op trace.Op) error { return s.push(&op) }
 
-// push is Push without the 136-byte argument copy: CheckJIT and
-// CheckObjects feed operations straight from the caller's slice. It keeps
-// no reference to *op.
+// push is Push without the 136-byte argument copy: CheckJIT and a Checker
+// feed operations straight from the caller's slice. It keeps no reference
+// to *op.
 func (s *Stream) push(op *trace.Op) error {
 	if s.err != nil {
 		return s.err
@@ -780,29 +776,20 @@ func (s *Stream) failReason() string {
 const pollEvery = 1024
 
 // checkProjection streams one object's projection of ops through a fresh
-// Stream: the operations ops[idx[0]], ops[idx[1]], … (all of ops, in slice
-// order, when idx is nil), sorted here by invocation stamp first unless
-// the caller saw them in order already. ops itself is only read. A
-// non-nil abandoned is polled now and then; once it reports true the
-// result is garbage the caller has promised not to read.
+// Stream: the operations ops[idx[0]], ops[idx[1]], …, sorted here by
+// invocation stamp first unless the caller saw them in order already. ops
+// itself is only read. A non-nil abandoned is polled now and then; once it
+// reports true the result is garbage the caller has promised not to read.
 func checkProjection(t spec.Type, ops []trace.Op, idx []int32, sorted bool, cfg JITConfig, abandoned func() bool) (Result, Stats, error) {
 	if !sorted {
 		// Stable, so operations invoked at the same stamp keep their
 		// history order: the outcome is a function of the history alone.
 		slices.SortStableFunc(idx, func(a, b int32) int { return cmp.Compare(ops[a].Inv, ops[b].Inv) })
 	}
-	n := len(ops)
-	if idx != nil {
-		n = len(idx)
-	}
 	s := NewStream(t, cfg)
-	for k := 0; k < n; k++ {
+	for k, at := range idx {
 		if k%pollEvery == 0 && abandoned != nil && abandoned() {
 			return Result{}, Stats{}, nil
-		}
-		at := k
-		if idx != nil {
-			at = int(idx[k])
 		}
 		if err := s.push(&ops[at]); err != nil {
 			return Result{}, s.Stats(), err
@@ -819,165 +806,16 @@ func checkProjection(t spec.Type, ops []trace.Op, idx []int32, sorted bool, cfg 
 // JIT checker (committed responses must match, pending ops may take effect
 // or not, aborted ops are a caller error). Witness tracking is enabled
 // automatically for histories small enough to afford it. ops is neither
-// copied nor reordered: a history already in invocation order (a
-// recorder's output is) is pushed as it stands, any other through a sorted
-// index.
+// copied nor reordered: it is pushed through an index, sorted only when
+// the history is not already in invocation order (a recorder's output is).
 func CheckJIT(t spec.Type, ops []trace.Op, cfg JITConfig) (Result, Stats, error) {
 	if !cfg.Witness && len(ops) <= 4096 {
 		cfg.Witness = true
-	}
-	if slices.IsSortedFunc(ops, func(a, b trace.Op) int { return cmp.Compare(a.Inv, b.Inv) }) {
-		return checkProjection(t, ops, nil, true, cfg, nil)
 	}
 	idx := make([]int32, len(ops))
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	return checkProjection(t, ops, idx, false, cfg, nil)
-}
-
-// parallelMinOps is the history size from which CheckObjects checks
-// objects on their own goroutines. Chosen by measurement on the 2-core
-// reference box: a tas+fai history of 8192 operations verifies in about
-// 3 ms either way (waking the second core costs what it saves), one of
-// 16384 in 5.5 ms instead of 7.0; the model-checking tier calls in with a
-// dozen operations once per explored execution.
-const parallelMinOps = 1 << 13
-
-// object is one module's share of a CheckObjects call.
-type object struct {
-	t      spec.Type
-	idx    []int32 // positions of its operations in the history
-	sorted bool    // idx is in invocation order as filled
-	res    Result
-	stats  Stats
-	err    error
-}
-
-// CheckObjects checks a composed history object-by-object: ops are
-// partitioned by their Module label and each projection is checked
-// against its own sequential type. By the Herlihy–Wing locality theorem
-// (P-compositionality) the composition is linearizable iff every
-// per-object projection is, so the verdict is the conjunction. Stats are
-// folded across objects; the Result of the first failing object (in
-// module order) is returned with its module named.
-//
-// Locality also makes the projections independent, so on a history of
-// parallelMinOps operations or more they are checked concurrently, at most
-// GOMAXPROCS at a time. What is returned does not depend on which
-// finishes first: it is assembled afterwards in module order — stats
-// folded up to and including the first object that failed or erred, that
-// object's verdict returned — exactly what checking them one after the
-// other returns. ops is only read: each object gets an index of its
-// operations, not a copy, and no witness is tracked since none is
-// returned.
-func CheckObjects(objects map[string]spec.Type, ops []trace.Op, cfg JITConfig) (Result, Stats, error) {
-	cfg.Witness = false
-	mods := make([]string, 0, len(objects))
-	for m := range objects {
-		mods = append(mods, m)
-	}
-	sort.Strings(mods)
-
-	// Labels come in runs, or from a handful of objects: try the last
-	// answer, then the first few names, then search the sorted list.
-	last := 0
-	find := func(m string) (int, bool) {
-		if last < len(mods) && mods[last] == m {
-			return last, true
-		}
-		for j := 0; j < len(mods) && j < 4; j++ {
-			if mods[j] == m {
-				last = j
-				return j, true
-			}
-		}
-		j := sort.SearchStrings(mods, m)
-		if j == len(mods) || mods[j] != m {
-			return 0, false
-		}
-		last = j
-		return j, true
-	}
-	// One pass over the history resolves every label, counts each object's
-	// operations and notes whether they come in invocation order; the
-	// second, over the labels alone, deals the positions out into one
-	// exact-size index array, a sub-slice per object.
-	objs := make([]object, len(mods))
-	for j, m := range mods {
-		objs[j] = object{t: objects[m], sorted: true}
-	}
-	both := make([]int32, 2*len(ops))
-	label, idx := both[:len(ops)], both[len(ops):]
-	counts, lastInv := make([]int, len(mods)), make([]int64, len(mods))
-	for i := range ops {
-		j, ok := find(ops[i].Module)
-		if !ok {
-			return Result{}, Stats{}, fmt.Errorf("linearize: operation %v labeled with unknown module %q", ops[i].Req, ops[i].Module)
-		}
-		label[i] = int32(j)
-		if counts[j] > 0 && ops[i].Inv < lastInv[j] {
-			objs[j].sorted = false
-		}
-		counts[j]++
-		lastInv[j] = ops[i].Inv
-	}
-	for j := range objs {
-		objs[j].idx = idx[:0:counts[j]]
-		idx = idx[counts[j]:]
-	}
-	for i, j := range label {
-		objs[j].idx = append(objs[j].idx, int32(i))
-	}
-
-	// firstBad is the least module index known to have failed or erred;
-	// nothing after it is folded, so nothing after it needs finishing.
-	var firstBad atomic.Int32
-	firstBad.Store(int32(len(objs)))
-	check := func(j int) {
-		o := &objs[j]
-		o.res, o.stats, o.err = checkProjection(o.t, ops, o.idx, o.sorted, cfg, func() bool { return firstBad.Load() < int32(j) })
-		for failed := o.err != nil || !o.res.Ok; failed; {
-			if bad := firstBad.Load(); int32(j) >= bad || firstBad.CompareAndSwap(bad, int32(j)) {
-				break
-			}
-		}
-	}
-	if workers := min(len(objs), runtime.GOMAXPROCS(0)); workers < 2 || len(ops) < parallelMinOps {
-		for j := 0; j < len(objs) && int32(j) <= firstBad.Load(); j++ {
-			check(j)
-		}
-	} else {
-		var wg sync.WaitGroup
-		var claimed atomic.Int32
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					j := int(claimed.Add(1)) - 1
-					if j >= len(objs) || int32(j) > firstBad.Load() {
-						return
-					}
-					check(j)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	// Every object up to and including firstBad ran to completion.
-	var stats Stats
-	for j := range objs {
-		o := &objs[j]
-		stats.Fold(o.stats)
-		if o.err != nil {
-			return Result{}, stats, fmt.Errorf("object %q: %w", mods[j], o.err)
-		}
-		if !o.res.Ok {
-			o.res.Reason = fmt.Sprintf("object %q (%s): %s", mods[j], o.t.Name(), o.res.Reason)
-			return o.res, stats, nil
-		}
-	}
-	return Result{Ok: true}, stats, nil
+	sorted := slices.IsSortedFunc(ops, func(a, b trace.Op) int { return cmp.Compare(a.Inv, b.Inv) })
+	return checkProjection(t, ops, idx, sorted, cfg, nil)
 }

@@ -1,6 +1,7 @@
 package linearize
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"strings"
@@ -64,6 +65,23 @@ func TestStreamWindowOverflowIsContractError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "window") {
 		t.Fatalf("unexpected overflow error: %v", err)
+	}
+
+	// The same history through a Checker's batch side: the error comes
+	// back bare under a single type and names the object under a module
+	// map, never as a verdict.
+	var ops []trace.Op
+	for i := int64(1); i <= 6; i++ {
+		ops = append(ops, op(i, spec.OpWrite, i, 0, i, 100+i))
+	}
+	for _, c := range []struct {
+		objects map[string]spec.Type
+		prefix  string
+	}{{nil, "linearize: no quiescent cut"}, {map[string]spec.Type{"": spec.RegisterType{}}, `object "": linearize: no quiescent cut`}} {
+		res, _, err := NewChecker(spec.RegisterType{}, c.objects, JITConfig{Window: 4}).Check(slices.Clone(ops))
+		if err == nil || !strings.HasPrefix(err.Error(), c.prefix) || res.Ok {
+			t.Fatalf("Checker over %v: ok=%v, error %v; want one starting %q", c.objects, res.Ok, err, c.prefix)
+		}
 	}
 }
 
@@ -145,6 +163,9 @@ func TestCheckObjectsUnknownModule(t *testing.T) {
 	_, _, err := CheckObjects(map[string]spec.Type{"tas": spec.TASType{}}, []trace.Op{o}, JITConfig{})
 	if err == nil || !strings.Contains(err.Error(), "mystery") {
 		t.Fatalf("unknown module not reported: %v", err)
+	}
+	if !errors.Is(err, ErrUnknownModule) {
+		t.Fatalf("%v is not ErrUnknownModule", err)
 	}
 }
 

@@ -1,12 +1,15 @@
 // Package linearize checks linearizability [15] of recorded concurrent
 // executions: committed operations must appear in the linearization with
 // their observed responses; pending operations (no response recorded:
-// crashed or cut off) may take effect with any response, or not at all;
-// aborted operations must be projected out by the caller. It provides two
-// production checkers:
+// crashed or cut off) may take effect with any response, or not at all.
 //
-//   - CheckTAS / CheckTASVerdict: the closed form for one-shot
-//     test-and-set histories, an O(k log k) decision procedure.
+// Its front door is Checker (checker.go), built once per oracle shape: one
+// sequential type, or a module→type map. A Checker projects aborted
+// operations to pending invocations, routes operations to their objects by
+// Module label, and picks between the package's two production checkers:
+//
+//   - the closed form for one-shot test-and-set histories, an O(k log k)
+//     decision procedure, exported with a witness as CheckTAS.
 //   - the JIT family (jit.go) — CheckJIT, CheckObjects, Stream: a
 //     Wing–Gong/Lowe just-in-time search over an entry-linked history with
 //     interned-state configuration memoization, a streaming window mode,
@@ -15,10 +18,14 @@
 //     dozen operations of a model-checked execution to the stress tier's
 //     million-operation histories.
 //
-// Both are differentially tested against two references that live only in
-// the tests (bruteforce_test.go): a permutation-enumerating brute force,
-// affordable up to 7 operations, and a Wing–Gong-style memoized search over
-// a ≤64-operation bitmask for the sizes beyond it.
+// Below the front door, Stream, CheckJIT and CheckTAS take histories whose
+// aborted operations the caller has projected out, and reject any left;
+// CheckObjects, a Checker's batch side on a history it only reads, does too.
+//
+// Both checkers are differentially tested against two references that live
+// only in the tests (bruteforce_test.go): a permutation-enumerating brute
+// force, affordable up to 7 operations, and a Wing–Gong-style memoized
+// search over a ≤64-operation bitmask for the sizes beyond it.
 //
 // Theorem 3 of the paper reduces correctness of a safely composable object
 // with no init requests to linearizability of its invoke/commit projection;
@@ -68,19 +75,11 @@ func CheckTAS(ops []trace.Op) (Result, error) {
 	return res, err
 }
 
-// CheckTASVerdict is CheckTAS without the witness: the same decision
-// procedure and the same Ok/Reason/error, but Result.Witness stays nil and
-// nothing is allocated. It is the form for oracles that judge one execution
-// after another and read only the verdict; a passing CheckTAS builds and
-// sorts a witness history per call.
-func CheckTASVerdict(ops []trace.Op) (Result, error) {
-	res, _, err := checkTAS(ops)
-	return res, err
-}
-
-// checkTAS is the decision procedure behind CheckTAS and CheckTASVerdict.
-// On acceptance it also returns the operation a witness linearizes first
-// (nil when no operation took effect).
+// checkTAS is the decision procedure behind CheckTAS and a Checker's closed
+// form, which reads only the verdict and so allocates nothing (a passing
+// CheckTAS builds and sorts a witness history). On acceptance it also
+// returns the operation a witness linearizes first (nil when no operation
+// took effect).
 func checkTAS(ops []trace.Op) (Result, *trace.Op, error) {
 	var winner *trace.Op
 	minLoserRet := int64(1<<62 - 1)

@@ -199,17 +199,17 @@ func TestCheckRejectsContractViolations(t *testing.T) {
 }
 
 // mustCheckTAS is mustCheck's counterpart for the specialized TAS checker. It
-// also holds the witness-free form to the same verdict, so every history
-// the suite feeds CheckTAS cross-checks CheckTASVerdict too.
+// also holds the witness-free form a Checker runs to the same verdict, so
+// every history the suite feeds CheckTAS cross-checks checkTAS too.
 func mustCheckTAS(t *testing.T, ops []trace.Op) Result {
 	t.Helper()
 	res, err := CheckTAS(ops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := CheckTASVerdict(ops)
+	v, _, err := checkTAS(ops)
 	if err != nil || v.Ok != res.Ok || v.Reason != res.Reason || v.Witness != nil {
-		t.Fatalf("CheckTASVerdict = %+v, %v; CheckTAS = %+v", v, err, res)
+		t.Fatalf("checkTAS = %+v, %v; CheckTAS = %+v", v, err, res)
 	}
 	return res
 }

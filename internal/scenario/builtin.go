@@ -21,7 +21,6 @@ import (
 	"repro/internal/spec"
 	"repro/internal/splitter"
 	"repro/internal/tas"
-	"repro/internal/trace"
 )
 
 func init() {
@@ -118,7 +117,7 @@ func init() {
 }
 
 // tasOracle is the linearize oracle shared by the TAS-shaped scenarios.
-var tasOracle = Oracle{Kind: OracleLinearize, Type: spec.TASType{}}
+var tasOracle = linearizeOracle(spec.TASType{}, nil)
 
 // buildA1 builds the A1-only harness: one TAS invocation per process,
 // Lemma 4's safety (at most one winner), crash-mode liveness, and
@@ -220,10 +219,10 @@ func buildOneShot(withModules bool) func(n int, opts Options) (engine.Harness, O
 // projection must linearize against its own sequential type — the
 // P-compositionality form of Theorem 3.
 func buildTASFAI(n int, opts Options) (engine.Harness, Oracle) {
-	oracle := Oracle{Kind: OracleLinearize, Objects: map[string]spec.Type{
+	oracle := linearizeOracle(nil, map[string]spec.Type{
 		"tas": spec.TASType{},
 		"fai": spec.FetchIncType{},
-	}}
+	})
 	return harness(n, opts, func(env *memory.Env) instance {
 		o := tas.NewOneShot()
 		c := memory.NewFetchInc(0)
@@ -240,18 +239,9 @@ func buildTASFAI(n int, opts Options) (engine.Harness, Oracle) {
 				log.commit(m, c.Inc(p)-1, nil, "fai")
 			}
 		}
-		var tasOps []trace.Op // the TAS projection's buffer, reused across executions
 		check := func(res *sched.Result) error {
 			ops := log.history()
-			// The winner invariant is about the TAS object alone: the fai
-			// ticket 0 is a legitimate zero response, not a win.
-			tasOps = tasOps[:0]
-			for _, op := range ops {
-				if op.Module == "tas" {
-					tasOps = append(tasOps, op)
-				}
-			}
-			if err := uniqueWinner(tasOps, true); err != nil {
+			if err := uniqueWinner(ops, true); err != nil {
 				return err
 			}
 			return oracle.Check(ops)
@@ -594,7 +584,7 @@ func buildUniversal(oracle Oracle, opsPer int, mkReq func(i, k, n int) (op strin
 // buildAbstract is the fetch-and-increment universal construction: one
 // increment per process.
 var buildAbstract = buildUniversal(
-	Oracle{Kind: OracleLinearize, Type: spec.FetchIncType{}}, 1,
+	linearizeOracle(spec.FetchIncType{}, nil), 1,
 	func(_, _, _ int) (string, int64) { return spec.OpInc, 0 })
 
 // universalQueueOps is the per-process operation count of the queue
@@ -609,7 +599,7 @@ const universalQueueOps = 2
 // each, in increasing order) and the rest dequeueing twice, judged by
 // queue linearizability (Theorem 3 projection).
 var buildUniversalQueue = buildUniversal(
-	Oracle{Kind: OracleLinearize, Type: spec.QueueType{}}, universalQueueOps,
+	linearizeOracle(spec.QueueType{}, nil), universalQueueOps,
 	func(i, k, n int) (string, int64) {
 		if i < (n+1)/2 {
 			return spec.OpEnq, int64(100 + i*10 + k)

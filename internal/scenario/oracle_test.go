@@ -74,12 +74,12 @@ func TestOracleCheck(t *testing.T) {
 	}
 }
 
-// TestOracleCheckTASIsClosedForm: a test-and-set oracle is judged by the
-// allocation-free closed form, never by a search (CheckJIT allocates its
-// stream), and aborted operations are projected to pending in the caller's
-// slice.
+// TestOracleCheckTASIsClosedForm: the test-and-set oracle the TAS-shaped
+// scenarios share is judged by the allocation-free closed form, never by a
+// search (CheckJIT allocates its stream), and aborted operations are
+// projected to pending in the caller's slice.
 func TestOracleCheckTASIsClosedForm(t *testing.T) {
-	tas := Oracle{Kind: OracleLinearize, Type: spec.TASType{}}
+	tas := tasOracle
 	ops := make([]trace.Op, 4)
 	for i := range ops {
 		ops[i] = trace.Op{Req: spec.Request{ID: int64(i + 1), Op: spec.OpTAS}, Resp: spec.Loser, Inv: 1, Ret: int64(10 + i)}
@@ -128,11 +128,11 @@ func TestOracleCheckTASWithResets(t *testing.T) {
 }
 
 // TestOracleTASPathsAgree: on one-shot test-and-set histories the closed
-// form that Oracle.Check dispatches to and the JIT checker agree on every
-// verdict. Histories are random: up to six operations over distinct
+// form that the TAS oracle's checker picks and the JIT checker agree on
+// every verdict. Histories are random: up to six operations over distinct
 // stamps, each a winner, a loser or pending.
 func TestOracleTASPathsAgree(t *testing.T) {
-	tas := Oracle{Kind: OracleLinearize, Type: spec.TASType{}}
+	tas := tasOracle
 	rng := rand.New(rand.NewSource(1))
 	var verdicts [2]int
 	for iter := 0; iter < 3000; iter++ {
@@ -154,7 +154,7 @@ func TestOracleTASPathsAgree(t *testing.T) {
 				ops[i].Resp = spec.Loser
 			}
 		}
-		closed, err := tas.dispatch(ops)
+		closed, _, err := tas.lin.Check(ops)
 		if err != nil {
 			t.Fatal(err)
 		}

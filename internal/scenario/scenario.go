@@ -76,6 +76,27 @@ type Oracle struct {
 	Objects map[string]spec.Type
 	// Invariant names the invariant family when Kind is OracleInvariant.
 	Invariant string
+
+	// lin is the checker built with the oracle by linearizeOracle, so a
+	// check closure that calls Check once per execution does not build one
+	// each time; an Oracle written as a literal builds one per call.
+	lin *linearize.Checker
+}
+
+// linearizeOracle is the linearize oracle of the single type t or, when
+// objects is non-nil, of objects, with its checker built once.
+func linearizeOracle(t spec.Type, objects map[string]spec.Type) Oracle {
+	return Oracle{Kind: OracleLinearize, Type: t, Objects: objects, lin: linearize.NewChecker(t, objects, linearize.JITConfig{})}
+}
+
+// checker is the oracle's linearizability checker (internal/linearize's
+// front door: projection, module routing and the choice of checker): the
+// one built with it, or a fresh one for an Oracle written as a literal.
+func (o Oracle) checker() *linearize.Checker {
+	if o.lin != nil {
+		return o.lin
+	}
+	return linearize.NewChecker(o.Type, o.Objects, linearize.JITConfig{})
 }
 
 // String renders the oracle for listings and sweep rows.
@@ -83,84 +104,32 @@ func (o Oracle) String() string {
 	if o.Kind != OracleLinearize {
 		return "invariant:" + o.Invariant
 	}
-	if o.Objects == nil {
-		return "linearize:" + o.Type.Name()
-	}
-	mods := make([]string, 0, len(o.Objects))
-	for m := range o.Objects {
-		mods = append(mods, m)
-	}
-	sort.Strings(mods)
-	parts := make([]string, len(mods))
-	for i, m := range mods {
-		parts[i] = m + "=" + o.Objects[m].Name()
-	}
-	return "linearize:" + strings.Join(parts, "+")
+	return "linearize:" + o.checker().String()
 }
 
-// Check runs a linearize oracle on the invoke/commit projection of ops
-// (aborted operations become pending invocations, exactly Theorem 3's
-// projection). The projection is applied to ops in place: the slice is the
-// caller's scratch (a check closure's reused Recorder.AppendOps buffer), and
-// the check runs once per explored execution, so it copies nothing. Only
-// the verdict is read. Invariant oracles have no generic check; the
-// harness's check closure carries them.
+// Check runs a linearize oracle on ops, a recorded history, through its
+// checker, which projects aborted operations to pending invocations in
+// ops (the caller's scratch: a check closure's reused Recorder.AppendOps
+// buffer) and copies nothing. Only the verdict is read. Invariant oracles
+// have no generic check; the harness's check closure carries them.
 func (o Oracle) Check(ops []trace.Op) error {
-	if o.Kind != OracleLinearize {
+	switch {
+	case o.Kind != OracleLinearize:
 		return fmt.Errorf("scenario: oracle %s has no trace check", o)
-	}
-	if o.Type == nil && o.Objects == nil {
+	case o.Type == nil && o.Objects == nil:
 		return errors.New("scenario: oracle has neither Type nor Objects")
 	}
-	for i := range ops {
-		if op := &ops[i]; op.Aborted {
-			op.Aborted = false
-			op.Pending = true
-			op.Ret = 0
-		}
-	}
-	lr, err := o.dispatch(ops)
+	r, _, err := o.checker().Check(ops)
 	if err != nil {
 		// A contract error (an unknown module label, a budget overrun)
 		// means the scenario is miswired, not that the execution is wrong;
 		// surface it as its own failure cause.
 		return fmt.Errorf("scenario: oracle %s cannot check this trace: %w", o, err)
 	}
-	if !lr.Ok {
-		name := "composed"
-		if o.Objects == nil {
-			name = o.Type.Name()
-		}
-		return fmt.Errorf("not linearizable (%s): %s", name, lr.Reason)
+	if !r.Ok {
+		return errors.New(r.Reason)
 	}
 	return nil
-}
-
-// dispatch picks the checker: per-object projections for a compositional
-// oracle, the allocation-free closed form for a one-shot test-and-set
-// history (every operation a tas), the JIT checker for everything else —
-// other types, and test-and-set histories with resets, whose 0 response
-// the closed form would count as a win.
-func (o Oracle) dispatch(proj []trace.Op) (linearize.Result, error) {
-	if o.Objects != nil {
-		lr, _, err := linearize.CheckObjects(o.Objects, proj, linearize.JITConfig{})
-		return lr, err
-	}
-	if _, isTAS := o.Type.(spec.TASType); isTAS && onlyTAS(proj) {
-		return linearize.CheckTASVerdict(proj)
-	}
-	lr, _, err := linearize.CheckJIT(o.Type, proj, linearize.JITConfig{})
-	return lr, err
-}
-
-// onlyTAS reports whether every operation of ops is a test-and-set.
-func onlyTAS(ops []trace.Op) bool {
-	for i := range ops {
-		if ops[i].Req.Op != spec.OpTAS {
-			return false
-		}
-	}
-	return true
 }
 
 // Params carries a scenario's static properties: what process counts make
@@ -321,13 +290,14 @@ func Listing() string {
 // internal/bench, package tests and examples; this is now their only home.
 
 // uniqueWinner enforces the at-most-one-winner safety property over the
-// committed operations of a TAS trace, and — when exact is set (no crashes:
-// every process completes, so wait-freedom forces a decision) — exactly one
-// winner.
+// committed test-and-set operations of a trace, and — when exact is set (no
+// crashes: every process completes, so wait-freedom forces a decision) —
+// exactly one winner. Other operations are not wins: a fetch-and-increment
+// ticket 0 is a legitimate zero response.
 func uniqueWinner(ops []trace.Op, exact bool) error {
 	winners := 0
 	for _, op := range ops {
-		if op.Committed() && op.Resp == spec.Winner {
+		if op.Committed() && op.Req.Op == spec.OpTAS && op.Resp == spec.Winner {
 			winners++
 		}
 	}

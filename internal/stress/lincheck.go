@@ -3,9 +3,9 @@ package stress
 // The stress tier's history-recording linearizability mode. The spot-check
 // (Config.CheckEvery) samples: it judges only the rounds it looks at. The
 // online mode verifies: every recorded operation of every round flows
-// through the streaming JIT checker (internal/linearize) concurrently with
-// the workload. Rounds are object-instance resets, so each round is fed to
-// the streams and closed by a Barrier. A Barrier solves what an object
+// through the streaming side of the oracle's linearize.Checker concurrently
+// with the workload. Rounds are object-instance resets, so each round is
+// pushed to the checker and closed by its Barrier. A Barrier solves what an object
 // buffered as one window when it fits the checker's segment target (512
 // ops), whatever quiescent cuts the round holds, so a run reports one
 // window per object per round it had operations in. Only a bigger round is
@@ -21,14 +21,13 @@ package stress
 // per batch.
 
 import (
+	"cmp"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/linearize"
 	"repro/internal/obs"
 	"repro/internal/scenario"
-	"repro/internal/spec"
 	"repro/internal/trace"
 )
 
@@ -72,20 +71,13 @@ func (m LinMode) String() string {
 	}
 }
 
-// linChecker drives one JIT stream per object of the scenario's oracle,
-// feeding it round histories and closing each round with a Barrier (a
-// round reset starts a fresh object instance). A round whose history fails
-// to linearize is counted and its stream restarted, so one bad round does
-// not mask later ones.
+// linChecker feeds round histories to the linearizability front door of
+// the scenario's oracle (linearize.Checker: projection, module routing, a
+// Barrier per object per round, a failed object restarted so one bad round
+// does not mask later ones) and keeps the tier's counters and its
+// LinMaxOps cap.
 type linChecker struct {
-	// The objects, by sorted module name ("" for a single-object oracle):
-	// module order[j] has sequential type types[j] and stream streams[j].
-	order   []string
-	types   []spec.Type
-	streams []*linearize.Stream
-	single  bool
-	cfg     linearize.JITConfig
-
+	lin    *linearize.Checker
 	maxOps int64
 
 	opsC    *obs.Counter
@@ -101,35 +93,18 @@ type linChecker struct {
 	wall      time.Duration
 }
 
-// newLinChecker validates that the oracle is checkable by history and
-// builds the per-object streams.
+// newLinChecker builds the checker of a linearize oracle.
 func newLinChecker(o scenario.Oracle, cfg linearize.JITConfig, maxOps int64, m *obs.Metrics) (*linChecker, error) {
 	if o.Kind != scenario.OracleLinearize {
 		return nil, fmt.Errorf("stress: -lincheck online needs a linearize oracle, scenario has %s", o)
 	}
-	lc := &linChecker{
-		cfg:     cfg,
+	return &linChecker{
+		lin:     linearize.NewChecker(o.Type, o.Objects, cfg),
 		maxOps:  maxOps,
 		opsC:    m.Counter("stress_lincheck_ops_total", "Operations verified by the streaming linearizability checker."),
 		roundsC: m.Counter("stress_lincheck_rounds_total", "Round histories fed to the streaming linearizability checker."),
 		failC:   m.Counter("stress_lincheck_failures_total", "Round histories the streaming checker found non-linearizable."),
-	}
-	if o.Objects != nil {
-		for mod := range o.Objects {
-			lc.order = append(lc.order, mod)
-		}
-		slices.Sort(lc.order)
-		for _, mod := range lc.order {
-			lc.types = append(lc.types, o.Objects[mod])
-		}
-	} else {
-		lc.single = true
-		lc.order, lc.types = []string{""}, []spec.Type{o.Type}
-	}
-	for _, t := range lc.types {
-		lc.streams = append(lc.streams, linearize.NewStream(t, cfg))
-	}
-	return lc, nil
+	}, nil
 }
 
 // linBatchRounds is how many rounds the online checker receives at once.
@@ -180,74 +155,26 @@ func (lc *linChecker) feedBatch(b *linBatch) {
 }
 
 // feedRound streams one round's recorded operations and closes the round.
-// Aborted operations are projected, in place, to pending invocations
-// (Theorem 3's projection), exactly as Oracle.Check does. A stream is
-// looked up once per run of operations on the same module.
 func (lc *linChecker) feedRound(ops []trace.Op) {
-	j := -1 // the object of the last operation fed
+	if lc.maxOps > 0 && lc.fed+int64(len(ops)) > lc.maxOps {
+		ops, lc.truncated = ops[:lc.maxOps-lc.fed], true
+	}
 	for i := range ops {
-		op := &ops[i]
-		if lc.maxOps > 0 && lc.fed >= lc.maxOps {
-			lc.truncated = true
-			break
-		}
-		if op.Aborted {
-			op.Aborted, op.Pending, op.Ret = false, true, 0
-		}
-		if j < 0 || !lc.single && op.Module != lc.order[j] {
-			// An oracle names a handful of objects: a scan beats a search.
-			if j = 0; !lc.single {
-				if j = slices.Index(lc.order, op.Module); j < 0 {
-					lc.err = fmt.Errorf("stress: operation %v labeled with unknown module %q", op.Req, op.Module)
-					return
-				}
-			}
-		}
-		if err := lc.streams[j].Push(*op); err != nil {
-			lc.err = err
+		if err := lc.lin.Push(&ops[i]); err != nil {
+			lc.err = fmt.Errorf("stress: %w", err)
 			return
 		}
 		lc.fed++
 	}
-	for j, s := range lc.streams {
-		if err := s.Barrier(); err != nil {
-			lc.err = err
-			return
-		}
-		if f := s.Failed(); f != nil {
-			// Restart the stream so later rounds keep being verified.
-			lc.noteFailure(j, f.Reason)
-			lc.stats.Fold(s.Stats())
-			lc.streams[j] = linearize.NewStream(lc.types[j], lc.cfg)
-		}
+	failed, first, err := lc.lin.Barrier()
+	if err != nil {
+		lc.err = fmt.Errorf("stress: %w", err)
+	} else if failed > 0 {
+		lc.failures += int64(failed)
+		lc.failC.Add(0, int64(failed))
+		lc.firstErr = cmp.Or(lc.firstErr, first)
 	}
 }
 
-// noteFailure counts a failed history of object j.
-func (lc *linChecker) noteFailure(j int, reason string) {
-	lc.failures++
-	lc.failC.Add(0, 1)
-	if lc.firstErr == "" {
-		lc.firstErr = fmt.Sprintf("not linearizable (%s): %s", lc.types[j].Name(), reason)
-	}
-}
-
-// finish closes every stream and folds the telemetry.
-func (lc *linChecker) finish() {
-	if lc.err != nil {
-		return
-	}
-	t0 := time.Now()
-	for j, s := range lc.streams {
-		r, err := s.Finish()
-		if err != nil {
-			lc.err = err
-			break
-		}
-		if !r.Ok {
-			lc.noteFailure(j, r.Reason)
-		}
-		lc.stats.Fold(s.Stats())
-	}
-	lc.wall += time.Since(t0)
-}
+// finish folds the checker's telemetry.
+func (lc *linChecker) finish() { lc.stats = lc.lin.Stats() }

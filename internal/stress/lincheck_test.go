@@ -1,15 +1,19 @@
 package stress
 
 import (
+	"errors"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/linearize"
+	"repro/internal/memory"
 	"repro/internal/obs"
 	"repro/internal/scenario"
+	"repro/internal/sched"
 	"repro/internal/spec"
 	"repro/internal/trace"
 )
@@ -131,6 +135,70 @@ func TestFeedBatchMatchesFeedRound(t *testing.T) {
 				t.Errorf("stress_lincheck_rounds_total = %d, want %d", got, k)
 			}
 		})
+	}
+}
+
+// feedOne feeds one round through a fresh checker for the tasfai oracle.
+func feedOne(t *testing.T, round []trace.Op) *linChecker {
+	t.Helper()
+	_, oracle := mustScenario(t, "tasfai").Build(4, scenario.Options{})
+	lc, err := newLinChecker(oracle, linearize.JITConfig{}, 0, obs.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b linBatch
+	b.add(func(dst []trace.Op) []trace.Op { return append(dst, round...) })
+	lc.feedBatch(&b)
+	lc.finish()
+	return lc
+}
+
+// TestOnlineFailureTextMatchesModelTier: a round that does not linearize
+// reads the same, object named, whether the model tier's oracle judges it
+// or the online tier streams it.
+func TestOnlineFailureTextMatchesModelTier(t *testing.T) {
+	round := tasfaiRounds(4, 1, 0)[0]
+	_, oracle := mustScenario(t, "tasfai").Build(4, scenario.Options{})
+	model := oracle.Check(slices.Clone(round))
+	lc := feedOne(t, round)
+	if model == nil || lc.failures != 1 || lc.firstErr != model.Error() {
+		t.Fatalf("online: %d failures, first %q; model tier: %v", lc.failures, lc.firstErr, model)
+	}
+	if want := `not linearizable (composed): object "tas" (test-and-set): `; !strings.HasPrefix(lc.firstErr, want) {
+		t.Fatalf("failure %q does not start %q", lc.firstErr, want)
+	}
+}
+
+// TestOnlineUnknownModule: an operation labeled with a module outside the
+// oracle is the front door's ErrUnknownModule, a contract error that stops
+// verification, and a stress run reports it in LinErr.
+func TestOnlineUnknownModule(t *testing.T) {
+	round := tasfaiRounds(4, 1)[0]
+	round[5].Module = "mystery"
+	if lc := feedOne(t, round); !errors.Is(lc.err, linearize.ErrUnknownModule) || lc.fed != 5 {
+		t.Fatalf("fed %d ops, error %v; want 5 and ErrUnknownModule", lc.fed, lc.err)
+	}
+
+	_, oracle := mustScenario(t, "tasfai").Build(2, scenario.Options{})
+	mislabeled := scenario.Scenario{
+		Name: "mislabeled",
+		Build: func(n int, _ scenario.Options) (engine.Harness, scenario.Oracle) {
+			return func() (*memory.Env, []func(p *memory.Proc), func(res *sched.Result) error, func()) {
+				env := memory.NewEnv(n)
+				env.SetHistorySource(trace.Source(func(dst []trace.Op) []trace.Op {
+					return append(dst, trace.Op{Req: spec.Request{ID: 1, Op: spec.OpTAS}, Module: "mystery", Inv: 1, Ret: 2})
+				}))
+				return env, slices.Repeat([]func(p *memory.Proc){func(*memory.Proc) {}}, n), nil, func() {}
+			}, oracle
+		},
+	}
+	r, err := Run(Config{Scenario: mislabeled, G: 2, Duration: time.Minute, MaxRounds: 3, LinMode: LinOnline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `stress: linearize: operation tas#1@p0 labeled with unknown module "mystery"`
+	if r.LinErr != want || r.LinOps != 0 || r.LinFailures != 0 {
+		t.Fatalf("LinErr %q, %d ops verified, %d failures; want %q, 0, 0", r.LinErr, r.LinOps, r.LinFailures, want)
 	}
 }
 
