@@ -304,10 +304,11 @@ func BenchmarkE9_HardwareFetchInc(b *testing.B) {
 // four schedules, so the protocol's separate costs are visible, all but the
 // last over four processes: self — lowest parked id first, so all but four
 // decisions of a run grant the decider itself and switch nothing; handoff —
-// round-robin, so every decision resumes another process (two coroutine
-// switches); crash — every decision a crash grant, the drain an abandoned
-// attempt performs (a handoff plus a panic/recover unwind; a run is only
-// four decisions, so the per-run start-up is in the figure too); pct-n8 —
+// round-robin, so every decision resumes another process (one coroutine
+// switch, decider to grantee); crash — every decision a crash grant, the
+// drain an abandoned attempt performs (a handoff plus a panic/recover
+// unwind; a run is only four decisions, so the per-run start-up is in the
+// figure too); pct-n8 —
 // PCT d=3 over eight processes, re-armed per run, the sampled tier's
 // decision: mostly self-grants of the top-priority process, a handoff where
 // it retires or a change point demotes it. The memory step itself (≈ 40 ns

@@ -133,7 +133,7 @@ func (c *core) registerObs(m *obs.Metrics) (remove func()) {
 			func(s *sched.ExecStats) int64 { return s.Decisions.Load() }),
 		execStat("sched_self_grants_total", "Decisions where the baton holder granted itself (no coroutine switch).",
 			func(s *sched.ExecStats) int64 { return s.SelfGrants.Load() }),
-		execStat("sched_handoffs_total", "Decisions handing the baton to another process (two coroutine switches).",
+		execStat("sched_handoffs_total", "Decisions handing the baton to another process (one coroutine switch).",
 			func(s *sched.ExecStats) int64 { return s.Handoffs.Load() }),
 		execStat("sched_crash_unwinds_total", "Crash grants (each unwinds one process body).",
 			func(s *sched.ExecStats) int64 { return s.CrashUnwinds.Load() }),

@@ -121,7 +121,6 @@ type Stats struct {
 	PeakWindow   int
 	PeakConfigs  int
 	PeakStates   int
-	Frontier     int
 	PeakFrontier int
 }
 
@@ -135,7 +134,6 @@ func (st *Stats) Fold(o Stats) {
 	st.PeakWindow = max(st.PeakWindow, o.PeakWindow)
 	st.PeakConfigs = max(st.PeakConfigs, o.PeakConfigs)
 	st.PeakStates = max(st.PeakStates, o.PeakStates)
-	st.Frontier += o.Frontier
 	st.PeakFrontier = max(st.PeakFrontier, o.PeakFrontier)
 }
 
@@ -405,7 +403,6 @@ func (s *Stream) Failed() *Result { return s.failed }
 func (s *Stream) Stats() Stats {
 	out := s.stats
 	out.PeakStates = max(out.PeakStates, s.in.size())
-	out.Frontier = len(s.frontier)
 	return out
 }
 

@@ -148,7 +148,7 @@ func TestObsOverheadComposed(t *testing.T) {
 // TestSchedCensusComposed pins the executor's scheduling census on the same
 // walk. A run's first decider is always process n-1 and each later one is
 // whoever parked or retired last, so at one worker the split of decisions
-// into self-grants (no coroutine switch) and handoffs (two) is a function of
+// into self-grants (no coroutine switch) and handoffs (one) is a function of
 // the schedules walked, exactly like the attempt count. The layer sources
 // unregister when Run returns, so the census is read from inside the walk:
 // the reset closure runs after every attempt, by which time that attempt's

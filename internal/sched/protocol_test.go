@@ -8,6 +8,7 @@ package sched_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -101,10 +102,10 @@ func TestExecutorMatchesReferenceRegistry(t *testing.T) {
 	}
 }
 
-// counters is a resettable three-process system: each body increments a
-// shared register twice, non-atomically.
-func counters() (*memory.Env, []func(p *memory.Proc)) {
-	env := memory.NewEnv(3)
+// counters is a resettable n-process system: each body increments a shared
+// register twice, non-atomically.
+func counters(n int) (*memory.Env, []func(p *memory.Proc)) {
+	env := memory.NewEnv(n)
 	r := memory.NewIntReg(0)
 	env.Register(r)
 	inc := func(p *memory.Proc) {
@@ -112,13 +113,17 @@ func counters() (*memory.Env, []func(p *memory.Proc)) {
 			r.Write(p, r.Read(p)+1)
 		}
 	}
-	return env, []func(p *memory.Proc){inc, inc, inc}
+	bodies := make([]func(p *memory.Proc), n)
+	for i := range bodies {
+		bodies[i] = inc
+	}
+	return env, bodies
 }
 
 // TestExecutorRunAllocFree: a run on a warmed executor — self-grants,
 // handoffs and crash unwinds included — allocates nothing.
 func TestExecutorRunAllocFree(t *testing.T) {
-	env, bodies := counters()
+	env, bodies := counters(3)
 	x := sched.NewExecutor(env, bodies)
 	defer x.Close()
 	rr := sched.NewRoundRobin()
@@ -141,10 +146,10 @@ func TestExecutorRunAllocFree(t *testing.T) {
 	}
 }
 
-// panicAt returns the counters system with process 1 panicking (with err) at
-// its third access.
-func panicAt(err error) (*memory.Env, []func(p *memory.Proc)) {
-	env, bodies := counters()
+// panicAt returns the counters system over n processes with process 1
+// panicking (with err) at its third access.
+func panicAt(n int, err error) (*memory.Env, []func(p *memory.Proc)) {
+	env, bodies := counters(n)
 	r := memory.NewIntReg(0)
 	bodies[1] = func(p *memory.Proc) {
 		r.Read(p)
@@ -161,49 +166,270 @@ func runPanics(f func()) (r any) {
 	return nil
 }
 
+// goexitAt returns the counters system over n processes with process k
+// calling runtime.Goexit — as t.FailNow does — after its first `after`
+// accesses.
+func goexitAt(n, k, after int) (*memory.Env, []func(p *memory.Proc)) {
+	env, bodies := counters(n)
+	r := memory.NewIntReg(0)
+	bodies[k] = func(p *memory.Proc) {
+		for range after {
+			r.Read(p)
+		}
+		runtime.Goexit()
+	}
+	return env, bodies
+}
+
+// permuted reports whether some process of x waits in a coroutine other
+// than its own.
+func permuted(x *sched.Executor, n int) bool {
+	for p := range n {
+		if w := x.Where(p); w >= 0 && w != p {
+			return true
+		}
+	}
+	return false
+}
+
 // TestExecutorCloseLeavesNoGoroutine: Close ends every coroutine whatever
 // state the executor is in — never run, between runs, and after a run a
-// panic aborted with the other bodies parked mid-execution — and a closed
+// panic aborted with the other bodies parked mid-execution, including
+// states where processes wait in each other's coroutines — and a closed
 // executor refuses to run.
 func TestExecutorCloseLeavesNoGoroutine(t *testing.T) {
 	base := runtime.NumGoroutine()
-	check := func(state string, x *sched.Executor) {
+	check := func(state string, env *memory.Env, x *sched.Executor) {
 		t.Helper()
 		if got := runtime.NumGoroutine(); got <= base {
 			t.Fatalf("%s: %d goroutines before Close against a baseline of %d: coroutines are not being counted", state, got, base)
 		}
+		steps := env.TotalSteps()
 		x.Close()
 		x.Close() // idempotent
 		if got := runtime.NumGoroutine(); got > base {
 			t.Fatalf("%s: %d goroutines after Close, want the baseline %d", state, got, base)
+		}
+		if got := env.TotalSteps(); got != steps {
+			t.Fatalf("%s: Close let the bodies take %d more steps, want none", state, got-steps)
 		}
 		if r := runPanics(func() { x.Run(sched.NewRoundRobin()) }); r == nil || !strings.Contains(r.(string), "closed Executor") {
 			t.Fatalf("%s: Run on a closed executor panicked with %v, want the closed-Executor panic", state, r)
 		}
 	}
 
-	env, bodies := counters()
-	check("idle", sched.NewExecutor(env, bodies))
+	env, bodies := counters(3)
+	check("idle", env, sched.NewExecutor(env, bodies))
 
-	env, bodies = counters()
+	env, bodies = counters(3)
 	x := sched.NewExecutor(env, bodies)
 	x.Run(sched.NewRoundRobin())
-	check("after a completed run", x)
+	check("after a completed run", env, x)
 
-	env, bodies = panicAt(errors.New("boom"))
+	env, bodies = panicAt(3, errors.New("boom"))
 	x = sched.NewExecutor(env, bodies)
 	if r := runPanics(func() { x.Run(sched.NewRoundRobin()) }); r == nil {
 		t.Fatal("the body's panic did not propagate out of the run")
 	}
-	check("after an aborted run", x)
+	check("after an aborted run", env, x)
 	// Close detached the aborted run: the environment is usable again.
 	if x2 := sched.NewExecutor(env, bodies); runPanics(func() { x2.Run(sched.NewSolo(0, 2, 1)) }) == nil {
 		t.Fatal("rerun on the same environment did not reach the panicking body")
 	} else {
 		x2.Close()
 	}
+
+	// Five processes, whose coroutines the runs leave held by other
+	// processes: a completed round-robin run, a body panic mid-run, a
+	// chooser panic and a body's runtime.Goexit.
+	requirePermuted := func(state string, x *sched.Executor) {
+		t.Helper()
+		if !permuted(x, 5) {
+			t.Fatalf("%s: every process waits in its own coroutine; the state does not exercise migrated holders", state)
+		}
+	}
+	env, bodies = counters(5)
+	x = sched.NewExecutor(env, bodies)
+	x.Run(sched.NewRoundRobin())
+	requirePermuted("after a round-robin run at n=5", x)
+	check("after a round-robin run at n=5", env, x)
+
+	env, bodies = panicAt(5, errors.New("boom"))
+	x = sched.NewExecutor(env, bodies)
+	if _, ok := runPanics(func() { x.Run(sched.NewRoundRobin()) }).(*sched.PanicError); !ok {
+		t.Fatal("n=5: the body's panic did not propagate out of the run as a *PanicError")
+	}
+	requirePermuted("after a body panic at n=5", x)
+	check("after a body panic at n=5", env, x)
+
+	env, bodies = counters(5)
+	x = sched.NewExecutor(env, bodies)
+	rr := sched.NewRoundRobin()
+	if r := runPanics(func() {
+		x.Run(sched.Func(func(step int, parked sched.ProcSet, next []memory.Access) sched.Choice {
+			if step == 12 {
+				panic("chooser bug")
+			}
+			return rr.Choose(step, parked, next)
+		}))
+	}); r != "chooser bug" {
+		t.Fatalf("n=5: run panicked with %v, want the chooser's own value", r)
+	}
+	requirePermuted("after a chooser panic at n=5", x)
+	check("after a chooser panic at n=5", env, x)
+
+	env, bodies = goexitAt(5, 2, 1)
+	x = sched.NewExecutor(env, bodies)
+	if _, ok := runPanics(func() { x.Run(sched.NewRoundRobin()) }).(*sched.PanicError); !ok {
+		t.Fatal("n=5: the body's runtime.Goexit did not come out of the run as a *PanicError")
+	}
+	requirePermuted("after a body Goexit at n=5", x)
+	check("after a body Goexit at n=5", env, x)
+
 	if got := runtime.NumGoroutine(); got > base {
 		t.Fatalf("%d goroutines at the end, want the baseline %d", got, base)
+	}
+}
+
+// TestExecutorBodyGoexitIsNamed: a body that calls runtime.Goexit (as
+// t.FailNow does) aborts the run with a *PanicError naming the process, on
+// the caller's goroutine, which survives; the executor then refuses further
+// runs, and Close leaves no goroutine. The cases put the Goexit before the
+// first park and mid-run, with the coroutine that ends held by the driver
+// (n=1) or by other processes.
+func TestExecutorBodyGoexitIsNamed(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, c := range []struct{ n, k, after int }{
+		{1, 0, 0}, {1, 0, 2}, {2, 1, 0}, {3, 0, 0}, {3, 2, 0}, {3, 1, 2}, {5, 3, 1}, {5, 0, 3},
+	} {
+		env, bodies := goexitAt(c.n, c.k, c.after)
+		x := sched.NewExecutor(env, bodies)
+		r := runPanics(func() { x.Run(sched.NewRoundRobin()) })
+		pe, ok := r.(*sched.PanicError)
+		if !ok {
+			t.Fatalf("%+v: run panicked with %T %v, want *sched.PanicError", c, r, r)
+		}
+		if msg := pe.Error(); pe.Proc != c.k || !strings.Contains(msg, fmt.Sprintf("process %d", c.k)) || !strings.Contains(msg, "Goexit") {
+			t.Fatalf("%+v: PanicError for process %d reads %q; want it to name process %d and runtime.Goexit", c, pe.Proc, msg, c.k)
+		}
+		if !strings.Contains(string(pe.Stack), "goexitAt") {
+			t.Fatalf("%+v: stack does not reach the exiting body:\n%s", c, pe.Stack)
+		}
+		if r := runPanics(func() { x.Run(sched.NewRoundRobin()) }); r == nil || !strings.Contains(r.(string), "aborted") {
+			t.Fatalf("%+v: run after the aborted run panicked with %v, want the aborted-run panic", c, r)
+		}
+		x.Close()
+		x.Close()
+		if got := runtime.NumGoroutine(); got > base {
+			t.Fatalf("%+v: %d goroutines after Close, want the baseline %d", c, got, base)
+		}
+	}
+}
+
+// TestExecutorChooserGoexitEndsTheCaller: a chooser that calls
+// runtime.Goexit ends Run's caller, as if it had run there, and Close still
+// ends every coroutine.
+func TestExecutorChooserGoexitEndsTheCaller(t *testing.T) {
+	env, bodies := counters(3)
+	x := sched.NewExecutor(env, bodies)
+	outcome, proceed := make(chan string), make(chan struct{})
+	go func() {
+		returned := false
+		defer func() {
+			switch r := recover(); {
+			case r != nil:
+				outcome <- fmt.Sprintf("panicked with %v", r)
+			case returned:
+				outcome <- "returned"
+			default:
+				outcome <- ""
+			}
+			<-proceed // stay counted until the goroutines are
+		}()
+		x.Run(sched.Func(func(step int, parked sched.ProcSet, _ []memory.Access) sched.Choice {
+			if step == 4 {
+				runtime.Goexit()
+			}
+			return sched.Choice{Proc: parked.Min()}
+		}))
+		returned = true
+	}()
+	if got := <-outcome; got != "" {
+		t.Fatalf("Run %s after its chooser called runtime.Goexit; want its caller to exit", got)
+	}
+	before := runtime.NumGoroutine()
+	x.Close()
+	x.Close()
+	after := runtime.NumGoroutine()
+	close(proceed)
+	if after > before-3 {
+		t.Fatalf("Close left %d of the executor's 3 coroutines", after-(before-3))
+	}
+}
+
+// TestExecutorOneSwitchPerHandoff pins the protocol's cost in coroutine
+// switches: a run makes n + handoffs + 1 — one to start process 0, one per
+// process launching the next at start-up, one per handoff and one back to
+// the driver — where driving every handoff through the driver made
+// 2n + 2·handoffs + 1. The schedules are BenchmarkExecutorDecision's, plus
+// start-ups where bodies retire without parking.
+func TestExecutorOneSwitchPerHandoff(t *testing.T) {
+	const reads = 64
+	system := func(n int, idle ...int) (*memory.Env, []func(p *memory.Proc)) {
+		env := memory.NewEnv(n)
+		bodies := make([]func(p *memory.Proc), n)
+		for i := range bodies {
+			r := memory.NewIntReg(0)
+			bodies[i] = func(p *memory.Proc) {
+				for k := 0; k < reads; k++ {
+					r.Read(p)
+				}
+			}
+		}
+		for _, i := range idle {
+			bodies[i] = func(*memory.Proc) {}
+		}
+		return env, bodies
+	}
+	lowest := sched.Func(func(_ int, parked sched.ProcSet, _ []memory.Access) sched.Choice {
+		return sched.Choice{Proc: parked.Min()}
+	})
+	var pct sched.PCT
+	for _, c := range []struct {
+		name    string
+		n       int
+		idle    []int
+		chooser func(run int) sched.Chooser
+	}{
+		{"self", 4, nil, func(int) sched.Chooser { return lowest }},
+		{"handoff", 4, nil, func(int) sched.Chooser { return sched.NewRoundRobin() }},
+		{"crash", 4, nil, func(int) sched.Chooser {
+			return sched.Func(func(_ int, parked sched.ProcSet, _ []memory.Access) sched.Choice {
+				return sched.Choice{Proc: parked.Min(), Crash: true}
+			})
+		}},
+		{"pct-n8", 8, nil, func(run int) sched.Chooser { return pct.Reset(int64(run), 8, 8*reads, 3) }},
+		{"retire-unparked", 4, []int{0, 2, 3}, func(int) sched.Chooser { return sched.NewRoundRobin() }},
+		{"all-retire-unparked", 3, []int{0, 1, 2}, func(int) sched.Chooser { return lowest }},
+	} {
+		env, bodies := system(c.n, c.idle...)
+		x := sched.NewExecutor(env, bodies)
+		handoffs := int64(0)
+		for run := range 6 {
+			s0, h0 := x.Switches(), x.Stats().Handoffs.Load()
+			x.Run(c.chooser(run))
+			env.Reset()
+			h := x.Stats().Handoffs.Load() - h0
+			if got, want := x.Switches()-s0, int64(c.n)+h+1; got != want {
+				t.Errorf("%s run %d: %d coroutine switches for %d handoffs over %d processes, want n + handoffs + 1 = %d",
+					c.name, run, got, h, c.n, want)
+			}
+			handoffs += h
+		}
+		if handoffs == 0 && c.name != "all-retire-unparked" {
+			t.Errorf("%s: no handoffs in 6 runs; the schedule pins nothing", c.name)
+		}
+		x.Close()
 	}
 }
 
@@ -213,7 +439,7 @@ func TestExecutorCloseLeavesNoGoroutine(t *testing.T) {
 // Run cleans up after itself.
 func TestExecutorBodyPanicIsNamed(t *testing.T) {
 	boom := errors.New("boom")
-	env, bodies := panicAt(boom)
+	env, bodies := panicAt(3, boom)
 	x := sched.NewExecutor(env, bodies)
 	defer x.Close()
 	r := runPanics(func() { x.Run(sched.NewRoundRobin()) })
@@ -238,7 +464,7 @@ func TestExecutorBodyPanicIsNamed(t *testing.T) {
 	}
 
 	base := runtime.NumGoroutine()
-	env, bodies = panicAt(boom)
+	env, bodies = panicAt(3, boom)
 	if _, ok := runPanics(func() { sched.Run(env, sched.NewRoundRobin(), bodies) }).(*sched.PanicError); !ok {
 		t.Fatal("one-shot Run did not propagate the PanicError")
 	}
@@ -251,7 +477,7 @@ func TestExecutorBodyPanicIsNamed(t *testing.T) {
 // procedure runs on some process's stack but is not that body's fault; it
 // propagates unwrapped.
 func TestExecutorChooserPanicIsNotBlamedOnABody(t *testing.T) {
-	env, bodies := counters()
+	env, bodies := counters(3)
 	x := sched.NewExecutor(env, bodies)
 	defer x.Close()
 	r := runPanics(func() {
